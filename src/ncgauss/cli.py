@@ -13,15 +13,15 @@ import sys
 
 from .errors import DomainError, FormulaDomainError, NCGaussError
 from .scan import (
+    FIG1_FIELDS,
+    SCAN_FIELDS,
     ScanConfig,
     emit_fig1_data,
     emit_fig2_data,
     eval_point,
-    fig1_to_csv,
-    fig1_to_json,
     numeric_invariants,
-    records_to_csv,
-    records_to_json,
+    rows_to_csv,
+    rows_to_json,
     scan_grid,
 )
 
@@ -62,11 +62,12 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _write_output(text: str, path: str) -> None:
-    if path == "-":
+def _write_rows(rows, fields: tuple[str, ...], args) -> None:
+    text = (rows_to_csv if args.format == "csv" else rows_to_json)(rows, fields)
+    if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
 
 
@@ -138,23 +139,15 @@ def _cmd_eval(args) -> int:
 
 def _cmd_scan(args) -> int:
     config = ScanConfig(
-        theta_range=args.theta_range,
-        eta_range=args.eta_range,
-        m=args.m,
-        n=args.n,
-        output_format=args.format,
-        output_path=args.out,
+        theta_range=args.theta_range, eta_range=args.eta_range, m=args.m, n=args.n
     )
-    records = scan_grid(config)
-    text = records_to_csv(records) if args.format == "csv" else records_to_json(records)
-    _write_output(text, args.out)
+    _write_rows(map(vars, scan_grid(config)), SCAN_FIELDS, args)
     return 0
 
 
 def _cmd_fig1(args) -> int:
     rows = emit_fig1_data(theta_values=args.thetas, eta_range=args.eta_range, m=args.m, n=args.n)
-    text = fig1_to_csv(rows) if args.format == "csv" else fig1_to_json(rows)
-    _write_output(text, args.out)
+    _write_rows(rows, FIG1_FIELDS, args)
     return 0
 
 
@@ -162,8 +155,7 @@ def _cmd_fig2(args) -> int:
     records = emit_fig2_data(
         r=args.r, swap=args.swap, theta_range=args.theta_range, eta_range=args.eta_range
     )
-    text = records_to_csv(records) if args.format == "csv" else records_to_json(records)
-    _write_output(text, args.out)
+    _write_rows(map(vars, records), SCAN_FIELDS, args)
     return 0
 
 

@@ -9,6 +9,7 @@ for 2i O^-1 S (the latter is kept as a test oracle only).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,10 @@ class Tolerances:
     """Numerical thresholds shared by every check in the package."""
 
     symmetry: float = 1e-12  # per-entry symmetry / skewness / hermiticity
-    singularity: float = 1e-12  # |det| at or below this counts as singular
+    singularity: float = 1e-12  # 1 / condition number at which a matrix is singular
     positive_definite: float = 1e-12  # smallest eigenvalue must exceed this
-    psd_slack: float = 1e-10  # slack for direct Hermitian positivity checks
     boundary: float = 1e-12  # classification band around nu = 1
     map_residual: float = 1e-10  # per-entry bound for S J S^T = Omega, D^2 = I
-    spectrum_rtol: float = 1e-9  # relative agreement between spectrum routes
     radicand: float = 1e-12  # clamp window for closed-form radicands
 
 
@@ -84,17 +83,45 @@ def standard_symplectic_form(n_modes: int) -> np.ndarray:
     return _readonly(np.block([[zero, eye], [-eye, zero]]))
 
 
-def validate_covariance(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Check symmetry and positive-definiteness; return a read-only copy."""
+def _require_symmetric(mat, tol: Tolerances) -> np.ndarray:
     arr = _require_square(mat, "covariance matrix")
     if np.max(np.abs(arr - arr.T)) > tol.symmetry:
         raise MatrixStructureError("covariance matrix is not symmetric within tolerance")
-    smallest = np.linalg.eigvalsh(arr)[0]
+    return arr
+
+
+def _require_positive(smallest: float, tol: Tolerances) -> None:
     if smallest <= tol.positive_definite:
         raise NotPositiveDefiniteError(
             f"covariance matrix is not positive-definite (smallest eigenvalue {smallest:.3e})"
         )
+
+
+def validate_covariance(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Check symmetry and positive-definiteness; return a read-only copy."""
+    arr = _require_symmetric(mat, tol)
+    _require_positive(np.linalg.eigvalsh(arr)[0], tol)
     return _readonly(arr)
+
+
+def numerically_singular(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """True when the square matrix A (n x n) is singular to tol.singularity, at any scale.
+
+    Compares the geometric mean of the singular values, g = |det A|^(1/n), with
+    their root mean square, s_rms = ||A||_F / sqrt(n): A is singular iff
+    g <= eps^((n-1)/n) * s_rms, eps = tol.singularity. As s_rms <= s_1 and
+    g^n >= s_1 * s_n^(n-1), a flagged A has (s_n/s_1)^((n-1)/n) <= g/s_1 <= eps^((n-1)/n),
+    i.e. cond_2(A) >= 1/eps, and A -> cA changes nothing. An absolute bound on det
+    cannot do this: the family's 8x8 form has det = (1 - theta*eta)^4 but cond_2
+    only of order 1/(1 - theta*eta). The test is one-sided: one tiny singular
+    value can hide in the mean. slogdet keeps det and its root finite up to MAX_DIM.
+    """
+    dim = mat.shape[0]
+    sign, logdet = np.linalg.slogdet(mat)
+    if sign == 0:
+        return True
+    rms = np.linalg.norm(mat) / math.sqrt(dim)
+    return logdet / dim <= (dim - 1) / dim * math.log(tol.singularity) + math.log(rms)
 
 
 def validate_skew_form(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -102,7 +129,7 @@ def validate_skew_form(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     arr = _require_square(mat, "skew form")
     if np.max(np.abs(arr + arr.T)) > tol.symmetry:
         raise MatrixStructureError("form is not skew-symmetric within tolerance")
-    if abs(np.linalg.det(arr)) <= tol.singularity:
+    if numerically_singular(arr, tol):
         raise SingularMatrixError("skew form is numerically singular")
     return _readonly(arr)
 
@@ -121,14 +148,35 @@ class SymplecticSpectrum:
         return len(self.invariants)
 
 
-def _sqrt_pd(sigma: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Symmetric square root of a positive-definite matrix via eigendecomposition."""
-    w, v = np.linalg.eigh(sigma)
-    if w[0] <= tol.positive_definite:
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive-definite (smallest eigenvalue {w[0]:.3e})"
+def validated_root(sigma, form, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a (covariance, skew form) pair; return (sqrt(sigma), read-only form).
+
+    The symmetric square root comes from the eigendecomposition that proves
+    positive-definiteness. Spectra of one covariance against several forms
+    share it through :func:`_root_spectrum`.
+    """
+    arr = _require_symmetric(sigma, tol)
+    w, v = np.linalg.eigh(arr)
+    _require_positive(w[0], tol)
+    frm = validate_skew_form(form, tol)
+    if arr.shape != frm.shape:
+        raise DimensionError(
+            f"covariance is {arr.shape[0]}-dimensional but form is {frm.shape[0]}-dimensional"
         )
-    return (v * np.sqrt(w)) @ v.T
+    return (v * np.sqrt(w)) @ v.T, frm
+
+
+def _root_spectrum(root: np.ndarray, form: np.ndarray) -> SymplecticSpectrum:
+    """Williamson invariants from sqrt(sigma) and a form, both already validated."""
+    # K = sqrt(S) O^-1 sqrt(S) is real skew; iK is Hermitian with eigenvalues +-nu/2.
+    skew = root @ np.linalg.solve(form, root)
+    vals = np.linalg.eigvalsh(1j * skew)
+    half = len(vals) // 2
+    # Pair the +-kappa eigenvalues symmetrically to cancel roundoff.
+    invariants = tuple(float(vals[half + j] - vals[half - 1 - j]) for j in range(half))
+    if invariants[0] <= 0.0:
+        raise NCGaussError("spectrum is not strictly positive; inputs are degenerate")
+    return SymplecticSpectrum(invariants)
 
 
 def nc_williamson_spectrum(sigma, form, tol: Tolerances = DEFAULT_TOL) -> SymplecticSpectrum:
@@ -149,22 +197,7 @@ def nc_williamson_spectrum(sigma, form, tol: Tolerances = DEFAULT_TOL) -> Symple
         NotPositiveDefiniteError: sigma fails the spectral test.
         SingularMatrixError: form is singular.
     """
-    sig = validate_covariance(sigma, tol)
-    frm = validate_skew_form(form, tol)
-    if sig.shape != frm.shape:
-        raise DimensionError(
-            f"covariance is {sig.shape[0]}-dimensional but form is {frm.shape[0]}-dimensional"
-        )
-    root = _sqrt_pd(sig, tol)
-    # K = sqrt(S) O^-1 sqrt(S) is real skew; iK is Hermitian with eigenvalues +-nu/2.
-    skew = root @ np.linalg.solve(frm, root)
-    vals = np.linalg.eigvalsh(1j * skew)
-    half = len(vals) // 2
-    # Pair the +-kappa eigenvalues symmetrically to cancel roundoff.
-    invariants = tuple(float(vals[half + j] - vals[half - 1 - j]) for j in range(half))
-    if invariants[0] <= 0.0:
-        raise NCGaussError("spectrum is not strictly positive; inputs are degenerate")
-    return SymplecticSpectrum(invariants)
+    return _root_spectrum(*validated_root(sigma, form, tol))
 
 
 def rsup_holds(sigma, form, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -20,6 +20,16 @@ from .errors import DomainError, FormulaDomainError, NCGaussError
 from .phase_space import CompositeForm, NCParams, build_composite_form, build_planar_form
 
 
+def validate_couplings(m: float, n: float) -> float:
+    """Require finite couplings with R = sqrt(m^2 + n^2) < 1; return R."""
+    if not (math.isfinite(m) and math.isfinite(n)):
+        raise DomainError(f"m and n must be finite, got ({m}, {n})")
+    r = math.hypot(m, n)
+    if r >= 1.0:
+        raise DomainError(f"R = sqrt(m^2 + n^2) = {r} must be < 1")
+    return r
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     """Coupling parameters (m, n) plus the deformation pair; R and b are derived."""
@@ -29,10 +39,7 @@ class FamilyParams:
     nc: NCParams
 
     def __post_init__(self):
-        if not (math.isfinite(self.m) and math.isfinite(self.n)):
-            raise DomainError("m and n must be finite")
-        if self.r >= 1.0:
-            raise DomainError(f"R = sqrt(m^2 + n^2) = {self.r} must be < 1")
+        validate_couplings(self.m, self.n)
 
     @property
     def r(self) -> float:
@@ -86,7 +93,8 @@ def build_covariance(m: float, n: float, nc: NCParams, tol: Tolerances = DEFAULT
 
 def family_form(nc: NCParams, tol: Tolerances = DEFAULT_TOL) -> CompositeForm:
     """Bipartite commutation form of the family: the same planar form for both parties."""
-    return build_composite_form(build_planar_form(nc, tol), build_planar_form(nc, tol))
+    part = build_planar_form(nc, tol)
+    return build_composite_form(part, part)
 
 
 def omega_pm(params: FamilyParams) -> tuple[float, float]:

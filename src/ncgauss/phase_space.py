@@ -21,6 +21,7 @@ from .core import (
     block_diag,
     matrix_from_json,
     matrix_to_json,
+    numerically_singular,
     standard_symplectic_form,
     validate_covariance,
     validate_skew_form,
@@ -31,6 +32,14 @@ from .errors import DimensionError, DomainError, MatrixStructureError, SingularM
 EPSILON2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def validate_deformations(theta: float, eta: float) -> None:
+    """Require finite, non-negative theta and eta; theta*eta < 1 is checked by NCParams."""
+    if not (math.isfinite(theta) and math.isfinite(eta)):
+        raise DomainError(f"theta and eta must be finite, got ({theta}, {eta})")
+    if theta < 0 or eta < 0:
+        raise DomainError(f"theta and eta must be >= 0, got ({theta}, {eta})")
+
+
 @dataclass(frozen=True)
 class NCParams:
     """Planar deformation strengths theta (position) and eta (momentum)."""
@@ -39,10 +48,7 @@ class NCParams:
     eta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.eta)):
-            raise DomainError("theta and eta must be finite")
-        if self.theta < 0 or self.eta < 0:
-            raise DomainError(f"theta and eta must be >= 0, got ({self.theta}, {self.eta})")
+        validate_deformations(self.theta, self.eta)
         if self.theta * self.eta >= 1:
             raise DomainError(
                 f"theta*eta = {self.theta * self.eta} violates the domain theta*eta < 1"
@@ -147,7 +153,7 @@ class DarbouxMap:
         for name, blk in (("S_A", a), ("S_B", b)):
             if blk.ndim != 2 or blk.shape[0] != blk.shape[1] or blk.shape[0] % 2 != 0:
                 raise DimensionError(f"{name} must be square of even dimension, got {blk.shape}")
-            if abs(np.linalg.det(blk)) <= tol.singularity:
+            if numerically_singular(blk, tol):
                 raise SingularMatrixError(f"{name} is numerically singular")
         return cls(s_a=_readonly(a), s_b=_readonly(b), assembled=_readonly(block_diag(a, b)))
 
@@ -206,7 +212,7 @@ def build_darboux_map(
     product = (1.0 + math.sqrt(1.0 - params.eta * params.theta)) / 2.0
     mu = product / lambda_scale
     blk = _planar_darboux_block(params, lambda_scale, mu)
-    if abs(np.linalg.det(blk)) <= tol.singularity:
+    if numerically_singular(blk, tol):
         raise SingularMatrixError(
             f"Darboux block is singular (theta*eta = {params.theta * params.eta})"
         )
@@ -234,7 +240,7 @@ def validate_darboux(dmap: DarbouxMap, target: CompositeForm, tol: Tolerances = 
         raise DimensionError(
             f"map block S_A is {dmap.s_a.shape[0]}-dimensional, target part A needs {2 * target.n_a}"
         )
-    if abs(np.linalg.det(dmap.assembled)) <= tol.singularity:
+    if numerically_singular(dmap.assembled, tol):
         return False
     jay = block_diag(standard_symplectic_form(target.n_a), standard_symplectic_form(target.n_b))
     residual = np.max(np.abs(dmap.assembled @ jay @ dmap.assembled.T - target.assembled))

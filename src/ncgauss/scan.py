@@ -11,15 +11,29 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerances, nc_williamson_spectrum
+from .core import DEFAULT_TOL, Tolerances
 from .errors import DomainError, FormulaDomainError
-from .family import FamilyParams, build_covariance, closed_form_invariants, family_form
-from .phase_space import NCParams, build_darboux_map
-from .separability import ClassificationResult, Verdict, classify, primed_form
+from .family import (
+    FamilyParams,
+    build_covariance,
+    closed_form_invariants,
+    family_form,
+    validate_couplings,
+)
+from .phase_space import NCParams, validate_deformations
+from .separability import (
+    ClassificationResult,
+    Verdict,
+    classify,
+    partial_transpose_spectra,
+    verdict_from_invariants,
+)
 
 VERDICT_LABEL = {
     Verdict.INVALID_DOMAIN: "invalid",
@@ -53,8 +67,6 @@ class ScanConfig:
     eta_range: tuple[float, float, int]
     m: float
     n: float
-    output_format: str = "csv"
-    output_path: str = "-"
 
     def __post_init__(self):
         for name, rng in (("theta", self.theta_range), ("eta", self.eta_range)):
@@ -63,8 +75,6 @@ class ScanConfig:
                 raise DomainError(f"{name} range must satisfy min <= max, got {rng}")
             if int(steps) < 1:
                 raise DomainError(f"{name} range needs >= 1 steps, got {steps}")
-        if self.output_format not in ("csv", "json"):
-            raise DomainError(f"output format must be csv or json, got {self.output_format!r}")
 
 
 @dataclass(frozen=True)
@@ -81,46 +91,12 @@ class ScanRecord:
     verdict: str
 
 
-def _verdict_from_invariants(nu: float, nu_prime: float, tol: Tolerances) -> Verdict:
-    if nu < 1.0 - tol.boundary:
-        return Verdict.NON_QUANTUM
-    if nu_prime < 1.0 - tol.boundary:
-        return Verdict.ENTANGLED_QUANTUM
-    return Verdict.SEPARABLE_QUANTUM
-
-
-def _check_deformations(theta: float, eta: float) -> None:
-    for name, value in (("theta", theta), ("eta", eta)):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
-    if theta < 0 or eta < 0:
-        raise DomainError(f"theta and eta must be >= 0, got ({theta}, {eta})")
-
-
-def _check_couplings(m: float, n: float) -> float:
-    for name, value in (("m", m), ("n", n)):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
-    r = math.hypot(m, n)
-    if r >= 1.0:
-        raise DomainError(f"R = sqrt(m^2 + n^2) = {r} must be < 1")
-    return r
-
-
 def numeric_invariants(
-    theta: float,
-    eta: float,
-    m: float,
-    n: float,
-    lambda_scale: float = 1.0,
-    tol: Tolerances = DEFAULT_TOL,
+    theta: float, eta: float, m: float, n: float, tol: Tolerances = DEFAULT_TOL
 ) -> ClassificationResult:
     """Spectral-route classification of a family point (cross-check and fallback)."""
     nc = NCParams(theta=theta, eta=eta)
-    state = build_covariance(m, n, nc, tol)
-    form = family_form(nc, tol)
-    dmap = build_darboux_map(nc, lambda_scale, tol)
-    return classify(state.sigma, form, dmap, tol)
+    return classify(build_covariance(m, n, nc, tol).sigma, family_form(nc, tol), tol)
 
 
 def eval_point(
@@ -128,8 +104,8 @@ def eval_point(
 ) -> ScanRecord:
     """Classify one family point; theta*eta >= 1 yields the invalid verdict."""
     theta, eta, m, n = float(theta), float(eta), float(m), float(n)
-    _check_deformations(theta, eta)
-    r = _check_couplings(m, n)
+    validate_deformations(theta, eta)
+    r = validate_couplings(m, n)
     if theta * eta >= 1.0:
         return ScanRecord(
             theta=theta, eta=eta, m=m, n=n, r=r,
@@ -149,7 +125,7 @@ def eval_point(
     if not use_closed:
         result = numeric_invariants(theta, eta, m, n, tol=tol)
         nu, nu_prime = result.nu_minus, result.nu_minus_prime
-    verdict = _verdict_from_invariants(nu, nu_prime, tol)
+    verdict = verdict_from_invariants(nu, nu_prime, tol)
     return ScanRecord(
         theta=theta, eta=eta, m=m, n=n, r=r,
         nu_minus=nu, nu_minus_prime=nu_prime,
@@ -204,20 +180,19 @@ def emit_fig1_data(
     """
     if not theta_values:
         raise DomainError("at least one theta value is required")
-    _check_couplings(m, n)
+    validate_couplings(m, n)
     rows = []
     for theta in map(float, theta_values):
         for eta in map(float, grid_axis(*eta_range)):
-            _check_deformations(theta, eta)
+            validate_deformations(theta, eta)
             row = {"theta": theta, "eta": eta, "m": m, "n": n}
             if theta * eta >= 1.0:
                 row.update({field: None for field in FIG1_FIELDS[4:]})
             else:
                 nc = NCParams(theta=theta, eta=eta)
-                state = build_covariance(m, n, nc, tol)
-                form = family_form(nc, tol)
-                spectrum = nc_williamson_spectrum(state.sigma, form.assembled, tol)
-                reflected = nc_williamson_spectrum(state.sigma, primed_form(form), tol)
+                spectrum, reflected = partial_transpose_spectra(
+                    build_covariance(m, n, nc, tol).sigma, family_form(nc, tol), tol
+                )
                 for j in range(4):
                     row[f"nu_{j + 1}"] = spectrum.invariants[j]
                     row[f"nup_{j + 1}"] = reflected.invariants[j]
@@ -225,61 +200,31 @@ def emit_fig1_data(
     return rows
 
 
-def _fmt(value) -> str:
-    return "" if value is None else format(float(value), ".12g")
+def rows_to_csv(rows: Iterable[Mapping], fields: tuple[str, ...]) -> str:
+    """CSV text with a header of ``fields`` and one line per row, in order.
 
-
-def _round12(value):
-    return None if value is None else float(format(float(value), ".12g"))
-
-
-def records_to_csv(records: list[ScanRecord]) -> str:
-    lines = [",".join(SCAN_FIELDS)]
-    for rec in records:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(rec.theta), _fmt(rec.eta), _fmt(rec.m), _fmt(rec.n), _fmt(rec.r),
-                    _fmt(rec.nu_minus), _fmt(rec.nu_minus_prime), rec.verdict,
-                ]
-            )
-        )
+    None becomes an empty cell, strings pass through, and numbers are written
+    with 12 significant digits. Scan records go in as ``map(vars, records)``.
+    """
+    lines = [",".join(fields)]
+    for values in map(itemgetter(*fields), rows):
+        lines.append(",".join(
+            ["" if v is None else v if v.__class__ is str else "%.12g" % v for v in values]
+        ))
     return "\n".join(lines) + "\n"
 
 
-def records_to_json(records: list[ScanRecord]) -> str:
-    objs = []
-    for rec in records:
-        obj = {
-            "theta": _round12(rec.theta),
-            "eta": _round12(rec.eta),
-            "m": _round12(rec.m),
-            "n": _round12(rec.n),
-            "r": _round12(rec.r),
-        }
-        if rec.nu_minus is not None:
-            obj["nu_minus"] = _round12(rec.nu_minus)
-            obj["nu_minus_prime"] = _round12(rec.nu_minus_prime)
-        obj["verdict"] = rec.verdict
-        objs.append(obj)
-    return json.dumps(objs, indent=2) + "\n"
+def rows_to_json(rows: Iterable[Mapping], fields: tuple[str, ...]) -> str:
+    """JSON array with one object per row, keys in ``fields`` order.
 
-
-def fig1_to_csv(rows: list[dict]) -> str:
-    lines = [",".join(FIG1_FIELDS)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[field]) for field in FIG1_FIELDS))
-    return "\n".join(lines) + "\n"
-
-
-def fig1_to_json(rows: list[dict]) -> str:
-    objs = []
-    for row in rows:
-        obj = {}
-        for field in FIG1_FIELDS:
-            if row[field] is not None:
-                obj[field] = _round12(row[field])
-        objs.append(obj)
+    None omits the key, strings pass through, and numbers are rounded to 12
+    significant digits.
+    """
+    objs = [
+        {f: v if v.__class__ is str else float("%.12g" % v)
+         for f, v in zip(fields, values) if v is not None}
+        for values in map(itemgetter(*fields), rows)
+    ]
     return json.dumps(objs, indent=2) + "\n"
 
 
@@ -290,7 +235,7 @@ def records_self_consistent(records: list[ScanRecord], tol: Tolerances = DEFAULT
             if rec.verdict != VERDICT_LABEL[Verdict.INVALID_DOMAIN]:
                 return False
             continue
-        expected = VERDICT_LABEL[_verdict_from_invariants(rec.nu_minus, rec.nu_minus_prime, tol)]
+        expected = VERDICT_LABEL[verdict_from_invariants(rec.nu_minus, rec.nu_minus_prime, tol)]
         if rec.verdict != expected:
             return False
     return True

@@ -1,10 +1,13 @@
 """Positive-partial-transpose machinery and state classification.
 
 Partial transposition acts on phase space as a mirror reflection of Bob's
-momenta. In deformed variables the reflection becomes D = S Lambda S^-1,
-and the separability test reduces to a Williamson-spectrum condition with
-either the reflected covariance (Sigma', Omega) or the reflected form
-(Sigma, Omega'); both routes are computed and cross-checked.
+momenta. In deformed variables the reflection becomes D = S Lambda S^-1 for a
+Darboux map S, and D^-1 Omega D^-T = Diag[Omega_A, -Omega_B] = Omega' for
+every such map. Separability is therefore read from the spectrum of
+(Sigma, Omega'), which needs no map. The reflected covariance
+Sigma' = D Sigma D^T with (Sigma', Omega) gives the same spectrum less
+accurately (D carries the conditioning of S); it is kept as a reference for
+the tests, off the classification path.
 """
 
 from __future__ import annotations
@@ -16,13 +19,16 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    SymplecticSpectrum,
     Tolerances,
     _readonly,
+    _root_spectrum,
     block_diag,
-    nc_williamson_spectrum,
+    numerically_singular,
     validate_covariance,
+    validated_root,
 )
-from .errors import DimensionError, MatrixStructureError, NCGaussError, SingularMatrixError
+from .errors import DimensionError, MatrixStructureError, SingularMatrixError
 from .phase_space import CompositeForm, DarbouxMap
 
 
@@ -67,7 +73,7 @@ def partial_transpose_map(
         raise DimensionError(
             f"map blocks {dmap.s_a.shape[0]}/{dmap.s_b.shape[0]} do not match 2n_a={2 * n_a}, 2n_b={2 * n_b}"
         )
-    if abs(np.linalg.det(dmap.s_b)) <= tol.singularity:
+    if numerically_singular(dmap.s_b, tol):
         raise SingularMatrixError("S_B is numerically singular")
     lam_b = np.diag(np.concatenate([np.ones(n_b), -np.ones(n_b)]))
     d_b = dmap.s_b @ lam_b @ np.linalg.inv(dmap.s_b)
@@ -115,49 +121,35 @@ class ClassificationResult:
         }
 
 
-def _nu_prime(sigma, omega: CompositeForm, dmap: DarbouxMap, tol: Tolerances) -> float:
-    pt = partial_transpose_map(dmap, omega.n_a, omega.n_b, tol)
-    reflected = partial_transpose_covariance(sigma, pt, tol)
-    spec_reflected = nc_williamson_spectrum(reflected, omega.assembled, tol)
-    spec_primed = nc_williamson_spectrum(sigma, primed_form(omega), tol)
-    a = np.asarray(spec_reflected.invariants)
-    b = np.asarray(spec_primed.invariants)
-    mismatch = np.max(np.abs(a - b) / b)
-    if mismatch > tol.spectrum_rtol:
-        raise NCGaussError(
-            f"partial-transpose spectrum routes disagree ({mismatch:.3e} relative)"
-        )
-    return spec_reflected.smallest
-
-
-def check_separable(
-    sigma, omega: CompositeForm, dmap: DarbouxMap, tol: Tolerances = DEFAULT_TOL
-) -> tuple[bool, float]:
-    """Separability test; returns (nu'_- >= 1, nu'_-).
-
-    nu'_- is computed both from (Sigma', Omega) and from (Sigma, Omega');
-    the two full spectra must agree to ``tol.spectrum_rtol``.
-    """
-    nu_prime = _nu_prime(sigma, omega, dmap, tol)
-    return nu_prime >= 1.0 - tol.boundary, nu_prime
-
-
-def classify(
-    sigma, omega: CompositeForm, dmap: DarbouxMap, tol: Tolerances = DEFAULT_TOL
-) -> ClassificationResult:
+def verdict_from_invariants(nu: float, nu_prime: float, tol: Tolerances = DEFAULT_TOL) -> Verdict:
     """Two-stage verdict: quantum iff nu_- >= 1, then separable iff nu'_- >= 1.
 
-    For Gaussian states both conditions are necessary and sufficient. Ties
-    within ``tol.boundary`` of 1 resolve toward >=. Domain violations
-    (theta*eta >= 1) never reach this function; they are reported as
-    InvalidDomain by the scan layer.
+    Ties within ``tol.boundary`` of 1 resolve toward >=.
     """
-    nu = nc_williamson_spectrum(sigma, omega.assembled, tol).smallest
-    separable, nu_prime = check_separable(sigma, omega, dmap, tol)
     if nu < 1.0 - tol.boundary:
-        verdict = Verdict.NON_QUANTUM
-    elif separable:
-        verdict = Verdict.SEPARABLE_QUANTUM
-    else:
-        verdict = Verdict.ENTANGLED_QUANTUM
-    return ClassificationResult(verdict=verdict, nu_minus=nu, nu_minus_prime=nu_prime)
+        return Verdict.NON_QUANTUM
+    if nu_prime < 1.0 - tol.boundary:
+        return Verdict.ENTANGLED_QUANTUM
+    return Verdict.SEPARABLE_QUANTUM
+
+
+def partial_transpose_spectra(
+    sigma, omega: CompositeForm, tol: Tolerances = DEFAULT_TOL
+) -> tuple[SymplecticSpectrum, SymplecticSpectrum]:
+    """Williamson spectra of (Sigma, Omega) and (Sigma, Omega') from one sqrt(Sigma)."""
+    root, form = validated_root(sigma, omega.assembled, tol)
+    return _root_spectrum(root, form), _root_spectrum(root, primed_form(omega))
+
+
+def classify(sigma, omega: CompositeForm, tol: Tolerances = DEFAULT_TOL) -> ClassificationResult:
+    """Classify a bipartite state by nu_- of (Sigma, Omega) and nu'_- of (Sigma, Omega').
+
+    For Gaussian states both conditions are necessary and sufficient. Domain
+    violations (theta*eta >= 1) never reach this function; they are reported
+    as InvalidDomain by the scan layer.
+    """
+    spectrum, reflected = partial_transpose_spectra(sigma, omega, tol)
+    nu, nu_prime = spectrum.smallest, reflected.smallest
+    return ClassificationResult(
+        verdict=verdict_from_invariants(nu, nu_prime, tol), nu_minus=nu, nu_minus_prime=nu_prime
+    )

@@ -159,7 +159,7 @@ def test_criterion_6_deformation_induced_entanglement():
     def classify_point(theta, eta):
         nc = NCParams(theta, eta)
         state = build_covariance(FIG_M, FIG_N, nc)
-        return classify(state.sigma, family_form(nc), build_darboux_map(nc))
+        return classify(state.sigma, family_form(nc))
 
     assert classify_point(0.0, 0.0).verdict is Verdict.SEPARABLE_QUANTUM
 

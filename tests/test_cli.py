@@ -113,6 +113,22 @@ class TestFigures:
         assert main(["fig2", "--r", "1.5"]) == 2
 
 
+class TestNearHyperbola:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig1", "--thetas", "1", "--eta-range", "0.99:0.99999:5"],
+            ["eval", "--theta", "1", "--eta", "0.9995", "--m", "-0.2", "--n", "0.1"],
+            ["scan", "--theta-range", "0.98:0.98:1", "--eta-range", "1.02:1.02:1",
+             "--m", "-0.1", "--n", "-0.1"],
+            ["scan", "--theta-range", "0.5:0.54:3", "--eta-range", "1.9:1.94:3",
+             "--m", "-0.2357", "--n", "0.1667"],
+        ],
+    )
+    def test_admissible_points_do_not_abort(self, argv):
+        assert main(argv) == 0
+
+
 class TestErrorMapping:
     def test_formula_domain_error_exits_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):

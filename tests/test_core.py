@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncgauss import (
+    EPSILON2,
     DimensionError,
     MatrixStructureError,
     NCParams,
@@ -91,6 +92,19 @@ class TestValidation:
     def test_skew_rejects_singular(self):
         with pytest.raises(SingularMatrixError):
             validate_skew_form(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_skew_singularity_test_is_scale_invariant(self, scale):
+        validate_skew_form(scale * np.asarray(standard_symplectic_form(2)))
+        # theta = eta = 1 puts the planar form on the hyperbola theta*eta = 1.
+        on_hyperbola = np.block([[EPSILON2, np.eye(2)], [-np.eye(2), EPSILON2]])
+        with pytest.raises(SingularMatrixError):
+            validate_skew_form(scale * on_hyperbola)
+
+    def test_skew_accepts_family_form_near_hyperbola(self):
+        # det = (1 - theta*eta)^4 = 1e-24, yet cond_2 is only about 4e6.
+        _, form = _family_pair(1.0, 1.0 - 1e-6)
+        validate_skew_form(form)
 
     def test_returns_readonly(self):
         out = validate_covariance(np.eye(2))

@@ -5,22 +5,41 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ncgauss import (
     DomainError,
+    FamilyParams,
+    FormulaDomainError,
+    NCParams,
     ScanConfig,
+    build_covariance,
+    closed_form_invariants,
     emit_fig1_data,
     emit_fig2_data,
     eval_point,
+    family_form,
     numeric_invariants,
-    records_to_csv,
-    records_to_json,
+    primed_form,
+    rows_to_csv,
+    rows_to_json,
     scan_grid,
 )
-from ncgauss.scan import fig1_to_csv, fig1_to_json, records_self_consistent
-from oracles import bisect_decreasing
+from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS, records_self_consistent
+from ncgauss.separability import partial_transpose_spectra
+from oracles import bisect_decreasing, brute_force_spectrum
 
 FIG_M, FIG_N = math.sqrt(2.0) / 6.0, 1.0 / 6.0
+EPS = float(np.finfo(float).eps)
+
+
+def _scan_csv(records):
+    return rows_to_csv(map(vars, records), SCAN_FIELDS)
+
+
+def _scan_json(records):
+    return rows_to_json(map(vars, records), SCAN_FIELDS)
 
 
 class TestEvalPoint:
@@ -71,6 +90,43 @@ class TestEvalPoint:
         assert record.nu_minus == pytest.approx(numeric.nu_minus, rel=1e-12)
         assert record.nu_minus_prime == pytest.approx(numeric.nu_minus_prime, rel=1e-12)
 
+    def test_off_quadrant_nu_prime_comes_from_reflected_form(self):
+        # Here the reflected-covariance route D Sigma D^T is 1.4e-9 off (cond S_B ~ 119);
+        # (Sigma, Omega') is 1.4e-14 off and the brute-force oracle 2.6e-13.
+        theta, eta, m, n = 0.52, 1.92, -0.2357, 0.1667
+        record = eval_point(theta, eta, m, n)
+        nc = NCParams(theta, eta)
+        oracle = brute_force_spectrum(build_covariance(m, n, nc).sigma, primed_form(family_form(nc)))
+        assert record.nu_minus_prime == pytest.approx(oracle[0], rel=1e-11)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        theta=st.floats(min_value=0.5, max_value=2.0),
+        product=st.floats(min_value=0.99, max_value=1.0, exclude_max=True),
+        radius=st.floats(min_value=0.0, max_value=0.9999),
+        angle=st.floats(min_value=0.0, max_value=math.pi / 2.0),
+    )
+    def test_closed_forms_match_spectral_route_near_boundaries(self, theta, product, radius, angle):
+        eta = product / theta
+        m, n = radius * math.cos(angle), radius * math.sin(angle)
+        assume(theta * eta < 1.0 and math.hypot(m, n) < 1.0)
+        nc = NCParams(theta, eta)
+        try:
+            closed = closed_form_invariants(FamilyParams(m=m, n=n, nc=nc))
+        except FormulaDomainError:
+            assume(False)
+        numeric = numeric_invariants(theta, eta, m, n)
+        spectra = partial_transpose_spectra(build_covariance(m, n, nc).sigma, family_form(nc))
+        for got, want, spectrum in zip(
+            (numeric.nu_minus, numeric.nu_minus_prime), (closed.nu_minus, closed.nu_minus_prime), spectra
+        ):
+            # The eigensolver's error on K = sqrt(Sigma) Omega^-1 sqrt(Sigma) is up to about
+            # n eps ||K|| = 8 eps nu_max / 2 per eigenvalue, so nu_min is only good to
+            # about 8 eps nu_max / nu_min relative. For Omega' at theta*eta = 0.99999 and
+            # R = 0.9999 that is 1.4e-5 (nu_max / nu_min = 8e9); the error there is 3.8e-7.
+            spread = spectrum.invariants[-1] / spectrum.smallest
+            assert got == pytest.approx(want, rel=max(1e-8, 8 * EPS * spread))
+
 
 class TestScanGrid:
     def test_small_grid_complete(self):
@@ -103,8 +159,8 @@ class TestScanGrid:
     def test_deterministic_emission(self):
         config = ScanConfig((0.0, 2.0, 11), (0.0, 2.0, 11), m=FIG_M, n=FIG_N)
         first, second = scan_grid(config), scan_grid(config)
-        assert records_to_csv(first) == records_to_csv(second)
-        assert records_to_json(first) == records_to_json(second)
+        assert _scan_csv(first) == _scan_csv(second)
+        assert _scan_json(first) == _scan_json(second)
 
     def test_records_self_consistent(self):
         config = ScanConfig((0.0, 2.0, 11), (0.0, 2.0, 11), m=FIG_M, n=FIG_N)
@@ -124,20 +180,20 @@ class TestOutputFormats:
         return scan_grid(ScanConfig((0.0, root2, 2), (0.0, root2, 2), m=0.3, n=0.4))
 
     def test_csv_header_and_empty_invariants(self, records):
-        lines = records_to_csv(records).strip().split("\n")
+        lines = _scan_csv(records).strip().split("\n")
         assert lines[0] == "theta,eta,m,n,r,nu_minus,nu_minus_prime,verdict"
         assert len(lines) == 5
         invalid = [line for line in lines[1:] if line.endswith("invalid")]
         assert invalid and all(",,," in line for line in invalid)
 
     def test_csv_values_round_trip_at_12_digits(self, records):
-        line = records_to_csv(records).strip().split("\n")[1]
+        line = _scan_csv(records).strip().split("\n")[1]
         fields = line.split(",")
         assert float(fields[4]) == pytest.approx(0.5, rel=1e-11)
         assert fields[5] == format(records[0].nu_minus, ".12g")
 
     def test_json_omits_invariants_for_invalid(self, records):
-        objs = json.loads(records_to_json(records))
+        objs = json.loads(_scan_json(records))
         assert len(objs) == 4
         for obj in objs:
             if obj["verdict"] == "invalid":
@@ -188,9 +244,9 @@ class TestFig1:
     def test_hyperbola_row_left_empty(self):
         rows = emit_fig1_data(theta_values=(0.5,), eta_range=(2.0, 2.0, 1))
         assert rows[0]["nu_1"] is None and rows[0]["nup_4"] is None
-        text = fig1_to_csv(rows)
+        text = rows_to_csv(rows, FIG1_FIELDS)
         assert text.strip().split("\n")[1].endswith(",,,,,,,")
-        objs = json.loads(fig1_to_json(rows))
+        objs = json.loads(rows_to_json(rows, FIG1_FIELDS))
         assert "nu_1" not in objs[0]
 
 

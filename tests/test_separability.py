@@ -14,7 +14,6 @@ from ncgauss import (
     build_covariance,
     build_darboux_map,
     build_planar_form,
-    check_separable,
     classify,
     closed_form_invariants,
     family_form,
@@ -147,24 +146,25 @@ class TestPartialTransposeCovariance:
 
 class TestCheckSeparable:
     def test_commutative_half(self):
-        state, form, dmap = _family(0.0, 0.0, m=0.3, n=0.4)
-        separable, nu_prime = check_separable(state.sigma, form, dmap)
-        assert separable
-        assert nu_prime == pytest.approx(1.5, rel=1e-10)
+        state, form, _ = _family(0.0, 0.0, m=0.3, n=0.4)
+        result = classify(state.sigma, form)
+        assert result.verdict is Verdict.SEPARABLE_QUANTUM
+        assert result.nu_minus_prime == pytest.approx(1.5, rel=1e-10)
 
     def test_commutative_tenth(self):
-        state, form, dmap = _family(0.0, 0.0, m=0.06, n=0.08)
-        separable, nu_prime = check_separable(state.sigma, form, dmap)
-        assert separable
-        assert nu_prime == pytest.approx(1.1, rel=1e-10)
+        state, form, _ = _family(0.0, 0.0, m=0.06, n=0.08)
+        result = classify(state.sigma, form)
+        assert result.verdict is Verdict.SEPARABLE_QUANTUM
+        assert result.nu_minus_prime == pytest.approx(1.1, rel=1e-10)
 
     def test_momentum_deformation_slice_agrees_with_closed_form(self):
-        state, form, dmap = _family(0.0, 0.5)
-        separable, nu_prime = check_separable(state.sigma, form, dmap)
+        state, form, _ = _family(0.0, 0.5)
+        result = classify(state.sigma, form)
         closed = closed_form_invariants(state.params)
-        assert nu_prime == pytest.approx(closed.nu_minus_prime, rel=1e-8)
-        assert nu_prime == pytest.approx(1.0395845604909313, rel=1e-8)
-        assert separable  # just above the nu' = 1 threshold
+        assert result.nu_minus_prime == pytest.approx(closed.nu_minus_prime, rel=1e-8)
+        assert result.nu_minus_prime == pytest.approx(1.0395845604909313, rel=1e-8)
+        # just above the nu' = 1 threshold
+        assert result.verdict is Verdict.SEPARABLE_QUANTUM
 
     def test_routes_agree(self):
         # (Sigma', Omega) and (Sigma, Omega') must give the same full spectrum.
@@ -179,31 +179,34 @@ class TestCheckSeparable:
 
     def test_gauge_invariance_of_nu_prime(self):
         state, form, _ = _family(0.6, 0.7)
-        values = []
+        spectra = []
         for lam in (0.4, 1.0, 2.5):
             dmap = build_darboux_map(NCParams(0.6, 0.7), lambda_scale=lam)
-            values.append(check_separable(state.sigma, form, dmap)[1])
-        np.testing.assert_allclose(values, values[0], rtol=1e-9)
+            reflected = partial_transpose_covariance(state.sigma, partial_transpose_map(dmap, 2, 2))
+            spectra.append(nc_williamson_spectrum(reflected, form.assembled).invariants)
+        np.testing.assert_allclose(spectra, [spectra[0]] * 3, rtol=1e-9)
+        nu_prime = classify(state.sigma, form).nu_minus_prime
+        assert spectra[0][0] == pytest.approx(nu_prime, rel=1e-9)
 
 
 class TestClassify:
     def test_subvacuum_is_nonquantum(self):
-        _, form, dmap = _family(0.0, 0.0)
-        result = classify(0.25 * np.eye(8), form, dmap)
+        _, form, _ = _family(0.0, 0.0)
+        result = classify(0.25 * np.eye(8), form)
         assert result.verdict is Verdict.NON_QUANTUM
         assert result.nu_minus == pytest.approx(0.5, rel=1e-12)
 
     def test_commutative_family_is_separable(self):
-        state, form, dmap = _family(0.0, 0.0, m=0.3, n=0.4)
-        result = classify(state.sigma, form, dmap)
+        state, form, _ = _family(0.0, 0.0, m=0.3, n=0.4)
+        result = classify(state.sigma, form)
         assert result.verdict is Verdict.SEPARABLE_QUANTUM
         assert result.nu_minus == pytest.approx(3.0 * np.sqrt(3.0) / 2.0, rel=1e-10)
         assert result.nu_minus_prime == pytest.approx(1.5, rel=1e-10)
 
     def test_momentum_deformation_entangles(self):
         # Between the nu'=1 crossing (~0.59) and the nu=1 crossing (~0.95).
-        state, form, dmap = _family(0.0, 0.7704)
-        result = classify(state.sigma, form, dmap)
+        state, form, _ = _family(0.0, 0.7704)
+        result = classify(state.sigma, form)
         assert result.verdict is Verdict.ENTANGLED_QUANTUM
         assert result.nu_minus >= 1.0
         assert result.nu_minus_prime < 1.0
@@ -211,25 +214,25 @@ class TestClassify:
     def test_boundary_state_counts_as_separable(self):
         # m = n = 0 at zero deformation saturates nu = nu' = 1; ties resolve
         # toward >=.
-        state, form, dmap = _family(0.0, 0.0, m=0.0, n=0.0)
-        result = classify(state.sigma, form, dmap)
+        state, form, _ = _family(0.0, 0.0, m=0.0, n=0.0)
+        result = classify(state.sigma, form)
         assert result.verdict is Verdict.SEPARABLE_QUANTUM
         assert result.nu_minus == pytest.approx(1.0, abs=1e-12)
         assert result.nu_minus_prime == pytest.approx(1.0, abs=1e-12)
 
     def test_commutative_limit_never_entangled(self):
         rng = np.random.default_rng(31)
-        _, form, dmap = _family(0.0, 0.0)
+        _, form, _ = _family(0.0, 0.0)
         for radius in np.linspace(0.0, 0.9, 10):
             angle = rng.uniform(0.0, np.pi / 2.0)
             state = build_covariance(
                 radius * np.cos(angle), radius * np.sin(angle), NCParams(0.0, 0.0)
             )
-            result = classify(state.sigma, form, dmap)
+            result = classify(state.sigma, form)
             assert result.verdict is Verdict.SEPARABLE_QUANTUM
 
     def test_json_shape(self):
-        state, form, dmap = _family(0.0, 0.0, m=0.3, n=0.4)
-        obj = classify(state.sigma, form, dmap).to_json()
+        state, form, _ = _family(0.0, 0.0, m=0.3, n=0.4)
+        obj = classify(state.sigma, form).to_json()
         assert obj["verdict"] == "SeparableQuantum"
         assert set(obj) == {"verdict", "nu_minus", "nu_minus_prime"}
