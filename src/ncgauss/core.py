@@ -9,7 +9,6 @@ for 2i O^-1 S (the latter is kept as a test oracle only).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +103,17 @@ def validate_covariance(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return _readonly(arr)
 
 
-def numerically_singular(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+def _raise_first(bad, error: type[NCGaussError], message: str, where=None) -> None:
+    """Raise ``error`` for the first flagged entry of a per-matrix check, in row-major order.
+
+    ``bad`` holds one flag per matrix of a stack (a single flag for one matrix);
+    ``where(k)`` names the point behind flat index k, and the message ends in it.
+    """
+    if bad.any():
+        raise error(message if where is None else f"{message} at {where(int(np.argmax(bad)))}")
+
+
+def numerically_singular(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     """True when the square matrix A (n x n) is singular to tol.singularity, at any scale.
 
     Compares the geometric mean of the singular values, g = |det A|^(1/n), with
@@ -115,22 +124,28 @@ def numerically_singular(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool
     cannot do this: the family's 8x8 form has det = (1 - theta*eta)^4 but cond_2
     only of order 1/(1 - theta*eta). The test is one-sided: one tiny singular
     value can hide in the mean. slogdet keeps det and its root finite up to MAX_DIM.
+    Returns a numpy bool for one matrix, and for a stack (..., n, n) an array
+    with one flag per matrix, from one slogdet call.
     """
-    dim = mat.shape[0]
-    sign, logdet = np.linalg.slogdet(mat)
-    if sign == 0:
-        return True
-    rms = np.linalg.norm(mat) / math.sqrt(dim)
-    return logdet / dim <= (dim - 1) / dim * math.log(tol.singularity) + math.log(rms)
+    dim = mat.shape[-1]
+    logdet = np.linalg.slogdet(mat)[1]  # -inf when det = 0, so g = 0 below
+    rms = np.sqrt((mat * mat).sum(axis=(-2, -1)) / dim)
+    return np.exp(logdet / dim) <= tol.singularity ** ((dim - 1) / dim) * rms
+
+
+def _check_skew_forms(forms: np.ndarray, tol: Tolerances, where=None) -> None:
+    """Skewness and nonsingularity of a form or a stack (..., 2n, 2n); raise for the first failure."""
+    asymmetry = np.max(np.abs(forms + np.swapaxes(forms, -1, -2)), axis=(-2, -1))
+    _raise_first(asymmetry > tol.symmetry, MatrixStructureError,
+                 "form is not skew-symmetric within tolerance", where)
+    _raise_first(numerically_singular(forms, tol), SingularMatrixError,
+                 "skew form is numerically singular", where)
 
 
 def validate_skew_form(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Check skew-symmetry and nonsingularity; return a read-only copy."""
     arr = _require_square(mat, "skew form")
-    if np.max(np.abs(arr + arr.T)) > tol.symmetry:
-        raise MatrixStructureError("form is not skew-symmetric within tolerance")
-    if numerically_singular(arr, tol):
-        raise SingularMatrixError("skew form is numerically singular")
+    _check_skew_forms(arr, tol)
     return _readonly(arr)
 
 
@@ -148,35 +163,46 @@ class SymplecticSpectrum:
         return len(self.invariants)
 
 
-def validated_root(sigma, form, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a (covariance, skew form) pair; return (sqrt(sigma), read-only form).
+def covariance_root(sigma, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Validate a covariance matrix and return its symmetric square root.
 
-    The symmetric square root comes from the eigendecomposition that proves
-    positive-definiteness. Spectra of one covariance against several forms
-    share it through :func:`_root_spectrum`.
+    The root comes from the eigendecomposition that proves positive-definiteness.
+    Spectra of one covariance against many forms share it through :func:`_root_spectrum`.
     """
     arr = _require_symmetric(sigma, tol)
     w, v = np.linalg.eigh(arr)
     _require_positive(w[0], tol)
+    return (v * np.sqrt(w)) @ v.T
+
+
+def validated_root(sigma, form, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a (covariance, skew form) pair; return (sqrt(sigma), read-only form)."""
+    root = covariance_root(sigma, tol)
     frm = validate_skew_form(form, tol)
-    if arr.shape != frm.shape:
+    if root.shape != frm.shape:
         raise DimensionError(
-            f"covariance is {arr.shape[0]}-dimensional but form is {frm.shape[0]}-dimensional"
+            f"covariance is {root.shape[0]}-dimensional but form is {frm.shape[0]}-dimensional"
         )
-    return (v * np.sqrt(w)) @ v.T, frm
+    return root, frm
 
 
-def _root_spectrum(root: np.ndarray, form: np.ndarray) -> SymplecticSpectrum:
-    """Williamson invariants from sqrt(sigma) and a form, both already validated."""
+def _root_spectrum(root: np.ndarray, forms: np.ndarray, where=None) -> np.ndarray:
+    """Williamson invariants of sqrt(sigma) against a validated form or stack (..., 2n, 2n).
+
+    Returns the invariants, ascending along the last axis of an (..., n) array,
+    from one solve and one eigvalsh for the whole stack. ``where`` names the
+    point behind a matrix whose spectrum is not strictly positive.
+    """
     # K = sqrt(S) O^-1 sqrt(S) is real skew; iK is Hermitian with eigenvalues +-nu/2.
-    skew = root @ np.linalg.solve(form, root)
+    # An explicit right-hand side per form: numpy < 2 reads a 2-D b under a 3-D stack as vectors.
+    skew = root @ np.linalg.solve(forms, np.broadcast_to(root, forms.shape))
     vals = np.linalg.eigvalsh(1j * skew)
-    half = len(vals) // 2
+    half = vals.shape[-1] // 2
     # Pair the +-kappa eigenvalues symmetrically to cancel roundoff.
-    invariants = tuple(float(vals[half + j] - vals[half - 1 - j]) for j in range(half))
-    if invariants[0] <= 0.0:
-        raise NCGaussError("spectrum is not strictly positive; inputs are degenerate")
-    return SymplecticSpectrum(invariants)
+    invariants = vals[..., half:] - vals[..., half - 1 :: -1]
+    _raise_first(invariants[..., 0] <= 0.0, NCGaussError,
+                 "spectrum is not strictly positive; inputs are degenerate", where)
+    return invariants
 
 
 def nc_williamson_spectrum(sigma, form, tol: Tolerances = DEFAULT_TOL) -> SymplecticSpectrum:
@@ -197,7 +223,7 @@ def nc_williamson_spectrum(sigma, form, tol: Tolerances = DEFAULT_TOL) -> Symple
         NotPositiveDefiniteError: sigma fails the spectral test.
         SingularMatrixError: form is singular.
     """
-    return _root_spectrum(*validated_root(sigma, form, tol))
+    return SymplecticSpectrum(tuple(_root_spectrum(*validated_root(sigma, form, tol)).tolist()))
 
 
 def rsup_holds(sigma, form, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -207,18 +233,6 @@ def rsup_holds(sigma, form, tol: Tolerances = DEFAULT_TOL) -> bool:
     to the boundary band in ``tol``.
     """
     return nc_williamson_spectrum(sigma, form, tol).smallest >= 1.0 - tol.boundary
-
-
-def hermitian_min_eigenvalue(mat, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Smallest eigenvalue of a complex Hermitian matrix."""
-    arr = np.asarray(mat, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NCGaussError("matrix contains non-finite entries")
-    if np.max(np.abs(arr - arr.conj().T)) > tol.symmetry:
-        raise MatrixStructureError("matrix is not Hermitian within tolerance")
-    return float(np.linalg.eigvalsh(arr)[0])
 
 
 def matrix_to_json(mat) -> dict:

@@ -15,9 +15,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerances, validate_covariance
-from .errors import DomainError, FormulaDomainError, NCGaussError
-from .phase_space import CompositeForm, NCParams, build_composite_form, build_planar_form
+from .core import (
+    DEFAULT_TOL,
+    Tolerances,
+    _check_skew_forms,
+    _raise_first,
+    _root_spectrum,
+    covariance_root,
+    validate_covariance,
+)
+from .errors import DimensionError, DomainError, FormulaDomainError, NCGaussError
+from .phase_space import (
+    EPSILON2,
+    CompositeForm,
+    NCParams,
+    build_composite_form,
+    build_planar_form,
+    invalid_deformations,
+)
+
+
+def _scale(r: float) -> float:
+    """The covariance scale b = (1+R)/(1-R)."""
+    return (1.0 + r) / (1.0 - r)
 
 
 def validate_couplings(m: float, n: float) -> float:
@@ -47,7 +67,7 @@ class FamilyParams:
 
     @property
     def b(self) -> float:
-        return (1.0 + self.r) / (1.0 - self.r)
+        return _scale(self.r)
 
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n, "theta": self.nc.theta, "eta": self.nc.eta}
@@ -81,12 +101,18 @@ def _coupling_block(m: float, n: float) -> np.ndarray:
     )
 
 
+def _covariance_matrix(m: float, n: float, b: float) -> np.ndarray:
+    """b/2 * [[I4, G^T], [G, I4]]."""
+    unit = np.eye(8)
+    unit[4:, :4] = _coupling_block(m, n)
+    unit[:4, 4:] = unit[4:, :4].T
+    return b / 2.0 * unit
+
+
 def build_covariance(m: float, n: float, nc: NCParams, tol: Tolerances = DEFAULT_TOL) -> GaussianState:
     """Assemble the family covariance matrix for couplings (m, n)."""
     params = FamilyParams(m=m, n=n, nc=nc)
-    coupling = _coupling_block(m, n)
-    sigma = params.b / 2.0 * np.block([[np.eye(4), coupling.T], [coupling, np.eye(4)]])
-    sigma = validate_covariance(sigma, tol)
+    sigma = validate_covariance(_covariance_matrix(m, n, params.b), tol)
     norm = 1.0 / (math.pi**4 * math.sqrt(np.linalg.det(sigma)))
     return GaussianState(params=params, sigma=sigma, norm=norm)
 
@@ -99,23 +125,9 @@ def family_form(nc: NCParams, tol: Tolerances = DEFAULT_TOL) -> CompositeForm:
 
 def omega_pm(params: FamilyParams) -> tuple[float, float]:
     """The (omega_plus, omega_minus) combinations entering the closed forms."""
-    m, n = params.m, params.n
-    theta, eta = params.nc.theta, params.nc.eta
-    square_sum = eta**2 + theta**2
-    cross = abs(eta**2 - theta**2)
-    plus = (
-        2.0 * (1.0 + n**2)
-        + (1.0 - n**2) * square_sum
-        + 2.0 * m**2 * (1.0 + eta * theta)
-        + 4.0 * m * (eta + theta)
-    )
-    minus = (
-        2.0 * (1.0 - n**2)
-        + (1.0 + n**2) * square_sum
-        - 2.0 * m**2 * (1.0 + eta * theta)
-        + 2.0 * n * cross
-    )
-    return plus, minus
+    theta, eta = np.float64(params.nc.theta), np.float64(params.nc.eta)
+    plus, minus = _closed_forms(theta, eta, params.m, params.n, params.r, DEFAULT_TOL)[:2]
+    return float(plus), float(minus)
 
 
 @dataclass(frozen=True)
@@ -128,30 +140,31 @@ class ClosedFormInvariants:
     nu_minus_prime: float
 
 
-def _checked_sqrt(value: float, tol: Tolerances) -> float:
-    """sqrt with a clamp window for roundoff; genuinely negative input is an error."""
-    if value < -tol.radicand:
-        raise FormulaDomainError(f"negative radicand {value:.3e} in closed-form invariant")
-    return math.sqrt(max(value, 0.0))
+def _checked_sqrt(value, tol: Tolerances):
+    """sqrt with a clamp window for roundoff, and the flag of genuinely negative input."""
+    return np.sqrt(np.maximum(value, 0.0)), value < -tol.radicand
 
 
-def _stable_root(omega_half: float, gap: float, c: float, tol: Tolerances) -> float:
-    """Smaller root of x^2 - omega x + c^2 = 0, i.e. omega/2 - sqrt(omega^2/4 - c^2).
+def _stable_root(omega_half, gap, c, tol: Tolerances):
+    """Smaller root of x^2 - omega x + c^2 = 0, i.e. omega/2 - sqrt(omega^2/4 - c^2), and its flag.
 
     Evaluated as c^2 / (omega/2 + sqrt((omega/2 - c)(omega/2 + c))) with the
     gap omega/2 - c supplied in a pre-cancelled form, so the double root at
     zero deformation (gap = 0) is hit exactly instead of through a
-    sqrt-amplified cancellation.
+    sqrt-amplified cancellation. The flag marks a negative radicand or a
+    non-positive denominator.
     """
-    inner = gap * (omega_half + c)
-    denominator = omega_half + _checked_sqrt(inner, tol)
-    if denominator <= 0.0:
-        raise FormulaDomainError(f"non-positive pencil combination {denominator:.3e}")
-    return c * c / denominator
+    surd, flag = _checked_sqrt(gap * (omega_half + c), tol)
+    denominator = omega_half + surd
+    return c * c / denominator, flag | (denominator <= 0.0)
 
 
-def closed_form_invariants(params: FamilyParams, tol: Tolerances = DEFAULT_TOL) -> ClosedFormInvariants:
-    """Evaluate the closed forms for nu_- and nu'_-.
+def _closed_forms(theta, eta, m: float, n: float, r: float, tol: Tolerances):
+    """omega_+, omega_-, nu_-, nu'_- and the out-of-domain flag at the points (theta, eta).
+
+    theta and eta are numpy scalars or equal-shape arrays. Where the flag is set
+    a radicand is negative beyond tol.radicand or a pencil combination is not
+    positive, and the invariants there mean nothing.
 
     nu = (1/(1 - eta*theta)) * (1+R)/(1-R) * sqrt(omega/2 - sqrt(omega^2/4 - c^2))
     with c = (1-R^2)(1 - eta*theta), omega_minus feeding nu_- and omega_plus
@@ -164,29 +177,151 @@ def closed_form_invariants(params: FamilyParams, tol: Tolerances = DEFAULT_TOL) 
     vanish identically at zero deformation / zero coupling; the naive
     difference loses half the working precision there.
     """
-    m, n = params.m, params.n
-    theta, eta = params.nc.theta, params.nc.eta
-    plus, minus = omega_pm(params)
-    deformation = 1.0 - eta * theta
-    prefactor = params.b / deformation
-    c = (1.0 - params.r**2) * deformation
-    gap_minus = (
-        (1.0 + n**2) * (eta**2 + theta**2) / 2.0
-        + eta * theta * (1.0 - 2.0 * m**2 - n**2)
-        + n * abs(eta**2 - theta**2)
-    )
-    gap_plus = (
-        2.0 * (m**2 + n**2)
-        + (1.0 - n**2) * (eta + theta) ** 2 / 2.0
-        + 2.0 * m * (eta + theta)
-    )
-    nu = prefactor * _checked_sqrt(_stable_root(minus / 2.0, gap_minus, c, tol), tol)
-    nu_prime = prefactor * _checked_sqrt(_stable_root(plus / 2.0, gap_plus, c, tol), tol)
-    if nu <= 0.0 or nu_prime <= 0.0:
-        raise NCGaussError("closed-form invariants must be positive")
+    with np.errstate(all="ignore"):  # the flag reports points where this divides by zero
+        # float_power is the libm pow behind Python's x**2. numpy's array x**2 is x*x,
+        # which differs from pow in the last bit for some inputs; with pow, a point
+        # gives the same bits alone, in a grid and through the scalar API.
+        theta2, eta2 = np.float_power(theta, 2.0), np.float_power(eta, 2.0)
+        plus = (
+            2.0 * (1.0 + n**2)
+            + (1.0 - n**2) * (eta2 + theta2)
+            + 2.0 * m**2 * (1.0 + eta * theta)
+            + 4.0 * m * (eta + theta)
+        )
+        minus = (
+            2.0 * (1.0 - n**2)
+            + (1.0 + n**2) * (eta2 + theta2)
+            - 2.0 * m**2 * (1.0 + eta * theta)
+            + 2.0 * n * abs(eta2 - theta2)
+        )
+        deformation = 1.0 - eta * theta
+        c = (1.0 - r**2) * deformation
+        gap_minus = (
+            (1.0 + n**2) * (eta2 + theta2) / 2.0
+            + eta * theta * (1.0 - 2.0 * m**2 - n**2)
+            + n * abs(eta2 - theta2)
+        )
+        gap_plus = (
+            2.0 * (m**2 + n**2)
+            + (1.0 - n**2) * np.float_power(eta + theta, 2.0) / 2.0
+            + 2.0 * m * (eta + theta)
+        )
+        root, flag = _stable_root(minus / 2.0, gap_minus, c, tol)
+        root_prime, flag_prime = _stable_root(plus / 2.0, gap_plus, c, tol)
+        nu, flag_nu = _checked_sqrt(root, tol)
+        nu_prime, flag_nu_prime = _checked_sqrt(root_prime, tol)
+        prefactor = _scale(r) / deformation
+        return (plus, minus, prefactor * nu, prefactor * nu_prime,
+                flag | flag_prime | flag_nu | flag_nu_prime)
+
+
+def closed_form_invariants(params: FamilyParams, tol: Tolerances = DEFAULT_TOL) -> ClosedFormInvariants:
+    """Evaluate the closed forms for nu_- and nu'_- at one point (see :func:`_closed_forms`).
+
+    Raises:
+        FormulaDomainError: a closed form leaves its domain at this point.
+        NCGaussError: an invariant is not positive.
+    """
+    theta, eta = np.float64(params.nc.theta), np.float64(params.nc.eta)
+    plus, minus, nu, nu_prime, off = _closed_forms(theta, eta, params.m, params.n, params.r, tol)
+    where = _point_names([theta], [eta], params.m, params.n)
+    _raise_first(off, FormulaDomainError, "closed form leaves its domain", where)
+    _raise_first(~((nu > 0.0) & (nu_prime > 0.0)), NCGaussError,
+                 "closed-form invariants must be positive", where)
     return ClosedFormInvariants(
-        omega_plus=plus, omega_minus=minus, nu_minus=nu, nu_minus_prime=nu_prime
+        omega_plus=float(plus), omega_minus=float(minus), nu_minus=float(nu), nu_minus_prime=float(nu_prime)
     )
+
+
+# Points per stacked solve and eigvalsh call. The stacks and work arrays of a block
+# take about 5 kB per point, so a large grid needs no more memory than a small one.
+_BLOCK = 512
+
+
+def _point_names(thetas, etas, m: float, n: float):
+    """``where`` for the per-point checks: names point k of the arrays."""
+    return lambda k: (
+        f"(theta, eta, m, n) = ({float(thetas[k])!r}, {float(etas[k])!r}, {float(m)!r}, {float(n)!r})"
+    )
+
+
+def _checked_points(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The points as 1-D float arrays, each checked for finite theta, eta >= 0; also R."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    etas = np.atleast_1d(np.asarray(etas, dtype=float))
+    if thetas.ndim != 1 or thetas.shape != etas.shape:
+        raise DimensionError(f"theta and eta must be 1-D of one length, got {thetas.shape}, {etas.shape}")
+    _raise_first(invalid_deformations(thetas, etas), DomainError,
+                 "theta and eta must be finite and >= 0", _point_names(thetas, etas, m, n))
+    return thetas, etas, validate_couplings(m, n)
+
+
+def _planar_forms(thetas: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """The planar forms [[theta eps, I], [-I, eta eps]], entry for entry as build_planar_form."""
+    planar = np.empty((len(thetas), 4, 4))
+    planar[:, :2, :2] = thetas[:, None, None] * EPSILON2
+    planar[:, :2, 2:] = np.eye(2)
+    planar[:, 2:, :2] = -np.eye(2)
+    planar[:, 2:, 2:] = etas[:, None, None] * EPSILON2
+    return planar
+
+
+def family_spectra(thetas, etas, m: float, n: float, tol: Tolerances = DEFAULT_TOL
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Williamson spectra of (Sigma, Omega) and (Sigma, Omega') at the points (thetas[k], etas[k]).
+
+    Returns two (N, 4) arrays, ascending along each row, with NaN rows where
+    theta*eta >= 1. Sigma is checked and its square root taken once; the forms
+    of up to ``_BLOCK`` points share one solve and one eigvalsh. A failing check
+    raises for the first failing point, naming its (theta, eta, m, n).
+    """
+    thetas, etas, r = _checked_points(thetas, etas, m, n)
+    out = np.full((len(thetas), 2, 4), np.nan)
+    todo = np.flatnonzero(thetas * etas < 1.0)
+    root = covariance_root(_covariance_matrix(m, n, _scale(r)), tol)
+    for start in range(0, todo.size, _BLOCK):
+        block = todo[start : start + _BLOCK]
+        where = _point_names(thetas[block], etas[block], m, n)
+        planar = _planar_forms(thetas[block], etas[block])
+        _check_skew_forms(planar, tol, where)
+        # Omega = Diag[P, P] and Omega' = Diag[P, -P], as family_form and primed_form build them.
+        forms = np.zeros((len(block), 2, 8, 8))
+        forms[:, :, :4, :4] = planar[:, None]
+        forms[:, 0, 4:, 4:] = planar
+        forms[:, 1, 4:, 4:] = -planar
+        _check_skew_forms(forms[:, 0], tol, where)
+        out[block] = _root_spectrum(root, forms, lambda k: where(k // 2))
+    return out[:, 0], out[:, 1]
+
+
+def family_invariants(thetas, etas, m: float, n: float, tol: Tolerances = DEFAULT_TOL
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest invariants nu_- and nu'_- at the points (thetas[k], etas[k]).
+
+    Returns two float arrays, NaN where theta*eta >= 1. On the m, n >= 0
+    quadrant the closed forms give the values; points where they leave their
+    domain, and every point off the quadrant, go through :func:`family_spectra`.
+    A failing check raises for the first failing point, naming its (theta, eta, m, n).
+    """
+    thetas, etas, r = _checked_points(thetas, etas, m, n)
+    nu = np.full(len(thetas), np.nan)
+    nu_prime = nu.copy()
+    todo = np.flatnonzero(thetas * etas < 1.0)
+    # The closed forms are only exact on the m, n >= 0 quadrant.
+    if m >= 0.0 and n >= 0.0 and todo.size:
+        # One point runs on numpy scalars: the same arithmetic at a fifth of the cost.
+        points = (thetas[todo], etas[todo]) if todo.size > 1 else (thetas[todo[0]], etas[todo[0]])
+        _, _, closed, closed_prime, off = _closed_forms(*points, m, n, r, tol)
+        off = np.atleast_1d(off)
+        where = _point_names(thetas, etas, m, n)
+        _raise_first(~off & ~((closed > 0.0) & (closed_prime > 0.0)), NCGaussError,
+                     "closed-form invariants must be positive", lambda k: where(todo[k]))
+        nu[todo], nu_prime[todo] = closed, closed_prime
+        todo = todo[off]
+    if todo.size:
+        spectrum, reflected = family_spectra(thetas[todo], etas[todo], m, n, tol)
+        nu[todo], nu_prime[todo] = spectrum[:, 0], reflected[:, 0]
+    return nu, nu_prime
 
 
 def evaluate_wigner(state: GaussianState, z) -> float:

@@ -32,12 +32,13 @@ from .errors import DimensionError, DomainError, MatrixStructureError, SingularM
 EPSILON2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def validate_deformations(theta: float, eta: float) -> None:
-    """Require finite, non-negative theta and eta; theta*eta < 1 is checked by NCParams."""
-    if not (math.isfinite(theta) and math.isfinite(eta)):
-        raise DomainError(f"theta and eta must be finite, got ({theta}, {eta})")
-    if theta < 0 or eta < 0:
-        raise DomainError(f"theta and eta must be >= 0, got ({theta}, {eta})")
+def invalid_deformations(theta, eta):
+    """Flag theta or eta non-finite or negative, per point for arrays.
+
+    theta*eta < 1 is a separate test: grid points beyond the hyperbola are kept
+    as invalid rows, while these inputs are errors.
+    """
+    return ~(np.isfinite(theta) & np.isfinite(eta)) | (theta < 0) | (eta < 0)
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,8 @@ class NCParams:
     eta: float
 
     def __post_init__(self):
-        validate_deformations(self.theta, self.eta)
+        if invalid_deformations(self.theta, self.eta):
+            raise DomainError(f"theta and eta must be finite and >= 0, got ({self.theta}, {self.eta})")
         if self.theta * self.eta >= 1:
             raise DomainError(
                 f"theta*eta = {self.theta * self.eta} violates the domain theta*eta < 1"

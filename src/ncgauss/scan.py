@@ -1,39 +1,30 @@
 """Parameter-plane scans: point evaluation, grid classification, figure datasets.
 
-Grid points are evaluated through the closed-form invariants (with a spectral
-fallback if a closed form leaves its domain) and emitted in row-major order,
-theta outer and eta inner. Output is deterministic: floats are rounded to 12
-significant digits before formatting, so identical configurations produce
-byte-identical files.
+A grid is evaluated in one batched call, ``family.family_invariants`` (or
+``family.family_spectra`` for the figure-1 spectra): closed-form invariants on
+the m, n >= 0 quadrant, and the spectral route, one stacked solve and eigvalsh
+per block of points, off it or where a closed form leaves its domain.
+:func:`eval_point` and :func:`numeric_invariants` are the one-point case of the
+same calls. Records are emitted in row-major order, theta outer and eta inner.
+Output is deterministic: floats are rounded to 12 significant digits before
+formatting, so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as quote
 from operator import itemgetter
 
 import numpy as np
 
 from .core import DEFAULT_TOL, Tolerances
-from .errors import DomainError, FormulaDomainError
-from .family import (
-    FamilyParams,
-    build_covariance,
-    closed_form_invariants,
-    family_form,
-    validate_couplings,
-)
-from .phase_space import NCParams, validate_deformations
-from .separability import (
-    ClassificationResult,
-    Verdict,
-    classify,
-    partial_transpose_spectra,
-    verdict_from_invariants,
-)
+from .errors import DomainError
+from .family import family_invariants, family_spectra, validate_couplings
+from .phase_space import NCParams
+from .separability import ClassificationResult, Verdict, verdict_from_invariants
 
 VERDICT_LABEL = {
     Verdict.INVALID_DOMAIN: "invalid",
@@ -95,42 +86,36 @@ def numeric_invariants(
     theta: float, eta: float, m: float, n: float, tol: Tolerances = DEFAULT_TOL
 ) -> ClassificationResult:
     """Spectral-route classification of a family point (cross-check and fallback)."""
-    nc = NCParams(theta=theta, eta=eta)
-    return classify(build_covariance(m, n, nc, tol).sigma, family_form(nc, tol), tol)
+    NCParams(theta=theta, eta=eta)  # theta*eta >= 1 is an error here, not an invalid record
+    spectrum, reflected = family_spectra([theta], [eta], m, n, tol)
+    nu, nu_prime = float(spectrum[0, 0]), float(reflected[0, 0])
+    return ClassificationResult(
+        verdict=verdict_from_invariants(nu, nu_prime, tol), nu_minus=nu, nu_minus_prime=nu_prime
+    )
+
+
+def _records(thetas: np.ndarray, etas: np.ndarray, m: float, n: float,
+             tol: Tolerances) -> list[ScanRecord]:
+    """One record per point, from one batched evaluation; theta*eta >= 1 is invalid."""
+    m, n = float(m), float(n)
+    nu, nu_prime = family_invariants(thetas, etas, m, n, tol)
+    r = validate_couplings(m, n)
+    invalid = VERDICT_LABEL[Verdict.INVALID_DOMAIN]
+    return [
+        ScanRecord(theta, eta, m, n, r, None, None, invalid) if x != x  # NaN off the domain
+        else ScanRecord(theta, eta, m, n, r, x, y, VERDICT_LABEL[verdict_from_invariants(x, y, tol)])
+        for theta, eta, x, y in zip(thetas.tolist(), etas.tolist(), nu.tolist(), nu_prime.tolist())
+    ]
 
 
 def eval_point(
     theta: float, eta: float, m: float, n: float, tol: Tolerances = DEFAULT_TOL
 ) -> ScanRecord:
-    """Classify one family point; theta*eta >= 1 yields the invalid verdict."""
-    theta, eta, m, n = float(theta), float(eta), float(m), float(n)
-    validate_deformations(theta, eta)
-    r = validate_couplings(m, n)
-    if theta * eta >= 1.0:
-        return ScanRecord(
-            theta=theta, eta=eta, m=m, n=n, r=r,
-            nu_minus=None, nu_minus_prime=None,
-            verdict=VERDICT_LABEL[Verdict.INVALID_DOMAIN],
-        )
-    params = FamilyParams(m=m, n=n, nc=NCParams(theta=theta, eta=eta))
-    # Closed forms are only exact on the m, n >= 0 quadrant; the spectral
-    # route covers the rest.
-    use_closed = m >= 0.0 and n >= 0.0
-    if use_closed:
-        try:
-            invariants = closed_form_invariants(params, tol)
-            nu, nu_prime = invariants.nu_minus, invariants.nu_minus_prime
-        except FormulaDomainError:
-            use_closed = False
-    if not use_closed:
-        result = numeric_invariants(theta, eta, m, n, tol=tol)
-        nu, nu_prime = result.nu_minus, result.nu_minus_prime
-    verdict = verdict_from_invariants(nu, nu_prime, tol)
-    return ScanRecord(
-        theta=theta, eta=eta, m=m, n=n, r=r,
-        nu_minus=nu, nu_minus_prime=nu_prime,
-        verdict=VERDICT_LABEL[verdict],
-    )
+    """Classify one family point: the one-point case of :func:`scan_grid`.
+
+    theta*eta >= 1 yields the invalid verdict.
+    """
+    return _records(np.array([float(theta)]), np.array([float(eta)]), m, n, tol)[0]
 
 
 def grid_axis(lo: float, hi: float, steps: int) -> np.ndarray:
@@ -138,14 +123,11 @@ def grid_axis(lo: float, hi: float, steps: int) -> np.ndarray:
 
 
 def scan_grid(config: ScanConfig, tol: Tolerances = DEFAULT_TOL) -> list[ScanRecord]:
-    """Evaluate every grid point, theta outer and eta inner, in row-major order."""
-    thetas = grid_axis(*config.theta_range)
-    etas = grid_axis(*config.eta_range)
-    return [
-        eval_point(float(theta), float(eta), config.m, config.n, tol)
-        for theta in thetas
-        for eta in etas
-    ]
+    """Classify every grid point in one batched evaluation, theta outer and eta inner."""
+    thetas, etas = np.meshgrid(
+        grid_axis(*config.theta_range), grid_axis(*config.eta_range), indexing="ij"
+    )
+    return _records(thetas.ravel(), etas.ravel(), config.m, config.n, tol)
 
 
 def emit_fig2_data(
@@ -174,30 +156,24 @@ def emit_fig1_data(
 ) -> list[dict]:
     """Full four-invariant spectra of (Sigma, Omega) and (Sigma, Omega') per point.
 
-    Rows carry the (m, n) choice explicitly since the eigenvalue plot leaves it
-    implicit. Points with theta*eta >= 1 keep their row but leave the spectrum
-    columns empty (the form is singular on the hyperbola).
+    All points are evaluated in one batched call. Rows carry the (m, n) choice
+    explicitly since the eigenvalue plot leaves it implicit. Points with
+    theta*eta >= 1 keep their row but leave the spectrum columns empty (the
+    form is singular on the hyperbola).
     """
     if not theta_values:
         raise DomainError("at least one theta value is required")
-    validate_couplings(m, n)
-    rows = []
-    for theta in map(float, theta_values):
-        for eta in map(float, grid_axis(*eta_range)):
-            validate_deformations(theta, eta)
-            row = {"theta": theta, "eta": eta, "m": m, "n": n}
-            if theta * eta >= 1.0:
-                row.update({field: None for field in FIG1_FIELDS[4:]})
-            else:
-                nc = NCParams(theta=theta, eta=eta)
-                spectrum, reflected = partial_transpose_spectra(
-                    build_covariance(m, n, nc, tol).sigma, family_form(nc, tol), tol
-                )
-                for j in range(4):
-                    row[f"nu_{j + 1}"] = spectrum.invariants[j]
-                    row[f"nup_{j + 1}"] = reflected.invariants[j]
-            rows.append(row)
-    return rows
+    etas = grid_axis(*eta_range)
+    thetas = np.repeat(np.asarray(theta_values, dtype=float), len(etas))
+    etas = np.tile(etas, len(theta_values))
+    spectrum, reflected = family_spectra(thetas, etas, m, n, tol)
+    empty = [None] * 8
+    return [
+        dict(zip(FIG1_FIELDS, [theta, eta, m, n] + (nus + nups if nus[0] == nus[0] else empty)))
+        for theta, eta, nus, nups in zip(
+            thetas.tolist(), etas.tolist(), spectrum.tolist(), reflected.tolist()
+        )
+    ]
 
 
 def rows_to_csv(rows: Iterable[Mapping], fields: tuple[str, ...]) -> str:
@@ -214,18 +190,31 @@ def rows_to_csv(rows: Iterable[Mapping], fields: tuple[str, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# json.dumps spells the non-finite floats this way; repr does not.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_number(v) -> str:
+    text = repr(float("%.12g" % v))
+    return _JSON_NONFINITE.get(text, text)
+
+
 def rows_to_json(rows: Iterable[Mapping], fields: tuple[str, ...]) -> str:
     """JSON array with one object per row, keys in ``fields`` order.
 
-    None omits the key, strings pass through, and numbers are rounded to 12
-    significant digits.
+    None omits the key, strings are JSON-encoded, and numbers are rounded to
+    12 significant digits. The text is what ``json.dumps(objects, indent=2)``
+    writes, built directly: with ``indent`` set, json uses its pure-Python encoder.
     """
-    objs = [
-        {f: v if v.__class__ is str else float("%.12g" % v)
-         for f, v in zip(fields, values) if v is not None}
-        for values in map(itemgetter(*fields), rows)
-    ]
-    return json.dumps(objs, indent=2) + "\n"
+    keys = [f"    {quote(field)}: " for field in fields]
+    objs = []
+    for values in map(itemgetter(*fields), rows):
+        items = [
+            key + (quote(v) if v.__class__ is str else _json_number(v))
+            for key, v in zip(keys, values) if v is not None
+        ]
+        objs.append("  {\n" + ",\n".join(items) + "\n  }" if items else "  {}")
+    return "[\n" + ",\n".join(objs) + "\n]\n" if objs else "[]\n"
 
 
 def records_self_consistent(records: list[ScanRecord], tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -32,23 +32,6 @@ from .errors import DimensionError, MatrixStructureError, SingularMatrixError
 from .phase_space import CompositeForm, DarbouxMap
 
 
-@dataclass(frozen=True)
-class MirrorReflection:
-    """Diag[I_A, I, -I]: flips Bob's momenta, squares to the identity."""
-
-    n_a: int
-    n_b: int
-    mat: np.ndarray
-
-
-def mirror_reflection(n_a: int, n_b: int) -> MirrorReflection:
-    """Reflection of Bob's momenta in the (x.., p..) per-party ordering."""
-    if n_a < 1 or n_b < 1:
-        raise DimensionError(f"mode counts must be >= 1, got ({n_a}, {n_b})")
-    diag = np.concatenate([np.ones(2 * n_a + n_b), -np.ones(n_b)])
-    return MirrorReflection(n_a=n_a, n_b=n_b, mat=_readonly(np.diag(diag)))
-
-
 def primed_form(omega: CompositeForm) -> np.ndarray:
     """Partial-transpose image of the form: Diag[Omega_A, -Omega_B], exactly."""
     return _readonly(block_diag(omega.part_a.assembled, -omega.part_b.assembled))
@@ -138,7 +121,8 @@ def partial_transpose_spectra(
 ) -> tuple[SymplecticSpectrum, SymplecticSpectrum]:
     """Williamson spectra of (Sigma, Omega) and (Sigma, Omega') from one sqrt(Sigma)."""
     root, form = validated_root(sigma, omega.assembled, tol)
-    return _root_spectrum(root, form), _root_spectrum(root, primed_form(omega))
+    spectrum, reflected = _root_spectrum(root, np.stack([form, primed_form(omega)])).tolist()
+    return SymplecticSpectrum(tuple(spectrum)), SymplecticSpectrum(tuple(reflected))
 
 
 def classify(sigma, omega: CompositeForm, tol: Tolerances = DEFAULT_TOL) -> ClassificationResult:

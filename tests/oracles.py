@@ -1,6 +1,10 @@
-"""Brute-force oracles kept independent of the library's numerical routes."""
+"""Brute-force oracles and test-only helpers, kept independent of the library's numerical routes."""
+
+from dataclasses import dataclass
 
 import numpy as np
+
+from ncgauss import DEFAULT_TOL, DimensionError, MatrixStructureError, NCGaussError
 
 
 def brute_force_spectrum(sigma, form):
@@ -45,3 +49,32 @@ def bisect_decreasing(func, lo, hi, width=1e-10):
         else:
             hi = mid
     return 0.5 * (lo + hi), lo, hi
+
+
+def hermitian_min_eigenvalue(mat, tol=DEFAULT_TOL):
+    """Smallest eigenvalue of a complex Hermitian matrix."""
+    arr = np.asarray(mat, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NCGaussError("matrix contains non-finite entries")
+    if np.max(np.abs(arr - arr.conj().T)) > tol.symmetry:
+        raise MatrixStructureError("matrix is not Hermitian within tolerance")
+    return float(np.linalg.eigvalsh(arr)[0])
+
+
+@dataclass(frozen=True)
+class MirrorReflection:
+    """Diag[I_A, I, -I]: flips Bob's momenta, squares to the identity."""
+
+    n_a: int
+    n_b: int
+    mat: np.ndarray
+
+
+def mirror_reflection(n_a, n_b):
+    """Reflection of Bob's momenta in the (x.., p..) per-party ordering."""
+    if n_a < 1 or n_b < 1:
+        raise DimensionError(f"mode counts must be >= 1, got ({n_a}, {n_b})")
+    diag = np.concatenate([np.ones(2 * n_a + n_b), -np.ones(n_b)])
+    return MirrorReflection(n_a=n_a, n_b=n_b, mat=np.diag(diag))

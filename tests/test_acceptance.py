@@ -21,7 +21,6 @@ from ncgauss import (
     emit_fig2_data,
     family_form,
     FamilyParams,
-    hermitian_min_eigenvalue,
     nc_williamson_spectrum,
     partial_transpose_map,
     primed_form,
@@ -30,7 +29,7 @@ from ncgauss import (
     transform_covariance,
 )
 from ncgauss.cli import main
-from oracles import bisect_decreasing, random_skew_nonsingular, random_spd
+from oracles import bisect_decreasing, hermitian_min_eigenvalue, random_skew_nonsingular, random_spd
 
 FIG_M, FIG_N = math.sqrt(2.0) / 6.0, 1.0 / 6.0
 J_COMPOSITE = block_diag(standard_symplectic_form(2), standard_symplectic_form(2))

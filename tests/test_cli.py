@@ -129,6 +129,20 @@ class TestNearHyperbola:
         assert main(argv) == 0
 
 
+class TestErrorMessages:
+    def test_scan_names_failing_mid_grid_point(self, capsys):
+        # The planar form at theta = 100, eta = 0.00999999999999996 has 1 - theta*eta = 4e-15.
+        argv = ["scan", "--theta-range", "99:101:3",
+                "--eta-range", "0.00999999999999992:0.00999999999999998:4", "--m", "-0.1", "--n", "0.1"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "numerically singular at (theta, eta, m, n) = (100.0, 0.00999999999999996, -0.1, 0.1)" in err
+
+    def test_negative_deformation_names_point(self, capsys):
+        assert main(["fig1", "--thetas", "0.1,-0.3", "--eta-range", "0:1:3"]) == 2
+        assert "at (theta, eta, m, n) = (-0.3, 0.0," in capsys.readouterr().err
+
+
 class TestErrorMapping:
     def test_formula_domain_error_exits_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):

@@ -15,7 +15,6 @@ from ncgauss import (
     build_covariance,
     build_darboux_map,
     family_form,
-    hermitian_min_eigenvalue,
     matrix_from_json,
     matrix_to_json,
     nc_williamson_spectrum,
@@ -24,7 +23,14 @@ from ncgauss import (
     validate_covariance,
     validate_skew_form,
 )
-from oracles import brute_force_spectrum, random_skew_nonsingular, random_spd, random_symplectic
+from ncgauss.core import _root_spectrum, covariance_root, numerically_singular
+from oracles import (
+    brute_force_spectrum,
+    hermitian_min_eigenvalue,
+    random_skew_nonsingular,
+    random_spd,
+    random_symplectic,
+)
 
 # Family covariance at the figure slice (m, n) = (sqrt(2)/6, 1/6) against the
 # deformed form with theta = 1/4, eta = 1/2; frozen from the complex
@@ -110,6 +116,25 @@ class TestValidation:
         out = validate_covariance(np.eye(2))
         with pytest.raises(ValueError):
             out[0, 0] = 2.0
+
+
+class TestStackedKernel:
+    def test_stacked_spectra_match_per_matrix_calls(self):
+        rng = np.random.default_rng(17)
+        sigma = random_spd(rng, 8)
+        forms = np.stack([random_skew_nonsingular(rng, 8) for _ in range(6)]).reshape(3, 2, 8, 8)
+        stacked = _root_spectrum(covariance_root(sigma), forms)
+        assert stacked.shape == (3, 2, 4)
+        for form, row in zip(forms.reshape(6, 8, 8), stacked.reshape(6, 4)):
+            assert tuple(row.tolist()) == nc_williamson_spectrum(sigma, form).invariants
+
+    def test_stacked_singularity_flags_match_per_matrix_calls(self):
+        _, near = _family_pair(1.0, 1.0 - 1e-6)
+        on_hyperbola = np.block([[EPSILON2, np.eye(2)], [-np.eye(2), EPSILON2]])
+        forms = np.stack([near[:4, :4], on_hyperbola, np.zeros((4, 4)), 1e6 * on_hyperbola])
+        flags = numerically_singular(forms)
+        assert flags.tolist() == [bool(numerically_singular(f)) for f in forms]
+        assert flags.tolist() == [False, True, True, True]
 
 
 class TestSpectrum:

@@ -12,6 +12,7 @@ from ncgauss import (
     FamilyParams,
     FormulaDomainError,
     NCParams,
+    Tolerances,
     build_covariance,
     closed_form_invariants,
     evaluate_wigner,
@@ -20,7 +21,7 @@ from ncgauss import (
     omega_pm,
     primed_form,
 )
-from ncgauss.family import _checked_sqrt
+from ncgauss.family import _checked_sqrt, family_invariants
 
 FIG_M, FIG_N = np.sqrt(2.0) / 6.0, 1.0 / 6.0
 
@@ -162,14 +163,36 @@ class TestClosedFormInvariants:
             )
             checked += 1
 
+    def test_arrays_match_single_points_bit_for_bit(self):
+        # Grids run the closed forms on arrays and single points on numpy scalars.
+        # Odd 27-bit mantissas have squares that are exact rounding ties, where
+        # x*x and pow(x, 2) often round apart: any such split between the two
+        # paths shows here.
+        rng = np.random.default_rng(43)
+        mantissas = rng.integers(2**26, 2**27, size=(2, 1000)) | 1
+        thetas, etas = mantissas[0] * 2.0**-27, mantissas[1] * 2.0**-26  # [0.5, 1) and [1, 2)
+        nu, nu_prime = family_invariants(thetas, etas, FIG_M, FIG_N)
+        assert np.isnan(nu).any() and not np.isnan(nu).all()
+        for theta, eta, want, want_prime in zip(thetas, etas, nu, nu_prime):
+            got, got_prime = family_invariants([theta], [eta], FIG_M, FIG_N)
+            np.testing.assert_array_equal([got[0], got_prime[0]], [want, want_prime])
+            if not np.isnan(want):
+                closed = closed_form_invariants(_params(theta, eta, FIG_M, FIG_N))
+                assert (closed.nu_minus, closed.nu_minus_prime) == (want, want_prime)
+
     def test_checked_sqrt_clamps_roundoff(self):
-        assert _checked_sqrt(0.0, DEFAULT_TOL) == 0.0
-        assert _checked_sqrt(-1e-13, DEFAULT_TOL) == 0.0
-        assert _checked_sqrt(4.0, DEFAULT_TOL) == 2.0
+        assert _checked_sqrt(0.0, DEFAULT_TOL) == (0.0, False)
+        assert _checked_sqrt(-1e-13, DEFAULT_TOL) == (0.0, False)
+        assert _checked_sqrt(4.0, DEFAULT_TOL) == (2.0, False)
 
     def test_checked_sqrt_rejects_genuinely_negative(self):
-        with pytest.raises(FormulaDomainError):
-            _checked_sqrt(-1e-9, DEFAULT_TOL)
+        # The flag sends a grid point to the spectral route; closed_form_invariants raises.
+        assert _checked_sqrt(-1e-9, DEFAULT_TOL)[1]
+        values, flags = _checked_sqrt(np.array([4.0, -1e-13, -1e-9]), DEFAULT_TOL)
+        np.testing.assert_array_equal(values, [2.0, 0.0, 0.0])
+        np.testing.assert_array_equal(flags, [False, False, True])
+        with pytest.raises(FormulaDomainError, match=r"at \(theta, eta, m, n\) = \(0\.25, 0\.5,"):
+            closed_form_invariants(_params(0.25, 0.5, FIG_M, FIG_N), Tolerances(radicand=-math.inf))
 
 
 class TestEvaluateWigner:

@@ -14,6 +14,8 @@ from ncgauss import (
     FormulaDomainError,
     NCParams,
     ScanConfig,
+    SingularMatrixError,
+    Tolerances,
     build_covariance,
     closed_form_invariants,
     emit_fig1_data,
@@ -26,12 +28,17 @@ from ncgauss import (
     rows_to_json,
     scan_grid,
 )
-from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS, records_self_consistent
+from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS, grid_axis, records_self_consistent
 from ncgauss.separability import partial_transpose_spectra
 from oracles import bisect_decreasing, brute_force_spectrum
 
 FIG_M, FIG_N = math.sqrt(2.0) / 6.0, 1.0 / 6.0
 EPS = float(np.finfo(float).eps)
+QUADRANTS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
+# Row theta = 100 of this grid meets the hyperbola: at eta = 0.00999999999999996 the planar
+# form has 1 - theta*eta = 4e-15 and cond_2 > 1e12. The rows before it are admissible.
+SINGULAR_MID_GRID = ((99.0, 101.0, 3), (0.00999999999999992, 0.00999999999999998, 4), -0.1, 0.1)
+SINGULAR_POINT = r"at \(theta, eta, m, n\) = \(100\.0, 0\.00999999999999996, -0\.1, 0\.1\)"
 
 
 def _scan_csv(records):
@@ -166,6 +173,61 @@ class TestScanGrid:
         config = ScanConfig((0.0, 2.0, 11), (0.0, 2.0, 11), m=FIG_M, n=FIG_N)
         assert records_self_consistent(scan_grid(config))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        theta=st.floats(min_value=0.5, max_value=2.0),
+        product=st.floats(min_value=0.99, max_value=1.0, exclude_max=True),
+        spread=st.floats(min_value=0.0, max_value=0.02),
+        steps=st.integers(min_value=1, max_value=4),
+        radius=st.floats(min_value=0.0, max_value=0.9999),
+        angle=st.floats(min_value=0.0, max_value=math.pi / 2.0),
+        quadrant=st.sampled_from(QUADRANTS),
+    )
+    def test_grid_records_equal_point_records(
+        self, theta, product, spread, steps, radius, angle, quadrant
+    ):
+        # The batched grid and the one-point case give the same records, bit for bit,
+        # on grids straddling the hyperbola (theta*eta in [0.99, 1) and beyond).
+        eta = product / theta
+        m, n = quadrant[0] * radius * math.cos(angle), quadrant[1] * radius * math.sin(angle)
+        config = ScanConfig(
+            (theta * (1.0 - spread), theta * (1.0 + spread), steps),
+            (eta * (1.0 - spread), eta * (1.0 + spread), steps),
+            m=m, n=n,
+        )
+        expected = [
+            eval_point(t, e, m, n)
+            for t in grid_axis(*config.theta_range)
+            for e in grid_axis(*config.eta_range)
+        ]
+        assert scan_grid(config) == expected
+
+    def test_grid_beyond_one_block_equals_point_records(self):
+        records = scan_grid(ScanConfig((0.0, 2.0, 31), (0.0, 2.0, 31), m=-0.3, n=0.2))
+        assert sum(rec.nu_minus is not None for rec in records) > 512  # more than one block
+        assert records == [eval_point(rec.theta, rec.eta, rec.m, rec.n) for rec in records]
+
+    def test_closed_form_domain_failures_take_the_spectral_route(self):
+        # A radicand window of -inf fails every closed-form radicand test.
+        tol = Tolerances(radicand=-math.inf)
+        with pytest.raises(FormulaDomainError):
+            closed_form_invariants(FamilyParams(m=0.3, n=0.2, nc=NCParams(0.25, 0.5)), tol)
+        config = ScanConfig((0.0, 1.5, 7), (0.0, 1.5, 7), m=0.3, n=0.2)
+        records = scan_grid(config, tol)
+        for rec in records:
+            if rec.nu_minus is None:
+                continue
+            numeric = numeric_invariants(rec.theta, rec.eta, rec.m, rec.n, tol)
+            assert (rec.nu_minus, rec.nu_minus_prime) == (numeric.nu_minus, numeric.nu_minus_prime)
+        assert records != scan_grid(config)  # the default tolerances keep the closed forms
+
+    def test_failing_point_is_named(self):
+        theta_range, eta_range, m, n = SINGULAR_MID_GRID
+        with pytest.raises(SingularMatrixError, match=SINGULAR_POINT):
+            scan_grid(ScanConfig(theta_range, eta_range, m=m, n=n))
+        with pytest.raises(SingularMatrixError, match=SINGULAR_POINT):
+            eval_point(100.0, 0.00999999999999996, m, n)
+
     def test_commutative_rows_never_entangled(self):
         config = ScanConfig((0.0, 0.0, 1), (0.0, 0.0, 1), m=0.3, n=0.4)
         for radius in np.linspace(0.0, 0.9, 7):
@@ -191,6 +253,21 @@ class TestOutputFormats:
         fields = line.split(",")
         assert float(fields[4]) == pytest.approx(0.5, rel=1e-11)
         assert fields[5] == format(records[0].nu_minus, ".12g")
+
+    def test_json_matches_json_dumps_layout(self, records):
+        def reference(rows, fields):
+            objs = [
+                {f: v if v.__class__ is str else float("%.12g" % v)
+                 for f, v in zip(fields, (row[f] for f in fields)) if v is not None}
+                for row in rows
+            ]
+            return json.dumps(objs, indent=2) + "\n"
+
+        rows = list(map(vars, records))
+        odd = [{"a": None, "b": None}, {"a": 'q"\u00e9\n', "b": -0.0},
+               {"a": math.inf, "b": math.nan}, {"a": 1e-300, "b": 123456789012345.0}]
+        for rows_, fields in ((rows, SCAN_FIELDS), ([], SCAN_FIELDS), (odd, ("a", "b"))):
+            assert rows_to_json(rows_, fields) == reference(rows_, fields)
 
     def test_json_omits_invariants_for_invalid(self, records):
         objs = json.loads(_scan_json(records))
@@ -240,6 +317,18 @@ class TestFig1:
 
         crossing, lo, hi = bisect_decreasing(gap, 1e-6, 2.0, width=1e-8)
         assert crossing == pytest.approx(0.5905735581730078, abs=1e-6)
+
+    def test_rows_equal_partial_transpose_spectra(self):
+        m, n = -0.3, 0.2
+        rows = emit_fig1_data(theta_values=(0.0, 0.3, 0.98), eta_range=(0.0, 2.0, 21), m=m, n=n)
+        for row in rows:
+            if row["theta"] * row["eta"] >= 1.0:
+                assert row["nu_1"] is None
+                continue
+            nc = NCParams(row["theta"], row["eta"])
+            spectrum, reflected = partial_transpose_spectra(build_covariance(m, n, nc).sigma, family_form(nc))
+            assert tuple(row[f"nu_{j}"] for j in range(1, 5)) == spectrum.invariants
+            assert tuple(row[f"nup_{j}"] for j in range(1, 5)) == reflected.invariants
 
     def test_hyperbola_row_left_empty(self):
         rows = emit_fig1_data(theta_values=(0.5,), eta_range=(2.0, 2.0, 1))

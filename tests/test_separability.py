@@ -17,14 +17,13 @@ from ncgauss import (
     classify,
     closed_form_invariants,
     family_form,
-    mirror_reflection,
     nc_williamson_spectrum,
     partial_transpose_covariance,
     partial_transpose_map,
     primed_form,
     standard_symplectic_form,
 )
-from oracles import random_spd
+from oracles import mirror_reflection, random_spd
 
 FIG_M, FIG_N = np.sqrt(2.0) / 6.0, 1.0 / 6.0
 
