@@ -8,13 +8,9 @@ Gaussian family.
 """
 
 from .core import (
-    DEFAULT_TOL,
     MAX_DIM,
     SymplecticSpectrum,
-    Tolerances,
     block_diag,
-    matrix_from_json,
-    matrix_to_json,
     nc_williamson_spectrum,
     rsup_holds,
     standard_symplectic_form,
@@ -78,9 +74,7 @@ from .separability import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL",
     "MAX_DIM",
-    "Tolerances",
     "SymplecticSpectrum",
     "block_diag",
     "standard_symplectic_form",
@@ -88,8 +82,6 @@ __all__ = [
     "validate_skew_form",
     "nc_williamson_spectrum",
     "rsup_holds",
-    "matrix_to_json",
-    "matrix_from_json",
     "NCGaussError",
     "DimensionError",
     "MatrixStructureError",

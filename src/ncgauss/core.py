@@ -24,20 +24,18 @@ from .errors import (
 # Dense O(n^3) routines only; the bundled Gaussian family needs just 2n = 8.
 MAX_DIM = 64
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds shared by every check in the package."""
-
-    symmetry: float = 1e-12  # per-entry symmetry / skewness / hermiticity
-    singularity: float = 1e-12  # 1 / condition number at which a matrix is singular
-    positive_definite: float = 1e-12  # smallest eigenvalue must exceed this
-    boundary: float = 1e-12  # classification band around nu = 1
-    map_residual: float = 1e-10  # per-entry bound for S J S^T = Omega, D^2 = I
-    radicand: float = 1e-12  # clamp window for closed-form radicands
-
-
-DEFAULT_TOL = Tolerances()
+# Largest entrywise asymmetry (or skew defect) relative to max|A|: room for the
+# roundoff of assembled products such as S Sigma S^T, far below any modelling error.
+SYMMETRY = 1e-12
+# 1 / cond_2 at or below which a matrix counts as singular: a solve against it would
+# keep about four significant digits (see numerically_singular).
+SINGULARITY = 1e-12
+# Band below nu = 1 that still counts as nu >= 1, so that a state on the boundary,
+# such as the vacuum (nu = 1 exactly), does not flip on roundoff in the last bits.
+BOUNDARY = 1e-12
+# Entrywise bound on S J S^T - Omega and on D^2 - I: roundoff in these products grows
+# with the conditioning of the maps, while a wrong entry or sign is of order one.
+MAP_RESIDUAL = 1e-10
 
 
 def _readonly(mat: np.ndarray) -> np.ndarray:
@@ -82,24 +80,43 @@ def standard_symplectic_form(n_modes: int) -> np.ndarray:
     return _readonly(np.block([[zero, eye], [-eye, zero]]))
 
 
-def _require_symmetric(mat, tol: Tolerances) -> np.ndarray:
+def _asymmetric(mats: np.ndarray, sign: float = 1.0):
+    """Flag per matrix of a stack (..., n, n): max|A - sign A^T| > SYMMETRY * max|A|.
+
+    sign = 1 tests symmetry and sign = -1 skewness. Relative to the largest entry,
+    the test reads the same at every scale; a zero matrix passes.
+    """
+    defect = abs(mats - sign * np.swapaxes(mats, -1, -2)).max(axis=(-2, -1))
+    return defect > SYMMETRY * abs(mats).max(axis=(-2, -1))
+
+
+def _require_symmetric(mat) -> np.ndarray:
     arr = _require_square(mat, "covariance matrix")
-    if np.max(np.abs(arr - arr.T)) > tol.symmetry:
+    if _asymmetric(arr):
         raise MatrixStructureError("covariance matrix is not symmetric within tolerance")
     return arr
 
 
-def _require_positive(smallest: float, tol: Tolerances) -> None:
-    if smallest <= tol.positive_definite:
+def _require_positive(w: np.ndarray) -> None:
+    """Raise unless the ascending eigenvalues w of a symmetric matrix prove it positive-definite.
+
+    A backward-stable symmetric eigensolver returns the exact eigenvalues of A + E
+    with ||E||_2 of order dim * eps * ||A||_2, so by Weyl's inequality each computed
+    eigenvalue is within about dim * eps * max|w| of the true one. w[0] > dim * eps * w[-1]
+    therefore puts the true smallest eigenvalue above zero (w[-1] = ||A||_2 once w[0] > 0),
+    and A -> cA changes nothing. An absolute bound cannot do this: it rejects
+    1e-13 * I, and at scale 1e5 it accepts a smallest eigenvalue that is pure roundoff.
+    """
+    if w[0] <= len(w) * np.finfo(float).eps * w[-1]:
         raise NotPositiveDefiniteError(
-            f"covariance matrix is not positive-definite (smallest eigenvalue {smallest:.3e})"
+            f"covariance matrix is not positive-definite (eigenvalues {w[0]:.3e} to {w[-1]:.3e})"
         )
 
 
-def validate_covariance(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def validate_covariance(mat) -> np.ndarray:
     """Check symmetry and positive-definiteness; return a read-only copy."""
-    arr = _require_symmetric(mat, tol)
-    _require_positive(np.linalg.eigvalsh(arr)[0], tol)
+    arr = _require_symmetric(mat)
+    _require_positive(np.linalg.eigvalsh(arr))
     return _readonly(arr)
 
 
@@ -113,12 +130,12 @@ def _raise_first(bad, error: type[NCGaussError], message: str, where=None) -> No
         raise error(message if where is None else f"{message} at {where(int(np.argmax(bad)))}")
 
 
-def numerically_singular(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL):
-    """True when the square matrix A (n x n) is singular to tol.singularity, at any scale.
+def numerically_singular(mat: np.ndarray):
+    """True when the square matrix A (n x n) is singular to SINGULARITY, at any scale.
 
     Compares the geometric mean of the singular values, g = |det A|^(1/n), with
     their root mean square, s_rms = ||A||_F / sqrt(n): A is singular iff
-    g <= eps^((n-1)/n) * s_rms, eps = tol.singularity. As s_rms <= s_1 and
+    g <= eps^((n-1)/n) * s_rms, eps = SINGULARITY. As s_rms <= s_1 and
     g^n >= s_1 * s_n^(n-1), a flagged A has (s_n/s_1)^((n-1)/n) <= g/s_1 <= eps^((n-1)/n),
     i.e. cond_2(A) >= 1/eps, and A -> cA changes nothing. An absolute bound on det
     cannot do this: the family's 8x8 form has det = (1 - theta*eta)^4 but cond_2
@@ -130,22 +147,21 @@ def numerically_singular(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     dim = mat.shape[-1]
     logdet = np.linalg.slogdet(mat)[1]  # -inf when det = 0, so g = 0 below
     rms = np.sqrt((mat * mat).sum(axis=(-2, -1)) / dim)
-    return np.exp(logdet / dim) <= tol.singularity ** ((dim - 1) / dim) * rms
+    return np.exp(logdet / dim) <= SINGULARITY ** ((dim - 1) / dim) * rms
 
 
-def _check_skew_forms(forms: np.ndarray, tol: Tolerances, where=None) -> None:
+def _check_skew_forms(forms: np.ndarray, where=None) -> None:
     """Skewness and nonsingularity of a form or a stack (..., 2n, 2n); raise for the first failure."""
-    asymmetry = np.max(np.abs(forms + np.swapaxes(forms, -1, -2)), axis=(-2, -1))
-    _raise_first(asymmetry > tol.symmetry, MatrixStructureError,
+    _raise_first(_asymmetric(forms, -1.0), MatrixStructureError,
                  "form is not skew-symmetric within tolerance", where)
-    _raise_first(numerically_singular(forms, tol), SingularMatrixError,
+    _raise_first(numerically_singular(forms), SingularMatrixError,
                  "skew form is numerically singular", where)
 
 
-def validate_skew_form(mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def validate_skew_form(mat) -> np.ndarray:
     """Check skew-symmetry and nonsingularity; return a read-only copy."""
     arr = _require_square(mat, "skew form")
-    _check_skew_forms(arr, tol)
+    _check_skew_forms(arr)
     return _readonly(arr)
 
 
@@ -163,22 +179,22 @@ class SymplecticSpectrum:
         return len(self.invariants)
 
 
-def covariance_root(sigma, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def covariance_root(sigma) -> np.ndarray:
     """Validate a covariance matrix and return its symmetric square root.
 
     The root comes from the eigendecomposition that proves positive-definiteness.
     Spectra of one covariance against many forms share it through :func:`_root_spectrum`.
     """
-    arr = _require_symmetric(sigma, tol)
+    arr = _require_symmetric(sigma)
     w, v = np.linalg.eigh(arr)
-    _require_positive(w[0], tol)
+    _require_positive(w)
     return (v * np.sqrt(w)) @ v.T
 
 
-def validated_root(sigma, form, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def validated_root(sigma, form) -> tuple[np.ndarray, np.ndarray]:
     """Validate a (covariance, skew form) pair; return (sqrt(sigma), read-only form)."""
-    root = covariance_root(sigma, tol)
-    frm = validate_skew_form(form, tol)
+    root = covariance_root(sigma)
+    frm = validate_skew_form(form)
     if root.shape != frm.shape:
         raise DimensionError(
             f"covariance is {root.shape[0]}-dimensional but form is {frm.shape[0]}-dimensional"
@@ -205,7 +221,7 @@ def _root_spectrum(root: np.ndarray, forms: np.ndarray, where=None) -> np.ndarra
     return invariants
 
 
-def nc_williamson_spectrum(sigma, form, tol: Tolerances = DEFAULT_TOL) -> SymplecticSpectrum:
+def nc_williamson_spectrum(sigma, form) -> SymplecticSpectrum:
     """Williamson invariants of a covariance matrix with respect to a skew form.
 
     Returns the n positive values {nu} such that the eigenvalues of
@@ -216,45 +232,20 @@ def nc_williamson_spectrum(sigma, form, tol: Tolerances = DEFAULT_TOL) -> Symple
     Args:
         sigma: symmetric positive-definite 2n x 2n matrix.
         form: skew-symmetric nonsingular 2n x 2n matrix.
-        tol: numerical thresholds.
 
     Raises:
         DimensionError: mismatched or odd dimensions.
         NotPositiveDefiniteError: sigma fails the spectral test.
         SingularMatrixError: form is singular.
     """
-    return SymplecticSpectrum(tuple(_root_spectrum(*validated_root(sigma, form, tol)).tolist()))
+    return SymplecticSpectrum(tuple(_root_spectrum(*validated_root(sigma, form)).tolist()))
 
 
-def rsup_holds(sigma, form, tol: Tolerances = DEFAULT_TOL) -> bool:
+def rsup_holds(sigma, form) -> bool:
     """Robertson-Schroedinger check: smallest invariant of (sigma, form) >= 1.
 
     Equivalent to positivity of the Hermitian matrix sigma + (i/2) form, up
-    to the boundary band in ``tol``.
+    to the band BOUNDARY below 1.
     """
-    return nc_williamson_spectrum(sigma, form, tol).smallest >= 1.0 - tol.boundary
+    return nc_williamson_spectrum(sigma, form).smallest >= 1.0 - BOUNDARY
 
-
-def matrix_to_json(mat) -> dict:
-    """Encode a real square matrix as {"dim": n, "entries": row-major list}."""
-    arr = np.asarray(mat, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    return {"dim": int(arr.shape[0]), "entries": [float(x) for x in arr.ravel()]}
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    """Decode the shared matrix exchange format; returns a read-only array."""
-    try:
-        dim = int(obj["dim"])
-        entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
-        raise NCGaussError(f"malformed matrix object: {exc}") from exc
-    if dim < 1:
-        raise DimensionError(f"matrix dimension must be >= 1, got {dim}")
-    if len(entries) != dim * dim:
-        raise DimensionError(f"expected {dim * dim} entries for dim {dim}, got {len(entries)}")
-    arr = np.asarray(entries, dtype=float).reshape(dim, dim)
-    if not np.all(np.isfinite(arr)):
-        raise NCGaussError("matrix contains non-finite entries")
-    return _readonly(arr)

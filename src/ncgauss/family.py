@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
-    Tolerances,
     _check_skew_forms,
     _raise_first,
     _root_spectrum,
@@ -33,6 +31,10 @@ from .phase_space import (
     build_planar_form,
     invalid_deformations,
 )
+
+# Radicands in [-RADICAND, 0) are roundoff and clamp to 0; below that the closed form
+# has left its domain, and a grid point takes the spectral route instead.
+RADICAND = 1e-12
 
 
 def _scale(r: float) -> float:
@@ -69,17 +71,6 @@ class FamilyParams:
     def b(self) -> float:
         return _scale(self.r)
 
-    def to_json(self) -> dict:
-        return {"m": self.m, "n": self.n, "theta": self.nc.theta, "eta": self.nc.eta}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FamilyParams":
-        return cls(
-            m=float(obj["m"]),
-            n=float(obj["n"]),
-            nc=NCParams(theta=float(obj["theta"]), eta=float(obj["eta"])),
-        )
-
 
 @dataclass(frozen=True)
 class GaussianState:
@@ -109,24 +100,24 @@ def _covariance_matrix(m: float, n: float, b: float) -> np.ndarray:
     return b / 2.0 * unit
 
 
-def build_covariance(m: float, n: float, nc: NCParams, tol: Tolerances = DEFAULT_TOL) -> GaussianState:
+def build_covariance(m: float, n: float, nc: NCParams) -> GaussianState:
     """Assemble the family covariance matrix for couplings (m, n)."""
     params = FamilyParams(m=m, n=n, nc=nc)
-    sigma = validate_covariance(_covariance_matrix(m, n, params.b), tol)
+    sigma = validate_covariance(_covariance_matrix(m, n, params.b))
     norm = 1.0 / (math.pi**4 * math.sqrt(np.linalg.det(sigma)))
     return GaussianState(params=params, sigma=sigma, norm=norm)
 
 
-def family_form(nc: NCParams, tol: Tolerances = DEFAULT_TOL) -> CompositeForm:
+def family_form(nc: NCParams) -> CompositeForm:
     """Bipartite commutation form of the family: the same planar form for both parties."""
-    part = build_planar_form(nc, tol)
+    part = build_planar_form(nc)
     return build_composite_form(part, part)
 
 
 def omega_pm(params: FamilyParams) -> tuple[float, float]:
     """The (omega_plus, omega_minus) combinations entering the closed forms."""
     theta, eta = np.float64(params.nc.theta), np.float64(params.nc.eta)
-    plus, minus = _closed_forms(theta, eta, params.m, params.n, params.r, DEFAULT_TOL)[:2]
+    plus, minus = _closed_forms(theta, eta, params.m, params.n, params.r)[:2]
     return float(plus), float(minus)
 
 
@@ -140,12 +131,12 @@ class ClosedFormInvariants:
     nu_minus_prime: float
 
 
-def _checked_sqrt(value, tol: Tolerances):
+def _checked_sqrt(value):
     """sqrt with a clamp window for roundoff, and the flag of genuinely negative input."""
-    return np.sqrt(np.maximum(value, 0.0)), value < -tol.radicand
+    return np.sqrt(np.maximum(value, 0.0)), value < -RADICAND
 
 
-def _stable_root(omega_half, gap, c, tol: Tolerances):
+def _stable_root(omega_half, gap, c):
     """Smaller root of x^2 - omega x + c^2 = 0, i.e. omega/2 - sqrt(omega^2/4 - c^2), and its flag.
 
     Evaluated as c^2 / (omega/2 + sqrt((omega/2 - c)(omega/2 + c))) with the
@@ -154,16 +145,16 @@ def _stable_root(omega_half, gap, c, tol: Tolerances):
     sqrt-amplified cancellation. The flag marks a negative radicand or a
     non-positive denominator.
     """
-    surd, flag = _checked_sqrt(gap * (omega_half + c), tol)
+    surd, flag = _checked_sqrt(gap * (omega_half + c))
     denominator = omega_half + surd
     return c * c / denominator, flag | (denominator <= 0.0)
 
 
-def _closed_forms(theta, eta, m: float, n: float, r: float, tol: Tolerances):
+def _closed_forms(theta, eta, m: float, n: float, r: float):
     """omega_+, omega_-, nu_-, nu'_- and the out-of-domain flag at the points (theta, eta).
 
     theta and eta are numpy scalars or equal-shape arrays. Where the flag is set
-    a radicand is negative beyond tol.radicand or a pencil combination is not
+    a radicand is negative beyond RADICAND or a pencil combination is not
     positive, and the invariants there mean nothing.
 
     nu = (1/(1 - eta*theta)) * (1+R)/(1-R) * sqrt(omega/2 - sqrt(omega^2/4 - c^2))
@@ -206,16 +197,16 @@ def _closed_forms(theta, eta, m: float, n: float, r: float, tol: Tolerances):
             + (1.0 - n**2) * np.float_power(eta + theta, 2.0) / 2.0
             + 2.0 * m * (eta + theta)
         )
-        root, flag = _stable_root(minus / 2.0, gap_minus, c, tol)
-        root_prime, flag_prime = _stable_root(plus / 2.0, gap_plus, c, tol)
-        nu, flag_nu = _checked_sqrt(root, tol)
-        nu_prime, flag_nu_prime = _checked_sqrt(root_prime, tol)
+        root, flag = _stable_root(minus / 2.0, gap_minus, c)
+        root_prime, flag_prime = _stable_root(plus / 2.0, gap_plus, c)
+        nu, flag_nu = _checked_sqrt(root)
+        nu_prime, flag_nu_prime = _checked_sqrt(root_prime)
         prefactor = _scale(r) / deformation
         return (plus, minus, prefactor * nu, prefactor * nu_prime,
                 flag | flag_prime | flag_nu | flag_nu_prime)
 
 
-def closed_form_invariants(params: FamilyParams, tol: Tolerances = DEFAULT_TOL) -> ClosedFormInvariants:
+def closed_form_invariants(params: FamilyParams) -> ClosedFormInvariants:
     """Evaluate the closed forms for nu_- and nu'_- at one point (see :func:`_closed_forms`).
 
     Raises:
@@ -223,7 +214,7 @@ def closed_form_invariants(params: FamilyParams, tol: Tolerances = DEFAULT_TOL) 
         NCGaussError: an invariant is not positive.
     """
     theta, eta = np.float64(params.nc.theta), np.float64(params.nc.eta)
-    plus, minus, nu, nu_prime, off = _closed_forms(theta, eta, params.m, params.n, params.r, tol)
+    plus, minus, nu, nu_prime, off = _closed_forms(theta, eta, params.m, params.n, params.r)
     where = _point_names([theta], [eta], params.m, params.n)
     _raise_first(off, FormulaDomainError, "closed form leaves its domain", where)
     _raise_first(~((nu > 0.0) & (nu_prime > 0.0)), NCGaussError,
@@ -266,8 +257,7 @@ def _planar_forms(thetas: np.ndarray, etas: np.ndarray) -> np.ndarray:
     return planar
 
 
-def family_spectra(thetas, etas, m: float, n: float, tol: Tolerances = DEFAULT_TOL
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def family_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:
     """Williamson spectra of (Sigma, Omega) and (Sigma, Omega') at the points (thetas[k], etas[k]).
 
     Returns two (N, 4) arrays, ascending along each row, with NaN rows where
@@ -275,27 +265,31 @@ def family_spectra(thetas, etas, m: float, n: float, tol: Tolerances = DEFAULT_T
     of up to ``_BLOCK`` points share one solve and one eigvalsh. A failing check
     raises for the first failing point, naming its (theta, eta, m, n).
     """
-    thetas, etas, r = _checked_points(thetas, etas, m, n)
+    return _spectra(*_checked_points(thetas, etas, m, n), m, n)
+
+
+def _spectra(thetas: np.ndarray, etas: np.ndarray, r: float, m: float, n: float
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`family_spectra` on points that :func:`_checked_points` has checked."""
     out = np.full((len(thetas), 2, 4), np.nan)
     todo = np.flatnonzero(thetas * etas < 1.0)
-    root = covariance_root(_covariance_matrix(m, n, _scale(r)), tol)
+    root = covariance_root(_covariance_matrix(m, n, _scale(r)))
     for start in range(0, todo.size, _BLOCK):
         block = todo[start : start + _BLOCK]
         where = _point_names(thetas[block], etas[block], m, n)
         planar = _planar_forms(thetas[block], etas[block])
-        _check_skew_forms(planar, tol, where)
+        _check_skew_forms(planar, where)
         # Omega = Diag[P, P] and Omega' = Diag[P, -P], as family_form and primed_form build them.
         forms = np.zeros((len(block), 2, 8, 8))
         forms[:, :, :4, :4] = planar[:, None]
         forms[:, 0, 4:, 4:] = planar
         forms[:, 1, 4:, 4:] = -planar
-        _check_skew_forms(forms[:, 0], tol, where)
+        _check_skew_forms(forms[:, 0], where)
         out[block] = _root_spectrum(root, forms, lambda k: where(k // 2))
     return out[:, 0], out[:, 1]
 
 
-def family_invariants(thetas, etas, m: float, n: float, tol: Tolerances = DEFAULT_TOL
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def family_invariants(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:
     """Smallest invariants nu_- and nu'_- at the points (thetas[k], etas[k]).
 
     Returns two float arrays, NaN where theta*eta >= 1. On the m, n >= 0
@@ -311,7 +305,7 @@ def family_invariants(thetas, etas, m: float, n: float, tol: Tolerances = DEFAUL
     if m >= 0.0 and n >= 0.0 and todo.size:
         # One point runs on numpy scalars: the same arithmetic at a fifth of the cost.
         points = (thetas[todo], etas[todo]) if todo.size > 1 else (thetas[todo[0]], etas[todo[0]])
-        _, _, closed, closed_prime, off = _closed_forms(*points, m, n, r, tol)
+        _, _, closed, closed_prime, off = _closed_forms(*points, m, n, r)
         off = np.atleast_1d(off)
         where = _point_names(thetas, etas, m, n)
         _raise_first(~off & ~((closed > 0.0) & (closed_prime > 0.0)), NCGaussError,
@@ -319,7 +313,7 @@ def family_invariants(thetas, etas, m: float, n: float, tol: Tolerances = DEFAUL
         nu[todo], nu_prime[todo] = closed, closed_prime
         todo = todo[off]
     if todo.size:
-        spectrum, reflected = family_spectra(thetas[todo], etas[todo], m, n, tol)
+        spectrum, reflected = _spectra(thetas[todo], etas[todo], r, m, n)
         nu[todo], nu_prime[todo] = spectrum[:, 0], reflected[:, 0]
     return nu, nu_prime
 

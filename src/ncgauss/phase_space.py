@@ -15,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
-    Tolerances,
+    MAP_RESIDUAL,
+    _asymmetric,
     _readonly,
     block_diag,
-    matrix_from_json,
-    matrix_to_json,
     numerically_singular,
     standard_symplectic_form,
     validate_covariance,
@@ -56,13 +54,6 @@ class NCParams:
                 f"theta*eta = {self.theta * self.eta} violates the domain theta*eta < 1"
             )
 
-    def to_json(self) -> dict:
-        return {"theta": self.theta, "eta": self.eta}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "NCParams":
-        return cls(theta=float(obj["theta"]), eta=float(obj["eta"]))
-
 
 @dataclass(frozen=True)
 class SubsystemForm:
@@ -91,26 +82,24 @@ class CompositeForm:
         return self.part_b.n_modes
 
 
-def _check_skew_block(block, n_modes: int, name: str, tol: Tolerances) -> np.ndarray:
+def _check_skew_block(block, n_modes: int, name: str) -> np.ndarray:
     arr = np.asarray(block, dtype=float)
     if arr.shape != (n_modes, n_modes):
         raise DimensionError(f"{name} block must be {n_modes}x{n_modes}, got {arr.shape}")
-    if np.max(np.abs(arr + arr.T)) > tol.symmetry:
+    if _asymmetric(arr, -1.0):
         raise MatrixStructureError(f"{name} block is not skew-symmetric within tolerance")
     return arr
 
 
-def build_subsystem_form(
-    n_modes: int, theta_block, upsilon_block, tol: Tolerances = DEFAULT_TOL
-) -> SubsystemForm:
+def build_subsystem_form(n_modes: int, theta_block, upsilon_block) -> SubsystemForm:
     """Assemble and validate a subsystem form from its deformation blocks."""
     if n_modes < 1:
         raise DimensionError(f"number of modes must be >= 1, got {n_modes}")
-    theta = _check_skew_block(theta_block, n_modes, "position deformation", tol)
-    upsilon = _check_skew_block(upsilon_block, n_modes, "momentum deformation", tol)
+    theta = _check_skew_block(theta_block, n_modes, "position deformation")
+    upsilon = _check_skew_block(upsilon_block, n_modes, "momentum deformation")
     eye = np.eye(n_modes)
     assembled = np.block([[theta, eye], [-eye, upsilon]])
-    assembled = validate_skew_form(assembled, tol)  # raises if singular
+    assembled = validate_skew_form(assembled)  # raises if singular
     return SubsystemForm(
         n_modes=n_modes,
         theta_block=_readonly(theta),
@@ -119,9 +108,9 @@ def build_subsystem_form(
     )
 
 
-def build_planar_form(params: NCParams, tol: Tolerances = DEFAULT_TOL) -> SubsystemForm:
+def build_planar_form(params: NCParams) -> SubsystemForm:
     """Two-mode form with Theta = theta*eps and Upsilon = eta*eps."""
-    return build_subsystem_form(2, params.theta * EPSILON2, params.eta * EPSILON2, tol)
+    return build_subsystem_form(2, params.theta * EPSILON2, params.eta * EPSILON2)
 
 
 def build_composite_form(
@@ -149,41 +138,18 @@ class DarbouxMap:
     mu_scale: float | None = None
 
     @classmethod
-    def from_blocks(cls, s_a, s_b, tol: Tolerances = DEFAULT_TOL) -> "DarbouxMap":
+    def from_blocks(cls, s_a, s_b) -> "DarbouxMap":
         a = np.asarray(s_a, dtype=float)
         b = np.asarray(s_b, dtype=float)
         for name, blk in (("S_A", a), ("S_B", b)):
             if blk.ndim != 2 or blk.shape[0] != blk.shape[1] or blk.shape[0] % 2 != 0:
                 raise DimensionError(f"{name} must be square of even dimension, got {blk.shape}")
-            if numerically_singular(blk, tol):
+            if numerically_singular(blk):
                 raise SingularMatrixError(f"{name} is numerically singular")
         return cls(s_a=_readonly(a), s_b=_readonly(b), assembled=_readonly(block_diag(a, b)))
 
     def inverse(self) -> "DarbouxMap":
         return DarbouxMap.from_blocks(np.linalg.inv(self.s_a), np.linalg.inv(self.s_b))
-
-    def to_json(self) -> dict:
-        return {
-            "s_a": matrix_to_json(self.s_a),
-            "s_b": matrix_to_json(self.s_b),
-            "lambda": self.lambda_scale,
-            "mu": self.mu_scale,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DarbouxMap":
-        dmap = cls.from_blocks(matrix_from_json(obj["s_a"]), matrix_from_json(obj["s_b"]))
-        lam = obj.get("lambda")
-        mu = obj.get("mu")
-        if lam is None or mu is None:
-            return dmap
-        return cls(
-            s_a=dmap.s_a,
-            s_b=dmap.s_b,
-            assembled=dmap.assembled,
-            lambda_scale=float(lam),
-            mu_scale=float(mu),
-        )
 
 
 def _planar_darboux_block(params: NCParams, lam: float, mu: float) -> np.ndarray:
@@ -201,9 +167,7 @@ def _planar_darboux_block(params: NCParams, lam: float, mu: float) -> np.ndarray
     )
 
 
-def build_darboux_map(
-    params: NCParams, lambda_scale: float = 1.0, tol: Tolerances = DEFAULT_TOL
-) -> DarbouxMap:
+def build_darboux_map(params: NCParams, lambda_scale: float = 1.0) -> DarbouxMap:
     """Planar Darboux map with free gauge parameter lambda; S_A = S_B.
 
     mu is fixed by lambda*mu = (1 + sqrt(1 - eta*theta)) / 2, which keeps the
@@ -214,13 +178,13 @@ def build_darboux_map(
     product = (1.0 + math.sqrt(1.0 - params.eta * params.theta)) / 2.0
     mu = product / lambda_scale
     blk = _planar_darboux_block(params, lambda_scale, mu)
-    if numerically_singular(blk, tol):
+    if numerically_singular(blk):
         raise SingularMatrixError(
             f"Darboux block is singular (theta*eta = {params.theta * params.eta})"
         )
-    target = build_planar_form(params, tol).assembled
+    target = build_planar_form(params).assembled
     residual = np.max(np.abs(blk @ standard_symplectic_form(2) @ blk.T - target))
-    if residual > tol.map_residual:
+    if residual > MAP_RESIDUAL:
         raise MatrixStructureError(f"constructed map violates S J S^T = Omega by {residual:.3e}")
     return DarbouxMap(
         s_a=_readonly(blk),
@@ -231,7 +195,7 @@ def build_darboux_map(
     )
 
 
-def validate_darboux(dmap: DarbouxMap, target: CompositeForm, tol: Tolerances = DEFAULT_TOL) -> bool:
+def validate_darboux(dmap: DarbouxMap, target: CompositeForm) -> bool:
     """True iff the (block-diagonal) map is invertible and S J S^T matches the target."""
     dim = dmap.assembled.shape[0]
     if dim != target.assembled.shape[0]:
@@ -242,20 +206,20 @@ def validate_darboux(dmap: DarbouxMap, target: CompositeForm, tol: Tolerances = 
         raise DimensionError(
             f"map block S_A is {dmap.s_a.shape[0]}-dimensional, target part A needs {2 * target.n_a}"
         )
-    if numerically_singular(dmap.assembled, tol):
+    if numerically_singular(dmap.assembled):
         return False
     jay = block_diag(standard_symplectic_form(target.n_a), standard_symplectic_form(target.n_b))
     residual = np.max(np.abs(dmap.assembled @ jay @ dmap.assembled.T - target.assembled))
-    return bool(residual <= tol.map_residual)
+    return bool(residual <= MAP_RESIDUAL)
 
 
-def transform_covariance(dmap: DarbouxMap, sigma_tilde, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def transform_covariance(dmap: DarbouxMap, sigma_tilde) -> np.ndarray:
     """Push a covariance matrix through the map: Sigma = S Sigma~ S^T."""
-    sig = validate_covariance(sigma_tilde, tol)
+    sig = validate_covariance(sigma_tilde)
     if sig.shape[0] != dmap.assembled.shape[0]:
         raise DimensionError(
             f"covariance is {sig.shape[0]}-dimensional but map is {dmap.assembled.shape[0]}-dimensional"
         )
     out = dmap.assembled @ sig @ dmap.assembled.T
     out = 0.5 * (out + out.T)  # exact symmetry despite roundoff
-    return validate_covariance(out, tol)
+    return validate_covariance(out)

@@ -20,7 +20,6 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerances
 from .errors import DomainError
 from .family import family_invariants, family_spectra, validate_couplings
 from .phase_space import NCParams
@@ -50,6 +49,15 @@ FIG1_FIELDS = (
 )
 
 
+def _check_range(name: str, rng: tuple[float, float, int]) -> None:
+    """Require a grid range (min, max, steps) with finite min <= max and steps >= 1."""
+    lo, hi, steps = rng
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+        raise DomainError(f"{name} range must satisfy min <= max, got {rng}")
+    if int(steps) < 1:
+        raise DomainError(f"{name} range needs >= 1 steps, got {steps}")
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Grid specification: each range is (min, max, number of points)."""
@@ -60,12 +68,8 @@ class ScanConfig:
     n: float
 
     def __post_init__(self):
-        for name, rng in (("theta", self.theta_range), ("eta", self.eta_range)):
-            lo, hi, steps = rng
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-                raise DomainError(f"{name} range must satisfy min <= max, got {rng}")
-            if int(steps) < 1:
-                raise DomainError(f"{name} range needs >= 1 steps, got {steps}")
+        _check_range("theta", self.theta_range)
+        _check_range("eta", self.eta_range)
 
 
 @dataclass(frozen=True)
@@ -82,52 +86,47 @@ class ScanRecord:
     verdict: str
 
 
-def numeric_invariants(
-    theta: float, eta: float, m: float, n: float, tol: Tolerances = DEFAULT_TOL
-) -> ClassificationResult:
+def numeric_invariants(theta: float, eta: float, m: float, n: float) -> ClassificationResult:
     """Spectral-route classification of a family point (cross-check and fallback)."""
     NCParams(theta=theta, eta=eta)  # theta*eta >= 1 is an error here, not an invalid record
-    spectrum, reflected = family_spectra([theta], [eta], m, n, tol)
+    spectrum, reflected = family_spectra([theta], [eta], m, n)
     nu, nu_prime = float(spectrum[0, 0]), float(reflected[0, 0])
     return ClassificationResult(
-        verdict=verdict_from_invariants(nu, nu_prime, tol), nu_minus=nu, nu_minus_prime=nu_prime
+        verdict=verdict_from_invariants(nu, nu_prime), nu_minus=nu, nu_minus_prime=nu_prime
     )
 
 
-def _records(thetas: np.ndarray, etas: np.ndarray, m: float, n: float,
-             tol: Tolerances) -> list[ScanRecord]:
+def _records(thetas: np.ndarray, etas: np.ndarray, m: float, n: float) -> list[ScanRecord]:
     """One record per point, from one batched evaluation; theta*eta >= 1 is invalid."""
     m, n = float(m), float(n)
-    nu, nu_prime = family_invariants(thetas, etas, m, n, tol)
+    nu, nu_prime = family_invariants(thetas, etas, m, n)
     r = validate_couplings(m, n)
     invalid = VERDICT_LABEL[Verdict.INVALID_DOMAIN]
     return [
         ScanRecord(theta, eta, m, n, r, None, None, invalid) if x != x  # NaN off the domain
-        else ScanRecord(theta, eta, m, n, r, x, y, VERDICT_LABEL[verdict_from_invariants(x, y, tol)])
+        else ScanRecord(theta, eta, m, n, r, x, y, VERDICT_LABEL[verdict_from_invariants(x, y)])
         for theta, eta, x, y in zip(thetas.tolist(), etas.tolist(), nu.tolist(), nu_prime.tolist())
     ]
 
 
-def eval_point(
-    theta: float, eta: float, m: float, n: float, tol: Tolerances = DEFAULT_TOL
-) -> ScanRecord:
+def eval_point(theta: float, eta: float, m: float, n: float) -> ScanRecord:
     """Classify one family point: the one-point case of :func:`scan_grid`.
 
     theta*eta >= 1 yields the invalid verdict.
     """
-    return _records(np.array([float(theta)]), np.array([float(eta)]), m, n, tol)[0]
+    return _records(np.array([float(theta)]), np.array([float(eta)]), m, n)[0]
 
 
 def grid_axis(lo: float, hi: float, steps: int) -> np.ndarray:
     return np.linspace(lo, hi, int(steps))
 
 
-def scan_grid(config: ScanConfig, tol: Tolerances = DEFAULT_TOL) -> list[ScanRecord]:
+def scan_grid(config: ScanConfig) -> list[ScanRecord]:
     """Classify every grid point in one batched evaluation, theta outer and eta inner."""
     thetas, etas = np.meshgrid(
         grid_axis(*config.theta_range), grid_axis(*config.eta_range), indexing="ij"
     )
-    return _records(thetas.ravel(), etas.ravel(), config.m, config.n, tol)
+    return _records(thetas.ravel(), etas.ravel(), config.m, config.n)
 
 
 def emit_fig2_data(
@@ -135,7 +134,6 @@ def emit_fig2_data(
     swap: bool = False,
     theta_range: tuple[float, float, int] = (0.0, 2.0, 101),
     eta_range: tuple[float, float, int] = (0.0, 2.0, 101),
-    tol: Tolerances = DEFAULT_TOL,
 ) -> list[ScanRecord]:
     """Grid scan along the figure slice n = r/3, m = sqrt(2) r/3 (or swapped)."""
     if not (0.0 < r < 1.0):
@@ -144,7 +142,7 @@ def emit_fig2_data(
     if swap:
         n, m = m, n
     config = ScanConfig(theta_range=theta_range, eta_range=eta_range, m=m, n=n)
-    return scan_grid(config, tol)
+    return scan_grid(config)
 
 
 def emit_fig1_data(
@@ -152,7 +150,6 @@ def emit_fig1_data(
     eta_range: tuple[float, float, int] = (0.0, 2.0, 101),
     m: float = math.sqrt(2.0) / 6.0,
     n: float = 1.0 / 6.0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> list[dict]:
     """Full four-invariant spectra of (Sigma, Omega) and (Sigma, Omega') per point.
 
@@ -163,10 +160,11 @@ def emit_fig1_data(
     """
     if not theta_values:
         raise DomainError("at least one theta value is required")
+    _check_range("eta", eta_range)
     etas = grid_axis(*eta_range)
     thetas = np.repeat(np.asarray(theta_values, dtype=float), len(etas))
     etas = np.tile(etas, len(theta_values))
-    spectrum, reflected = family_spectra(thetas, etas, m, n, tol)
+    spectrum, reflected = family_spectra(thetas, etas, m, n)
     empty = [None] * 8
     return [
         dict(zip(FIG1_FIELDS, [theta, eta, m, n] + (nus + nups if nus[0] == nus[0] else empty)))
@@ -217,14 +215,14 @@ def rows_to_json(rows: Iterable[Mapping], fields: tuple[str, ...]) -> str:
     return "[\n" + ",\n".join(objs) + "\n]\n" if objs else "[]\n"
 
 
-def records_self_consistent(records: list[ScanRecord], tol: Tolerances = DEFAULT_TOL) -> bool:
+def records_self_consistent(records: list[ScanRecord]) -> bool:
     """Recompute each verdict from the stored invariants (emitted-file sanity)."""
     for rec in records:
         if rec.nu_minus is None:
             if rec.verdict != VERDICT_LABEL[Verdict.INVALID_DOMAIN]:
                 return False
             continue
-        expected = VERDICT_LABEL[verdict_from_invariants(rec.nu_minus, rec.nu_minus_prime, tol)]
+        expected = VERDICT_LABEL[verdict_from_invariants(rec.nu_minus, rec.nu_minus_prime)]
         if rec.verdict != expected:
             return False
     return True

@@ -18,9 +18,9 @@ from enum import Enum
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
+    BOUNDARY,
+    MAP_RESIDUAL,
     SymplecticSpectrum,
-    Tolerances,
     _readonly,
     _root_spectrum,
     block_diag,
@@ -46,9 +46,7 @@ class PartialTransposeMap:
     mat: np.ndarray
 
 
-def partial_transpose_map(
-    dmap: DarbouxMap, n_a: int, n_b: int, tol: Tolerances = DEFAULT_TOL
-) -> PartialTransposeMap:
+def partial_transpose_map(dmap: DarbouxMap, n_a: int, n_b: int) -> PartialTransposeMap:
     """Build the partial-transpose involution from a block-diagonal map."""
     if n_a < 1 or n_b < 1:
         raise DimensionError(f"mode counts must be >= 1, got ({n_a}, {n_b})")
@@ -56,29 +54,27 @@ def partial_transpose_map(
         raise DimensionError(
             f"map blocks {dmap.s_a.shape[0]}/{dmap.s_b.shape[0]} do not match 2n_a={2 * n_a}, 2n_b={2 * n_b}"
         )
-    if numerically_singular(dmap.s_b, tol):
+    if numerically_singular(dmap.s_b):
         raise SingularMatrixError("S_B is numerically singular")
     lam_b = np.diag(np.concatenate([np.ones(n_b), -np.ones(n_b)]))
     d_b = dmap.s_b @ lam_b @ np.linalg.inv(dmap.s_b)
     mat = block_diag(np.eye(2 * n_a), d_b)
     residual = np.max(np.abs(mat @ mat - np.eye(mat.shape[0])))
-    if residual > tol.map_residual:
+    if residual > MAP_RESIDUAL:
         raise MatrixStructureError(f"partial transpose map is not involutive ({residual:.3e})")
     return PartialTransposeMap(n_a=n_a, n_b=n_b, mat=_readonly(mat))
 
 
-def partial_transpose_covariance(
-    sigma, pt: PartialTransposeMap, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def partial_transpose_covariance(sigma, pt: PartialTransposeMap) -> np.ndarray:
     """Reflected covariance Sigma' = D Sigma D^T."""
-    sig = validate_covariance(sigma, tol)
+    sig = validate_covariance(sigma)
     if sig.shape[0] != pt.mat.shape[0]:
         raise DimensionError(
             f"covariance is {sig.shape[0]}-dimensional but map is {pt.mat.shape[0]}-dimensional"
         )
     out = pt.mat @ sig @ pt.mat.T
     out = 0.5 * (out + out.T)
-    return validate_covariance(out, tol)
+    return validate_covariance(out)
 
 
 class Verdict(str, Enum):
@@ -96,44 +92,37 @@ class ClassificationResult:
     nu_minus: float | None
     nu_minus_prime: float | None
 
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "nu_minus": self.nu_minus,
-            "nu_minus_prime": self.nu_minus_prime,
-        }
 
-
-def verdict_from_invariants(nu: float, nu_prime: float, tol: Tolerances = DEFAULT_TOL) -> Verdict:
+def verdict_from_invariants(nu: float, nu_prime: float) -> Verdict:
     """Two-stage verdict: quantum iff nu_- >= 1, then separable iff nu'_- >= 1.
 
-    Ties within ``tol.boundary`` of 1 resolve toward >=.
+    Ties within BOUNDARY of 1 resolve toward >=.
     """
-    if nu < 1.0 - tol.boundary:
+    if nu < 1.0 - BOUNDARY:
         return Verdict.NON_QUANTUM
-    if nu_prime < 1.0 - tol.boundary:
+    if nu_prime < 1.0 - BOUNDARY:
         return Verdict.ENTANGLED_QUANTUM
     return Verdict.SEPARABLE_QUANTUM
 
 
 def partial_transpose_spectra(
-    sigma, omega: CompositeForm, tol: Tolerances = DEFAULT_TOL
+    sigma, omega: CompositeForm
 ) -> tuple[SymplecticSpectrum, SymplecticSpectrum]:
     """Williamson spectra of (Sigma, Omega) and (Sigma, Omega') from one sqrt(Sigma)."""
-    root, form = validated_root(sigma, omega.assembled, tol)
+    root, form = validated_root(sigma, omega.assembled)
     spectrum, reflected = _root_spectrum(root, np.stack([form, primed_form(omega)])).tolist()
     return SymplecticSpectrum(tuple(spectrum)), SymplecticSpectrum(tuple(reflected))
 
 
-def classify(sigma, omega: CompositeForm, tol: Tolerances = DEFAULT_TOL) -> ClassificationResult:
+def classify(sigma, omega: CompositeForm) -> ClassificationResult:
     """Classify a bipartite state by nu_- of (Sigma, Omega) and nu'_- of (Sigma, Omega').
 
     For Gaussian states both conditions are necessary and sufficient. Domain
     violations (theta*eta >= 1) never reach this function; they are reported
     as InvalidDomain by the scan layer.
     """
-    spectrum, reflected = partial_transpose_spectra(sigma, omega, tol)
+    spectrum, reflected = partial_transpose_spectra(sigma, omega)
     nu, nu_prime = spectrum.smallest, reflected.smallest
     return ClassificationResult(
-        verdict=verdict_from_invariants(nu, nu_prime, tol), nu_minus=nu, nu_minus_prime=nu_prime
+        verdict=verdict_from_invariants(nu, nu_prime), nu_minus=nu, nu_minus_prime=nu_prime
     )

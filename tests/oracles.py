@@ -4,7 +4,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ncgauss import DEFAULT_TOL, DimensionError, MatrixStructureError, NCGaussError
+from ncgauss import DimensionError, MatrixStructureError, NCGaussError
+
+# Entrywise bound on A - A^H for hermitian_min_eigenvalue.
+HERMITIAN_TOL = 1e-12
 
 
 def brute_force_spectrum(sigma, form):
@@ -51,14 +54,14 @@ def bisect_decreasing(func, lo, hi, width=1e-10):
     return 0.5 * (lo + hi), lo, hi
 
 
-def hermitian_min_eigenvalue(mat, tol=DEFAULT_TOL):
+def hermitian_min_eigenvalue(mat):
     """Smallest eigenvalue of a complex Hermitian matrix."""
     arr = np.asarray(mat, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NCGaussError("matrix contains non-finite entries")
-    if np.max(np.abs(arr - arr.conj().T)) > tol.symmetry:
+    if np.max(np.abs(arr - arr.conj().T)) > HERMITIAN_TOL:
         raise MatrixStructureError("matrix is not Hermitian within tolerance")
     return float(np.linalg.eigvalsh(arr)[0])
 

@@ -15,8 +15,6 @@ from ncgauss import (
     build_covariance,
     build_darboux_map,
     family_form,
-    matrix_from_json,
-    matrix_to_json,
     nc_williamson_spectrum,
     rsup_holds,
     standard_symplectic_form,
@@ -106,6 +104,22 @@ class TestValidation:
         on_hyperbola = np.block([[EPSILON2, np.eye(2)], [-np.eye(2), EPSILON2]])
         with pytest.raises(SingularMatrixError):
             validate_skew_form(scale * on_hyperbola)
+
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e5])
+    def test_covariance_tests_are_scale_invariant(self, scale):
+        # nu = 2 * scale; an absolute positivity bound rejects the scaled-down vacuum.
+        spectrum = nc_williamson_spectrum(scale * np.eye(2), standard_symplectic_form(1))
+        assert spectrum.smallest == pytest.approx(2.0 * scale, rel=1e-14)
+        # T M T^T is SPD with roundoff asymmetry: 5.8e-11 at scale 1e5, 5e-17 relative.
+        rng = np.random.default_rng(0)
+        tee = rng.standard_normal((4, 4))
+        validate_covariance((scale * tee) @ np.diag(rng.uniform(0.5, 2.0, 4)) @ tee.T)
+        with pytest.raises(MatrixStructureError):
+            validate_covariance(scale * np.array([[1.0, 1e-9], [0.0, 1.0]]))
+        # Positive-definite iff the smallest eigenvalue clears dim * eps of the largest.
+        validate_covariance(scale * np.diag([1.0, 1e-10]))
+        with pytest.raises(NotPositiveDefiniteError):
+            validate_covariance(scale * np.diag([1.0, 1e-17]))
 
     def test_skew_accepts_family_form_near_hyperbola(self):
         # det = (1 - theta*eta)^4 = 1e-24, yet cond_2 is only about 4e6.
@@ -272,26 +286,3 @@ class TestHermitianMinEigenvalue:
         assert value == pytest.approx(FROZEN_MIN_EIG, rel=1e-8)
         assert (value >= -1e-10) == (nc_williamson_spectrum(sigma, form).smallest >= 1.0 - 1e-12)
 
-
-class TestMatrixJson:
-    def test_known_encoding(self):
-        obj = matrix_to_json(standard_symplectic_form(1))
-        assert obj == {"dim": 2, "entries": [0.0, 1.0, -1.0, 0.0]}
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        data=st.lists(
-            st.floats(min_value=-1e12, max_value=1e12, allow_nan=False), min_size=4, max_size=4
-        )
-    )
-    def test_round_trip(self, data):
-        mat = np.asarray(data).reshape(2, 2)
-        np.testing.assert_array_equal(matrix_from_json(matrix_to_json(mat)), mat)
-
-    def test_rejects_wrong_entry_count(self):
-        with pytest.raises(DimensionError):
-            matrix_from_json({"dim": 2, "entries": [1.0, 2.0, 3.0]})
-
-    def test_rejects_malformed(self):
-        with pytest.raises(Exception):
-            matrix_from_json({"entries": [1.0]})

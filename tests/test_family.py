@@ -7,12 +7,10 @@ import pytest
 from scipy.stats import multivariate_normal, qmc
 
 from ncgauss import (
-    DEFAULT_TOL,
     DomainError,
     FamilyParams,
     FormulaDomainError,
     NCParams,
-    Tolerances,
     build_covariance,
     closed_form_invariants,
     evaluate_wigner,
@@ -45,10 +43,6 @@ class TestFamilyParams:
     def test_rejects_radius_at_one(self):
         with pytest.raises(DomainError):
             _params(0.0, 0.0, 0.8, 0.6)
-
-    def test_json_round_trip(self):
-        params = _params(0.25, 0.5, 0.1, -0.2)
-        assert FamilyParams.from_json(params.to_json()) == params
 
 
 class TestBuildCovariance:
@@ -181,18 +175,20 @@ class TestClosedFormInvariants:
                 assert (closed.nu_minus, closed.nu_minus_prime) == (want, want_prime)
 
     def test_checked_sqrt_clamps_roundoff(self):
-        assert _checked_sqrt(0.0, DEFAULT_TOL) == (0.0, False)
-        assert _checked_sqrt(-1e-13, DEFAULT_TOL) == (0.0, False)
-        assert _checked_sqrt(4.0, DEFAULT_TOL) == (2.0, False)
+        assert _checked_sqrt(0.0) == (0.0, False)
+        assert _checked_sqrt(-1e-13) == (0.0, False)
+        assert _checked_sqrt(4.0) == (2.0, False)
 
-    def test_checked_sqrt_rejects_genuinely_negative(self):
+    def test_checked_sqrt_rejects_genuinely_negative(self, monkeypatch):
         # The flag sends a grid point to the spectral route; closed_form_invariants raises.
-        assert _checked_sqrt(-1e-9, DEFAULT_TOL)[1]
-        values, flags = _checked_sqrt(np.array([4.0, -1e-13, -1e-9]), DEFAULT_TOL)
+        assert _checked_sqrt(-1e-9)[1]
+        values, flags = _checked_sqrt(np.array([4.0, -1e-13, -1e-9]))
         np.testing.assert_array_equal(values, [2.0, 0.0, 0.0])
         np.testing.assert_array_equal(flags, [False, False, True])
+        # A clamp window of -inf fails every radicand test.
+        monkeypatch.setattr("ncgauss.family.RADICAND", -math.inf)
         with pytest.raises(FormulaDomainError, match=r"at \(theta, eta, m, n\) = \(0\.25, 0\.5,"):
-            closed_form_invariants(_params(0.25, 0.5, FIG_M, FIG_N), Tolerances(radicand=-math.inf))
+            closed_form_invariants(_params(0.25, 0.5, FIG_M, FIG_N))
 
 
 class TestEvaluateWigner:

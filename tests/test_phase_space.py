@@ -40,10 +40,6 @@ class TestNCParams:
         with pytest.raises(DomainError):
             NCParams(0.5, 2.0)
 
-    def test_json_round_trip(self):
-        params = NCParams(0.25, 0.5)
-        assert NCParams.from_json(params.to_json()) == params
-
     @settings(max_examples=60, deadline=None)
     @given(
         theta=st.floats(min_value=0.0, max_value=3.0),
@@ -145,13 +141,6 @@ class TestDarbouxMap:
     def test_from_blocks_rejects_singular(self):
         with pytest.raises(SingularMatrixError):
             DarbouxMap.from_blocks(np.zeros((4, 4)), np.eye(4))
-
-    def test_json_round_trip(self):
-        dmap = build_darboux_map(NCParams(0.25, 0.5), lambda_scale=1.5)
-        restored = DarbouxMap.from_json(dmap.to_json())
-        np.testing.assert_allclose(restored.assembled, dmap.assembled, rtol=0, atol=0)
-        assert restored.lambda_scale == dmap.lambda_scale
-        assert restored.mu_scale == dmap.mu_scale
 
 
 class TestValidateDarboux:

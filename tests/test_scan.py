@@ -15,7 +15,6 @@ from ncgauss import (
     NCParams,
     ScanConfig,
     SingularMatrixError,
-    Tolerances,
     build_covariance,
     closed_form_invariants,
     emit_fig1_data,
@@ -207,19 +206,20 @@ class TestScanGrid:
         assert sum(rec.nu_minus is not None for rec in records) > 512  # more than one block
         assert records == [eval_point(rec.theta, rec.eta, rec.m, rec.n) for rec in records]
 
-    def test_closed_form_domain_failures_take_the_spectral_route(self):
-        # A radicand window of -inf fails every closed-form radicand test.
-        tol = Tolerances(radicand=-math.inf)
-        with pytest.raises(FormulaDomainError):
-            closed_form_invariants(FamilyParams(m=0.3, n=0.2, nc=NCParams(0.25, 0.5)), tol)
+    def test_closed_form_domain_failures_take_the_spectral_route(self, monkeypatch):
         config = ScanConfig((0.0, 1.5, 7), (0.0, 1.5, 7), m=0.3, n=0.2)
-        records = scan_grid(config, tol)
+        closed = scan_grid(config)
+        # A radicand window of -inf fails every closed-form radicand test.
+        monkeypatch.setattr("ncgauss.family.RADICAND", -math.inf)
+        with pytest.raises(FormulaDomainError):
+            closed_form_invariants(FamilyParams(m=0.3, n=0.2, nc=NCParams(0.25, 0.5)))
+        records = scan_grid(config)
         for rec in records:
             if rec.nu_minus is None:
                 continue
-            numeric = numeric_invariants(rec.theta, rec.eta, rec.m, rec.n, tol)
+            numeric = numeric_invariants(rec.theta, rec.eta, rec.m, rec.n)
             assert (rec.nu_minus, rec.nu_minus_prime) == (numeric.nu_minus, numeric.nu_minus_prime)
-        assert records != scan_grid(config)  # the default tolerances keep the closed forms
+        assert records != closed  # the default window keeps the closed forms
 
     def test_failing_point_is_named(self):
         theta_range, eta_range, m, n = SINGULAR_MID_GRID
@@ -337,6 +337,12 @@ class TestFig1:
         assert text.strip().split("\n")[1].endswith(",,,,,,,")
         objs = json.loads(rows_to_json(rows, FIG1_FIELDS))
         assert "nu_1" not in objs[0]
+
+    @pytest.mark.parametrize("eta_range", [(2.0, 0.0, 3), (0.0, 2.0, 0)])
+    def test_rejects_what_scan_config_rejects(self, eta_range):
+        # Unchecked, a descending range emits rows in reverse order and zero steps no rows.
+        with pytest.raises(DomainError):
+            emit_fig1_data(eta_range=eta_range)
 
 
 class TestFig2:

@@ -229,9 +229,3 @@ class TestClassify:
             )
             result = classify(state.sigma, form)
             assert result.verdict is Verdict.SEPARABLE_QUANTUM
-
-    def test_json_shape(self):
-        state, form, _ = _family(0.0, 0.0, m=0.3, n=0.4)
-        obj = classify(state.sigma, form).to_json()
-        assert obj["verdict"] == "SeparableQuantum"
-        assert set(obj) == {"verdict", "nu_minus", "nu_minus_prime"}
