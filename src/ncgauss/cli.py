@@ -1,7 +1,8 @@
 """Command-line front end: single-point evaluation and parameter-plane scans.
 
-Exit codes: 0 on success, 2 on usage errors (bad arguments, R >= 1,
-unwritable output), 3 on numerical-domain errors raised during evaluation.
+Exit codes: 0 on success, 2 on usage errors (bad arguments, a grid range
+with MIN > MAX, a non-finite bound or STEPS < 1, R >= 1, unwritable output),
+3 on numerical-domain errors raised during evaluation.
 """
 
 from __future__ import annotations
@@ -30,16 +31,14 @@ NUMERIC_EXIT = 3
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
+    """Split MIN:MAX:STEPS into numbers; scan._check_range checks the values."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected MIN:MAX:STEPS, got {text!r}")
     try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        return float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad range {text!r}: {exc}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi or steps < 1:
-        raise argparse.ArgumentTypeError(f"range {text!r} must satisfy MIN <= MAX and STEPS >= 1")
-    return lo, hi, steps
 
 
 def _parse_float(text: str) -> float:

@@ -5,7 +5,9 @@ parameterized by reals (m, n), R = sqrt(m^2 + n^2) < 1 and b = (1+R)/(1-R).
 Both parties share the same planar commutation form. Closed-form expressions
 give the smallest Williamson invariants before and after partial transposition;
 they are exact on the m, n >= 0 quadrant and are cross-checked against the
-spectral route in the test suite.
+spectral route in the test suite. The couplings alone pick the route: closed
+forms on the quadrant, the spectral route off it. A point where a closed form
+leaves its domain raises and names itself.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .core import (
     covariance_root,
     validate_covariance,
 )
-from .errors import DimensionError, DomainError, FormulaDomainError, NCGaussError
+from .errors import DimensionError, DomainError, FormulaDomainError, NCGaussError, NotPositiveDefiniteError
 from .phase_space import (
     EPSILON2,
     CompositeForm,
@@ -33,7 +35,7 @@ from .phase_space import (
 )
 
 # Radicands in [-RADICAND, 0) are roundoff and clamp to 0; below that the closed form
-# has left its domain, and a grid point takes the spectral route instead.
+# has left its domain, and the point raises FormulaDomainError.
 RADICAND = 1e-12
 
 
@@ -112,13 +114,6 @@ def family_form(nc: NCParams) -> CompositeForm:
     """Bipartite commutation form of the family: the same planar form for both parties."""
     part = build_planar_form(nc)
     return build_composite_form(part, part)
-
-
-def omega_pm(params: FamilyParams) -> tuple[float, float]:
-    """The (omega_plus, omega_minus) combinations entering the closed forms."""
-    theta, eta = np.float64(params.nc.theta), np.float64(params.nc.eta)
-    plus, minus = _closed_forms(theta, eta, params.m, params.n, params.r)[:2]
-    return float(plus), float(minus)
 
 
 @dataclass(frozen=True)
@@ -206,6 +201,15 @@ def _closed_forms(theta, eta, m: float, n: float, r: float):
                 flag | flag_prime | flag_nu | flag_nu_prime)
 
 
+def _checked_closed_forms(theta, eta, m: float, n: float, r: float, where):
+    """:func:`_closed_forms` less the flag; raises for the first point flagged or not positive."""
+    plus, minus, nu, nu_prime, off = _closed_forms(theta, eta, m, n, r)
+    _raise_first(off, FormulaDomainError, "closed form leaves its domain", where)
+    _raise_first(~((nu > 0.0) & (nu_prime > 0.0)), NCGaussError,
+                 "closed-form invariants must be positive", where)
+    return plus, minus, nu, nu_prime
+
+
 def closed_form_invariants(params: FamilyParams) -> ClosedFormInvariants:
     """Evaluate the closed forms for nu_- and nu'_- at one point (see :func:`_closed_forms`).
 
@@ -214,11 +218,8 @@ def closed_form_invariants(params: FamilyParams) -> ClosedFormInvariants:
         NCGaussError: an invariant is not positive.
     """
     theta, eta = np.float64(params.nc.theta), np.float64(params.nc.eta)
-    plus, minus, nu, nu_prime, off = _closed_forms(theta, eta, params.m, params.n, params.r)
     where = _point_names([theta], [eta], params.m, params.n)
-    _raise_first(off, FormulaDomainError, "closed form leaves its domain", where)
-    _raise_first(~((nu > 0.0) & (nu_prime > 0.0)), NCGaussError,
-                 "closed-form invariants must be positive", where)
+    plus, minus, nu, nu_prime = _checked_closed_forms(theta, eta, params.m, params.n, params.r, where)
     return ClosedFormInvariants(
         omega_plus=float(plus), omega_minus=float(minus), nu_minus=float(nu), nu_minus_prime=float(nu_prime)
     )
@@ -273,7 +274,10 @@ def _spectra(thetas: np.ndarray, etas: np.ndarray, r: float, m: float, n: float
     """:func:`family_spectra` on points that :func:`_checked_points` has checked."""
     out = np.full((len(thetas), 2, 4), np.nan)
     todo = np.flatnonzero(thetas * etas < 1.0)
-    root = covariance_root(_covariance_matrix(m, n, _scale(r)))
+    try:
+        root = covariance_root(_covariance_matrix(m, n, _scale(r)))
+    except NotPositiveDefiniteError as exc:  # Sigma depends on the couplings only
+        raise NotPositiveDefiniteError(f"{exc} at (m, n) = ({float(m)!r}, {float(n)!r})") from None
     for start in range(0, todo.size, _BLOCK):
         block = todo[start : start + _BLOCK]
         where = _point_names(thetas[block], etas[block], m, n)
@@ -292,27 +296,25 @@ def _spectra(thetas: np.ndarray, etas: np.ndarray, r: float, m: float, n: float
 def family_invariants(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:
     """Smallest invariants nu_- and nu'_- at the points (thetas[k], etas[k]).
 
-    Returns two float arrays, NaN where theta*eta >= 1. On the m, n >= 0
-    quadrant the closed forms give the values; points where they leave their
-    domain, and every point off the quadrant, go through :func:`family_spectra`.
-    A failing check raises for the first failing point, naming its (theta, eta, m, n).
+    Returns two float arrays, NaN where theta*eta >= 1. The couplings pick the
+    route for every point: the closed forms on the m, n >= 0 quadrant, where
+    they are exact, and :func:`family_spectra` off it. A failing check raises
+    for the first failing point, naming its (theta, eta, m, n); on the quadrant
+    that includes a point where a closed form leaves its domain
+    (:class:`FormulaDomainError`).
     """
     thetas, etas, r = _checked_points(thetas, etas, m, n)
     nu = np.full(len(thetas), np.nan)
     nu_prime = nu.copy()
     todo = np.flatnonzero(thetas * etas < 1.0)
-    # The closed forms are only exact on the m, n >= 0 quadrant.
-    if m >= 0.0 and n >= 0.0 and todo.size:
+    if not todo.size:
+        return nu, nu_prime
+    if m >= 0.0 and n >= 0.0:
+        ts, es = thetas[todo], etas[todo]
         # One point runs on numpy scalars: the same arithmetic at a fifth of the cost.
-        points = (thetas[todo], etas[todo]) if todo.size > 1 else (thetas[todo[0]], etas[todo[0]])
-        _, _, closed, closed_prime, off = _closed_forms(*points, m, n, r)
-        off = np.atleast_1d(off)
-        where = _point_names(thetas, etas, m, n)
-        _raise_first(~off & ~((closed > 0.0) & (closed_prime > 0.0)), NCGaussError,
-                     "closed-form invariants must be positive", lambda k: where(todo[k]))
-        nu[todo], nu_prime[todo] = closed, closed_prime
-        todo = todo[off]
-    if todo.size:
+        points = (ts, es) if todo.size > 1 else (ts[0], es[0])
+        nu[todo], nu_prime[todo] = _checked_closed_forms(*points, m, n, r, _point_names(ts, es, m, n))[2:]
+    else:
         spectrum, reflected = _spectra(thetas[todo], etas[todo], r, m, n)
         nu[todo], nu_prime[todo] = spectrum[:, 0], reflected[:, 0]
     return nu, nu_prime

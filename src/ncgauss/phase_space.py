@@ -126,9 +126,9 @@ class DarbouxMap:
     """Block-diagonal linear map S = Diag[S_A, S_B] between variable sets.
 
     ``lambda_scale`` and ``mu_scale`` are populated only for maps built from
-    planar parameters; user-supplied maps carry None. Whether a map actually
-    satisfies S J S^T = Omega for a given target form is checked by
-    :func:`validate_darboux`, not by construction.
+    planar parameters; user-supplied maps carry None. Construction does not
+    check S J S^T = Omega for any target form; :func:`build_darboux_map` checks
+    the maps it builds.
     """
 
     s_a: np.ndarray
@@ -147,9 +147,6 @@ class DarbouxMap:
             if numerically_singular(blk):
                 raise SingularMatrixError(f"{name} is numerically singular")
         return cls(s_a=_readonly(a), s_b=_readonly(b), assembled=_readonly(block_diag(a, b)))
-
-    def inverse(self) -> "DarbouxMap":
-        return DarbouxMap.from_blocks(np.linalg.inv(self.s_a), np.linalg.inv(self.s_b))
 
 
 def _planar_darboux_block(params: NCParams, lam: float, mu: float) -> np.ndarray:
@@ -193,24 +190,6 @@ def build_darboux_map(params: NCParams, lambda_scale: float = 1.0) -> DarbouxMap
         lambda_scale=lambda_scale,
         mu_scale=mu,
     )
-
-
-def validate_darboux(dmap: DarbouxMap, target: CompositeForm) -> bool:
-    """True iff the (block-diagonal) map is invertible and S J S^T matches the target."""
-    dim = dmap.assembled.shape[0]
-    if dim != target.assembled.shape[0]:
-        raise DimensionError(
-            f"map is {dim}-dimensional but target form is {target.assembled.shape[0]}-dimensional"
-        )
-    if dmap.s_a.shape[0] != 2 * target.n_a:
-        raise DimensionError(
-            f"map block S_A is {dmap.s_a.shape[0]}-dimensional, target part A needs {2 * target.n_a}"
-        )
-    if numerically_singular(dmap.assembled):
-        return False
-    jay = block_diag(standard_symplectic_form(target.n_a), standard_symplectic_form(target.n_b))
-    residual = np.max(np.abs(dmap.assembled @ jay @ dmap.assembled.T - target.assembled))
-    return bool(residual <= MAP_RESIDUAL)
 
 
 def transform_covariance(dmap: DarbouxMap, sigma_tilde) -> np.ndarray:

@@ -2,12 +2,13 @@
 
 A grid is evaluated in one batched call, ``family.family_invariants`` (or
 ``family.family_spectra`` for the figure-1 spectra): closed-form invariants on
-the m, n >= 0 quadrant, and the spectral route, one stacked solve and eigvalsh
-per block of points, off it or where a closed form leaves its domain.
+the m, n >= 0 quadrant, and off it the spectral route, one stacked solve and
+eigvalsh per block of points. The couplings alone pick the route.
 :func:`eval_point` and :func:`numeric_invariants` are the one-point case of the
-same calls. Records are emitted in row-major order, theta outer and eta inner.
-Output is deterministic: floats are rounded to 12 significant digits before
-formatting, so identical configurations produce byte-identical files.
+same calls. Every grid range, the CLI's included, is checked by one function,
+:func:`_check_range`. Records are emitted in row-major order, theta outer and
+eta inner. Output is deterministic: floats are rounded to 12 significant digits
+before formatting, so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def _check_range(name: str, rng: tuple[float, float, int]) -> None:
     """Require a grid range (min, max, steps) with finite min <= max and steps >= 1."""
     lo, hi, steps = rng
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-        raise DomainError(f"{name} range must satisfy min <= max, got {rng}")
+        raise DomainError(f"{name} range must satisfy finite min <= max, got {rng}")
     if int(steps) < 1:
         raise DomainError(f"{name} range needs >= 1 steps, got {steps}")
 
@@ -87,7 +88,7 @@ class ScanRecord:
 
 
 def numeric_invariants(theta: float, eta: float, m: float, n: float) -> ClassificationResult:
-    """Spectral-route classification of a family point (cross-check and fallback)."""
+    """Spectral-route classification of a family point (the cross-check of ``eval --verbose``)."""
     NCParams(theta=theta, eta=eta)  # theta*eta >= 1 is an error here, not an invalid record
     spectrum, reflected = family_spectra([theta], [eta], m, n)
     nu, nu_prime = float(spectrum[0, 0]), float(reflected[0, 0])
@@ -214,15 +215,3 @@ def rows_to_json(rows: Iterable[Mapping], fields: tuple[str, ...]) -> str:
         objs.append("  {\n" + ",\n".join(items) + "\n  }" if items else "  {}")
     return "[\n" + ",\n".join(objs) + "\n]\n" if objs else "[]\n"
 
-
-def records_self_consistent(records: list[ScanRecord]) -> bool:
-    """Recompute each verdict from the stored invariants (emitted-file sanity)."""
-    for rec in records:
-        if rec.nu_minus is None:
-            if rec.verdict != VERDICT_LABEL[Verdict.INVALID_DOMAIN]:
-                return False
-            continue
-        expected = VERDICT_LABEL[verdict_from_invariants(rec.nu_minus, rec.nu_minus_prime)]
-        if rec.verdict != expected:
-            return False
-    return True

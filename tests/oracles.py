@@ -1,10 +1,25 @@
-"""Brute-force oracles and test-only helpers, kept independent of the library's numerical routes."""
+"""Brute-force oracles and test-only helpers, kept independent of the library's numerical routes.
+
+The reflected-covariance route of partial transposition (``D = S Lambda S^-1``
+and ``D Sigma D^T``) and the Darboux-map checks live here as test references:
+the library reads separability from ``(Sigma, Omega')`` and needs no map.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ncgauss import DimensionError, MatrixStructureError, NCGaussError
+from ncgauss import DimensionError, MatrixStructureError, NCGaussError, SingularMatrixError
+from ncgauss.core import (
+    MAP_RESIDUAL,
+    block_diag,
+    numerically_singular,
+    standard_symplectic_form,
+    validate_covariance,
+)
+from ncgauss.phase_space import DarbouxMap
+from ncgauss.scan import VERDICT_LABEL
+from ncgauss.separability import Verdict, verdict_from_invariants
 
 # Entrywise bound on A - A^H for hermitian_min_eigenvalue.
 HERMITIAN_TOL = 1e-12
@@ -81,3 +96,79 @@ def mirror_reflection(n_a, n_b):
         raise DimensionError(f"mode counts must be >= 1, got ({n_a}, {n_b})")
     diag = np.concatenate([np.ones(2 * n_a + n_b), -np.ones(n_b)])
     return MirrorReflection(n_a=n_a, n_b=n_b, mat=np.diag(diag))
+
+
+def darboux_inverse(dmap):
+    """The map Diag[S_A^-1, S_B^-1]."""
+    return DarbouxMap.from_blocks(np.linalg.inv(dmap.s_a), np.linalg.inv(dmap.s_b))
+
+
+def validate_darboux(dmap, target):
+    """True iff the (block-diagonal) map is invertible and S J S^T matches the target form."""
+    dim = dmap.assembled.shape[0]
+    if dim != target.assembled.shape[0]:
+        raise DimensionError(
+            f"map is {dim}-dimensional but target form is {target.assembled.shape[0]}-dimensional"
+        )
+    if dmap.s_a.shape[0] != 2 * target.n_a:
+        raise DimensionError(
+            f"map block S_A is {dmap.s_a.shape[0]}-dimensional, target part A needs {2 * target.n_a}"
+        )
+    if numerically_singular(dmap.assembled):
+        return False
+    jay = block_diag(standard_symplectic_form(target.n_a), standard_symplectic_form(target.n_b))
+    residual = np.max(np.abs(dmap.assembled @ jay @ dmap.assembled.T - target.assembled))
+    return bool(residual <= MAP_RESIDUAL)
+
+
+@dataclass(frozen=True)
+class PartialTransposeMap:
+    """Involution D = Diag[I_A, S_B Lambda_B S_B^-1] acting on covariances."""
+
+    n_a: int
+    n_b: int
+    mat: np.ndarray
+
+
+def partial_transpose_map(dmap, n_a, n_b):
+    """Build the partial-transpose involution from a block-diagonal map."""
+    if n_a < 1 or n_b < 1:
+        raise DimensionError(f"mode counts must be >= 1, got ({n_a}, {n_b})")
+    if dmap.s_a.shape[0] != 2 * n_a or dmap.s_b.shape[0] != 2 * n_b:
+        raise DimensionError(
+            f"map blocks {dmap.s_a.shape[0]}/{dmap.s_b.shape[0]} do not match 2n_a={2 * n_a}, 2n_b={2 * n_b}"
+        )
+    if numerically_singular(dmap.s_b):
+        raise SingularMatrixError("S_B is numerically singular")
+    lam_b = np.diag(np.concatenate([np.ones(n_b), -np.ones(n_b)]))
+    d_b = dmap.s_b @ lam_b @ np.linalg.inv(dmap.s_b)
+    mat = block_diag(np.eye(2 * n_a), d_b)
+    residual = np.max(np.abs(mat @ mat - np.eye(mat.shape[0])))
+    if residual > MAP_RESIDUAL:
+        raise MatrixStructureError(f"partial transpose map is not involutive ({residual:.3e})")
+    return PartialTransposeMap(n_a=n_a, n_b=n_b, mat=mat)
+
+
+def partial_transpose_covariance(sigma, pt):
+    """Reflected covariance Sigma' = D Sigma D^T."""
+    sig = validate_covariance(sigma)
+    if sig.shape[0] != pt.mat.shape[0]:
+        raise DimensionError(
+            f"covariance is {sig.shape[0]}-dimensional but map is {pt.mat.shape[0]}-dimensional"
+        )
+    out = pt.mat @ sig @ pt.mat.T
+    out = 0.5 * (out + out.T)
+    return validate_covariance(out)
+
+
+def records_self_consistent(records):
+    """Recompute each verdict from the stored invariants (emitted-file sanity)."""
+    for rec in records:
+        if rec.nu_minus is None:
+            if rec.verdict != VERDICT_LABEL[Verdict.INVALID_DOMAIN]:
+                return False
+            continue
+        expected = VERDICT_LABEL[verdict_from_invariants(rec.nu_minus, rec.nu_minus_prime)]
+        if rec.verdict != expected:
+            return False
+    return True

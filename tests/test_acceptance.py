@@ -12,24 +12,27 @@ import numpy as np
 from ncgauss import (
     FormulaDomainError,
     NCParams,
-    Verdict,
-    block_diag,
     build_covariance,
     build_darboux_map,
     classify,
     closed_form_invariants,
     emit_fig2_data,
     family_form,
-    FamilyParams,
     nc_williamson_spectrum,
-    partial_transpose_map,
-    primed_form,
     rsup_holds,
-    standard_symplectic_form,
     transform_covariance,
 )
 from ncgauss.cli import main
-from oracles import bisect_decreasing, hermitian_min_eigenvalue, random_skew_nonsingular, random_spd
+from ncgauss.core import block_diag, standard_symplectic_form
+from ncgauss.family import FamilyParams
+from ncgauss.separability import Verdict, primed_form
+from oracles import (
+    bisect_decreasing,
+    hermitian_min_eigenvalue,
+    partial_transpose_map,
+    random_skew_nonsingular,
+    random_spd,
+)
 
 FIG_M, FIG_N = math.sqrt(2.0) / 6.0, 1.0 / 6.0
 J_COMPOSITE = block_diag(standard_symplectic_form(2), standard_symplectic_form(2))

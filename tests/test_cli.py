@@ -138,6 +138,43 @@ class TestErrorMessages:
         err = capsys.readouterr().err
         assert "numerically singular at (theta, eta, m, n) = (100.0, 0.00999999999999996, -0.1, 0.1)" in err
 
+    @pytest.mark.parametrize(
+        "argv,couplings",
+        [
+            (["eval", "--theta", "0.5", "--eta", "0.5", "--m", "-0.999999999999999", "--n", "0"],
+             "(-0.999999999999999, 0.0)"),
+            (["fig1", "--thetas", "0.5", "--eta-range", "0:1:3", "--m", "0.999999999999999", "--n", "0"],
+             "(0.999999999999999, 0.0)"),
+        ],
+    )
+    def test_covariance_failure_names_couplings(self, capsys, argv, couplings):
+        # R = 1 - 1e-15: Sigma's eigenvalues span 1 to 2e15, which fails the positivity test.
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "covariance matrix is not positive-definite" in err
+        assert err.rstrip().endswith(f"at (m, n) = {couplings}")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["scan", "--m", "0.2", "--n", "0.1", "--eta-range", "2:0:3"],
+             "eta range must satisfy finite min <= max, got (2.0, 0.0, 3)"),
+            (["fig1", "--eta-range", "0:2:0"], "eta range needs >= 1 steps, got 0"),
+            (["fig2", "--r", "0.5", "--theta-range", "0:inf:3"],
+             "theta range must satisfy finite min <= max, got (0.0, inf, 3)"),
+        ],
+    )
+    def test_bad_range_values_are_usage_errors(self, capsys, argv, message):
+        # The one range check, scan._check_range, rejects the values after parsing.
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"ncgauss: {message}\n"
+
+    def test_malformed_range_exits_2_through_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--m", "0.2", "--n", "0.1", "--eta-range", "0:1"])
+        assert exc.value.code == 2
+        assert "expected MIN:MAX:STEPS, got '0:1'" in capsys.readouterr().err
+
     def test_negative_deformation_names_point(self, capsys):
         assert main(["fig1", "--thetas", "0.1,-0.3", "--eta-range", "0:1:3"]) == 2
         assert "at (theta, eta, m, n) = (-0.3, 0.0," in capsys.readouterr().err

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncgauss import (
-    EPSILON2,
     DimensionError,
     MatrixStructureError,
     NCParams,
@@ -17,11 +16,16 @@ from ncgauss import (
     family_form,
     nc_williamson_spectrum,
     rsup_holds,
+)
+from ncgauss.core import (
+    _root_spectrum,
+    covariance_root,
+    numerically_singular,
     standard_symplectic_form,
     validate_covariance,
     validate_skew_form,
 )
-from ncgauss.core import _root_spectrum, covariance_root, numerically_singular
+from ncgauss.phase_space import EPSILON2
 from oracles import (
     brute_force_spectrum,
     hermitian_min_eigenvalue,

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal, qmc
 
 from ncgauss import (
     DomainError,
-    FamilyParams,
     FormulaDomainError,
     NCParams,
     build_covariance,
@@ -16,10 +17,9 @@ from ncgauss import (
     evaluate_wigner,
     family_form,
     nc_williamson_spectrum,
-    omega_pm,
-    primed_form,
 )
-from ncgauss.family import _checked_sqrt, family_invariants
+from ncgauss.family import FamilyParams, _checked_sqrt, _closed_forms, family_invariants
+from ncgauss.separability import primed_form
 
 FIG_M, FIG_N = np.sqrt(2.0) / 6.0, 1.0 / 6.0
 
@@ -82,17 +82,20 @@ class TestBuildCovariance:
 class TestOmegaPm:
     def test_zero_deformation(self):
         params = _params(0.0, 0.0, 0.3, 0.4)
-        plus, minus = omega_pm(params)
+        result = closed_form_invariants(params)
+        plus, minus = result.omega_plus, result.omega_minus
         assert plus == pytest.approx(2.0 * (1.0 + 0.25), rel=1e-12)
         assert minus == pytest.approx(2.0 * (1.0 - 0.25), rel=1e-12)
 
     def test_zero_coupling(self):
         params = _params(0.25, 0.5, 0.0, 0.0)
-        plus, minus = omega_pm(params)
+        result = closed_form_invariants(params)
+        plus, minus = result.omega_plus, result.omega_minus
         assert plus == minus == pytest.approx(2.0 + 0.25 + 0.0625, rel=1e-12)
 
     def test_figure_point_arithmetic(self):
-        plus, minus = omega_pm(_params(0.25, 0.5, FIG_M, FIG_N))
+        result = closed_form_invariants(_params(0.25, 0.5, FIG_M, FIG_N))
+        plus, minus = result.omega_plus, result.omega_minus
         assert plus == pytest.approx(3.1914817811865475, rel=1e-12)
         assert minus == pytest.approx(2.203125, rel=1e-12)
 
@@ -157,6 +160,29 @@ class TestClosedFormInvariants:
             )
             checked += 1
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        log_theta=st.floats(min_value=-8.0, max_value=math.log10(50.0)),
+        log_gap=st.floats(min_value=-16.0, max_value=0.0),
+        log_slack=st.floats(min_value=-15.0, max_value=0.0),
+        angle=st.floats(min_value=0.0, max_value=math.pi / 2.0),
+    )
+    def test_closed_forms_never_flag_an_admissible_quadrant_point(
+        self, log_theta, log_gap, log_slack, angle
+    ):
+        # The quadrant has no spectral fallback: a flagged point raises. 1 - theta*eta
+        # and 1 - R are log-uniform down to 1e-16 and 1e-15, so half the draws lie
+        # within 1e-8 of the hyperbola or of R = 1.
+        theta = 10.0**log_theta
+        eta = (1.0 - 10.0**log_gap) / theta
+        radius = 1.0 - 10.0**log_slack
+        m, n = radius * math.cos(angle), radius * math.sin(angle)
+        r = math.hypot(m, n)
+        assume(theta * eta < 1.0 and r < 1.0)
+        *_, nu, nu_prime, off = _closed_forms(np.float64(theta), np.float64(eta), m, n, r)
+        assert not off
+        assert nu > 0.0 and nu_prime > 0.0
+
     def test_arrays_match_single_points_bit_for_bit(self):
         # Grids run the closed forms on arrays and single points on numpy scalars.
         # Odd 27-bit mantissas have squares that are exact rounding ties, where
@@ -180,7 +206,7 @@ class TestClosedFormInvariants:
         assert _checked_sqrt(4.0) == (2.0, False)
 
     def test_checked_sqrt_rejects_genuinely_negative(self, monkeypatch):
-        # The flag sends a grid point to the spectral route; closed_form_invariants raises.
+        # A flagged point raises, alone or in a grid.
         assert _checked_sqrt(-1e-9)[1]
         values, flags = _checked_sqrt(np.array([4.0, -1e-13, -1e-9]))
         np.testing.assert_array_equal(values, [2.0, 0.0, 0.0])

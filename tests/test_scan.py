@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ncgauss import (
     DomainError,
-    FamilyParams,
     FormulaDomainError,
     NCParams,
     ScanConfig,
@@ -22,14 +21,13 @@ from ncgauss import (
     eval_point,
     family_form,
     numeric_invariants,
-    primed_form,
-    rows_to_csv,
-    rows_to_json,
     scan_grid,
 )
-from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS, grid_axis, records_self_consistent
-from ncgauss.separability import partial_transpose_spectra
-from oracles import bisect_decreasing, brute_force_spectrum
+from ncgauss.cli import main
+from ncgauss.family import FamilyParams, family_invariants
+from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS, grid_axis, rows_to_csv, rows_to_json
+from ncgauss.separability import partial_transpose_spectra, primed_form
+from oracles import bisect_decreasing, brute_force_spectrum, records_self_consistent
 
 FIG_M, FIG_N = math.sqrt(2.0) / 6.0, 1.0 / 6.0
 EPS = float(np.finfo(float).eps)
@@ -206,20 +204,24 @@ class TestScanGrid:
         assert sum(rec.nu_minus is not None for rec in records) > 512  # more than one block
         assert records == [eval_point(rec.theta, rec.eta, rec.m, rec.n) for rec in records]
 
-    def test_closed_form_domain_failures_take_the_spectral_route(self, monkeypatch):
-        config = ScanConfig((0.0, 1.5, 7), (0.0, 1.5, 7), m=0.3, n=0.2)
-        closed = scan_grid(config)
-        # A radicand window of -inf fails every closed-form radicand test.
+    def test_closed_form_domain_failures_raise_and_name_the_point(self, monkeypatch, capsys):
+        # A radicand window of -inf fails every closed-form radicand test. A flagged
+        # quadrant point raises and names itself; it never takes the spectral route.
         monkeypatch.setattr("ncgauss.family.RADICAND", -math.inf)
-        with pytest.raises(FormulaDomainError):
-            closed_form_invariants(FamilyParams(m=0.3, n=0.2, nc=NCParams(0.25, 0.5)))
-        records = scan_grid(config)
-        for rec in records:
-            if rec.nu_minus is None:
-                continue
-            numeric = numeric_invariants(rec.theta, rec.eta, rec.m, rec.n)
-            assert (rec.nu_minus, rec.nu_minus_prime) == (numeric.nu_minus, numeric.nu_minus_prime)
-        assert records != closed  # the default window keeps the closed forms
+        first = r"closed form leaves its domain at \(theta, eta, m, n\) = \(0\.25, 0\.5, 0\.3, 0\.2\)"
+        with pytest.raises(FormulaDomainError, match=first):
+            scan_grid(ScanConfig((0.25, 1.5, 6), (0.5, 1.5, 3), m=0.3, n=0.2))
+        with pytest.raises(FormulaDomainError, match=first):
+            eval_point(0.25, 0.5, 0.3, 0.2)
+        # The name skips points beyond the hyperbola, which are never evaluated.
+        with pytest.raises(FormulaDomainError, match=first):
+            family_invariants([2.0, 0.25], [2.0, 0.5], 0.3, 0.2)
+        # Off the quadrant the closed forms are not used, so nothing is flagged.
+        assert eval_point(0.25, 0.5, -0.3, 0.2).nu_minus is not None
+        argv = ["scan", "--theta-range", "0.25:1.5:6", "--eta-range", "0.5:1.5:3", "--m", "0.3", "--n", "0.2"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "closed form leaves its domain at (theta, eta, m, n) = (0.25, 0.5, 0.3, 0.2)" in err
 
     def test_failing_point_is_named(self):
         theta_range, eta_range, m, n = SINGULAR_MID_GRID

@@ -4,26 +4,20 @@ import numpy as np
 import pytest
 
 from ncgauss import (
-    DarbouxMap,
     DimensionError,
     NCParams,
     SingularMatrixError,
-    Verdict,
-    block_diag,
-    build_composite_form,
     build_covariance,
     build_darboux_map,
-    build_planar_form,
     classify,
     closed_form_invariants,
     family_form,
     nc_williamson_spectrum,
-    partial_transpose_covariance,
-    partial_transpose_map,
-    primed_form,
-    standard_symplectic_form,
 )
-from oracles import mirror_reflection, random_spd
+from ncgauss.core import block_diag, standard_symplectic_form
+from ncgauss.phase_space import DarbouxMap, build_composite_form, build_planar_form
+from ncgauss.separability import Verdict, primed_form
+from oracles import mirror_reflection, partial_transpose_covariance, partial_transpose_map, random_spd
 
 FIG_M, FIG_N = np.sqrt(2.0) / 6.0, 1.0 / 6.0
 
