@@ -1,5 +1,9 @@
 """Command-line front end: single-point evaluation and parameter-plane scans.
 
+``scan``, ``fig1`` and ``fig2`` write the column table of one batched evaluation
+(``scan.scan_table``, ``scan.fig1_table``); the writers spell each distinct value
+once, and the bytes are those of spelling every cell.
+
 Exit codes: 0 on success, 2 on usage errors (bad arguments, a grid range
 with MIN > MAX, a non-finite bound or STEPS < 1, R >= 1, unwritable output),
 3 on numerical-domain errors raised during evaluation.
@@ -14,16 +18,14 @@ import sys
 
 from .errors import DomainError, FormulaDomainError, NCGaussError
 from .scan import (
-    FIG1_FIELDS,
-    SCAN_FIELDS,
     ScanConfig,
-    emit_fig1_data,
-    emit_fig2_data,
     eval_point,
+    fig1_table,
+    fig2_couplings,
     numeric_invariants,
-    rows_to_csv,
-    rows_to_json,
-    scan_grid,
+    scan_table,
+    table_to_csv,
+    table_to_json,
 )
 
 USAGE_EXIT = 2
@@ -61,8 +63,8 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _write_rows(rows, fields: tuple[str, ...], args) -> None:
-    text = (rows_to_csv if args.format == "csv" else rows_to_json)(rows, fields)
+def _write_table(table, args) -> None:
+    text = (table_to_csv if args.format == "csv" else table_to_json)(table)
     if args.out == "-":
         sys.stdout.write(text)
     else:
@@ -123,11 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_eval(args) -> int:
     record = eval_point(args.theta, args.eta, args.m, args.n)
-    obj = {"theta": record.theta, "eta": record.eta, "m": record.m, "n": record.n, "r": record.r}
-    if record.nu_minus is not None:
-        obj["nu_minus"] = record.nu_minus
-        obj["nu_minus_prime"] = record.nu_minus_prime
-    obj["verdict"] = record.verdict
+    obj = {key: value for key, value in vars(record).items() if value is not None}
     if args.verbose and record.nu_minus is not None:
         result = numeric_invariants(args.theta, args.eta, args.m, args.n)
         obj["nu_minus_numeric"] = result.nu_minus
@@ -137,24 +135,18 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    config = ScanConfig(
-        theta_range=args.theta_range, eta_range=args.eta_range, m=args.m, n=args.n
-    )
-    _write_rows(map(vars, scan_grid(config)), SCAN_FIELDS, args)
+    _write_table(scan_table(ScanConfig(args.theta_range, args.eta_range, args.m, args.n)), args)
     return 0
 
 
 def _cmd_fig1(args) -> int:
-    rows = emit_fig1_data(theta_values=args.thetas, eta_range=args.eta_range, m=args.m, n=args.n)
-    _write_rows(rows, FIG1_FIELDS, args)
+    _write_table(fig1_table(args.thetas, args.eta_range, args.m, args.n), args)
     return 0
 
 
 def _cmd_fig2(args) -> int:
-    records = emit_fig2_data(
-        r=args.r, swap=args.swap, theta_range=args.theta_range, eta_range=args.eta_range
-    )
-    _write_rows(map(vars, records), SCAN_FIELDS, args)
+    couplings = fig2_couplings(args.r, args.swap)
+    _write_table(scan_table(ScanConfig(args.theta_range, args.eta_range, *couplings)), args)
     return 0
 
 

@@ -6,18 +6,21 @@ the m, n >= 0 quadrant, and off it the spectral route, one stacked solve and
 eigvalsh per block of points. The couplings alone pick the route.
 :func:`eval_point` and :func:`numeric_invariants` are the one-point case of the
 same calls. Every grid range, the CLI's included, is checked by one function,
-:func:`_check_range`. Records are emitted in row-major order, theta outer and
-eta inner. Output is deterministic: floats are rounded to 12 significant digits
-before formatting, so identical configurations produce byte-identical files.
+:func:`_check_range`. Rows run in row-major order, theta outer and eta inner.
+
+A table is a dict of equal-length columns: float64 arrays, lists of labels, or
+``(column, missing)`` pairs with a boolean mask. The CLI writes tables
+(:func:`table_to_csv`, :func:`table_to_json`), spelling each column once per
+distinct value (per float bit pattern); :func:`scan_grid` and
+:func:`emit_fig1_data` read their records from them. Floats are rounded to 12
+significant digits, so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as quote
-from operator import itemgetter
 
 import numpy as np
 
@@ -32,6 +35,7 @@ VERDICT_LABEL = {
     Verdict.SEPARABLE_QUANTUM: "separable",
     Verdict.ENTANGLED_QUANTUM: "entangled",
 }
+INVALID = VERDICT_LABEL[Verdict.INVALID_DOMAIN]
 
 SCAN_FIELDS = ("theta", "eta", "m", "n", "r", "nu_minus", "nu_minus_prime", "verdict")
 FIG1_FIELDS = (
@@ -50,13 +54,16 @@ FIG1_FIELDS = (
 )
 
 
-def _check_range(name: str, rng: tuple[float, float, int]) -> None:
-    """Require a grid range (min, max, steps) with finite min <= max and steps >= 1."""
+def _check_range(name: str, rng: tuple[float, float, int]) -> tuple[float, float, int]:
+    """Return (min, max, steps) with an int steps; require finite min <= max and whole steps >= 1."""
     lo, hi, steps = rng
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise DomainError(f"{name} range must satisfy finite min <= max, got {rng}")
-    if int(steps) < 1:
+    if not float(steps).is_integer():  # NaN, infinite or fractional
+        raise DomainError(f"{name} range needs a whole number of steps, got {steps}")
+    if steps < 1:
         raise DomainError(f"{name} range needs >= 1 steps, got {steps}")
+    return lo, hi, int(steps)
 
 
 @dataclass(frozen=True)
@@ -69,8 +76,8 @@ class ScanConfig:
     n: float
 
     def __post_init__(self):
-        _check_range("theta", self.theta_range)
-        _check_range("eta", self.eta_range)
+        object.__setattr__(self, "theta_range", _check_range("theta", self.theta_range))
+        object.__setattr__(self, "eta_range", _check_range("eta", self.eta_range))
 
 
 @dataclass(frozen=True)
@@ -97,37 +104,56 @@ def numeric_invariants(theta: float, eta: float, m: float, n: float) -> Classifi
     )
 
 
-def _records(thetas: np.ndarray, etas: np.ndarray, m: float, n: float) -> list[ScanRecord]:
-    """One record per point, from one batched evaluation; theta*eta >= 1 is invalid."""
-    m, n = float(m), float(n)
+def _classified(thetas: np.ndarray, etas: np.ndarray, m: float, n: float):
+    """nu_- and nu'_- (NaN where theta*eta >= 1), R and the verdict labels of the points."""
     nu, nu_prime = family_invariants(thetas, etas, m, n)
-    r = validate_couplings(m, n)
-    invalid = VERDICT_LABEL[Verdict.INVALID_DOMAIN]
-    return [
-        ScanRecord(theta, eta, m, n, r, None, None, invalid) if x != x  # NaN off the domain
-        else ScanRecord(theta, eta, m, n, r, x, y, VERDICT_LABEL[verdict_from_invariants(x, y)])
-        for theta, eta, x, y in zip(thetas.tolist(), etas.tolist(), nu.tolist(), nu_prime.tolist())
+    verdicts = [
+        INVALID if x != x else VERDICT_LABEL[verdict_from_invariants(x, y)]  # NaN off the domain
+        for x, y in zip(nu.tolist(), nu_prime.tolist())
     ]
+    return nu, nu_prime, validate_couplings(m, n), verdicts
 
 
 def eval_point(theta: float, eta: float, m: float, n: float) -> ScanRecord:
     """Classify one family point: the one-point case of :func:`scan_grid`.
 
-    theta*eta >= 1 yields the invalid verdict.
+    theta*eta >= 1 yields the invalid verdict. The record is read from the
+    arrays directly: a one-point table would cost more than the evaluation.
     """
-    return _records(np.array([float(theta)]), np.array([float(eta)]), m, n)[0]
+    theta, eta, m, n = float(theta), float(eta), float(m), float(n)
+    nu, nu_prime, r, (verdict,) = _classified(np.array([theta]), np.array([eta]), m, n)
+    nu, nu_prime = (None, None) if verdict == INVALID else (nu.item(), nu_prime.item())
+    return ScanRecord(theta, eta, m, n, r, nu, nu_prime, verdict)
 
 
 def grid_axis(lo: float, hi: float, steps: int) -> np.ndarray:
-    return np.linspace(lo, hi, int(steps))
+    return np.linspace(lo, hi, steps)
+
+
+def scan_table(config: ScanConfig) -> dict:
+    """The scan table of the grid; the invariants are missing where theta*eta >= 1."""
+    thetas, etas = np.meshgrid(
+        grid_axis(*config.theta_range), grid_axis(*config.eta_range), indexing="ij"
+    )
+    m, n = float(config.m), float(config.n)
+    nu, nu_prime, r, verdicts = _classified(thetas.ravel(), etas.ravel(), m, n)
+    couplings = np.full((3, len(nu)), [[m], [n], [r]])
+    invalid = nu != nu  # NaN off the domain
+    columns = [thetas.ravel(), etas.ravel(), *couplings, (nu, invalid), (nu_prime, invalid), verdicts]
+    return dict(zip(SCAN_FIELDS, columns))
 
 
 def scan_grid(config: ScanConfig) -> list[ScanRecord]:
     """Classify every grid point in one batched evaluation, theta outer and eta inner."""
-    thetas, etas = np.meshgrid(
-        grid_axis(*config.theta_range), grid_axis(*config.eta_range), indexing="ij"
-    )
-    return _records(thetas.ravel(), etas.ravel(), config.m, config.n)
+    return list(map(ScanRecord, *(_cells(c, lambda v: v, None) for c in scan_table(config).values())))
+
+
+def fig2_couplings(r: float, swap: bool = False) -> tuple[float, float]:
+    """(m, n) on the figure slice n = r/3, m = sqrt(2) r/3, or swapped."""
+    if not (0.0 < r < 1.0):
+        raise DomainError(f"r must lie in (0, 1), got {r}")
+    n, m = r / 3.0, math.sqrt(2.0) * r / 3.0
+    return (n, m) if swap else (m, n)
 
 
 def emit_fig2_data(
@@ -136,14 +162,22 @@ def emit_fig2_data(
     theta_range: tuple[float, float, int] = (0.0, 2.0, 101),
     eta_range: tuple[float, float, int] = (0.0, 2.0, 101),
 ) -> list[ScanRecord]:
-    """Grid scan along the figure slice n = r/3, m = sqrt(2) r/3 (or swapped)."""
-    if not (0.0 < r < 1.0):
-        raise DomainError(f"r must lie in (0, 1), got {r}")
-    n, m = r / 3.0, math.sqrt(2.0) * r / 3.0
-    if swap:
-        n, m = m, n
-    config = ScanConfig(theta_range=theta_range, eta_range=eta_range, m=m, n=n)
-    return scan_grid(config)
+    """Grid scan along the figure slice of :func:`fig2_couplings`."""
+    return scan_grid(ScanConfig(theta_range, eta_range, *fig2_couplings(r, swap)))
+
+
+def fig1_table(theta_values, eta_range: tuple[float, float, int], m: float, n: float) -> dict:
+    """The table of :func:`emit_fig1_data`; the spectra are missing where theta*eta >= 1."""
+    if not theta_values:
+        raise DomainError("at least one theta value is required")
+    etas = grid_axis(*_check_range("eta", eta_range))
+    thetas = np.repeat(np.asarray(theta_values, dtype=float), len(etas))
+    etas = np.tile(etas, len(theta_values))
+    spectrum, reflected = family_spectra(thetas, etas, m, n)
+    couplings = np.full((2, len(thetas)), [[m], [n]], dtype=float)
+    invalid = spectrum[:, 0] != spectrum[:, 0]
+    spectra = [(column, invalid) for column in np.hstack([spectrum, reflected]).T]
+    return dict(zip(FIG1_FIELDS, [thetas, etas, *couplings, *spectra]))
 
 
 def emit_fig1_data(
@@ -159,59 +193,58 @@ def emit_fig1_data(
     theta*eta >= 1 keep their row but leave the spectrum columns empty (the
     form is singular on the hyperbola).
     """
-    if not theta_values:
-        raise DomainError("at least one theta value is required")
-    _check_range("eta", eta_range)
-    etas = grid_axis(*eta_range)
-    thetas = np.repeat(np.asarray(theta_values, dtype=float), len(etas))
-    etas = np.tile(etas, len(theta_values))
-    spectrum, reflected = family_spectra(thetas, etas, m, n)
-    empty = [None] * 8
-    return [
-        dict(zip(FIG1_FIELDS, [theta, eta, m, n] + (nus + nups if nus[0] == nus[0] else empty)))
-        for theta, eta, nus, nups in zip(
-            thetas.tolist(), etas.tolist(), spectrum.tolist(), reflected.tolist()
-        )
-    ]
+    table = fig1_table(theta_values, eta_range, m, n)
+    return [dict(zip(table, row)) for row in zip(*(_cells(c, lambda v: v, None) for c in table.values()))]
 
 
-def rows_to_csv(rows: Iterable[Mapping], fields: tuple[str, ...]) -> str:
-    """CSV text with a header of ``fields`` and one line per row, in order.
+def _cells(column, spell, blank) -> list:
+    """``spell(value)`` for every cell of a column, ``blank`` in its missing cells.
 
-    None becomes an empty cell, strings pass through, and numbers are written
-    with 12 significant digits. Scan records go in as ``map(vars, records)``.
+    ``spell`` runs once per distinct value: per bit pattern of a float column (0.0
+    and -0.0 stay apart), per label of a list. The identity gives the values.
     """
-    lines = [",".join(fields)]
-    for values in map(itemgetter(*fields), rows):
-        lines.append(",".join(
-            ["" if v is None else v if v.__class__ is str else "%.12g" % v for v in values]
-        ))
-    return "\n".join(lines) + "\n"
+    data, missing = column if isinstance(column, tuple) else (column, None)
+    if isinstance(data, list):
+        spelled = {v: spell(v) for v in set(data)}
+        cells = np.array([spelled[v] for v in data], dtype=object)
+    else:
+        bits, index = np.unique(data.view(np.int64), return_inverse=True)
+        cells = np.array([spell(v) for v in bits.view(np.float64).tolist()], dtype=object)[index]
+    if missing is not None:
+        cells[missing] = blank
+    return cells.tolist()
+
+
+def table_to_csv(table: dict) -> str:
+    """CSV text with a header of the column names and one line per row, in order.
+
+    Missing cells are empty, labels pass through, and numbers are written
+    with 12 significant digits.
+    """
+    cells = [_cells(c, lambda v: v if v.__class__ is str else "%.12g" % v, "") for c in table.values()]
+    return "\n".join([",".join(table), *map(",".join, zip(*cells))]) + "\n"
 
 
 # json.dumps spells the non-finite floats this way; repr does not.
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_number(v) -> str:
-    text = repr(float("%.12g" % v))
-    return _JSON_NONFINITE.get(text, text)
+def _json_value(v) -> str:
+    text = quote(v) if v.__class__ is str else repr(float("%.12g" % v))
+    return _JSON_NONFINITE.get(text, text)  # a quoted label is never a key
 
 
-def rows_to_json(rows: Iterable[Mapping], fields: tuple[str, ...]) -> str:
-    """JSON array with one object per row, keys in ``fields`` order.
+def table_to_json(table: dict) -> str:
+    """JSON array with one object per row, keys in column order.
 
-    None omits the key, strings are JSON-encoded, and numbers are rounded to
-    12 significant digits. The text is what ``json.dumps(objects, indent=2)``
-    writes, built directly: with ``indent`` set, json uses its pure-Python encoder.
+    Missing cells omit their key, labels are JSON-encoded, and numbers are rounded
+    to 12 significant digits. The text is what ``json.dumps(objects, indent=2)``
+    writes, built directly: rows share each ``"key": value`` item, built once.
     """
-    keys = [f"    {quote(field)}: " for field in fields]
-    objs = []
-    for values in map(itemgetter(*fields), rows):
-        items = [
-            key + (quote(v) if v.__class__ is str else _json_number(v))
-            for key, v in zip(keys, values) if v is not None
-        ]
-        objs.append("  {\n" + ",\n".join(items) + "\n  }" if items else "  {}")
+    cells = [
+        _cells(column, lambda v, key=f"    {quote(name)}: ": key + _json_value(v), None)
+        for name, column in table.items()
+    ]
+    bodies = (",\n".join(filter(None, row)) for row in zip(*cells))
+    objs = ["  {\n" + body + "\n  }" if body else "  {}" for body in bodies]
     return "[\n" + ",\n".join(objs) + "\n]\n" if objs else "[]\n"
-

@@ -2,10 +2,14 @@
 
 The reflected-covariance route of partial transposition (``D = S Lambda S^-1``
 and ``D Sigma D^T``) and the Darboux-map checks live here as test references:
-the library reads separability from ``(Sigma, Omega')`` and needs no map.
+the library reads separability from ``(Sigma, Omega')`` and needs no map. The
+per-row CSV and JSON writers are the references for the column-table writers
+of ``ncgauss.scan``.
 """
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as quote
+from operator import itemgetter
 
 import numpy as np
 
@@ -172,3 +176,55 @@ def records_self_consistent(records):
         if rec.verdict != expected:
             return False
     return True
+
+
+def _cell_values(column):
+    """The cells of a table column as Python values, None where missing."""
+    data, missing = column if isinstance(column, tuple) else (column, None)
+    values = list(data) if isinstance(data, list) else data.tolist()
+    return values if missing is None else [None if gone else v for v, gone in zip(values, missing.tolist())]
+
+
+def table_rows(table):
+    """One dict per row of a column table, keys in column order, None in missing cells."""
+    return [dict(zip(table, row)) for row in zip(*map(_cell_values, table.values()))]
+
+
+def rows_to_csv(rows, fields):
+    """Reference CSV writer, one row at a time: a header of ``fields``, one line per row.
+
+    None becomes an empty cell, strings pass through, and numbers are written
+    with 12 significant digits. Scan records go in as ``map(vars, records)``.
+    """
+    lines = [",".join(fields)]
+    for values in map(itemgetter(*fields), rows):
+        lines.append(",".join(
+            ["" if v is None else v if v.__class__ is str else "%.12g" % v for v in values]
+        ))
+    return "\n".join(lines) + "\n"
+
+
+# json.dumps spells the non-finite floats this way; repr does not.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_number(v):
+    text = repr(float("%.12g" % v))
+    return _JSON_NONFINITE.get(text, text)
+
+
+def rows_to_json(rows, fields):
+    """Reference JSON writer, one row at a time: one object per row, keys in ``fields`` order.
+
+    None omits the key, strings are JSON-encoded, and numbers are rounded to
+    12 significant digits, as ``json.dumps(objects, indent=2)`` writes them.
+    """
+    keys = [f"    {quote(field)}: " for field in fields]
+    objs = []
+    for values in map(itemgetter(*fields), rows):
+        items = [
+            key + (quote(v) if v.__class__ is str else _json_number(v))
+            for key, v in zip(keys, values) if v is not None
+        ]
+        objs.append("  {\n" + ",\n".join(items) + "\n  }" if items else "  {}")
+    return "[\n" + ",\n".join(objs) + "\n]\n" if objs else "[]\n"

@@ -1,11 +1,36 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
 
-from ncgauss import FormulaDomainError, NCGaussError
+from ncgauss import FormulaDomainError, NCGaussError, ScanConfig, emit_fig1_data, scan_grid
 from ncgauss.cli import main
+from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS
+from oracles import rows_to_csv, rows_to_json
+
+# sha256 of stdout, recorded with the per-row writers. These maps come from the closed
+# forms alone (elementwise arithmetic and libm pow, no LAPACK), so their bytes do not
+# depend on the LAPACK build; LAPACK-backed outputs are compared with the reference writers.
+GOLDEN = {
+    ("scan", "--m", "0.3", "--n", "0.2"): (
+        "dbe8aba650b1a6b83153e5800fe6ccb20c8fc0a2a81dbe29bf4a1ea4851782c8",
+        "fe2adf06640a40121b675ff563d6f800285746be72be9e058c27d84ca8d9adba",
+    ),
+    ("fig2", "--r", "0.5"): (
+        "ef1902c748236b84d1c18f9e07a1d0d8d8a5cc8ea2e78ed74db5468342470fd6",
+        "19b9544fa10c1212fe1227b4c60db1a184cb221e7fa1a637e0fcc6765bb42846",
+    ),
+    ("fig2", "--r", "0.5", "--swap"): (
+        "25f55e8af39e650add85ac5209f76be8f330ccb89e7cd157bf67d88f54352401",
+        "f3ec65d531855c214871df546e125e4abfc3afba5c904297d601222261456795",
+    ),
+    ("scan", "--m", "0", "--n", "-0", "--theta-range", "0:2:11", "--eta-range", "0:2:11"): (
+        "69a15aa25f82d9901dcb9f601755e7b1fad7003f347fc42662df52e3eeafcb73",
+        "4a769b674b1f96d2e2b12e7efe41dd81bf597481378f0770ccbd1bb14bea0951",
+    ),
+}
 
 
 class TestEval:
@@ -193,8 +218,36 @@ class TestErrorMapping:
         def boom(*args, **kwargs):
             raise NCGaussError("synthetic spectral failure")
 
-        monkeypatch.setattr("ncgauss.cli.scan_grid", boom)
+        monkeypatch.setattr("ncgauss.cli.scan_table", boom)
         code = main(
             ["scan", "--theta-range", "0:1:2", "--eta-range", "0:1:2", "--m", "0.1", "--n", "0.1"]
         )
         assert code == 3
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", list(GOLDEN))
+    def test_closed_form_maps_match_recorded_digests(self, capsys, argv, fmt):
+        assert main([*argv, "--format", fmt]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == GOLDEN[argv][fmt == "json"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("m,n", [(-0.2357, 0.1667), (-0.1, -0.1), (0.2357, -0.1667), (-0.0, 0.0)])
+    def test_scan_matches_per_row_writer(self, capsys, m, n, fmt):
+        # Off the quadrant the last bits come from LAPACK, so compare with the reference
+        # writer; (-0.0, 0.0) keeps the sign of a zero coupling.
+        ranges = (0.0, 2.0, 13), (0.0, 2.0, 13)
+        argv = ["scan", "--theta-range", "0:2:13", "--eta-range", "0:2:13", "--m", repr(m), "--n", repr(n)]
+        assert main([*argv, "--format", fmt]) == 0
+        writer = rows_to_csv if fmt == "csv" else rows_to_json
+        expected = writer(map(vars, scan_grid(ScanConfig(*ranges, m=m, n=n))), SCAN_FIELDS)
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fig1_matches_per_row_writer(self, capsys, fmt):
+        assert main(["fig1", "--thetas", "0,0.25,1.25", "--eta-range", "0:2:21", "--format", fmt]) == 0
+        writer = rows_to_csv if fmt == "csv" else rows_to_json
+        expected = writer(emit_fig1_data((0.0, 0.25, 1.25), (0.0, 2.0, 21)), FIG1_FIELDS)
+        assert capsys.readouterr().out == expected

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ncgauss import (
@@ -25,9 +25,24 @@ from ncgauss import (
 )
 from ncgauss.cli import main
 from ncgauss.family import FamilyParams, family_invariants
-from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS, grid_axis, rows_to_csv, rows_to_json
+from ncgauss.scan import (
+    FIG1_FIELDS,
+    SCAN_FIELDS,
+    fig1_table,
+    grid_axis,
+    scan_table,
+    table_to_csv,
+    table_to_json,
+)
 from ncgauss.separability import partial_transpose_spectra, primed_form
-from oracles import bisect_decreasing, brute_force_spectrum, records_self_consistent
+from oracles import (
+    bisect_decreasing,
+    brute_force_spectrum,
+    records_self_consistent,
+    rows_to_csv,
+    rows_to_json,
+    table_rows,
+)
 
 FIG_M, FIG_N = math.sqrt(2.0) / 6.0, 1.0 / 6.0
 EPS = float(np.finfo(float).eps)
@@ -38,12 +53,36 @@ SINGULAR_MID_GRID = ((99.0, 101.0, 3), (0.00999999999999992, 0.00999999999999998
 SINGULAR_POINT = r"at \(theta, eta, m, n\) = \(100\.0, 0\.00999999999999996, -0\.1, 0\.1\)"
 
 
-def _scan_csv(records):
-    return rows_to_csv(map(vars, records), SCAN_FIELDS)
+def _column(values, dtype):
+    """A float array or a label list of ``values``, paired with its mask if a value is None."""
+    data = [(math.nan if dtype is float else "") if v is None else v for v in values]
+    data = np.array(data, dtype=float) if dtype is float else data
+    missing = np.array([v is None for v in values], dtype=bool)
+    return (data, missing) if missing.any() else data
 
 
-def _scan_json(records):
-    return rows_to_json(map(vars, records), SCAN_FIELDS)
+@st.composite
+def _tables(draw):
+    """Random column tables for the writer property.
+
+    Floats repeat and include signed zeros, non-finite and extreme values, labels
+    need JSON escapes, and any cell may be missing. There are at least two columns:
+    for one field the per-row reference's ``itemgetter`` returns a bare value.
+    """
+    size = draw(st.integers(min_value=0, max_value=12))
+    floats = st.one_of(
+        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 123456789012345.0, 0.5]),
+        st.floats(),
+    )
+    labels = st.one_of(st.sampled_from(['q"\u00e9\n', "invalid", "\\", "\t\u2603", ""]), st.text(max_size=4))
+    names = draw(st.lists(st.sampled_from(["theta", "nu_minus", "verdict", 'k"\u00e9']),
+                          min_size=2, max_size=4, unique=True))
+    table = {}
+    for name in names:
+        dtype = draw(st.sampled_from([float, object]))
+        cells = st.one_of(st.none(), floats if dtype is float else labels)
+        table[name] = _column(draw(st.lists(cells, min_size=size, max_size=size)), dtype)
+    return table
 
 
 class TestEvalPoint:
@@ -160,11 +199,24 @@ class TestScanGrid:
         with pytest.raises(DomainError):
             ScanConfig((1.0, 0.0, 2), (0.0, 1.0, 2), m=0.1, n=0.1)
 
+    @pytest.mark.parametrize("steps", [math.nan, math.inf, -math.inf, 2.7])
+    def test_steps_that_are_not_whole_rejected(self, steps):
+        # Neither a bare ValueError or OverflowError from int(), nor a silent truncation.
+        with pytest.raises(DomainError, match=r"^eta range needs a whole number of steps, got "):
+            ScanConfig((0.0, 1.0, 2), (0.0, 1.0, steps), m=0.1, n=0.1)
+
+    def test_numpy_integer_steps_accepted(self):
+        config = ScanConfig((0.0, 1.0, np.int64(3)), (0.0, 1.0, 2.0), m=0.1, n=0.1)
+        assert config.theta_range == (0.0, 1.0, 3) and config.eta_range == (0.0, 1.0, 2)
+        assert [(rec.theta, rec.eta) for rec in scan_grid(config)] == [
+            (0.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 1.0), (1.0, 0.0), (1.0, 1.0)
+        ]
+
     def test_deterministic_emission(self):
         config = ScanConfig((0.0, 2.0, 11), (0.0, 2.0, 11), m=FIG_M, n=FIG_N)
-        first, second = scan_grid(config), scan_grid(config)
-        assert _scan_csv(first) == _scan_csv(second)
-        assert _scan_json(first) == _scan_json(second)
+        first, second = scan_table(config), scan_table(config)
+        assert table_to_csv(first) == table_to_csv(second)
+        assert table_to_json(first) == table_to_json(second)
 
     def test_records_self_consistent(self):
         config = ScanConfig((0.0, 2.0, 11), (0.0, 2.0, 11), m=FIG_M, n=FIG_N)
@@ -239,40 +291,44 @@ class TestScanGrid:
 
 class TestOutputFormats:
     @pytest.fixture()
-    def records(self):
+    def config(self):
         root2 = math.sqrt(2.0)
-        return scan_grid(ScanConfig((0.0, root2, 2), (0.0, root2, 2), m=0.3, n=0.4))
+        return ScanConfig((0.0, root2, 2), (0.0, root2, 2), m=0.3, n=0.4)
 
-    def test_csv_header_and_empty_invariants(self, records):
-        lines = _scan_csv(records).strip().split("\n")
+    def test_csv_header_and_empty_invariants(self, config):
+        lines = table_to_csv(scan_table(config)).strip().split("\n")
         assert lines[0] == "theta,eta,m,n,r,nu_minus,nu_minus_prime,verdict"
         assert len(lines) == 5
         invalid = [line for line in lines[1:] if line.endswith("invalid")]
         assert invalid and all(",,," in line for line in invalid)
 
-    def test_csv_values_round_trip_at_12_digits(self, records):
-        line = _scan_csv(records).strip().split("\n")[1]
+    def test_csv_values_round_trip_at_12_digits(self, config):
+        line = table_to_csv(scan_table(config)).strip().split("\n")[1]
         fields = line.split(",")
         assert float(fields[4]) == pytest.approx(0.5, rel=1e-11)
-        assert fields[5] == format(records[0].nu_minus, ".12g")
+        assert fields[5] == format(scan_grid(config)[0].nu_minus, ".12g")
 
-    def test_json_matches_json_dumps_layout(self, records):
-        def reference(rows, fields):
+    def test_json_matches_json_dumps_layout(self, config):
+        def reference(table):
             objs = [
                 {f: v if v.__class__ is str else float("%.12g" % v)
-                 for f, v in zip(fields, (row[f] for f in fields)) if v is not None}
-                for row in rows
+                 for f, v in row.items() if v is not None}
+                for row in table_rows(table)
             ]
             return json.dumps(objs, indent=2) + "\n"
 
-        rows = list(map(vars, records))
-        odd = [{"a": None, "b": None}, {"a": 'q"\u00e9\n', "b": -0.0},
-               {"a": math.inf, "b": math.nan}, {"a": 1e-300, "b": 123456789012345.0}]
-        for rows_, fields in ((rows, SCAN_FIELDS), ([], SCAN_FIELDS), (odd, ("a", "b"))):
-            assert rows_to_json(rows_, fields) == reference(rows_, fields)
+        # The odd rows, one type per column: row 0 misses every cell, row 1 holds the label.
+        odd = {
+            "a": _column([None, None, math.inf, 1e-300], float),
+            "label": _column([None, 'q"\u00e9\n', None, None], object),
+            "b": _column([None, -0.0, math.nan, 123456789012345.0], float),
+        }
+        empty = {field: [] if field == "verdict" else np.array([]) for field in SCAN_FIELDS}
+        for table in (scan_table(config), empty, odd):
+            assert table_to_json(table) == reference(table)
 
-    def test_json_omits_invariants_for_invalid(self, records):
-        objs = json.loads(_scan_json(records))
+    def test_json_omits_invariants_for_invalid(self, config):
+        objs = json.loads(table_to_json(scan_table(config)))
         assert len(objs) == 4
         for obj in objs:
             if obj["verdict"] == "invalid":
@@ -281,6 +337,19 @@ class TestOutputFormats:
                 assert set(obj) == {
                     "theta", "eta", "m", "n", "r", "nu_minus", "nu_minus_prime", "verdict"
                 }
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=_tables())
+    @example(table={
+        "x": _column([0.0, -0.0, 0.0, None, -0.0], float),
+        "y": _column([math.nan, math.inf, 1e-300, 123456789012345.0, math.nan], float),
+        "verdict": _column(['q"\u00e9\n', "invalid", None, "invalid", "\\\t"], object),
+    })
+    def test_table_writers_equal_per_row_reference(self, table):
+        # Spelling each distinct value once gives the text of spelling every cell.
+        rows, fields = table_rows(table), tuple(table)
+        assert table_to_csv(table) == rows_to_csv(rows, fields)
+        assert table_to_json(table) == rows_to_json(rows, fields)
 
 
 class TestFig1:
@@ -335,12 +404,12 @@ class TestFig1:
     def test_hyperbola_row_left_empty(self):
         rows = emit_fig1_data(theta_values=(0.5,), eta_range=(2.0, 2.0, 1))
         assert rows[0]["nu_1"] is None and rows[0]["nup_4"] is None
-        text = rows_to_csv(rows, FIG1_FIELDS)
-        assert text.strip().split("\n")[1].endswith(",,,,,,,")
-        objs = json.loads(rows_to_json(rows, FIG1_FIELDS))
+        table = fig1_table((0.5,), (2.0, 2.0, 1), FIG_M, FIG_N)
+        assert table_to_csv(table).strip().split("\n")[1].endswith(",,,,,,,")
+        objs = json.loads(table_to_json(table))
         assert "nu_1" not in objs[0]
 
-    @pytest.mark.parametrize("eta_range", [(2.0, 0.0, 3), (0.0, 2.0, 0)])
+    @pytest.mark.parametrize("eta_range", [(2.0, 0.0, 3), (0.0, 2.0, 0), (0.0, 2.0, math.nan), (0.0, 2.0, 2.7)])
     def test_rejects_what_scan_config_rejects(self, eta_range):
         # Unchecked, a descending range emits rows in reverse order and zero steps no rows.
         with pytest.raises(DomainError):
