@@ -282,13 +282,14 @@ def _spectra(thetas: np.ndarray, etas: np.ndarray, r: float, m: float, n: float
         block = todo[start : start + _BLOCK]
         where = _point_names(thetas[block], etas[block], m, n)
         planar = _planar_forms(thetas[block], etas[block])
+        # Diag[P, P] needs no check of its own: it has P's skewness and the geometric-mean and
+        # RMS singular values of P, and the 8x8 singularity threshold is below the 4x4 one.
         _check_skew_forms(planar, where)
         # Omega = Diag[P, P] and Omega' = Diag[P, -P], as family_form and primed_form build them.
         forms = np.zeros((len(block), 2, 8, 8))
         forms[:, :, :4, :4] = planar[:, None]
         forms[:, 0, 4:, 4:] = planar
         forms[:, 1, 4:, 4:] = -planar
-        _check_skew_forms(forms[:, 0], where)
         out[block] = _root_spectrum(root, forms, lambda k: where(k // 2))
     return out[:, 0], out[:, 1]
 

@@ -3,7 +3,9 @@
 A grid is evaluated in one batched call, ``family.family_invariants`` (or
 ``family.family_spectra`` for the figure-1 spectra): closed-form invariants on
 the m, n >= 0 quadrant, and off it the spectral route, one stacked solve and
-eigvalsh per block of points. The couplings alone pick the route.
+eigvalsh per block of points. The couplings alone pick the route. The verdict
+column comes from one call of ``separability.verdict_from_invariants`` on the
+invariant arrays, where NaN (theta*eta >= 1) gives ``invalid``.
 :func:`eval_point` and :func:`numeric_invariants` are the one-point case of the
 same calls. Every grid range, the CLI's included, is checked by one function,
 :func:`_check_range`. Rows run in row-major order, theta outer and eta inner.
@@ -25,17 +27,9 @@ from json.encoder import encode_basestring_ascii as quote
 import numpy as np
 
 from .errors import DomainError
-from .family import family_invariants, family_spectra, validate_couplings
+from .family import family_invariants, family_spectra
 from .phase_space import NCParams
 from .separability import ClassificationResult, Verdict, verdict_from_invariants
-
-VERDICT_LABEL = {
-    Verdict.INVALID_DOMAIN: "invalid",
-    Verdict.NON_QUANTUM: "nonquantum",
-    Verdict.SEPARABLE_QUANTUM: "separable",
-    Verdict.ENTANGLED_QUANTUM: "entangled",
-}
-INVALID = VERDICT_LABEL[Verdict.INVALID_DOMAIN]
 
 SCAN_FIELDS = ("theta", "eta", "m", "n", "r", "nu_minus", "nu_minus_prime", "verdict")
 FIG1_FIELDS = (
@@ -91,7 +85,7 @@ class ScanRecord:
     r: float
     nu_minus: float | None
     nu_minus_prime: float | None
-    verdict: str
+    verdict: Verdict
 
 
 def numeric_invariants(theta: float, eta: float, m: float, n: float) -> ClassificationResult:
@@ -104,26 +98,19 @@ def numeric_invariants(theta: float, eta: float, m: float, n: float) -> Classifi
     )
 
 
-def _classified(thetas: np.ndarray, etas: np.ndarray, m: float, n: float):
-    """nu_- and nu'_- (NaN where theta*eta >= 1), R and the verdict labels of the points."""
-    nu, nu_prime = family_invariants(thetas, etas, m, n)
-    verdicts = [
-        INVALID if x != x else VERDICT_LABEL[verdict_from_invariants(x, y)]  # NaN off the domain
-        for x, y in zip(nu.tolist(), nu_prime.tolist())
-    ]
-    return nu, nu_prime, validate_couplings(m, n), verdicts
-
-
 def eval_point(theta: float, eta: float, m: float, n: float) -> ScanRecord:
     """Classify one family point: the one-point case of :func:`scan_grid`.
 
-    theta*eta >= 1 yields the invalid verdict. The record is read from the
-    arrays directly: a one-point table would cost more than the evaluation.
+    theta*eta >= 1 yields the invalid verdict. The verdict rule runs on the
+    float pair: a one-point array or table would cost more than the evaluation.
     """
     theta, eta, m, n = float(theta), float(eta), float(m), float(n)
-    nu, nu_prime, r, (verdict,) = _classified(np.array([theta]), np.array([eta]), m, n)
-    nu, nu_prime = (None, None) if verdict == INVALID else (nu.item(), nu_prime.item())
-    return ScanRecord(theta, eta, m, n, r, nu, nu_prime, verdict)
+    nu, nu_prime = family_invariants(np.array([theta]), np.array([eta]), m, n)
+    nu, nu_prime = nu.item(), nu_prime.item()
+    verdict = verdict_from_invariants(nu, nu_prime)
+    if verdict is Verdict.INVALID_DOMAIN:
+        nu = nu_prime = None
+    return ScanRecord(theta, eta, m, n, math.hypot(m, n), nu, nu_prime, verdict)
 
 
 def grid_axis(lo: float, hi: float, steps: int) -> np.ndarray:
@@ -136,9 +123,10 @@ def scan_table(config: ScanConfig) -> dict:
         grid_axis(*config.theta_range), grid_axis(*config.eta_range), indexing="ij"
     )
     m, n = float(config.m), float(config.n)
-    nu, nu_prime, r, verdicts = _classified(thetas.ravel(), etas.ravel(), m, n)
-    couplings = np.full((3, len(nu)), [[m], [n], [r]])
+    nu, nu_prime = family_invariants(thetas.ravel(), etas.ravel(), m, n)
+    couplings = np.full((3, len(nu)), [[m], [n], [math.hypot(m, n)]])
     invalid = nu != nu  # NaN off the domain
+    verdicts = verdict_from_invariants(nu, nu_prime).tolist()
     columns = [thetas.ravel(), etas.ravel(), *couplings, (nu, invalid), (nu_prime, invalid), verdicts]
     return dict(zip(SCAN_FIELDS, columns))
 
@@ -221,7 +209,7 @@ def table_to_csv(table: dict) -> str:
     Missing cells are empty, labels pass through, and numbers are written
     with 12 significant digits.
     """
-    cells = [_cells(c, lambda v: v if v.__class__ is str else "%.12g" % v, "") for c in table.values()]
+    cells = [_cells(c, lambda v: v if isinstance(v, str) else "%.12g" % v, "") for c in table.values()]
     return "\n".join([",".join(table), *map(",".join, zip(*cells))]) + "\n"
 
 
@@ -230,7 +218,7 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_value(v) -> str:
-    text = quote(v) if v.__class__ is str else repr(float("%.12g" % v))
+    text = quote(v) if isinstance(v, str) else repr(float("%.12g" % v))
     return _JSON_NONFINITE.get(text, text)  # a quoted label is never a key
 
 

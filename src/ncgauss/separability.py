@@ -33,10 +33,15 @@ def primed_form(omega: CompositeForm) -> np.ndarray:
 
 
 class Verdict(str, Enum):
-    INVALID_DOMAIN = "InvalidDomain"
-    NON_QUANTUM = "NonQuantum"
-    SEPARABLE_QUANTUM = "SeparableQuantum"
-    ENTANGLED_QUANTUM = "EntangledQuantum"
+    """A point's verdict, in rank order; each value is the label the scan and eval outputs print."""
+
+    INVALID_DOMAIN = "invalid"
+    NON_QUANTUM = "nonquantum"
+    ENTANGLED_QUANTUM = "entangled"
+    SEPARABLE_QUANTUM = "separable"
+
+
+_RANKED = np.array(list(Verdict), dtype=object)
 
 
 @dataclass(frozen=True)
@@ -48,16 +53,18 @@ class ClassificationResult:
     nu_minus_prime: float | None
 
 
-def verdict_from_invariants(nu: float, nu_prime: float) -> Verdict:
-    """Two-stage verdict: quantum iff nu_- >= 1, then separable iff nu'_- >= 1.
+def verdict_from_invariants(nu: float | np.ndarray, nu_prime: float | np.ndarray) -> Verdict | np.ndarray:
+    """Two-stage verdict: quantum iff nu_- >= 1, then separable (PPT) iff nu'_- >= 1.
 
-    Ties within BOUNDARY of 1 resolve toward >=.
+    A NaN in either invariant (the family's value where theta*eta >= 1) gives
+    INVALID_DOMAIN. Ties within BOUNDARY of 1 resolve toward >=. Takes a float
+    pair, giving a Verdict, or two arrays of one shape, giving an object array of
+    Verdicts of that shape.
     """
-    if nu < 1.0 - BOUNDARY:
-        return Verdict.NON_QUANTUM
-    if nu_prime < 1.0 - BOUNDARY:
-        return Verdict.ENTANGLED_QUANTUM
-    return Verdict.SEPARABLE_QUANTUM
+    valid = (nu == nu) & (nu_prime == nu_prime)  # False where either is NaN
+    quantum = nu >= 1.0 - BOUNDARY
+    separable = nu_prime >= 1.0 - BOUNDARY
+    return _RANKED[valid * (1 + quantum * (1 + separable))]  # the Verdict of this rank
 
 
 def partial_transpose_spectra(
@@ -72,9 +79,10 @@ def partial_transpose_spectra(
 def classify(sigma, omega: CompositeForm) -> ClassificationResult:
     """Classify a bipartite state by nu_- of (Sigma, Omega) and nu'_- of (Sigma, Omega').
 
-    For Gaussian states both conditions are necessary and sufficient. Domain
-    violations (theta*eta >= 1) never reach this function; they are reported
-    as InvalidDomain by the scan layer.
+    SEPARABLE_QUANTUM means PPT: the partial transpose is positive (nu'_- >= 1).
+    PPT is necessary for separability, and sufficient for 1xN-mode Gaussian
+    states (Simon 2000; Werner & Wolf, PRL 86, 3658, 2001). For 2x2-mode input
+    such as the bundled family it is not proven sufficient.
     """
     spectrum, reflected = partial_transpose_spectra(sigma, omega)
     nu, nu_prime = spectrum.smallest, reflected.smallest

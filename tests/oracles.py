@@ -9,7 +9,6 @@ of ``ncgauss.scan``.
 
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as quote
-from operator import itemgetter
 
 import numpy as np
 
@@ -22,8 +21,7 @@ from ncgauss.core import (
     validate_covariance,
 )
 from ncgauss.phase_space import DarbouxMap
-from ncgauss.scan import VERDICT_LABEL
-from ncgauss.separability import Verdict, verdict_from_invariants
+from ncgauss.separability import verdict_from_invariants
 
 # Entrywise bound on A - A^H for hermitian_min_eigenvalue.
 HERMITIAN_TOL = 1e-12
@@ -166,14 +164,10 @@ def partial_transpose_covariance(sigma, pt):
 
 
 def records_self_consistent(records):
-    """Recompute each verdict from the stored invariants (emitted-file sanity)."""
+    """Recompute each verdict from the stored invariants (emitted-file sanity); None reads as NaN."""
     for rec in records:
-        if rec.nu_minus is None:
-            if rec.verdict != VERDICT_LABEL[Verdict.INVALID_DOMAIN]:
-                return False
-            continue
-        expected = VERDICT_LABEL[verdict_from_invariants(rec.nu_minus, rec.nu_minus_prime)]
-        if rec.verdict != expected:
+        nu, nu_prime = (np.nan if v is None else v for v in (rec.nu_minus, rec.nu_minus_prime))
+        if rec.verdict != verdict_from_invariants(nu, nu_prime):
             return False
     return True
 
@@ -197,9 +191,10 @@ def rows_to_csv(rows, fields):
     with 12 significant digits. Scan records go in as ``map(vars, records)``.
     """
     lines = [",".join(fields)]
-    for values in map(itemgetter(*fields), rows):
+    for row in rows:
+        values = [row[field] for field in fields]
         lines.append(",".join(
-            ["" if v is None else v if v.__class__ is str else "%.12g" % v for v in values]
+            ["" if v is None else v if isinstance(v, str) else "%.12g" % v for v in values]
         ))
     return "\n".join(lines) + "\n"
 
@@ -221,9 +216,10 @@ def rows_to_json(rows, fields):
     """
     keys = [f"    {quote(field)}: " for field in fields]
     objs = []
-    for values in map(itemgetter(*fields), rows):
+    for row in rows:
+        values = [row[field] for field in fields]
         items = [
-            key + (quote(v) if v.__class__ is str else _json_number(v))
+            key + (quote(v) if isinstance(v, str) else _json_number(v))
             for key, v in zip(keys, values) if v is not None
         ]
         objs.append("  {\n" + ",\n".join(items) + "\n  }" if items else "  {}")

@@ -8,6 +8,7 @@ import pytest
 from ncgauss import FormulaDomainError, NCGaussError, ScanConfig, emit_fig1_data, scan_grid
 from ncgauss.cli import main
 from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS
+from ncgauss.separability import Verdict
 from oracles import rows_to_csv, rows_to_json
 
 # sha256 of stdout, recorded with the per-row writers. These maps come from the closed
@@ -70,6 +71,23 @@ class TestEval:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--theta", "abc", "--eta", "0", "--m", "0.3", "--n", "0.4"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("point, verdict", [
+    (("0", "0", "0.3", "0.4"), Verdict.SEPARABLE_QUANTUM),
+    (("0.25", "0.5", "0.2357", "0.1667"), Verdict.ENTANGLED_QUANTUM),
+    (("1.2", "0.8", "0.3", "0.2"), Verdict.NON_QUANTUM),
+    (("2", "0.5", "0.3", "0.2"), Verdict.INVALID_DOMAIN),
+])
+def test_printed_labels_are_verdict_values(capsys, point, verdict):
+    theta, eta, m, n = point
+    assert main(["eval", "--theta", theta, "--eta", eta, "--m", m, "--n", n]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == verdict.value
+    grid = ["--theta-range", f"{theta}:{theta}:1", "--eta-range", f"{eta}:{eta}:1", "--m", m, "--n", n]
+    assert main(["scan", *grid]) == 0
+    assert capsys.readouterr().out.split("\n")[1].split(",")[-1] == verdict.value
+    assert main(["scan", *grid, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["verdict"] == verdict.value
 
 
 class TestScan:

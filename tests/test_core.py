@@ -18,13 +18,16 @@ from ncgauss import (
     rsup_holds,
 )
 from ncgauss.core import (
+    _asymmetric,
     _root_spectrum,
+    block_diag,
     covariance_root,
     numerically_singular,
     standard_symplectic_form,
     validate_covariance,
     validate_skew_form,
 )
+from ncgauss.family import _planar_forms
 from ncgauss.phase_space import EPSILON2
 from oracles import (
     brute_force_spectrum,
@@ -153,6 +156,22 @@ class TestStackedKernel:
         flags = numerically_singular(forms)
         assert flags.tolist() == [bool(numerically_singular(f)) for f in forms]
         assert flags.tolist() == [False, True, True, True]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log_theta=st.floats(min_value=-3.0, max_value=4.0),
+        log_gap=st.floats(min_value=-17.0, max_value=-1.0),
+    )
+    def test_planar_check_covers_composite_form(self, log_theta, log_gap):
+        # family._spectra checks only the planar form P. Diag[P, P] has the geometric-mean
+        # and RMS singular values of P against the smaller threshold eps^(7/8) < eps^(3/4),
+        # and P's skewness, so a composite flag implies a planar flag.
+        theta = 10.0**log_theta
+        eta = (1.0 - 10.0**log_gap) / theta
+        (planar,) = _planar_forms(np.array([theta]), np.array([eta]))
+        composite = block_diag(planar, planar)
+        assert numerically_singular(composite) <= numerically_singular(planar)
+        assert _asymmetric(composite, -1.0) <= _asymmetric(planar, -1.0)
 
 
 class TestSpectrum:

@@ -1,7 +1,11 @@
 """Tests for the partial-transpose machinery and state classification."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncgauss import (
     DimensionError,
@@ -13,13 +17,19 @@ from ncgauss import (
     closed_form_invariants,
     family_form,
     nc_williamson_spectrum,
+    verdict_from_invariants,
 )
-from ncgauss.core import block_diag, standard_symplectic_form
+from ncgauss.core import BOUNDARY, block_diag, standard_symplectic_form
 from ncgauss.phase_space import DarbouxMap, build_composite_form, build_planar_form
 from ncgauss.separability import Verdict, primed_form
 from oracles import mirror_reflection, partial_transpose_covariance, partial_transpose_map, random_spd
 
 FIG_M, FIG_N = np.sqrt(2.0) / 6.0, 1.0 / 6.0
+# Invariants for the verdict rule: the threshold, its neighbours, NaN and any float.
+INVARIANTS = st.one_of(
+    st.sampled_from([1.0 - BOUNDARY, np.nextafter(1.0 - BOUNDARY, 0.0), 1.0, 0.0, math.nan, math.inf]),
+    st.floats(),
+)
 
 
 def _family(theta, eta, m=FIG_M, n=FIG_N, lam=1.0):
@@ -223,3 +233,28 @@ class TestClassify:
             )
             result = classify(state.sigma, form)
             assert result.verdict is Verdict.SEPARABLE_QUANTUM
+
+
+class TestVerdictRule:
+    EDGE = 1.0 - BOUNDARY  # the smallest invariant that still counts as >= 1
+
+    def test_quantum_threshold(self):
+        assert verdict_from_invariants(self.EDGE, 2.0) is Verdict.SEPARABLE_QUANTUM
+        assert verdict_from_invariants(np.nextafter(self.EDGE, 0.0), 2.0) is Verdict.NON_QUANTUM
+
+    def test_separable_threshold(self):
+        assert verdict_from_invariants(2.0, self.EDGE) is Verdict.SEPARABLE_QUANTUM
+        assert verdict_from_invariants(2.0, np.nextafter(self.EDGE, 0.0)) is Verdict.ENTANGLED_QUANTUM
+
+    @pytest.mark.parametrize("pair", [(math.nan, math.nan), (math.nan, 2.0), (math.nan, 0.5),
+                                      (2.0, math.nan), (0.5, math.nan)])
+    def test_nan_in_either_slot_is_invalid(self, pair):
+        assert verdict_from_invariants(*pair) is Verdict.INVALID_DOMAIN
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(INVARIANTS, INVARIANTS), max_size=12))
+    def test_arrays_equal_elementwise_floats(self, pairs):
+        nu, nu_prime = np.array(pairs, dtype=float).reshape(-1, 2).T
+        verdicts = verdict_from_invariants(nu, nu_prime)
+        assert verdicts.shape == nu.shape
+        assert verdicts.tolist() == [verdict_from_invariants(x, y) for x, y in pairs]
