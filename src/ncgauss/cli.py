@@ -12,6 +12,7 @@ with MIN > MAX, a non-finite bound or STEPS < 1, R >= 1, unwritable output),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -153,9 +154,12 @@ def _cmd_fig2(args) -> int:
 _HANDLERS = {"eval": _cmd_eval, "scan": _cmd_scan, "fig1": _cmd_fig1, "fig2": _cmd_fig2}
 
 
+# main's parser, built once per process: building it costs more than a five-point fig1.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except FormulaDomainError as exc:

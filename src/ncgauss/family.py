@@ -2,11 +2,11 @@
 
 The covariance matrix is b/2 * [[I4, G^T], [G, I4]] with a coupling block G
 parameterized by reals (m, n), R = sqrt(m^2 + n^2) < 1 and b = (1+R)/(1-R).
-Both parties share the same planar commutation form. Closed-form expressions
-give the smallest Williamson invariants before and after partial transposition;
-they are exact on the m, n >= 0 quadrant and are cross-checked against the
-spectral route in the test suite. The couplings alone pick the route: closed
-forms on the quadrant, the spectral route off it. A point where a closed form
+Both parties share the same planar commutation form. Closed forms give the
+Williamson spectra before and after partial transposition, which depend on |m|
+and |n| only: ``family_spectra`` (figure 1) is closed form in every quadrant.
+For ``family_invariants`` the couplings pick the route: closed forms on the
+m, n >= 0 quadrant, the dense spectral route off it. A point where a closed form
 leaves its domain raises and names itself.
 """
 
@@ -162,6 +162,10 @@ def _closed_forms(theta, eta, m: float, n: float, r: float):
 
     vanish identically at zero deformation / zero coupling; the naive
     difference loses half the working precision there.
+
+    Each form has two pencils; the sign of n picks the one of Omega and that of m the one
+    of Omega'. m, n >= 0 give the smallest invariants, -|m|, -|n| the second ones; there
+    both gaps are sums of non-negative terms, and omega/2 = gap + c, as its direct sum cancels.
     """
     with np.errstate(all="ignore"):  # the flag reports points where this divides by zero
         # float_power is the libm pow behind Python's x**2. numpy's array x**2 is x*x,
@@ -182,18 +186,20 @@ def _closed_forms(theta, eta, m: float, n: float, r: float):
         )
         deformation = 1.0 - eta * theta
         c = (1.0 - r**2) * deformation
-        gap_minus = (
-            (1.0 + n**2) * (eta2 + theta2) / 2.0
-            + eta * theta * (1.0 - 2.0 * m**2 - n**2)
-            + n * abs(eta2 - theta2)
-        )
-        gap_plus = (
-            2.0 * (m**2 + n**2)
-            + (1.0 - n**2) * np.float_power(eta + theta, 2.0) / 2.0
-            + 2.0 * m * (eta + theta)
-        )
-        root, flag = _stable_root(minus / 2.0, gap_minus, c)
-        root_prime, flag_prime = _stable_root(plus / 2.0, gap_plus, c)
+        if n >= 0.0:
+            gap_minus = ((1.0 + n**2) * (eta2 + theta2) / 2.0 + eta * theta * (1.0 - 2.0 * m**2 - n**2)
+                         + n * abs(eta2 - theta2))
+        else:
+            gap_minus = (np.float_power(abs(theta - eta) + n * (eta + theta), 2.0) / 2.0
+                         + 2.0 * eta * theta * (1.0 - r**2))
+        if m >= 0.0:
+            gap_plus = (2.0 * (m**2 + n**2) + (1.0 - n**2) * np.float_power(eta + theta, 2.0) / 2.0
+                        + 2.0 * m * (eta + theta))
+        else:
+            gap_plus = (np.float_power((1.0 - n**2) * (eta + theta) + 2.0 * m, 2.0) / 2.0
+                        + 2.0 * n**2 * (1.0 - r**2)) / (1.0 - n**2)
+        root, flag = _stable_root(minus / 2.0 if n >= 0.0 else gap_minus + c, gap_minus, c)
+        root_prime, flag_prime = _stable_root(plus / 2.0 if m >= 0.0 else gap_plus + c, gap_plus, c)
         nu, flag_nu = _checked_sqrt(root)
         nu_prime, flag_nu_prime = _checked_sqrt(root_prime)
         prefactor = _scale(r) / deformation
@@ -225,8 +231,8 @@ def closed_form_invariants(params: FamilyParams) -> ClosedFormInvariants:
     )
 
 
-# Points per stacked solve and eigvalsh call. The stacks and work arrays of a block
-# take about 5 kB per point, so a large grid needs no more memory than a small one.
+# Points per stacked check, solve and eigvalsh call. The stacks and work arrays of a block
+# take up to about 5 kB per point, so a large grid needs no more memory than a small one.
 _BLOCK = 512
 
 
@@ -258,26 +264,55 @@ def _planar_forms(thetas: np.ndarray, etas: np.ndarray) -> np.ndarray:
     return planar
 
 
+def _deficit(thetas: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """1 - theta*eta to about an ulp, also where fl(theta*eta) is near 1: Dekker's product error,
+    whose high parts keep 26 bits of each factor, so no partial product but the last rounds."""
+    product = thetas * etas
+    th, eh = ((v.view(np.int64) & -(1 << 27)).view(np.float64) for v in (thetas, etas))
+    tl, el = thetas - th, etas - eh
+    error = ((th * eh - product) + th * el + tl * eh) + tl * el
+    return (1.0 - product) - error
+
+
 def family_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:
     """Williamson spectra of (Sigma, Omega) and (Sigma, Omega') at the points (thetas[k], etas[k]).
 
     Returns two (N, 4) arrays, ascending along each row, with NaN rows where
-    theta*eta >= 1. Sigma is checked and its square root taken once; the forms
-    of up to ``_BLOCK`` points share one solve and one eigvalsh. A failing check
-    raises for the first failing point, naming its (theta, eta, m, n).
+    theta*eta >= 1. Closed form in every quadrant: each form has two pencils x^2 - omega x + c^2
+    (:func:`_closed_forms`) with roots nu_k and b(1+R)^2 / ((1 - theta*eta) nu_k). The checks
+    are those of the spectral route, and a failing check raises naming the first failing point.
     """
-    return _spectra(*_checked_points(thetas, etas, m, n), m, n)
+    thetas, etas, r = _checked_points(thetas, etas, m, n)
+    _covariance_root(m, n, r)
+    out = np.full((2, len(thetas), 4), np.nan)
+    todo = np.flatnonzero(thetas * etas < 1.0)
+    ts, es = thetas[todo], etas[todo]
+    for start in range(0, todo.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        _check_skew_forms(_planar_forms(ts[block], es[block]), _point_names(ts[block], es[block], m, n))
+    where = _point_names(ts, es, m, n)
+    smallest, second = (np.array(_checked_closed_forms(ts, es, sign * abs(m), sign * abs(n), r, where)[2:])
+                        for sign in (1.0, -1.0))  # each holds the (nu, nu') pair
+    product = _scale(r) * (1.0 + r) ** 2 / _deficit(ts, es)  # nu_1 nu_4 = nu_2 nu_3
+    rows = np.stack([smallest, second, product / second, product / smallest], axis=-1)
+    out[:, todo] = np.maximum.accumulate(rows, axis=-1)  # roundoff can swap equal roots
+    return out[0], out[1]
+
+
+def _covariance_root(m: float, n: float, r: float) -> np.ndarray:
+    """sqrt(Sigma) after its check; Sigma depends on the couplings only, so a failure names them."""
+    try:
+        return covariance_root(_covariance_matrix(m, n, _scale(r)))
+    except NotPositiveDefiniteError as exc:
+        raise NotPositiveDefiniteError(f"{exc} at (m, n) = ({float(m)!r}, {float(n)!r})") from None
 
 
 def _spectra(thetas: np.ndarray, etas: np.ndarray, r: float, m: float, n: float
              ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`family_spectra` on points that :func:`_checked_points` has checked."""
+    """:func:`family_spectra` by the dense route, on checked points: one solve and eigvalsh per block."""
     out = np.full((len(thetas), 2, 4), np.nan)
     todo = np.flatnonzero(thetas * etas < 1.0)
-    try:
-        root = covariance_root(_covariance_matrix(m, n, _scale(r)))
-    except NotPositiveDefiniteError as exc:  # Sigma depends on the couplings only
-        raise NotPositiveDefiniteError(f"{exc} at (m, n) = ({float(m)!r}, {float(n)!r})") from None
+    root = _covariance_root(m, n, r)
     for start in range(0, todo.size, _BLOCK):
         block = todo[start : start + _BLOCK]
         where = _point_names(thetas[block], etas[block], m, n)

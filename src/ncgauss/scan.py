@@ -1,13 +1,13 @@
 """Parameter-plane scans: point evaluation, grid classification, figure datasets.
 
-A grid is evaluated in one batched call, ``family.family_invariants`` (or
-``family.family_spectra`` for the figure-1 spectra): closed-form invariants on
-the m, n >= 0 quadrant, and off it the spectral route, one stacked solve and
-eigvalsh per block of points. The couplings alone pick the route. The verdict
+A grid is evaluated in one batched call, ``family.family_invariants``: closed
+forms on the m, n >= 0 quadrant, and off it the spectral route, one stacked solve
+and eigvalsh per block of points; the couplings alone pick the route. The figure-1
+spectra (``family.family_spectra``) are closed form in every quadrant. The verdict
 column comes from one call of ``separability.verdict_from_invariants`` on the
-invariant arrays, where NaN (theta*eta >= 1) gives ``invalid``.
-:func:`eval_point` and :func:`numeric_invariants` are the one-point case of the
-same calls. Every grid range, the CLI's included, is checked by one function,
+invariant arrays, where NaN (theta*eta >= 1) gives ``invalid``. :func:`eval_point`
+is the one-point case of the grid call, :func:`numeric_invariants` that of the
+spectral route. Every grid range, the CLI's included, is checked by one function,
 :func:`_check_range`. Rows run in row-major order, theta outer and eta inner.
 
 A table is a dict of equal-length columns: float64 arrays, lists of labels, or
@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii as quote
 import numpy as np
 
 from .errors import DomainError
-from .family import family_invariants, family_spectra
+from .family import _checked_points, _spectra, family_invariants, family_spectra
 from .phase_space import NCParams
 from .separability import ClassificationResult, Verdict, verdict_from_invariants
 
@@ -91,7 +91,7 @@ class ScanRecord:
 def numeric_invariants(theta: float, eta: float, m: float, n: float) -> ClassificationResult:
     """Spectral-route classification of a family point (the cross-check of ``eval --verbose``)."""
     NCParams(theta=theta, eta=eta)  # theta*eta >= 1 is an error here, not an invalid record
-    spectrum, reflected = family_spectra([theta], [eta], m, n)
+    spectrum, reflected = _spectra(*_checked_points([theta], [eta], m, n), m, n)
     nu, nu_prime = float(spectrum[0, 0]), float(reflected[0, 0])
     return ClassificationResult(
         verdict=verdict_from_invariants(nu, nu_prime), nu_minus=nu, nu_minus_prime=nu_prime
@@ -156,10 +156,11 @@ def emit_fig2_data(
 
 def fig1_table(theta_values, eta_range: tuple[float, float, int], m: float, n: float) -> dict:
     """The table of :func:`emit_fig1_data`; the spectra are missing where theta*eta >= 1."""
-    if not theta_values:
-        raise DomainError("at least one theta value is required")
+    theta_values = np.asarray(theta_values, dtype=float)
+    if theta_values.ndim != 1 or not theta_values.size:
+        raise DomainError(f"theta values must be a non-empty 1-D sequence, got shape {theta_values.shape}")
     etas = grid_axis(*_check_range("eta", eta_range))
-    thetas = np.repeat(np.asarray(theta_values, dtype=float), len(etas))
+    thetas = np.repeat(theta_values, len(etas))
     etas = np.tile(etas, len(theta_values))
     spectrum, reflected = family_spectra(thetas, etas, m, n)
     couplings = np.full((2, len(thetas)), [[m], [n]], dtype=float)

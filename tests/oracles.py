@@ -35,6 +35,38 @@ def brute_force_spectrum(sigma, form):
     return real[len(real) // 2 :]
 
 
+def mp_spectra(theta, eta, m, n, dps=40):
+    """Both Williamson spectra of the family at one point, from mpmath at ``dps`` digits.
+
+    The float inputs are read as exact. Sigma and the forms are built entry by
+    entry; with Sigma = L L^T the Hermitian i L^T Omega^-1 L has eigenvalues
+    +-nu/2, so each spectrum comes from one Hermitian eigensolve (``eighe``),
+    whose error is relative to nu_max at ``dps`` digits. Returns two ascending
+    lists of four mpf values, for Omega = Diag[P, P] and Omega' = Diag[P, -P].
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        t, e, m, n = (mpmath.mpf(float(v)) for v in (theta, eta, m, n))
+        r = mpmath.sqrt(m * m + n * n)
+        coupling = [[n, 0, m, 0], [0, n, 0, -m], [m, 0, -n, 0], [0, -m, 0, -n]]
+        sigma = mpmath.eye(8) * ((1 + r) / (1 - r) / 2)
+        planar = [[0, t, 1, 0], [-t, 0, 0, 1], [-1, 0, 0, e], [0, -1, -e, 0]]
+        for i in range(4):
+            for j in range(4):
+                sigma[4 + i, j] = sigma[j, 4 + i] = sigma[0, 0] * coupling[i][j]
+        low = mpmath.cholesky(sigma)
+        spectra = []
+        for sign in (1, -1):
+            form = mpmath.zeros(8)
+            for i in range(4):
+                for j in range(4):
+                    form[i, j], form[4 + i, 4 + j] = planar[i][j], sign * planar[i][j]
+            herm = 1j * low.T * mpmath.inverse(form) * low
+            spectra.append([2 * v for v in sorted(mpmath.eighe(herm, eigvals_only=True))[4:]])
+        return spectra
+
+
 def random_spd(rng, dim, floor=0.1):
     """Well-conditioned random symmetric positive-definite matrix."""
     a = rng.normal(size=(dim, dim))

@@ -156,6 +156,39 @@ class TestFigures:
         assert main(["fig2", "--r", "1.5"]) == 2
 
 
+def test_repeated_calls_share_one_parser_and_keep_their_own_output(capsys):
+    # main builds its parser once per process. Run in a row, with a usage error among them,
+    # the calls print what each prints with a parser of its own.
+    from ncgauss.cli import _parser, build_parser
+
+    runs = [
+        ["fig1", "--thetas", "0,0.5", "--eta-range", "0:1:2", "--format", "json"],
+        ["scan", "--m", "0.2", "--n", "0.1", "--eta-range", "0:1"],
+        ["eval", "--theta", "0.25", "--eta", "0.5", "--m", "-0.3", "--n", "0.2", "--verbose"],
+        ["fig1", "--eta-range", "0:1:2"],
+        ["scan", "--theta-range", "0:1:2", "--eta-range", "0:1:2", "--m", "0.3", "--n", "0.2"],
+        ["fig2", "--r", "1.5"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = []
+    for argv in runs:
+        _parser.cache_clear()
+        alone.append(run(argv))
+    assert [run(argv) for argv in runs] == alone
+    assert [code for code, _, _ in alone] == [0, 2, 0, 0, 0, 2]
+    assert "expected MIN:MAX:STEPS, got '0:1'" in alone[1][2] and alone[1][1] == ""
+    assert json.loads(alone[2][1])["nu_minus_numeric"] > 0.0
+    assert _parser() is _parser() and build_parser() is not build_parser()
+
+
 class TestNearHyperbola:
     @pytest.mark.parametrize(
         "argv",

@@ -1,10 +1,11 @@
 """Tests for the explicit Gaussian family: covariance, closed forms, density."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal, qmc
 
@@ -17,11 +18,23 @@ from ncgauss import (
     evaluate_wigner,
     family_form,
     nc_williamson_spectrum,
+    numeric_invariants,
 )
-from ncgauss.family import FamilyParams, _checked_sqrt, _closed_forms, family_invariants
+from ncgauss.cli import main
+from ncgauss.family import (
+    FamilyParams,
+    _checked_sqrt,
+    _closed_forms,
+    _root_spectrum,
+    family_invariants,
+    family_spectra,
+)
 from ncgauss.separability import primed_form
+from oracles import mp_spectra
 
 FIG_M, FIG_N = np.sqrt(2.0) / 6.0, 1.0 / 6.0
+EPS = float(np.finfo(float).eps)
+SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
 
 
 def _params(theta, eta, m, n):
@@ -215,6 +228,109 @@ class TestClosedFormInvariants:
         monkeypatch.setattr("ncgauss.family.RADICAND", -math.inf)
         with pytest.raises(FormulaDomainError, match=r"at \(theta, eta, m, n\) = \(0\.25, 0\.5,"):
             closed_form_invariants(_params(0.25, 0.5, FIG_M, FIG_N))
+
+
+def _spectra_points():
+    """theta log-uniform in [1e-3, 1e3] and 1 - theta*eta log-uniform down to 1e-12, after five
+    fixed points: theta = eta = 0, theta = 0, theta = eta (Omega's two pencils meet), a point
+    on the hyperbola and one beyond it."""
+    rng = np.random.default_rng(47)
+    thetas = 10.0 ** rng.uniform(-3.0, 3.0, size=200)
+    etas = (1.0 - 10.0 ** rng.uniform(-12.0, 0.0, size=200)) / thetas
+    fixed = np.array([[0.0, 0.0, 0.7, 1.0, 2.0], [0.0, 0.5, 0.7, 1.0, 0.75]])
+    return np.concatenate([fixed[0], thetas]), np.concatenate([fixed[1], etas])
+
+
+class TestFamilySpectra:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        log_theta=st.floats(min_value=-3.0, max_value=3.0),
+        log_gap=st.floats(min_value=-9.0, max_value=0.0),
+        log_slack=st.floats(min_value=-6.0, max_value=0.0),
+        quadrant=st.integers(min_value=0, max_value=3),
+        angle=st.floats(min_value=0.0, max_value=math.pi / 2.0),
+        swap=st.booleans(),
+    )
+    # theta = eta = 0; then n = 0 with m < 0 next to the hyperbola.
+    @example(log_theta=-math.inf, log_gap=0.0, log_slack=-6.0, quadrant=1, angle=0.4, swap=False)
+    @example(log_theta=0.0, log_gap=-9.0, log_slack=-6.0, quadrant=2, angle=0.0, swap=False)
+    # theta >> eta with n near -1: the direct sum for the second pencil's omega cancels here.
+    @example(log_theta=2.5654, log_gap=-4.746, log_slack=-3.242, quadrant=3, angle=0.0322, swap=False)
+    def test_matches_mpmath_in_every_quadrant(self, log_theta, log_gap, log_slack, quadrant, angle, swap):
+        # Relative error against 40-digit mpmath within 8 eps (1 + 1/(1 - R)): the 1/(1 - R)
+        # term covers the rounding of R = hypot(m, n) and of 1 - R^2, which b = (1+R)/(1-R)
+        # and c = (1 - R^2)(1 - theta*eta) amplify.
+        mpmath = pytest.importorskip("mpmath")
+        theta = 10.0**log_theta
+        eta = (1.0 - 10.0**log_gap) / theta if theta > 0.0 else 0.0
+        theta, eta = (eta, theta) if swap else (theta, eta)
+        radius, phi = 1.0 - 10.0**log_slack, quadrant * math.pi / 2.0 + angle
+        m, n = radius * math.cos(phi), radius * math.sin(phi)
+        r = math.hypot(m, n)
+        assume(1.0 - theta * eta >= 1e-9 and r <= 1.0 - 1e-6)
+        spectrum, reflected = family_spectra([theta], [eta], m, n)
+        got = [*spectrum[0], *reflected[0]]
+        want = sum(mp_spectra(theta, eta, m, n), [])
+        errors = [abs(float((mpmath.mpf(g) - w) / w)) for g, w in zip(got, want)]
+        assert max(errors) <= 8.0 * EPS * (1.0 + 1.0 / (1.0 - r))
+
+    @pytest.mark.parametrize("m,n", [(FIG_M, FIG_N), (0.3, 0.0), (0.0, -0.4), (-0.9999, 0.001)])
+    def test_rows_ascending_and_paired(self, m, n):
+        # nu_1 nu_4 = nu_2 nu_3 = b (1+R)^2 / (1 - theta*eta), the product of each pencil's roots,
+        # to the accuracy of the spectra: the closed forms round 1 - R^2 (error eps / (1 - R)).
+        thetas, etas = _spectra_points()
+        r = math.hypot(m, n)
+        rtol = 8.0 * EPS * (1.0 + 1.0 / (1.0 - r))
+        valid = thetas * etas < 1.0
+        exact = zip(map(Fraction, thetas[valid]), map(Fraction, etas[valid]))
+        deficit = np.array([float(1 - t * e) for t, e in exact])
+        product = (1.0 + r) / (1.0 - r) * (1.0 + r) ** 2 / deficit
+        for spectra in family_spectra(thetas, etas, m, n):
+            assert np.isnan(spectra[~valid]).all()
+            rows = spectra[valid]
+            assert (np.diff(rows, axis=1) >= 0.0).all()
+            np.testing.assert_allclose(rows[:, 0] * rows[:, 3], product, rtol=rtol)
+            np.testing.assert_allclose(rows[:, 1] * rows[:, 2], product, rtol=rtol)
+
+    def test_couplings_enter_through_their_magnitudes(self):
+        # Flipping the signs of m and n leaves every bit of every row.
+        thetas, etas = _spectra_points()
+        for m, n in [(0.3, 0.2), (0.0, 0.5), (0.6, 0.0), (0.0, 0.0)]:
+            expected = family_spectra(thetas, etas, m, n)
+            for sm, sn in SIGNS:
+                for got, want in zip(family_spectra(thetas, etas, sm * m, sn * n), expected):
+                    np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("m,n", [(FIG_M, FIG_N), (0.3, 0.0), (-0.0, 0.4), (0.0, -0.0), (0.9999, 0.001)])
+    def test_smallest_invariants_equal_family_invariants_on_the_quadrant(self, m, n):
+        thetas, etas = _spectra_points()
+        spectrum, reflected = family_spectra(thetas, etas, m, n)
+        nu, nu_prime = family_invariants(thetas, etas, m, n)
+        np.testing.assert_array_equal(spectrum[:, 0], nu)
+        np.testing.assert_array_equal(reflected[:, 0], nu_prime)
+        for k in range(0, len(thetas), 20):  # one point runs on numpy scalars
+            one = family_invariants(thetas[k : k + 1], etas[k : k + 1], m, n)
+            np.testing.assert_array_equal([one[0][0], one[1][0]], [nu[k], nu_prime[k]])
+
+    def test_fig1_makes_no_dense_solve(self, monkeypatch, capsys):
+        # fig1 never reaches the dense route (core._root_spectrum, called through family) nor any
+        # dense solve or eigensolver; numeric_invariants, the eval --verbose cross-check, does.
+        calls = []
+        monkeypatch.setattr("ncgauss.family._root_spectrum", lambda *a: calls.append(1) or _root_spectrum(*a))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense linear algebra on the fig1 path")
+
+        with monkeypatch.context() as patch:
+            for name in ("solve", "eigvalsh", "inv", "eigvals"):
+                patch.setattr(np.linalg, name, forbidden)
+            for m, n in [(FIG_M, FIG_N), (-0.3, 0.2), (-0.1, -0.1), (0.3, -0.2)]:
+                couplings = ["--m", repr(float(m)), "--n", repr(float(n))]
+                assert main(["fig1", "--thetas", "0,0.98", "--eta-range", "0:2:5", *couplings]) == 0
+        assert calls == []
+        assert capsys.readouterr().out
+        numeric_invariants(0.25, 0.5, FIG_M, FIG_N)
+        assert calls == [1]
 
 
 class TestEvaluateWigner:

@@ -38,6 +38,7 @@ from ncgauss.separability import partial_transpose_spectra, primed_form
 from oracles import (
     bisect_decreasing,
     brute_force_spectrum,
+    mp_spectra,
     records_self_consistent,
     rows_to_csv,
     rows_to_json,
@@ -389,16 +390,18 @@ class TestFig1:
         assert crossing == pytest.approx(0.5905735581730078, abs=1e-6)
 
     def test_rows_equal_partial_transpose_spectra(self):
+        # The rows against 40-digit mpmath spectra of (Sigma, Omega) and (Sigma, Omega').
+        mpmath = pytest.importorskip("mpmath")
         m, n = -0.3, 0.2
+        unit = 8 * EPS * (1.0 + 1.0 / (1.0 - math.hypot(m, n)))
         rows = emit_fig1_data(theta_values=(0.0, 0.3, 0.98), eta_range=(0.0, 2.0, 21), m=m, n=n)
         for row in rows:
             if row["theta"] * row["eta"] >= 1.0:
                 assert row["nu_1"] is None
                 continue
-            nc = NCParams(row["theta"], row["eta"])
-            spectrum, reflected = partial_transpose_spectra(build_covariance(m, n, nc).sigma, family_form(nc))
-            assert tuple(row[f"nu_{j}"] for j in range(1, 5)) == spectrum.invariants
-            assert tuple(row[f"nup_{j}"] for j in range(1, 5)) == reflected.invariants
+            got = [row[f"{name}_{j}"] for name in ("nu", "nup") for j in range(1, 5)]
+            want = sum(mp_spectra(row["theta"], row["eta"], m, n), [])
+            assert max(abs(float((mpmath.mpf(g) - w) / w)) for g, w in zip(got, want)) <= unit
 
     def test_hyperbola_row_left_empty(self):
         rows = emit_fig1_data(theta_values=(0.5,), eta_range=(2.0, 2.0, 1))
@@ -407,6 +410,22 @@ class TestFig1:
         assert table_to_csv(table).strip().split("\n")[1].endswith(",,,,,,,")
         objs = json.loads(table_to_json(table))
         assert "nu_1" not in objs[0]
+
+    @pytest.mark.parametrize("wrap", [tuple, np.array])
+    @pytest.mark.parametrize("thetas", [(0.5,), (0.0, 0.5)])
+    def test_theta_arrays_and_tuples(self, wrap, thetas):
+        # An array of two or more thetas used to raise numpy's "truth value ... is ambiguous".
+        table = fig1_table(wrap(thetas), (0.0, 1.0, 3), FIG_M, FIG_N)
+        np.testing.assert_array_equal(table["theta"], np.repeat(thetas, 3))
+        assert table_to_csv(table) == table_to_csv(fig1_table(list(thetas), (0.0, 1.0, 3), FIG_M, FIG_N))
+        assert len(emit_fig1_data(wrap(thetas), (0.0, 1.0, 3))) == 3 * len(thetas)
+
+    @pytest.mark.parametrize("thetas", [(), np.array([]), np.array([[0.5]]), np.array(0.5)])
+    def test_rejects_empty_or_not_1d_thetas(self, thetas):
+        with pytest.raises(DomainError, match="theta values must be a non-empty 1-D sequence"):
+            fig1_table(thetas, (0.0, 1.0, 3), FIG_M, FIG_N)
+        with pytest.raises(DomainError):
+            emit_fig1_data(theta_values=thetas, eta_range=(0.0, 1.0, 3))
 
     @pytest.mark.parametrize("eta_range", [(2.0, 0.0, 3), (0.0, 2.0, 0), (0.0, 2.0, math.nan), (0.0, 2.0, 2.7)])
     def test_rejects_what_scan_config_rejects(self, eta_range):
