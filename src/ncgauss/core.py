@@ -179,8 +179,8 @@ class SymplecticSpectrum:
         return len(self.invariants)
 
 
-def covariance_root(sigma, inverse: bool = False) -> np.ndarray:
-    """Validate a covariance matrix; return its symmetric square root (Sigma^-1/2 with ``inverse``).
+def covariance_root(sigma) -> np.ndarray:
+    """Validate a covariance matrix and return its symmetric square root.
 
     The root comes from the eigendecomposition that proves positive-definiteness.
     Spectra of one covariance against many forms share it through :func:`_root_spectrum`.
@@ -188,7 +188,7 @@ def covariance_root(sigma, inverse: bool = False) -> np.ndarray:
     arr = _require_symmetric(sigma)
     w, v = np.linalg.eigh(arr)
     _require_positive(w)
-    return (v * (1.0 / np.sqrt(w) if inverse else np.sqrt(w))) @ v.T
+    return (v * np.sqrt(w)) @ v.T
 
 
 def validated_root(sigma, form) -> tuple[np.ndarray, np.ndarray]:

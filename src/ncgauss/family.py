@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     _check_skew_forms,
     _raise_first,
+    _root_spectrum,
     covariance_root,
     validate_covariance,
 )
@@ -230,7 +231,7 @@ def closed_form_invariants(params: FamilyParams) -> ClosedFormInvariants:
     )
 
 
-# Points per stacked check and eigvalsh call. The stacks and work arrays of a block
+# Points per stacked check, solve and eigvalsh call. The stacks and work arrays of a block
 # take up to about 5 kB per point, so a large grid needs no more memory than a small one.
 _BLOCK = 512
 
@@ -298,27 +299,20 @@ def family_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.nda
     return out[0], out[1]
 
 
-def _covariance_root(m: float, n: float, r: float, inverse: bool = False) -> np.ndarray:
-    """sqrt(Sigma) (or its inverse) after Sigma's check; Sigma depends on the couplings only,
-    so a failure names them."""
+def _covariance_root(m: float, n: float, r: float) -> np.ndarray:
+    """sqrt(Sigma) after its check; Sigma depends on the couplings only, so a failure names them."""
     try:
-        return covariance_root(_covariance_matrix(m, n, _scale(r)), inverse)
+        return covariance_root(_covariance_matrix(m, n, _scale(r)))
     except NotPositiveDefiniteError as exc:
         raise NotPositiveDefiniteError(f"{exc} at (m, n) = ({float(m)!r}, {float(n)!r})") from None
 
 
-def _dense_invariants(thetas: np.ndarray, etas: np.ndarray, r: float, m: float, n: float
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """nu_- and nu'_- by the dense route, on checked points: one eigvalsh per block, no solve.
-
-    H = (i/2) Sigma^-1/2 Omega Sigma^-1/2 is Hermitian with eigenvalues +-1/nu, so nu_- is
-    2 over its widest pair, to about eps relative. K = sqrt(Sigma) Omega^-1 sqrt(Sigma)
-    (:func:`core._root_spectrum`) gives nu_- only to about eps nu_max / nu_min, and a solve
-    against Omega loses the rest where 1 - theta*eta is a few eps.
-    """
-    out = np.full((len(thetas), 2), np.nan)
+def _spectra(thetas: np.ndarray, etas: np.ndarray, r: float, m: float, n: float
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`family_spectra` by the dense route, on checked points: one solve and eigvalsh per block."""
+    out = np.full((len(thetas), 2, 4), np.nan)
     todo = np.flatnonzero(thetas * etas < 1.0)
-    inverse_root = _covariance_root(m, n, r, inverse=True)
+    root = _covariance_root(m, n, r)
     for start in range(0, todo.size, _BLOCK):
         block = todo[start : start + _BLOCK]
         where = _point_names(thetas[block], etas[block], m, n)
@@ -331,8 +325,7 @@ def _dense_invariants(thetas: np.ndarray, etas: np.ndarray, r: float, m: float, 
         forms[:, :, :4, :4] = planar[:, None]
         forms[:, 0, 4:, 4:] = planar
         forms[:, 1, 4:, 4:] = -planar
-        vals = np.linalg.eigvalsh(0.5j * (inverse_root @ forms @ inverse_root))
-        out[block] = 2.0 / (vals[..., -1] - vals[..., 0])
+        out[block] = _root_spectrum(root, forms, lambda k: where(k // 2))
     return out[:, 0], out[:, 1]
 
 
@@ -341,10 +334,10 @@ def family_invariants(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.
 
     Returns two float arrays, NaN where theta*eta >= 1. The couplings pick the
     route for every point: the closed forms on the m, n >= 0 quadrant, where
-    they are exact, and the dense route (:func:`_dense_invariants`) off it.
-    A failing check raises for the first failing point, naming its
-    (theta, eta, m, n); on the quadrant that includes a point where a closed
-    form leaves its domain (:class:`FormulaDomainError`).
+    they are exact, and :func:`family_spectra` off it. A failing check raises
+    for the first failing point, naming its (theta, eta, m, n); on the quadrant
+    that includes a point where a closed form leaves its domain
+    (:class:`FormulaDomainError`).
     """
     thetas, etas, r = _checked_points(thetas, etas, m, n)
     nu = np.full(len(thetas), np.nan)
@@ -358,7 +351,8 @@ def family_invariants(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.
         points = (ts, es) if todo.size > 1 else (ts[0], es[0])
         nu[todo], nu_prime[todo] = _checked_closed_forms(*points, m, n, r, _point_names(ts, es, m, n))[2:]
     else:
-        nu[todo], nu_prime[todo] = _dense_invariants(thetas[todo], etas[todo], r, m, n)
+        spectrum, reflected = _spectra(thetas[todo], etas[todo], r, m, n)
+        nu[todo], nu_prime[todo] = spectrum[:, 0], reflected[:, 0]
     return nu, nu_prime
 
 

@@ -1,8 +1,8 @@
 """Parameter-plane scans: point evaluation, grid classification, figure datasets.
 
 A grid is evaluated in one batched call, ``family.family_invariants``: closed
-forms on the m, n >= 0 quadrant, and off it the spectral route, one stacked
-eigvalsh per block of points; the couplings alone pick the route. The figure-1
+forms on the m, n >= 0 quadrant, and off it the spectral route, one stacked solve
+and eigvalsh per block of points; the couplings alone pick the route. The figure-1
 spectra (``family.family_spectra``) are closed form in every quadrant. The verdict
 column comes from one call of ``separability.verdict_from_invariants`` on the
 invariant arrays, where NaN (theta*eta >= 1) gives ``invalid``. :func:`eval_point`
@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii as quote
 import numpy as np
 
 from .errors import DomainError
-from .family import _checked_points, _dense_invariants, family_invariants, family_spectra
+from .family import _checked_points, _spectra, family_invariants, family_spectra
 from .phase_space import NCParams
 from .separability import ClassificationResult, Verdict, verdict_from_invariants
 
@@ -91,7 +91,8 @@ class ScanRecord:
 def numeric_invariants(theta: float, eta: float, m: float, n: float) -> ClassificationResult:
     """Spectral-route classification of a family point (the cross-check of ``eval --verbose``)."""
     NCParams(theta=theta, eta=eta)  # theta*eta >= 1 is an error here, not an invalid record
-    nu, nu_prime = (float(v[0]) for v in _dense_invariants(*_checked_points([theta], [eta], m, n), m, n))
+    spectrum, reflected = _spectra(*_checked_points([theta], [eta], m, n), m, n)
+    nu, nu_prime = float(spectrum[0, 0]), float(reflected[0, 0])
     return ClassificationResult(
         verdict=verdict_from_invariants(nu, nu_prime), nu_minus=nu, nu_minus_prime=nu_prime
     )

@@ -55,17 +55,6 @@ class TestEval:
         assert obj["nu_minus_numeric"] == pytest.approx(obj["nu_minus"], rel=1e-8)
         assert obj["nu_minus_prime_numeric"] == pytest.approx(obj["nu_minus_prime"], rel=1e-8)
 
-    def test_off_quadrant_point_at_the_hyperbola(self, capsys):
-        # 1 - theta*eta = 2^-53 with m < 0: the dense route printed "separable" (3.46, 1.39)
-        # when it solved against Omega; 40-digit mpmath gives 0.970245405757 and 0.711965482728.
-        argv = ["eval", "--theta", "1", "--eta", "0.9999999999999999", "--m", "-0.3", "--n", "0.2"]
-        assert main([*argv, "--verbose"]) == 0
-        obj = json.loads(capsys.readouterr().out)
-        assert obj["verdict"] == "nonquantum"
-        for key, want in [("nu_minus", 0.970245405757), ("nu_minus_prime", 0.711965482728)]:
-            assert obj[key] == pytest.approx(want, rel=1e-11)
-            assert obj[f"{key}_numeric"] == obj[key]
-
     def test_radius_at_one_is_usage_error(self, capsys):
         assert main(["eval", "--theta", "0", "--eta", "0", "--m", "0.8", "--n", "0.6"]) == 2
         assert "must be < 1" in capsys.readouterr().err

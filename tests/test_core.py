@@ -163,9 +163,9 @@ class TestStackedKernel:
         log_gap=st.floats(min_value=-17.0, max_value=-1.0),
     )
     def test_planar_check_covers_composite_form(self, log_theta, log_gap):
-        # family._dense_invariants checks only the planar form P. Diag[P, P] has the
-        # geometric-mean and RMS singular values of P against the smaller threshold
-        # eps^(7/8) < eps^(3/4), and P's skewness, so a composite flag implies a planar flag.
+        # family._spectra checks only the planar form P. Diag[P, P] has the geometric-mean
+        # and RMS singular values of P against the smaller threshold eps^(7/8) < eps^(3/4),
+        # and P's skewness, so a composite flag implies a planar flag.
         theta = 10.0**log_theta
         eta = (1.0 - 10.0**log_gap) / theta
         (planar,) = _planar_forms(np.array([theta]), np.array([eta]))

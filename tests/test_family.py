@@ -13,7 +13,6 @@ from ncgauss import (
     DomainError,
     FormulaDomainError,
     NCParams,
-    SingularMatrixError,
     build_covariance,
     closed_form_invariants,
     evaluate_wigner,
@@ -26,6 +25,7 @@ from ncgauss.family import (
     FamilyParams,
     _checked_sqrt,
     _closed_forms,
+    _root_spectrum,
     family_invariants,
     family_spectra,
 )
@@ -313,9 +313,11 @@ class TestFamilySpectra:
             np.testing.assert_array_equal([one[0][0], one[1][0]], [nu[k], nu_prime[k]])
 
     def test_fig1_makes_no_dense_solve(self, monkeypatch, capsys):
-        # fig1 never reaches the dense route (one eigvalsh per block, family._dense_invariants)
-        # nor any dense solve or eigensolver; numeric_invariants, the eval --verbose cross-check,
-        # does, and makes no solve.
+        # fig1 never reaches the dense route (core._root_spectrum, called through family) nor any
+        # dense solve or eigensolver; numeric_invariants, the eval --verbose cross-check, does.
+        calls = []
+        monkeypatch.setattr("ncgauss.family._root_spectrum", lambda *a: calls.append(1) or _root_spectrum(*a))
+
         def forbidden(*args, **kwargs):
             raise AssertionError("dense linear algebra on the fig1 path")
 
@@ -325,48 +327,10 @@ class TestFamilySpectra:
             for m, n in [(FIG_M, FIG_N), (-0.3, 0.2), (-0.1, -0.1), (0.3, -0.2)]:
                 couplings = ["--m", repr(float(m)), "--n", repr(float(n))]
                 assert main(["fig1", "--thetas", "0,0.98", "--eta-range", "0:2:5", *couplings]) == 0
+        assert calls == []
         assert capsys.readouterr().out
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(1) or eigvalsh(*a))
-        monkeypatch.setattr(np.linalg, "solve", forbidden)
         numeric_invariants(0.25, 0.5, FIG_M, FIG_N)
         assert calls == [1]
-
-
-class TestDenseInvariants:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        log_theta=st.floats(min_value=-3.0, max_value=3.0),
-        log_gap=st.floats(min_value=-16.0, max_value=0.0),
-        log_slack=st.floats(min_value=-6.0, max_value=0.0),
-        phi=st.floats(min_value=0.0, max_value=2.0 * math.pi),
-        swap=st.booleans(),
-    )
-    # About (1, 1 - 2^-53, -0.3, 0.2), the eval point of tests/test_cli.py that printed "separable"
-    # when the dense route solved against Omega.
-    @example(log_theta=0.0, log_gap=-16.0, log_slack=math.log10(1.0 - math.hypot(0.3, 0.2)),
-             phi=math.atan2(0.2, -0.3), swap=False)
-    def test_matches_mpmath_up_to_the_hyperbola(self, log_theta, log_gap, log_slack, phi, swap):
-        # numeric_invariants, the dense route of every quadrant, within the closed forms' bound
-        # 8 eps (1 + 1/(1 - R)) of 40-digit mpmath however small 1 - theta*eta is: it takes
-        # nu_- from the widest eigenvalue pair of (i/2) Sigma^-1/2 Omega Sigma^-1/2.
-        mpmath = pytest.importorskip("mpmath")
-        theta = 10.0**log_theta
-        eta = (1.0 - 10.0**log_gap) / theta
-        theta, eta = (eta, theta) if swap else (theta, eta)
-        radius = 1.0 - 10.0**log_slack
-        m, n = radius * math.cos(phi), radius * math.sin(phi)
-        r = math.hypot(m, n)
-        assume(theta * eta < 1.0 and r <= 1.0 - 1e-6)
-        try:
-            numeric = numeric_invariants(theta, eta, m, n)
-        except SingularMatrixError:
-            assume(False)  # the planar check's refusal is covered in tests/test_scan.py
-        got = (numeric.nu_minus, numeric.nu_minus_prime)
-        want = [spectrum[0] for spectrum in mp_spectra(theta, eta, m, n)]
-        errors = [abs(float((mpmath.mpf(g) - w) / w)) for g, w in zip(got, want)]
-        assert max(errors) <= 8.0 * EPS * (1.0 + 1.0 / (1.0 - r))
 
 
 class TestEvaluateWigner:
