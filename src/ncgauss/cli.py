@@ -152,8 +152,6 @@ def _cmd_fig2(args) -> int:
 
 
 _HANDLERS = {"eval": _cmd_eval, "scan": _cmd_scan, "fig1": _cmd_fig1, "fig2": _cmd_fig2}
-
-
 # main's parser, built once per process: building it costs more than a five-point fig1.
 _parser = functools.cache(build_parser)
 

@@ -161,11 +161,9 @@ def _closed_forms(theta, eta, m: float, n: float, r: float):
         omega_+/2 - c = 2(m^2+n^2) + (1-n^2)(eta+theta)^2/2 + 2m(eta+theta)
 
     vanish identically at zero deformation / zero coupling; the naive
-    difference loses half the working precision there.
-
-    Each form has two pencils; the sign of n picks the one of Omega and that of m the one
-    of Omega'. m, n >= 0 give the smallest invariants, -|m|, -|n| the second ones; there
-    both gaps are sums of non-negative terms, and omega/2 = gap + c, as its direct sum cancels.
+    difference loses half the working precision there. Each form has two pencils, picked
+    by the sign of n (Omega) and of m (Omega'): -|m|, -|n| give the second invariants from
+    gaps that are sums of non-negative terms, and omega/2 = gap + c, as its sum cancels.
     """
     with np.errstate(all="ignore"):  # the flag reports points where this divides by zero
         # float_power is the libm pow behind Python's x**2. numpy's array x**2 is x*x,
@@ -265,8 +263,7 @@ def _planar_forms(thetas: np.ndarray, etas: np.ndarray) -> np.ndarray:
 
 
 def _deficit(thetas: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """1 - theta*eta to about an ulp, also where fl(theta*eta) is near 1: Dekker's product error,
-    whose high parts keep 26 bits of each factor, so no partial product but the last rounds."""
+    """1 - theta*eta to about an ulp near the hyperbola too: 1 - fl(theta*eta) less Dekker's exact error."""
     product = thetas * etas
     th, eh = ((v.view(np.int64) & -(1 << 27)).view(np.float64) for v in (thetas, etas))
     tl, el = thetas - th, etas - eh
@@ -327,6 +324,11 @@ def _spectra(thetas: np.ndarray, etas: np.ndarray, r: float, m: float, n: float
         forms[:, 1, 4:, 4:] = -planar
         out[block] = _root_spectrum(root, forms, lambda k: where(k // 2))
     return out[:, 0], out[:, 1]
+
+
+def dense_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`family_spectra` by the dense 8x8 route, with the same checks: its cross-check."""
+    return _spectra(*_checked_points(thetas, etas, m, n), m, n)
 
 
 def family_invariants(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:

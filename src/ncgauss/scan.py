@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii as quote
 import numpy as np
 
 from .errors import DomainError
-from .family import _checked_points, _spectra, family_invariants, family_spectra
+from .family import dense_spectra, family_invariants, family_spectra
 from .phase_space import NCParams
 from .separability import ClassificationResult, Verdict, verdict_from_invariants
 
@@ -91,7 +91,7 @@ class ScanRecord:
 def numeric_invariants(theta: float, eta: float, m: float, n: float) -> ClassificationResult:
     """Spectral-route classification of a family point (the cross-check of ``eval --verbose``)."""
     NCParams(theta=theta, eta=eta)  # theta*eta >= 1 is an error here, not an invalid record
-    spectrum, reflected = _spectra(*_checked_points([theta], [eta], m, n), m, n)
+    spectrum, reflected = dense_spectra([theta], [eta], m, n)
     nu, nu_prime = float(spectrum[0, 0]), float(reflected[0, 0])
     return ClassificationResult(
         verdict=verdict_from_invariants(nu, nu_prime), nu_minus=nu, nu_minus_prime=nu_prime

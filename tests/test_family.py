@@ -26,6 +26,7 @@ from ncgauss.family import (
     _checked_sqrt,
     _closed_forms,
     _root_spectrum,
+    dense_spectra,
     family_invariants,
     family_spectra,
 )
@@ -311,6 +312,16 @@ class TestFamilySpectra:
         for k in range(0, len(thetas), 20):  # one point runs on numpy scalars
             one = family_invariants(thetas[k : k + 1], etas[k : k + 1], m, n)
             np.testing.assert_array_equal([one[0][0], one[1][0]], [nu[k], nu_prime[k]])
+
+    @pytest.mark.parametrize("m,n", [(-0.3, 0.2), (0.3, -0.2), (-0.1, -0.1), (FIG_M, FIG_N)])
+    def test_dense_route_agrees_and_checks_alike(self, m, n):
+        # dense_spectra, the cross-check route, away from the hyperbola; NaN rows beyond it.
+        thetas, etas = np.array([0.0, 0.3, 0.98, 2.0]), np.array([0.0, 0.5, 0.7, 0.75])
+        for dense, closed in zip(dense_spectra(thetas, etas, m, n), family_spectra(thetas, etas, m, n)):
+            np.testing.assert_allclose(dense, closed, rtol=1e-12)
+        for route in (dense_spectra, family_spectra):
+            with pytest.raises(DomainError, match=r"at \(theta, eta, m, n\) = \(-1\.0, 0\.5,"):
+                route([0.5, -1.0], [0.5, 0.5], m, n)
 
     def test_fig1_makes_no_dense_solve(self, monkeypatch, capsys):
         # fig1 never reaches the dense route (core._root_spectrum, called through family) nor any
