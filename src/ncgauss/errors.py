@@ -26,4 +26,4 @@ class DomainError(NCGaussError):
 
 
 class FormulaDomainError(DomainError):
-    """A closed-form radicand is negative beyond tolerance."""
+    """A closed form leaves floating-point range: an invariant overflows to 0."""

@@ -5,9 +5,11 @@ parameterized by reals (m, n), R = sqrt(m^2 + n^2) < 1 and b = (1+R)/(1-R).
 Both parties share the same planar commutation form. Closed forms give the
 Williamson spectra before and after partial transposition, which depend on |m|
 and |n| only: ``family_spectra`` (figure 1) is closed form in every quadrant.
-For ``family_invariants`` the couplings pick the route: closed forms on the
-m, n >= 0 quadrant, the dense spectral route off it. A point where a closed form
-leaves its domain raises and names itself.
+The closed forms are one branch-free kernel, free of cancellation for the
+smallest invariants. For ``family_invariants`` the couplings pick the route:
+closed forms on the m, n >= 0 quadrant, the dense spectral route off it. A point
+whose closed-form invariants overflow (theta or eta beyond about 1e77) raises
+FormulaDomainError and names itself.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .core import (
     covariance_root,
     validate_covariance,
 )
-from .errors import DimensionError, DomainError, FormulaDomainError, NCGaussError, NotPositiveDefiniteError
+from .errors import DimensionError, DomainError, FormulaDomainError, NotPositiveDefiniteError
 from .phase_space import (
     EPSILON2,
     CompositeForm,
@@ -33,11 +35,6 @@ from .phase_space import (
     build_planar_form,
     invalid_deformations,
 )
-
-# Radicands in [-RADICAND, 0) are roundoff and clamp to 0; below that the closed form
-# has left its domain, and the point raises FormulaDomainError.
-RADICAND = 1e-12
-
 
 def _scale(r: float) -> float:
     """The covariance scale b = (1+R)/(1-R)."""
@@ -126,106 +123,76 @@ class ClosedFormInvariants:
     nu_minus_prime: float
 
 
-def _checked_sqrt(value):
-    """sqrt with a clamp window for roundoff, and the flag of genuinely negative input."""
-    return np.sqrt(np.maximum(value, 0.0)), value < -RADICAND
+def _deficit(thetas: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """1 - theta*eta to about an ulp near the hyperbola too: 1 - fl(theta*eta) less Dekker's exact error."""
+    product = thetas * etas
+    th, eh = ((v.view(np.int64) & -(1 << 27)).view(np.float64) for v in (thetas, etas))
+    tl, el = thetas - th, etas - eh
+    error = ((th * eh - product) + th * el + tl * eh) + tl * el
+    return (1.0 - product) - error
 
 
-def _stable_root(omega_half, gap, c):
-    """Smaller root of x^2 - omega x + c^2 = 0, i.e. omega/2 - sqrt(omega^2/4 - c^2), and its flag.
-
-    Evaluated as c^2 / (omega/2 + sqrt((omega/2 - c)(omega/2 + c))) with the
-    gap omega/2 - c supplied in a pre-cancelled form, so the double root at
-    zero deformation (gap = 0) is hit exactly instead of through a
-    sqrt-amplified cancellation. The flag marks a negative radicand or a
-    non-positive denominator.
-    """
-    surd, flag = _checked_sqrt(gap * (omega_half + c))
-    denominator = omega_half + surd
-    return c * c / denominator, flag | (denominator <= 0.0)
+def _invariant(gap, c, r: float):
+    """b / (1 - theta*eta) times the square root of the smaller root of x^2 - 2(gap + c) x + c^2."""
+    return (1.0 + r) ** 2 / np.sqrt(gap + c + np.sqrt(gap * (gap + 2.0 * c)))
 
 
 def _closed_forms(theta, eta, m: float, n: float, r: float):
-    """omega_+, omega_-, nu_-, nu'_- and the out-of-domain flag at the points (theta, eta).
+    """nu_-, nu'_-, their pencils' gaps g = omega/2 - c, and c, at the points (theta, eta).
 
-    theta and eta are numpy scalars or equal-shape arrays. Where the flag is set
-    a radicand is negative beyond RADICAND or a pencil combination is not
-    positive, and the invariants there mean nothing.
+    theta and eta are numpy scalars or equal-shape arrays. Each invariant is
+    b / (1 - theta*eta) times the square root of the smaller root of a pencil
+    x^2 - omega x + c^2, c = (1-R^2)(1 - theta*eta): (1+R)^2 / sqrt(g + c + sqrt(g (g + 2c))).
+    With s = theta + eta, q = (1-R)(1+R), q_n = (1-|n|)(1+|n|) and c from :func:`_deficit`,
 
-    nu = (1/(1 - eta*theta)) * (1+R)/(1-R) * sqrt(omega/2 - sqrt(omega^2/4 - c^2))
-    with c = (1-R^2)(1 - eta*theta), omega_minus feeding nu_- and omega_plus
-    feeding nu'_-. The surds are rearranged algebraically so that the gaps
+        g_- = (|theta - eta| + n s)^2 / 2 + 2 theta eta q              (Omega, nu_-)
+        g_+ = ((q_n s + 2m)^2 / 2 + 2 n^2 q) / q_n                     (Omega', nu'_-)
 
-        omega_-/2 - c = (1+n^2)(eta^2+theta^2)/2 + eta*theta*(1 - 2m^2 - n^2)
-                        + n*|eta^2 - theta^2|
-        omega_+/2 - c = 2(m^2+n^2) + (1-n^2)(eta+theta)^2/2 + 2m(eta+theta)
-
-    vanish identically at zero deformation / zero coupling; the naive
-    difference loses half the working precision there. Each form has two pencils, picked
-    by the sign of n (Omega) and of m (Omega'): -|m|, -|n| give the second invariants from
-    gaps that are sums of non-negative terms, and omega/2 = gap + c, as its sum cancels.
+    The signs pick the pencil, n's for Omega and m's for Omega'. (|m|, |n|) gives
+    the smallest invariants: every term is non-negative, so nothing cancels, also
+    where a gap vanishes, near the hyperbola and as R -> 1. (-|m|, -|n|) gives the
+    second ones, where (1+n)|theta - eta| + 2n min(theta, eta) keeps Omega's
+    difference exact at theta = 0 or eta = 0. Only an overflow (theta or eta beyond
+    about 1e77) leaves an invariant 0.
     """
-    with np.errstate(all="ignore"):  # the flag reports points where this divides by zero
-        # float_power is the libm pow behind Python's x**2. numpy's array x**2 is x*x,
-        # which differs from pow in the last bit for some inputs; with pow, a point
-        # gives the same bits alone, in a grid and through the scalar API.
-        theta2, eta2 = np.float_power(theta, 2.0), np.float_power(eta, 2.0)
-        plus = (
-            2.0 * (1.0 + n**2)
-            + (1.0 - n**2) * (eta2 + theta2)
-            + 2.0 * m**2 * (1.0 + eta * theta)
-            + 4.0 * m * (eta + theta)
-        )
-        minus = (
-            2.0 * (1.0 - n**2)
-            + (1.0 + n**2) * (eta2 + theta2)
-            - 2.0 * m**2 * (1.0 + eta * theta)
-            + 2.0 * n * abs(eta2 - theta2)
-        )
-        deformation = 1.0 - eta * theta
-        c = (1.0 - r**2) * deformation
-        if n >= 0.0:
-            gap_minus = ((1.0 + n**2) * (eta2 + theta2) / 2.0 + eta * theta * (1.0 - 2.0 * m**2 - n**2)
-                         + n * abs(eta2 - theta2))
-        else:
-            gap_minus = (np.float_power(abs(theta - eta) + n * (eta + theta), 2.0) / 2.0
-                         + 2.0 * eta * theta * (1.0 - r**2))
-        if m >= 0.0:
-            gap_plus = (2.0 * (m**2 + n**2) + (1.0 - n**2) * np.float_power(eta + theta, 2.0) / 2.0
-                        + 2.0 * m * (eta + theta))
-        else:
-            gap_plus = (np.float_power((1.0 - n**2) * (eta + theta) + 2.0 * m, 2.0) / 2.0
-                        + 2.0 * n**2 * (1.0 - r**2)) / (1.0 - n**2)
-        root, flag = _stable_root(minus / 2.0 if n >= 0.0 else gap_minus + c, gap_minus, c)
-        root_prime, flag_prime = _stable_root(plus / 2.0 if m >= 0.0 else gap_plus + c, gap_plus, c)
-        nu, flag_nu = _checked_sqrt(root)
-        nu_prime, flag_nu_prime = _checked_sqrt(root_prime)
-        prefactor = _scale(r) / deformation
-        return (plus, minus, prefactor * nu, prefactor * nu_prime,
-                flag | flag_prime | flag_nu | flag_nu_prime)
+    with np.errstate(over="ignore"):  # an overflow gives nu = 0, which the check reports
+        s = theta + eta
+        q = (1.0 - r) * (1.0 + r)
+        q_n = (1.0 - abs(n)) * (1.0 + abs(n))
+        c = q * _deficit(theta, eta)
+        split = (1.0 + n) * abs(theta - eta) + 2.0 * n * np.minimum(theta, eta)
+        lift = q_n * s + 2.0 * m
+        gap_minus = split * split / 2.0 + 2.0 * theta * eta * q
+        gap_plus = (lift * lift / 2.0 + 2.0 * n * n * q) / q_n
+        return _invariant(gap_minus, c, r), _invariant(gap_plus, c, r), gap_minus, gap_plus, c
 
 
 def _checked_closed_forms(theta, eta, m: float, n: float, r: float, where):
-    """:func:`_closed_forms` less the flag; raises for the first point flagged or not positive."""
-    plus, minus, nu, nu_prime, off = _closed_forms(theta, eta, m, n, r)
-    _raise_first(off, FormulaDomainError, "closed form leaves its domain", where)
-    _raise_first(~((nu > 0.0) & (nu_prime > 0.0)), NCGaussError,
-                 "closed-form invariants must be positive", where)
-    return plus, minus, nu, nu_prime
+    """:func:`_closed_forms`; raises for the first point where an invariant is not positive."""
+    nu, nu_prime, *rest = _closed_forms(theta, eta, m, n, r)
+    _raise_first(~((nu > 0.0) & (nu_prime > 0.0)), FormulaDomainError, "closed form leaves its domain", where)
+    return nu, nu_prime, *rest
 
 
 def closed_form_invariants(params: FamilyParams) -> ClosedFormInvariants:
     """Evaluate the closed forms for nu_- and nu'_- at one point (see :func:`_closed_forms`).
 
+    The invariants depend on |m| and |n| only, so the pencils are those at
+    (|m|, |n|); omega_+ and omega_- are their omega = 2(g + c).
+
     Raises:
-        FormulaDomainError: a closed form leaves its domain at this point.
-        NCGaussError: an invariant is not positive.
+        FormulaDomainError: an invariant overflows (theta or eta beyond about 1e77).
     """
     theta, eta = np.float64(params.nc.theta), np.float64(params.nc.eta)
     where = _point_names([theta], [eta], params.m, params.n)
-    plus, minus, nu, nu_prime = _checked_closed_forms(theta, eta, params.m, params.n, params.r, where)
+    nu, nu_prime, gap_minus, gap_plus, c = _checked_closed_forms(
+        theta, eta, abs(params.m), abs(params.n), params.r, where
+    )
     return ClosedFormInvariants(
-        omega_plus=float(plus), omega_minus=float(minus), nu_minus=float(nu), nu_minus_prime=float(nu_prime)
+        omega_plus=float(2.0 * (gap_plus + c)),
+        omega_minus=float(2.0 * (gap_minus + c)),
+        nu_minus=float(nu),
+        nu_minus_prime=float(nu_prime),
     )
 
 
@@ -262,15 +229,6 @@ def _planar_forms(thetas: np.ndarray, etas: np.ndarray) -> np.ndarray:
     return planar
 
 
-def _deficit(thetas: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """1 - theta*eta to about an ulp near the hyperbola too: 1 - fl(theta*eta) less Dekker's exact error."""
-    product = thetas * etas
-    th, eh = ((v.view(np.int64) & -(1 << 27)).view(np.float64) for v in (thetas, etas))
-    tl, el = thetas - th, etas - eh
-    error = ((th * eh - product) + th * el + tl * eh) + tl * el
-    return (1.0 - product) - error
-
-
 def family_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:
     """Williamson spectra of (Sigma, Omega) and (Sigma, Omega') at the points (thetas[k], etas[k]).
 
@@ -288,7 +246,7 @@ def family_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.nda
         block = slice(start, start + _BLOCK)
         _check_skew_forms(_planar_forms(ts[block], es[block]), _point_names(ts[block], es[block], m, n))
     where = _point_names(ts, es, m, n)
-    smallest, second = (np.array(_checked_closed_forms(ts, es, sign * abs(m), sign * abs(n), r, where)[2:])
+    smallest, second = (np.array(_checked_closed_forms(ts, es, sign * abs(m), sign * abs(n), r, where)[:2])
                         for sign in (1.0, -1.0))  # each holds the (nu, nu') pair
     product = _scale(r) * (1.0 + r) ** 2 / _deficit(ts, es)  # nu_1 nu_4 = nu_2 nu_3
     rows = np.stack([smallest, second, product / second, product / smallest], axis=-1)
@@ -338,8 +296,7 @@ def family_invariants(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.
     route for every point: the closed forms on the m, n >= 0 quadrant, where
     they are exact, and :func:`family_spectra` off it. A failing check raises
     for the first failing point, naming its (theta, eta, m, n); on the quadrant
-    that includes a point where a closed form leaves its domain
-    (:class:`FormulaDomainError`).
+    that includes a point whose invariants overflow (:class:`FormulaDomainError`).
     """
     thetas, etas, r = _checked_points(thetas, etas, m, n)
     nu = np.full(len(thetas), np.nan)
@@ -351,7 +308,7 @@ def family_invariants(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.
         ts, es = thetas[todo], etas[todo]
         # One point runs on numpy scalars: the same arithmetic at a fifth of the cost.
         points = (ts, es) if todo.size > 1 else (ts[0], es[0])
-        nu[todo], nu_prime[todo] = _checked_closed_forms(*points, m, n, r, _point_names(ts, es, m, n))[2:]
+        nu[todo], nu_prime[todo] = _checked_closed_forms(*points, m, n, r, _point_names(ts, es, m, n))[:2]
     else:
         spectrum, reflected = _spectra(thetas[todo], etas[todo], r, m, n)
         nu[todo], nu_prime[todo] = spectrum[:, 0], reflected[:, 0]

@@ -259,7 +259,7 @@ class TestErrorMessages:
 class TestErrorMapping:
     def test_formula_domain_error_exits_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
-            raise FormulaDomainError("synthetic radicand failure")
+            raise FormulaDomainError("synthetic closed-form failure")
 
         monkeypatch.setattr("ncgauss.cli.eval_point", boom)
         assert main(["eval", "--theta", "0", "--eta", "0", "--m", "0.1", "--n", "0.1"]) == 3

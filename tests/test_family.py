@@ -23,7 +23,6 @@ from ncgauss import (
 from ncgauss.cli import main
 from ncgauss.family import (
     FamilyParams,
-    _checked_sqrt,
     _closed_forms,
     _root_spectrum,
     dense_spectra,
@@ -180,22 +179,23 @@ class TestClosedFormInvariants:
         log_gap=st.floats(min_value=-16.0, max_value=0.0),
         log_slack=st.floats(min_value=-15.0, max_value=0.0),
         angle=st.floats(min_value=0.0, max_value=math.pi / 2.0),
+        signs=st.sampled_from(SIGNS),
     )
     def test_closed_forms_never_flag_an_admissible_quadrant_point(
-        self, log_theta, log_gap, log_slack, angle
+        self, log_theta, log_gap, log_slack, angle, signs
     ):
-        # The quadrant has no spectral fallback: a flagged point raises. 1 - theta*eta
+        # Only a non-positive invariant raises, so every admissible point of every sign
+        # quadrant (either pencil) must give positive, finite invariants. 1 - theta*eta
         # and 1 - R are log-uniform down to 1e-16 and 1e-15, so half the draws lie
         # within 1e-8 of the hyperbola or of R = 1.
         theta = 10.0**log_theta
         eta = (1.0 - 10.0**log_gap) / theta
         radius = 1.0 - 10.0**log_slack
-        m, n = radius * math.cos(angle), radius * math.sin(angle)
+        m, n = signs[0] * radius * math.cos(angle), signs[1] * radius * math.sin(angle)
         r = math.hypot(m, n)
         assume(theta * eta < 1.0 and r < 1.0)
-        *_, nu, nu_prime, off = _closed_forms(np.float64(theta), np.float64(eta), m, n, r)
-        assert not off
-        assert nu > 0.0 and nu_prime > 0.0
+        nu, nu_prime = _closed_forms(np.float64(theta), np.float64(eta), m, n, r)[:2]
+        assert 0.0 < nu < math.inf and 0.0 < nu_prime < math.inf
 
     def test_arrays_match_single_points_bit_for_bit(self):
         # Grids run the closed forms on arrays and single points on numpy scalars.
@@ -214,21 +214,63 @@ class TestClosedFormInvariants:
                 closed = closed_form_invariants(_params(theta, eta, FIG_M, FIG_N))
                 assert (closed.nu_minus, closed.nu_minus_prime) == (want, want_prime)
 
-    def test_checked_sqrt_clamps_roundoff(self):
-        assert _checked_sqrt(0.0) == (0.0, False)
-        assert _checked_sqrt(-1e-13) == (0.0, False)
-        assert _checked_sqrt(4.0) == (2.0, False)
+    def test_overflow_raises_and_names_the_point(self):
+        # Beyond theta ~ 1e77 the gaps overflow and an invariant comes out 0: the point
+        # raises, alone or in a grid, and the grid names its first such point.
+        with pytest.raises(FormulaDomainError, match=r"at \(theta, eta, m, n\) = \(1e\+80, 0\.0,"):
+            closed_form_invariants(_params(1e80, 0.0, FIG_M, FIG_N))
+        with pytest.raises(FormulaDomainError, match=r"at \(theta, eta, m, n\) = \(1e\+80, 0\.0,"):
+            family_invariants([0.25, 1e80, 1e79], [0.5, 0.0, 0.0], FIG_M, FIG_N)
 
-    def test_checked_sqrt_rejects_genuinely_negative(self, monkeypatch):
-        # A flagged point raises, alone or in a grid.
-        assert _checked_sqrt(-1e-9)[1]
-        values, flags = _checked_sqrt(np.array([4.0, -1e-13, -1e-9]))
-        np.testing.assert_array_equal(values, [2.0, 0.0, 0.0])
-        np.testing.assert_array_equal(flags, [False, False, True])
-        # A clamp window of -inf fails every radicand test.
-        monkeypatch.setattr("ncgauss.family.RADICAND", -math.inf)
-        with pytest.raises(FormulaDomainError, match=r"at \(theta, eta, m, n\) = \(0\.25, 0\.5,"):
-            closed_form_invariants(_params(0.25, 0.5, FIG_M, FIG_N))
+    @pytest.mark.parametrize("m,n", [(0.3, 0.2), (-0.3, 0.2), (-0.3, -0.2), (0.3, -0.2)])
+    def test_negative_couplings_give_the_smallest_invariants(self, m, n):
+        # The invariants depend on |m| and |n|; at (-0.3, 0.2) nu'_- is 1.01788, where the
+        # other Omega' pencil gives 1.6903.
+        bound = _mp_bound(m, n)
+        result = closed_form_invariants(_params(0.25, 0.5, m, n))
+        spectrum, reflected = mp_spectra(0.25, 0.5, m, n)
+        assert _relative_error(result.nu_minus, spectrum[0]) <= bound
+        assert _relative_error(result.nu_minus_prime, reflected[0]) <= bound
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        log_theta=st.floats(min_value=-4.0, max_value=3.0),
+        log_gap=st.floats(min_value=-12.0, max_value=0.0),
+        log_slack=st.floats(min_value=-12.0, max_value=0.0),
+        angle=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=math.pi / 2.0)),
+        signs=st.sampled_from(SIGNS),
+    )
+    # theta = eta = 0 with R = 0.9999999 exact: the direct 1 - R^2 lost 1.8e5 eps here.
+    @example(log_theta=-math.inf, log_gap=0.0, log_slack=-7.0, angle=0.0, signs=SIGNS[0])
+    # Both corners at once, with m < 0 and n = -0.0.
+    @example(log_theta=-0.30103, log_gap=-12.0, log_slack=-12.0, angle=0.0, signs=SIGNS[2])
+    def test_smallest_invariants_match_mpmath_as_r_nears_one(self, log_theta, log_gap, log_slack, angle, signs):
+        # nu_- and nu'_- to 4 (eps + |r - R| / (1 - R)) of mpmath, in every quadrant, near the
+        # hyperbola and as R -> 1. r = hypot(m, n) is rounded; no formula in r can undo the
+        # |r - R| / (1 - R) that b = (1+R)/(1-R) makes of it. The reference's error is relative
+        # to nu_max, up to 1e30 nu_min at these corners, so it runs at 60 digits.
+        theta = 10.0**log_theta
+        eta = (1.0 - 10.0**log_gap) / theta if theta > 0.0 else 0.0
+        radius = 1.0 - 10.0**log_slack
+        m, n = signs[0] * radius * math.cos(angle), signs[1] * radius * math.sin(angle)
+        assume(theta * eta < 1.0 and math.hypot(m, n) < 1.0)
+        bound = _mp_bound(m, n)
+        spectrum, reflected = mp_spectra(theta, eta, m, n, dps=60)
+        closed = closed_form_invariants(_params(theta, eta, m, n))
+        assert _relative_error(closed.nu_minus, spectrum[0]) <= bound
+        assert _relative_error(closed.nu_minus_prime, reflected[0]) <= bound
+
+
+def _relative_error(got, want) -> float:
+    return float(abs((want - got) / want))
+
+
+def _mp_bound(m, n) -> float:
+    """4 (eps + |r - R| / (1 - R)): r = hypot(m, n) as rounded, R = sqrt(m^2 + n^2) to 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        radius = mpmath.sqrt(mpmath.mpf(m) ** 2 + mpmath.mpf(n) ** 2)
+        return 4.0 * (EPS + float(abs(math.hypot(m, n) - radius) / (1 - radius)))
 
 
 def _spectra_points():

@@ -154,10 +154,7 @@ class TestEvalPoint:
         m, n = radius * math.cos(angle), radius * math.sin(angle)
         assume(theta * eta < 1.0 and math.hypot(m, n) < 1.0)
         nc = NCParams(theta, eta)
-        try:
-            closed = closed_form_invariants(FamilyParams(m=m, n=n, nc=nc))
-        except FormulaDomainError:
-            assume(False)
+        closed = closed_form_invariants(FamilyParams(m=m, n=n, nc=nc))
         numeric = numeric_invariants(theta, eta, m, n)
         spectra = partial_transpose_spectra(build_covariance(m, n, nc).sigma, family_form(nc))
         for got, want, spectrum in zip(
@@ -256,24 +253,21 @@ class TestScanGrid:
         assert sum(rec.nu_minus is not None for rec in records) > 512  # more than one block
         assert records == [eval_point(rec.theta, rec.eta, rec.m, rec.n) for rec in records]
 
-    def test_closed_form_domain_failures_raise_and_name_the_point(self, monkeypatch, capsys):
-        # A radicand window of -inf fails every closed-form radicand test. A flagged
-        # quadrant point raises and names itself; it never takes the spectral route.
-        monkeypatch.setattr("ncgauss.family.RADICAND", -math.inf)
-        first = r"closed form leaves its domain at \(theta, eta, m, n\) = \(0\.25, 0\.5, 0\.3, 0\.2\)"
+    def test_closed_form_domain_failures_raise_and_name_the_point(self, capsys):
+        # Beyond theta ~ 1e77 the closed-form gaps overflow and an invariant comes out 0.
+        # Such a quadrant point raises and names itself; it never takes the spectral route.
+        first = r"closed form leaves its domain at \(theta, eta, m, n\) = \(1e\+80, 0\.0, 0\.3, 0\.2\)"
         with pytest.raises(FormulaDomainError, match=first):
-            scan_grid(ScanConfig((0.25, 1.5, 6), (0.5, 1.5, 3), m=0.3, n=0.2))
+            scan_grid(ScanConfig((0.0, 1e80, 2), (0.0, 1e-90, 2), m=0.3, n=0.2))
         with pytest.raises(FormulaDomainError, match=first):
-            eval_point(0.25, 0.5, 0.3, 0.2)
+            eval_point(1e80, 0.0, 0.3, 0.2)
         # The name skips points beyond the hyperbola, which are never evaluated.
         with pytest.raises(FormulaDomainError, match=first):
-            family_invariants([2.0, 0.25], [2.0, 0.5], 0.3, 0.2)
-        # Off the quadrant the closed forms are not used, so nothing is flagged.
-        assert eval_point(0.25, 0.5, -0.3, 0.2).nu_minus is not None
-        argv = ["scan", "--theta-range", "0.25:1.5:6", "--eta-range", "0.5:1.5:3", "--m", "0.3", "--n", "0.2"]
+            family_invariants([2.0, 1e80], [2.0, 0.0], 0.3, 0.2)
+        argv = ["scan", "--theta-range", "0:1e80:2", "--eta-range", "0:1e-90:2", "--m", "0.3", "--n", "0.2"]
         assert main(argv) == 3
         err = capsys.readouterr().err
-        assert "closed form leaves its domain at (theta, eta, m, n) = (0.25, 0.5, 0.3, 0.2)" in err
+        assert "closed form leaves its domain at (theta, eta, m, n) = (1e+80, 0.0, 0.3, 0.2)" in err
 
     def test_failing_point_is_named(self):
         theta_range, eta_range, m, n = SINGULAR_MID_GRID
