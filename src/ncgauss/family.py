@@ -246,9 +246,10 @@ def family_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.nda
         block = slice(start, start + _BLOCK)
         _check_skew_forms(_planar_forms(ts[block], es[block]), _point_names(ts[block], es[block], m, n))
     where = _point_names(ts, es, m, n)
-    smallest, second = (np.array(_checked_closed_forms(ts, es, sign * abs(m), sign * abs(n), r, where)[:2])
-                        for sign in (1.0, -1.0))  # each holds the (nu, nu') pair
-    product = _scale(r) * (1.0 + r) ** 2 / _deficit(ts, es)  # nu_1 nu_4 = nu_2 nu_3
+    nu_1, nup_1, *_, c = _checked_closed_forms(ts, es, abs(m), abs(n), r, where)
+    nu_2, nup_2 = _checked_closed_forms(ts, es, -abs(m), -abs(n), r, where)[:2]
+    smallest, second = np.array([nu_1, nup_1]), np.array([nu_2, nup_2])
+    product = (1.0 + r) ** 4 / c  # nu_1 nu_4 = nu_2 nu_3 = b (1+R)^2 / (1 - theta*eta)
     rows = np.stack([smallest, second, product / second, product / smallest], axis=-1)
     out[:, todo] = np.maximum.accumulate(rows, axis=-1)  # roundoff can swap equal roots
     return out[0], out[1]
