@@ -1,8 +1,8 @@
 """Command-line front end: single-point evaluation and parameter-plane scans.
 
 ``scan``, ``fig1`` and ``fig2`` write the column table of one batched evaluation
-(``scan.scan_table``, ``scan.fig1_table``); the writers spell each distinct value
-once, and the bytes are those of spelling every cell.
+(``scan.scan_table``, ``scan.fig1_table``); the writers spell each column's distinct
+values in bulk, and the bytes are those of spelling every cell.
 
 Exit codes: 0 on success, 2 on usage errors (bad arguments, a grid range
 with MIN > MAX, a non-finite bound or STEPS < 1, R >= 1, unwritable output),

@@ -234,17 +234,13 @@ def family_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.nda
 
     Returns two (N, 4) arrays, ascending along each row, with NaN rows where
     theta*eta >= 1. Closed form in every quadrant: each form has two pencils x^2 - omega x + c^2
-    (:func:`_closed_forms`) with roots nu_k and b(1+R)^2 / ((1 - theta*eta) nu_k). The checks
-    are those of the spectral route, and a failing check raises naming the first failing point.
+    (:func:`_closed_forms`) with roots nu_k and b(1+R)^2 / ((1 - theta*eta) nu_k). No root of Sigma
+    or inverse of a form is taken: the checks are on inputs and results, naming the first failing point.
     """
     thetas, etas, r = _checked_points(thetas, etas, m, n)
-    _covariance_root(m, n, r)
     out = np.full((2, len(thetas), 4), np.nan)
     todo = np.flatnonzero(thetas * etas < 1.0)
     ts, es = thetas[todo], etas[todo]
-    for start in range(0, todo.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        _check_skew_forms(_planar_forms(ts[block], es[block]), _point_names(ts[block], es[block], m, n))
     where = _point_names(ts, es, m, n)
     nu_1, nup_1, *_, c = _checked_closed_forms(ts, es, abs(m), abs(n), r, where)
     nu_2, nup_2 = _checked_closed_forms(ts, es, -abs(m), -abs(n), r, where)[:2]
@@ -255,20 +251,15 @@ def family_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.nda
     return out[0], out[1]
 
 
-def _covariance_root(m: float, n: float, r: float) -> np.ndarray:
-    """sqrt(Sigma) after its check; Sigma depends on the couplings only, so a failure names them."""
-    try:
-        return covariance_root(_covariance_matrix(m, n, _scale(r)))
-    except NotPositiveDefiniteError as exc:
-        raise NotPositiveDefiniteError(f"{exc} at (m, n) = ({float(m)!r}, {float(n)!r})") from None
-
-
 def _spectra(thetas: np.ndarray, etas: np.ndarray, r: float, m: float, n: float
              ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`family_spectra` by the dense route, on checked points: one solve and eigvalsh per block."""
     out = np.full((len(thetas), 2, 4), np.nan)
     todo = np.flatnonzero(thetas * etas < 1.0)
-    root = _covariance_root(m, n, r)
+    try:  # Sigma depends on the couplings only, so a failing check names them
+        root = covariance_root(_covariance_matrix(m, n, _scale(r)))
+    except NotPositiveDefiniteError as exc:
+        raise NotPositiveDefiniteError(f"{exc} at (m, n) = ({float(m)!r}, {float(n)!r})") from None
     for start in range(0, todo.size, _BLOCK):
         block = todo[start : start + _BLOCK]
         where = _point_names(thetas[block], etas[block], m, n)

@@ -13,14 +13,15 @@ Rows run in row-major order, theta outer and eta inner.
 
 A table is a dict of equal-length columns: float64 arrays, lists of labels, or
 ``(column, missing)`` pairs with a boolean mask. The CLI writes tables
-(:func:`table_to_csv`, :func:`table_to_json`), spelling each column once per
-distinct value (per float bit pattern); :func:`scan_grid` and
-:func:`emit_fig1_data` read their records from them. Floats are rounded to 12
+(:func:`table_to_csv`, :func:`table_to_json`), a column's distinct floats (per bit
+pattern) in one C-level format and a row as the join of its cells; :func:`scan_grid`
+and :func:`emit_fig1_data` read their records from them. Floats are rounded to 12
 significant digits, so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as quote
@@ -134,7 +135,7 @@ def scan_table(config: ScanConfig) -> dict:
 
 def scan_grid(config: ScanConfig) -> list[ScanRecord]:
     """Classify every grid point in one batched evaluation, theta outer and eta inner."""
-    return list(map(ScanRecord, *(_cells(c, lambda v: v, None) for c in scan_table(config).values())))
+    return list(map(ScanRecord, *(_cells(c, list, lambda v: v, None) for c in scan_table(config).values())))
 
 
 def fig2_couplings(r: float, swap: bool = False) -> tuple[float, float]:
@@ -184,25 +185,27 @@ def emit_fig1_data(
     form is singular on the hyperbola).
     """
     table = fig1_table(theta_values, eta_range, m, n)
-    return [dict(zip(table, row)) for row in zip(*(_cells(c, lambda v: v, None) for c in table.values()))]
+    return [dict(zip(table, row)) for row in zip(*(_cells(c, list, lambda v: v, None) for c in table.values()))]
 
 
-def _cells(column, spell, blank) -> list:
-    """``spell(value)`` for every cell of a column, ``blank`` in its missing cells.
-
-    ``spell`` runs once per distinct value: per bit pattern of a float column (0.0
-    and -0.0 stay apart), per label of a list. The identity gives the values.
-    """
+def _cells(column, floats, label, blank) -> list:
+    """Every cell of a column spelled, ``blank`` in its missing cells: ``floats`` spells all distinct
+    bit patterns of a float column in one call (0.0 and -0.0 stay apart), ``label`` each label."""
     data, missing = column if isinstance(column, tuple) else (column, None)
     if isinstance(data, list):
-        spelled = {v: spell(v) for v in set(data)}
-        cells = np.array([spelled[v] for v in data], dtype=object)
+        spelled = {v: label(v) for v in set(data)}
+        cells = np.array(list(map(spelled.__getitem__, data)), dtype=object)
     else:
         bits, index = np.unique(data.view(np.int64), return_inverse=True)
-        cells = np.array([spell(v) for v in bits.view(np.float64).tolist()], dtype=object)[index]
+        cells = np.array(floats(bits.view(np.float64).tolist()), dtype=object)[index]
     if missing is not None:
         cells[missing] = blank
     return cells.tolist()
+
+
+def _spell(form: str, values: list) -> list[str]:
+    """``form % v`` for every value, all in one C-level format; ``form`` holds no NUL."""
+    return ((form + "\0") * len(values) % tuple(values)).split("\0")[:-1]
 
 
 def table_to_csv(table: dict) -> str:
@@ -211,30 +214,36 @@ def table_to_csv(table: dict) -> str:
     Missing cells are empty, labels pass through, and numbers are written
     with 12 significant digits.
     """
-    cells = [_cells(c, lambda v: v if isinstance(v, str) else "%.12g" % v, "") for c in table.values()]
+    cells = [_cells(c, lambda vs: _spell("%.12g", vs), lambda v: v, "") for c in table.values()]
     return "\n".join([",".join(table), *map(",".join, zip(*cells))]) + "\n"
 
 
-# json.dumps spells the non-finite floats this way; repr does not.
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_value(v) -> str:
-    text = quote(v) if isinstance(v, str) else repr(float("%.12g" % v))
-    return _JSON_NONFINITE.get(text, text)  # a quoted label is never a key
+def _json_floats(key: str, values) -> list[str]:
+    """``key + json.dumps(float("%.12g" % v))`` for every value: the "%.12g" text itself except
+    for an integer, a subnormal, NaN and infinity, which are spelled one by one."""
+    texts = _spell("%.12g", values)
+    numbers = np.fromiter(map(float, texts), float, len(texts))
+    odd = ~(np.isfinite(numbers) & (np.abs(numbers) >= np.finfo(float).tiny)) | (numbers == np.floor(numbers))
+    for k in np.flatnonzero(odd).tolist():
+        texts[k] = json.dumps(numbers[k].item())
+    return _spell(key.replace("%", "%%") + "%s", texts)
 
 
 def table_to_json(table: dict) -> str:
     """JSON array with one object per row, keys in column order.
 
-    Missing cells omit their key, labels are JSON-encoded, and numbers are rounded
-    to 12 significant digits. The text is what ``json.dumps(objects, indent=2)``
-    writes, built directly: rows share each ``"key": value`` item, built once.
+    Missing cells omit their key, labels are JSON-encoded, and numbers are rounded to 12
+    significant digits: the text of ``json.dumps(objects, indent=2)``, built directly. Each
+    cell carries its separator and key, and a row's first cell opens its object.
     """
-    cells = [
-        _cells(column, lambda v, key=f"    {quote(name)}: ": key + _json_value(v), None)
-        for name, column in table.items()
-    ]
-    bodies = (",\n".join(filter(None, row)) for row in zip(*cells))
-    objs = ["  {\n" + body + "\n  }" if body else "  {}" for body in bodies]
-    return "[\n" + ",\n".join(objs) + "\n]\n" if objs else "[]\n"
+    columns = []
+    for name, column in table.items():
+        blank = "" if columns else "  {"
+        key = (blank or ",") + f"\n    {quote(name)}: "
+        columns.append(_cells(column, lambda vs: _json_floats(key, vs), lambda v: key + quote(v), blank))
+    fix = bool(columns) and "  {" in columns[0]  # a row misses its first cell
+    text = "\n  },\n".join(map("".join, zip(*columns)))
+    del columns  # free the cells before the text is copied
+    text = "[\n" + text + "\n  }\n]\n" if text else "[]\n"
+    # No JSON string holds a raw newline: these match a row missing its first cell, or all.
+    return text.replace("{,\n", "{\n").replace("{\n  }", "{}") if fix else text

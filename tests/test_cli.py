@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -11,7 +12,7 @@ from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS
 from ncgauss.separability import Verdict
 from oracles import rows_to_csv, rows_to_json
 
-# sha256 of stdout, recorded with the per-row writers. These maps come from the closed
+# sha256 of stdout, recorded with the per-row writers. These outputs come from the closed
 # forms alone (elementwise arithmetic and libm pow, no LAPACK), so their bytes do not
 # depend on the LAPACK build; LAPACK-backed outputs are compared with the reference writers.
 GOLDEN = {
@@ -30,6 +31,14 @@ GOLDEN = {
     ("scan", "--m", "0", "--n", "-0", "--theta-range", "0:2:11", "--eta-range", "0:2:11"): (
         "69a15aa25f82d9901dcb9f601755e7b1fad7003f347fc42662df52e3eeafcb73",
         "4a769b674b1f96d2e2b12e7efe41dd81bf597481378f0770ccbd1bb14bea0951",
+    ),
+    ("fig1",): (
+        "c61b48d36d226a0a437c91da9c2d6edebb75cc51086aa140e7a4ada34b6ccd37",
+        "fcc60d9427108036a74adb25a5320b96a91980ae5a0fa04de85226d83676a53b",
+    ),
+    ("fig1", "--m", "-0.3", "--n", "0.2"): (
+        "4325b65d51a84fd87352b2f41d6c405e3732c001f54bf812315edf55e2b0e2fd",
+        "c45b0ab2a10b0ddcaf441b5b95ae607f71dea29c424c4bff51832c59a5cc57ba",
     ),
 }
 
@@ -144,6 +153,16 @@ class TestFigures:
         assert lines[0].startswith("theta,eta,m,n,nu_1")
         assert len(lines) == 1 + 2 * 3
 
+    @pytest.mark.parametrize("m", ["0.999999999999999", "-0.999999999999999"])
+    def test_fig1_answers_as_r_tends_to_one(self, capsys, m):
+        # R = 1 - 1e-15: Sigma's eigenvalues span 1 to 2e15; the closed forms need no root of it.
+        assert main(["fig1", "--thetas", "0.5", "--eta-range", "0:1:3", "--m", m, "--n", "0",
+                     "--format", "json"]) == 0
+        for row in json.loads(capsys.readouterr().out):
+            for name in ("nu", "nup"):
+                spectrum = [row[f"{name}_{k}"] for k in range(1, 5)]
+                assert all(map(math.isfinite, spectrum)) and spectrum == sorted(spectrum)
+
     def test_fig2_json(self, capsys):
         assert main(
             ["fig2", "--r", "0.5", "--theta-range", "0:2:5", "--eta-range", "0:2:5",
@@ -219,8 +238,6 @@ class TestErrorMessages:
         [
             (["eval", "--theta", "0.5", "--eta", "0.5", "--m", "-0.999999999999999", "--n", "0"],
              "(-0.999999999999999, 0.0)"),
-            (["fig1", "--thetas", "0.5", "--eta-range", "0:1:3", "--m", "0.999999999999999", "--n", "0"],
-             "(0.999999999999999, 0.0)"),
         ],
     )
     def test_covariance_failure_names_couplings(self, capsys, argv, couplings):

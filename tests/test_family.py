@@ -317,6 +317,15 @@ class TestFamilySpectra:
         errors = [abs(float((mpmath.mpf(g) - w) / w)) for g, w in zip(got, want)]
         assert max(errors) <= 8.0 * EPS * (1.0 + 1.0 / (1.0 - r))
 
+    @pytest.mark.parametrize("theta,eta,m,n", [(1e-4, 9999.9999999, 0.0, 0.0), (1e13, 0.0, -0.3, 0.2)])
+    def test_matches_mpmath_where_the_planar_form_is_ill_conditioned(self, theta, eta, m, n):
+        # cond_2 of [[theta eps, I], [-I, eta eps]] passes 1e12 here; the closed forms never invert it.
+        mpmath = pytest.importorskip("mpmath")
+        spectrum, reflected = family_spectra([theta], [eta], m, n)
+        want = sum(mp_spectra(theta, eta, m, n), [])
+        errors = [abs(float((mpmath.mpf(g) - w) / w)) for g, w in zip([*spectrum[0], *reflected[0]], want)]
+        assert max(errors) <= 8.0 * EPS * (1.0 + 1.0 / (1.0 - math.hypot(m, n)))
+
     @pytest.mark.parametrize("m,n", [(FIG_M, FIG_N), (0.3, 0.0), (0.0, -0.4), (-0.9999, 0.001)])
     def test_rows_ascending_and_paired(self, m, n):
         # nu_1 nu_4 = nu_2 nu_3 = b (1+R)^2 / (1 - theta*eta), the product of each pencil's roots,

@@ -67,15 +67,18 @@ def _tables(draw):
     """Random column tables for the writer property.
 
     Floats repeat and include signed zeros, non-finite and extreme values, labels
-    need JSON escapes, and any cell may be missing.
+    need JSON escapes, a column name holds a % directive, and any cell may be missing.
     """
     size = draw(st.integers(min_value=0, max_value=12))
+    # From 1e12 on: values at or next to where "%.12g" and repr pick different notations or digits.
     floats = st.one_of(
-        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 123456789012345.0, 0.5]),
+        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 123456789012345.0, 0.5,
+                         1e12, 999999999999.5, 1e15, 1e16, 9999999999999998.0, 1e-4,
+                         9.999999999995e-5, 5e-324, -2.0]),
         st.floats(),
     )
     labels = st.one_of(st.sampled_from(['q"\u00e9\n', "invalid", "\\", "\t\u2603", ""]), st.text(max_size=4))
-    names = draw(st.lists(st.sampled_from(["theta", "nu_minus", "verdict", 'k"\u00e9']),
+    names = draw(st.lists(st.sampled_from(["theta", "nu_minus", "verdict", 'k"\u00e9', "%s"]),
                           min_size=1, max_size=4, unique=True))
     table = {}
     for name in names:
@@ -338,6 +341,11 @@ class TestOutputFormats:
         "x": _column([0.0, -0.0, 0.0, None, -0.0], float),
         "y": _column([math.nan, math.inf, 1e-300, 123456789012345.0, math.nan], float),
         "verdict": _column(['q"\u00e9\n', "invalid", None, "invalid", "\\\t"], object),
+    })
+    @example(table={  # row 0 has every cell missing, row 1 its first one
+        "theta": _column([None, None, 1e12], float),
+        "verdict": _column([None, "invalid", None], object),
+        "nu_minus": _column([None, 999999999999.5, 5e-324], float),
     })
     def test_table_writers_equal_per_row_reference(self, table):
         # Spelling each distinct value once gives the text of spelling every cell.
