@@ -1,10 +1,11 @@
 """Dense symplectic linear algebra: Williamson spectra and uncertainty checks.
 
 All phase-space matrices are real float64 arrays of even dimension 2n with
-hbar = 1. The spectrum of a (covariance, skew form) pair is computed through
-the real skew-symmetric matrix sqrt(S) O^-1 sqrt(S), whose Hermitian
-counterpart is far better conditioned than the generic complex eigenproblem
-for 2i O^-1 S (the latter is kept as a test oracle only).
+hbar = 1. The spectrum of a (covariance, skew form) pair comes from one
+Hermitian eigensolve of (i/2) S^-1/2 O S^-1/2, whose eigenvalues are +-1/nu:
+no inverse of or solve against the form O, so the smallest invariant, the one
+every verdict reads, is good to about 2n eps whatever the conditioning of O. The
+generic complex eigenproblem for 2i O^-1 S is kept as a test oracle only.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ MAX_DIM = 64
 # Largest entrywise asymmetry (or skew defect) relative to max|A|: room for the
 # roundoff of assembled products such as S Sigma S^T, far below any modelling error.
 SYMMETRY = 1e-12
-# 1 / cond_2 at or below which a matrix counts as singular: a solve against it would
-# keep about four significant digits (see numerically_singular).
+# 1 / cond_2 at or below which a generic skew form or a Darboux map counts as singular,
+# near enough to rank loss that its inverse keeps about four significant digits
+# (see numerically_singular). The spectral kernel takes no inverse of the form.
 SINGULARITY = 1e-12
 # Band below nu = 1 that still counts as nu >= 1, so that a state on the boundary,
 # such as the vacuum (nu = 1 exactly), does not flip on roundoff in the last bits.
@@ -150,18 +152,13 @@ def numerically_singular(mat: np.ndarray):
     return np.exp(logdet / dim) <= SINGULARITY ** ((dim - 1) / dim) * rms
 
 
-def _check_skew_forms(forms: np.ndarray, where=None) -> None:
-    """Skewness and nonsingularity of a form or a stack (..., 2n, 2n); raise for the first failure."""
-    _raise_first(_asymmetric(forms, -1.0), MatrixStructureError,
-                 "form is not skew-symmetric within tolerance", where)
-    _raise_first(numerically_singular(forms), SingularMatrixError,
-                 "skew form is numerically singular", where)
-
-
 def validate_skew_form(mat) -> np.ndarray:
     """Check skew-symmetry and nonsingularity; return a read-only copy."""
     arr = _require_square(mat, "skew form")
-    _check_skew_forms(arr)
+    if _asymmetric(arr, -1.0):
+        raise MatrixStructureError("form is not skew-symmetric within tolerance")
+    if numerically_singular(arr):
+        raise SingularMatrixError("skew form is numerically singular")
     return _readonly(arr)
 
 
@@ -179,8 +176,8 @@ class SymplecticSpectrum:
         return len(self.invariants)
 
 
-def covariance_root(sigma) -> np.ndarray:
-    """Validate a covariance matrix and return its symmetric square root.
+def inverse_root(sigma) -> np.ndarray:
+    """Validate a covariance matrix and return its symmetric inverse square root Sigma^-1/2.
 
     The root comes from the eigendecomposition that proves positive-definiteness.
     Spectra of one covariance against many forms share it through :func:`_root_spectrum`.
@@ -188,12 +185,12 @@ def covariance_root(sigma) -> np.ndarray:
     arr = _require_symmetric(sigma)
     w, v = np.linalg.eigh(arr)
     _require_positive(w)
-    return (v * np.sqrt(w)) @ v.T
+    return (v / np.sqrt(w)) @ v.T
 
 
 def validated_root(sigma, form) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a (covariance, skew form) pair; return (sqrt(sigma), read-only form)."""
-    root = covariance_root(sigma)
+    """Validate a (covariance, skew form) pair; return (Sigma^-1/2, read-only form)."""
+    root = inverse_root(sigma)
     frm = validate_skew_form(form)
     if root.shape != frm.shape:
         raise DimensionError(
@@ -203,19 +200,22 @@ def validated_root(sigma, form) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _root_spectrum(root: np.ndarray, forms: np.ndarray, where=None) -> np.ndarray:
-    """Williamson invariants of sqrt(sigma) against a validated form or stack (..., 2n, 2n).
+    """Williamson invariants of Sigma^-1/2 against a form or a stack (..., 2n, 2n).
 
     Returns the invariants, ascending along the last axis of an (..., n) array,
-    from one solve and one eigvalsh for the whole stack. ``where`` names the
-    point behind a matrix whose spectrum is not strictly positive.
+    from one eigvalsh for the whole stack. The eigenvalues of (i/2) S O S,
+    S = Sigma^-1/2, are +-1/nu, each to about 2n eps ||S O S|| / 2 = 2n eps / nu_min:
+    nu_min is good to about 2n eps relative, nu_k to about 2n eps nu_k / nu_min.
+    ``where`` names the point behind a matrix whose S O S overflows or whose smallest
+    invariant is not positive.
     """
-    # K = sqrt(S) O^-1 sqrt(S) is real skew; iK is Hermitian with eigenvalues +-nu/2.
-    # An explicit right-hand side per form: numpy < 2 reads a 2-D b under a 3-D stack as vectors.
-    skew = root @ np.linalg.solve(forms, np.broadcast_to(root, forms.shape))
-    vals = np.linalg.eigvalsh(1j * skew)
-    half = vals.shape[-1] // 2
-    # Pair the +-kappa eigenvalues symmetrically to cancel roundoff.
-    invariants = vals[..., half:] - vals[..., half - 1 :: -1]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is not finite, which the check reports
+        skew = root @ forms @ root
+    _raise_first(~np.isfinite(skew).all(axis=(-2, -1)), NCGaussError,
+                 "Sigma^-1/2 form Sigma^-1/2 overflows; inputs are out of range", where)
+    vals = np.linalg.eigvalsh(0.5j * skew)
+    # Pair the +-1/nu eigenvalues symmetrically to cancel roundoff: nu_k = 2 / (vals[-k] - vals[k-1]).
+    invariants = 2.0 / (vals[..., ::-1] - vals)[..., : vals.shape[-1] // 2]
     _raise_first(invariants[..., 0] <= 0.0, NCGaussError,
                  "spectrum is not strictly positive; inputs are degenerate", where)
     return invariants
@@ -227,7 +227,9 @@ def nc_williamson_spectrum(sigma, form) -> SymplecticSpectrum:
     Returns the n positive values {nu} such that the eigenvalues of
     2i form^-1 sigma are exactly {+nu, -nu}, sorted ascending. With the
     standard form this is the usual symplectic spectrum; with a deformed
-    commutation form it is its noncommutative generalization.
+    commutation form it is its noncommutative generalization. The smallest
+    invariant is good to about 2n eps relative, nu_k to about 2n eps nu_k / nu_min
+    (see :func:`_root_spectrum`).
 
     Args:
         sigma: symmetric positive-definite 2n x 2n matrix.

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    _check_skew_forms,
-    _raise_first,
-    _root_spectrum,
-    covariance_root,
-    validate_covariance,
-)
+from .core import _raise_first, _root_spectrum, inverse_root, validate_covariance
 from .errors import DimensionError, DomainError, FormulaDomainError, NotPositiveDefiniteError
 from .phase_space import (
     EPSILON2,
@@ -196,7 +190,7 @@ def closed_form_invariants(params: FamilyParams) -> ClosedFormInvariants:
     )
 
 
-# Points per stacked check, solve and eigvalsh call. The stacks and work arrays of a block
+# Points per stacked product and eigvalsh call. The stacks and work arrays of a block
 # take up to about 5 kB per point, so a large grid needs no more memory than a small one.
 _BLOCK = 512
 
@@ -253,20 +247,17 @@ def family_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.nda
 
 def _spectra(thetas: np.ndarray, etas: np.ndarray, r: float, m: float, n: float
              ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`family_spectra` by the dense route, on checked points: one solve and eigvalsh per block."""
+    """:func:`family_spectra` by the dense route, on checked points: one eigvalsh per block."""
     out = np.full((len(thetas), 2, 4), np.nan)
     todo = np.flatnonzero(thetas * etas < 1.0)
     try:  # Sigma depends on the couplings only, so a failing check names them
-        root = covariance_root(_covariance_matrix(m, n, _scale(r)))
+        root = inverse_root(_covariance_matrix(m, n, _scale(r)))
     except NotPositiveDefiniteError as exc:
         raise NotPositiveDefiniteError(f"{exc} at (m, n) = ({float(m)!r}, {float(n)!r})") from None
     for start in range(0, todo.size, _BLOCK):
         block = todo[start : start + _BLOCK]
         where = _point_names(thetas[block], etas[block], m, n)
         planar = _planar_forms(thetas[block], etas[block])
-        # Diag[P, P] needs no check of its own: it has P's skewness and the geometric-mean and
-        # RMS singular values of P, and the 8x8 singularity threshold is below the 4x4 one.
-        _check_skew_forms(planar, where)
         # Omega = Diag[P, P] and Omega' = Diag[P, -P], as family_form and primed_form build them.
         forms = np.zeros((len(block), 2, 8, 8))
         forms[:, :, :4, :4] = planar[:, None]
@@ -277,7 +268,11 @@ def _spectra(thetas: np.ndarray, etas: np.ndarray, r: float, m: float, n: float
 
 
 def dense_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`family_spectra` by the dense 8x8 route, with the same checks: its cross-check."""
+    """:func:`family_spectra` by the dense 8x8 route, with the same checks: its cross-check.
+
+    No form is inverted, so none is checked for singularity. nu_- and nu'_- are good to a few
+    eps (1 + 1/(1-R)), the 1/(1-R) from Sigma^-1/2; nu_k only to about 8 eps nu_k / nu_min.
+    """
     return _spectra(*_checked_points(thetas, etas, m, n), m, n)
 
 

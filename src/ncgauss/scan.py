@@ -2,7 +2,7 @@
 
 A grid is evaluated in one batched call, ``family.family_invariants``: the
 closed-form kernel on the m, n >= 0 quadrant, and off it the spectral route, one
-stacked solve and eigvalsh per block of points; the couplings alone pick the route.
+stacked eigvalsh per block of points; the couplings alone pick the route.
 The figure-1 spectra (``family.family_spectra``) come from the same kernel in every
 quadrant. The verdict column comes from one call of
 ``separability.verdict_from_invariants`` on the invariant arrays, where NaN

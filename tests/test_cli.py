@@ -223,15 +223,45 @@ class TestNearHyperbola:
     def test_admissible_points_do_not_abort(self, argv):
         assert main(argv) == 0
 
+    def test_off_quadrant_point_at_the_last_float_below_the_hyperbola(self, capsys):
+        # 1 - theta*eta = 1.1e-16. The invariants depend on |m| only: off the quadrant they
+        # are those of the closed forms at m = 0.3 to an ulp or two.
+        records = []
+        for m in ("-0.3", "0.3"):
+            assert main(["eval", "--theta", "1", "--eta", "0.9999999999999999", "--m", m, "--n", "0.2"]) == 0
+            records.append(json.loads(capsys.readouterr().out))
+        dense, closed = records
+        assert dense["verdict"] == closed["verdict"] == "nonquantum"
+        for key in ("nu_minus", "nu_minus_prime"):
+            assert abs(dense[key] - closed[key]) <= 2 * math.ulp(closed[key])
+
+    def test_verbose_cross_check_where_the_planar_form_is_ill_conditioned(self, capsys):
+        # theta = 1e13 and eta = 0: cond_2 of the planar form is 1e26.
+        argv = ["eval", "--theta", "1e13", "--eta", "0", "--m", "-0.3", "--n", "0.2", "--verbose"]
+        assert main(argv) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["verdict"] == "nonquantum"
+        assert obj["nu_minus_numeric"] == obj["nu_minus"] > 0.0
+
+    def test_grid_row_next_to_the_hyperbola_is_nonquantum(self, capsys):
+        # Row theta = 100 has 1 - theta*eta down to 4e-15, at eta = 0.00999999999999996.
+        argv = ["scan", "--theta-range", "99:101:3",
+                "--eta-range", "0.00999999999999992:0.00999999999999998:4", "--m", "-0.1", "--n", "0.1"]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["nonquantum"] * 8 + ["invalid"] * 4
+        argv = ["eval", "--theta", "100", "--eta", "0.00999999999999996", "--m", "-0.1", "--n", "0.1"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "nonquantum"
+
 
 class TestErrorMessages:
     def test_scan_names_failing_mid_grid_point(self, capsys):
-        # The planar form at theta = 100, eta = 0.00999999999999996 has 1 - theta*eta = 4e-15.
-        argv = ["scan", "--theta-range", "99:101:3",
-                "--eta-range", "0.00999999999999992:0.00999999999999998:4", "--m", "-0.1", "--n", "0.1"]
+        # Row theta = 5e79, the middle of three, is the first whose closed-form invariants overflow.
+        argv = ["scan", "--theta-range", "0:1e80:3", "--eta-range", "0:1e-90:2", "--m", "0.3", "--n", "0.2"]
         assert main(argv) == 3
         err = capsys.readouterr().err
-        assert "numerically singular at (theta, eta, m, n) = (100.0, 0.00999999999999996, -0.1, 0.1)" in err
+        assert "closed form leaves its domain at (theta, eta, m, n) = (5e+79, 0.0, 0.3, 0.2)" in err
 
     @pytest.mark.parametrize(
         "argv,couplings",

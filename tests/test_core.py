@@ -21,7 +21,7 @@ from ncgauss.core import (
     _asymmetric,
     _root_spectrum,
     block_diag,
-    covariance_root,
+    inverse_root,
     numerically_singular,
     standard_symplectic_form,
     validate_covariance,
@@ -144,7 +144,7 @@ class TestStackedKernel:
         rng = np.random.default_rng(17)
         sigma = random_spd(rng, 8)
         forms = np.stack([random_skew_nonsingular(rng, 8) for _ in range(6)]).reshape(3, 2, 8, 8)
-        stacked = _root_spectrum(covariance_root(sigma), forms)
+        stacked = _root_spectrum(inverse_root(sigma), forms)
         assert stacked.shape == (3, 2, 4)
         for form, row in zip(forms.reshape(6, 8, 8), stacked.reshape(6, 4)):
             assert tuple(row.tolist()) == nc_williamson_spectrum(sigma, form).invariants
@@ -163,9 +163,10 @@ class TestStackedKernel:
         log_gap=st.floats(min_value=-17.0, max_value=-1.0),
     )
     def test_planar_check_covers_composite_form(self, log_theta, log_gap):
-        # family._spectra checks only the planar form P. Diag[P, P] has the geometric-mean
-        # and RMS singular values of P against the smaller threshold eps^(7/8) < eps^(3/4),
-        # and P's skewness, so a composite flag implies a planar flag.
+        # build_planar_form checks P, and classify checks the assembled Diag[P, P] again.
+        # Diag[P, P] has the geometric-mean and RMS singular values of P against the smaller
+        # threshold eps^(7/8) < eps^(3/4), and P's skewness, so a composite flag implies a
+        # planar flag: a composite of checked parts passes its own check.
         theta = 10.0**log_theta
         eta = (1.0 - 10.0**log_gap) / theta
         (planar,) = _planar_forms(np.array([theta]), np.array([eta]))

@@ -12,6 +12,7 @@ from scipy.stats import multivariate_normal, qmc
 from ncgauss import (
     DomainError,
     FormulaDomainError,
+    NCGaussError,
     NCParams,
     build_covariance,
     closed_form_invariants,
@@ -30,7 +31,7 @@ from ncgauss.family import (
     family_spectra,
 )
 from ncgauss.separability import primed_form
-from oracles import mp_spectra
+from oracles import dense_tolerance, mp_spectra
 
 FIG_M, FIG_N = np.sqrt(2.0) / 6.0, 1.0 / 6.0
 EPS = float(np.finfo(float).eps)
@@ -222,6 +223,11 @@ class TestClosedFormInvariants:
         with pytest.raises(FormulaDomainError, match=r"at \(theta, eta, m, n\) = \(1e\+80, 0\.0,"):
             family_invariants([0.25, 1e80, 1e79], [0.5, 0.0, 0.0], FIG_M, FIG_N)
 
+    def test_dense_overflow_raises_and_names_the_point(self):
+        # Off the quadrant, Sigma^-1/2 Omega Sigma^-1/2 overflows for theta near the largest float.
+        with pytest.raises(NCGaussError, match=r"overflows; .* at \(theta, eta, m, n\) = \(1\.7e\+308, 0\.0,"):
+            family_invariants([0.25, 1.7e308], [0.5, 0.0], -1e-300, 0.0)
+
     @pytest.mark.parametrize("m,n", [(0.3, 0.2), (-0.3, 0.2), (-0.3, -0.2), (0.3, -0.2)])
     def test_negative_couplings_give_the_smallest_invariants(self, m, n):
         # The invariants depend on |m| and |n|; at (-0.3, 0.2) nu'_- is 1.01788, where the
@@ -282,6 +288,17 @@ def _spectra_points():
     etas = (1.0 - 10.0 ** rng.uniform(-12.0, 0.0, size=200)) / thetas
     fixed = np.array([[0.0, 0.0, 0.7, 1.0, 2.0], [0.0, 0.5, 0.7, 1.0, 0.75]])
     return np.concatenate([fixed[0], thetas]), np.concatenate([fixed[1], etas])
+
+
+@st.composite
+def _near_both_boundaries(draw):
+    """(theta, eta, m, n): theta log-uniform in [1e-3, 1e13], 1 - theta*eta log-uniform down to
+    1e-16 and (m, n) in any quadrant with R up to 0.9999."""
+    theta = 10.0 ** draw(st.floats(min_value=-3.0, max_value=13.0))
+    eta = (1.0 - 10.0 ** draw(st.floats(min_value=-16.0, max_value=0.0))) / theta
+    radius = draw(st.floats(min_value=0.0, max_value=0.9999))
+    angle = draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))
+    return theta, eta, radius * math.cos(angle), radius * math.sin(angle)
 
 
 class TestFamilySpectra:
@@ -373,6 +390,23 @@ class TestFamilySpectra:
         for route in (dense_spectra, family_spectra):
             with pytest.raises(DomainError, match=r"at \(theta, eta, m, n\) = \(-1\.0, 0\.5,"):
                 route([0.5, -1.0], [0.5, 0.5], m, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(point=_near_both_boundaries())
+    @example(point=(1.5, 0.6666666666666665, 0.96875, 0.0))  # 1 - theta*eta = 2.2e-16, R near 1
+    @example(point=(1e13, 0.0, -0.3, 0.2))
+    def test_dense_route_matches_mpmath_near_both_boundaries(self, point):
+        # nu_- and nu'_- of dense_spectra within dense_tolerance of 60-digit mpmath, in every
+        # quadrant, where cond_2 of the planar form reaches 1e42: the kernel never inverts it.
+        # The reference's error is relative to nu_max, up to 1e42 nu_min here.
+        mpmath = pytest.importorskip("mpmath")
+        theta, eta, m, n = point
+        assume(theta * eta < 1.0)
+        spectrum, reflected = dense_spectra([theta], [eta], m, n)
+        want, want_prime = mp_spectra(theta, eta, m, n, dps=60)
+        bound = dense_tolerance(math.hypot(m, n))
+        for got, ref in ((spectrum[0, 0], want[0]), (reflected[0, 0], want_prime[0])):
+            assert abs(float((mpmath.mpf(got) - ref) / ref)) <= bound
 
     def test_fig1_makes_no_dense_solve(self, monkeypatch, capsys):
         # fig1 never reaches the dense route (core._root_spectrum, called through family) nor any

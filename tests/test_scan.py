@@ -13,7 +13,6 @@ from ncgauss import (
     FormulaDomainError,
     NCParams,
     ScanConfig,
-    SingularMatrixError,
     build_covariance,
     closed_form_invariants,
     emit_fig1_data,
@@ -34,10 +33,11 @@ from ncgauss.scan import (
     table_to_csv,
     table_to_json,
 )
-from ncgauss.separability import partial_transpose_spectra, primed_form
+from ncgauss.separability import primed_form
 from oracles import (
     bisect_decreasing,
     brute_force_spectrum,
+    dense_tolerance,
     mp_spectra,
     records_self_consistent,
     rows_to_csv,
@@ -48,10 +48,10 @@ from oracles import (
 FIG_M, FIG_N = math.sqrt(2.0) / 6.0, 1.0 / 6.0
 EPS = float(np.finfo(float).eps)
 QUADRANTS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
-# Row theta = 100 of this grid meets the hyperbola: at eta = 0.00999999999999996 the planar
-# form has 1 - theta*eta = 4e-15 and cond_2 > 1e12. The rows before it are admissible.
-SINGULAR_MID_GRID = ((99.0, 101.0, 3), (0.00999999999999992, 0.00999999999999998, 4), -0.1, 0.1)
-SINGULAR_POINT = r"at \(theta, eta, m, n\) = \(100\.0, 0\.00999999999999996, -0\.1, 0\.1\)"
+# Row theta = 5e79 of this grid is the first whose closed-form invariants overflow; the row
+# before it is admissible.
+FAILING_MID_GRID = ((0.0, 1e80, 3), (0.0, 1e-90, 2), 0.3, 0.2)
+FAILING_POINT = r"at \(theta, eta, m, n\) = \(5e\+79, 0\.0, 0\.3, 0\.2\)"
 
 
 def _column(values, dtype):
@@ -150,25 +150,22 @@ class TestEvalPoint:
         theta=st.floats(min_value=0.5, max_value=2.0),
         product=st.floats(min_value=0.99, max_value=1.0, exclude_max=True),
         radius=st.floats(min_value=0.0, max_value=0.9999),
-        angle=st.floats(min_value=0.0, max_value=math.pi / 2.0),
+        angle=st.floats(min_value=0.0, max_value=2.0 * math.pi),
     )
+    # Next to the hyperbola, 1 - theta*eta = 2.2e-16 (cond_2 of Omega near 1e16), with R near 1.
+    @example(theta=1.5, product=0.9999999999999998, radius=0.96875, angle=0.0)
+    @example(theta=2.0, product=0.9999999999999998, radius=0.984375, angle=0.0)
     def test_closed_forms_match_spectral_route_near_boundaries(self, theta, product, radius, angle):
         eta = product / theta
         m, n = radius * math.cos(angle), radius * math.sin(angle)
         assume(theta * eta < 1.0 and math.hypot(m, n) < 1.0)
-        nc = NCParams(theta, eta)
-        closed = closed_form_invariants(FamilyParams(m=m, n=n, nc=nc))
+        closed = closed_form_invariants(FamilyParams(m=m, n=n, nc=NCParams(theta, eta)))
         numeric = numeric_invariants(theta, eta, m, n)
-        spectra = partial_transpose_spectra(build_covariance(m, n, nc).sigma, family_form(nc))
-        for got, want, spectrum in zip(
-            (numeric.nu_minus, numeric.nu_minus_prime), (closed.nu_minus, closed.nu_minus_prime), spectra
+        bound = dense_tolerance(math.hypot(m, n))
+        for got, want in zip(
+            (numeric.nu_minus, numeric.nu_minus_prime), (closed.nu_minus, closed.nu_minus_prime)
         ):
-            # The eigensolver's error on K = sqrt(Sigma) Omega^-1 sqrt(Sigma) is up to about
-            # n eps ||K|| = 8 eps nu_max / 2 per eigenvalue, so nu_min is only good to
-            # about 8 eps nu_max / nu_min relative. For Omega' at theta*eta = 0.99999 and
-            # R = 0.9999 that is 1.4e-5 (nu_max / nu_min = 8e9); the error there is 3.8e-7.
-            spread = spectrum.invariants[-1] / spectrum.smallest
-            assert got == pytest.approx(want, rel=max(1e-8, 8 * EPS * spread))
+            assert abs(got - want) <= bound * want
 
 
 class TestScanGrid:
@@ -273,11 +270,11 @@ class TestScanGrid:
         assert "closed form leaves its domain at (theta, eta, m, n) = (1e+80, 0.0, 0.3, 0.2)" in err
 
     def test_failing_point_is_named(self):
-        theta_range, eta_range, m, n = SINGULAR_MID_GRID
-        with pytest.raises(SingularMatrixError, match=SINGULAR_POINT):
+        theta_range, eta_range, m, n = FAILING_MID_GRID
+        with pytest.raises(FormulaDomainError, match=FAILING_POINT):
             scan_grid(ScanConfig(theta_range, eta_range, m=m, n=n))
-        with pytest.raises(SingularMatrixError, match=SINGULAR_POINT):
-            eval_point(100.0, 0.00999999999999996, m, n)
+        with pytest.raises(FormulaDomainError, match=FAILING_POINT):
+            eval_point(5e79, 0.0, m, n)
 
     def test_commutative_rows_never_entangled(self):
         config = ScanConfig((0.0, 0.0, 1), (0.0, 0.0, 1), m=0.3, n=0.4)
