@@ -7,9 +7,9 @@ Williamson spectra before and after partial transposition, which depend on |m|
 and |n| only: ``family_spectra`` (figure 1) is closed form in every quadrant.
 The closed forms are one branch-free kernel, free of cancellation for the
 smallest invariants. For ``family_invariants`` the couplings pick the route:
-closed forms on the m, n >= 0 quadrant, the dense spectral route off it. A point
-whose closed-form invariants overflow (theta or eta beyond about 1e77) raises
-FormulaDomainError and names itself.
+closed forms on the m, n >= 0 quadrant, off it the dense route: one eigvalsh per block
+of points, with Sigma^-1/2 in closed form. A point whose closed-form invariants overflow
+(theta or eta beyond about 1e77) raises FormulaDomainError and names itself.
 """
 
 from __future__ import annotations
@@ -19,21 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _raise_first, _root_spectrum, inverse_root, validate_covariance
-from .errors import DimensionError, DomainError, FormulaDomainError, NotPositiveDefiniteError
+from .core import _raise_first, _root_spectrum, validate_covariance
+from .errors import DimensionError, DomainError, FormulaDomainError
 from .phase_space import (
-    EPSILON2,
     CompositeForm,
     NCParams,
     build_composite_form,
     build_planar_form,
     invalid_deformations,
 )
-
-def _scale(r: float) -> float:
-    """The covariance scale b = (1+R)/(1-R)."""
-    return (1.0 + r) / (1.0 - r)
-
+from .separability import primed_form
 
 def validate_couplings(m: float, n: float) -> float:
     """Require finite couplings with R = sqrt(m^2 + n^2) < 1; return R."""
@@ -62,7 +57,8 @@ class FamilyParams:
 
     @property
     def b(self) -> float:
-        return _scale(self.r)
+        """The covariance scale b = (1+R)/(1-R)."""
+        return (1.0 + self.r) / (1.0 - self.r)
 
 
 @dataclass(frozen=True)
@@ -213,16 +209,6 @@ def _checked_points(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.nd
     return thetas, etas, validate_couplings(m, n)
 
 
-def _planar_forms(thetas: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """The planar forms [[theta eps, I], [-I, eta eps]], entry for entry as build_planar_form."""
-    planar = np.empty((len(thetas), 4, 4))
-    planar[:, :2, :2] = thetas[:, None, None] * EPSILON2
-    planar[:, :2, 2:] = np.eye(2)
-    planar[:, 2:, :2] = -np.eye(2)
-    planar[:, 2:, 2:] = etas[:, None, None] * EPSILON2
-    return planar
-
-
 def family_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:
     """Williamson spectra of (Sigma, Omega) and (Sigma, Omega') at the points (thetas[k], etas[k]).
 
@@ -245,24 +231,36 @@ def family_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.nda
     return out[0], out[1]
 
 
+def _inverse_root(m: float, n: float, r: float) -> np.ndarray:
+    """Sigma^-1/2 = a+ P+ + a- P- of Sigma = b/2 (I + K), K = [[0, G], [G, 0]], G^2 = R^2 I.
+
+    P+- = (I +- K/R)/2, a+ = sqrt(2(1-R))/(1+R), a- = sqrt(2/(1+R)): d I + k K with d = (a+ + a-)/2
+    and k = (a+ - a-)/(2R) = -sqrt(2) / ((1+R)(sqrt(1+R) + sqrt(1-R))), so nothing cancels and
+    R = 0 gives sqrt(2) I exactly. The rounded R moves it by up to eps/(1-R) relative, as eigh's.
+    """
+    a_plus, a_minus = math.sqrt(2.0 * (1.0 - r)) / (1.0 + r), math.sqrt(2.0 / (1.0 + r))
+    k = -math.sqrt(2.0) / ((1.0 + r) * (math.sqrt(1.0 + r) + math.sqrt(1.0 - r)))
+    root = np.diag(np.full(8, (a_plus + a_minus) / 2.0))
+    root[4:, :4] = root[:4, 4:] = k * _coupling_block(m, n)
+    return root
+
+
+# (Omega, Omega') = (Diag[P, P], Diag[P, -P]) = theta _THETA + eta _ETA + _UNIT, one nonzero term per entry.
+_UNIT, _THETA, _ETA = (np.stack([omega.assembled, primed_form(omega)]) for omega in
+                       map(family_form, map(NCParams, (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))))
+_THETA, _ETA = _THETA - _UNIT, _ETA - _UNIT
+
+
 def _spectra(thetas: np.ndarray, etas: np.ndarray, r: float, m: float, n: float
              ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`family_spectra` by the dense route, on checked points: one eigvalsh per block."""
     out = np.full((len(thetas), 2, 4), np.nan)
     todo = np.flatnonzero(thetas * etas < 1.0)
-    try:  # Sigma depends on the couplings only, so a failing check names them
-        root = inverse_root(_covariance_matrix(m, n, _scale(r)))
-    except NotPositiveDefiniteError as exc:
-        raise NotPositiveDefiniteError(f"{exc} at (m, n) = ({float(m)!r}, {float(n)!r})") from None
+    root = _inverse_root(m, n, r)
     for start in range(0, todo.size, _BLOCK):
         block = todo[start : start + _BLOCK]
         where = _point_names(thetas[block], etas[block], m, n)
-        planar = _planar_forms(thetas[block], etas[block])
-        # Omega = Diag[P, P] and Omega' = Diag[P, -P], as family_form and primed_form build them.
-        forms = np.zeros((len(block), 2, 8, 8))
-        forms[:, :, :4, :4] = planar[:, None]
-        forms[:, 0, 4:, 4:] = planar
-        forms[:, 1, 4:, 4:] = -planar
+        forms = thetas[block, None, None, None] * _THETA + etas[block, None, None, None] * _ETA + _UNIT
         out[block] = _root_spectrum(root, forms, lambda k: where(k // 2))
     return out[:, 0], out[:, 1]
 
@@ -270,8 +268,8 @@ def _spectra(thetas: np.ndarray, etas: np.ndarray, r: float, m: float, n: float
 def dense_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:
     """:func:`family_spectra` by the dense 8x8 route, with the same checks: its cross-check.
 
-    No form is inverted, so none is checked for singularity. nu_- and nu'_- are good to a few
-    eps (1 + 1/(1-R)), the 1/(1-R) from Sigma^-1/2; nu_k only to about 8 eps nu_k / nu_min.
+    Sigma^-1/2 is in closed form and no form is inverted, so neither is checked. nu_- and nu'_-
+    are good to a few eps (1 + 1/(1-R)), the 1/(1-R) from the rounded R; nu_k to about 8 eps nu_k / nu_min.
     """
     return _spectra(*_checked_points(thetas, etas, m, n), m, n)
 

@@ -194,13 +194,15 @@ def _cells(column, floats, label, blank) -> list:
     data, missing = column if isinstance(column, tuple) else (column, None)
     if isinstance(data, list):
         spelled = {v: label(v) for v in set(data)}
-        cells = np.array(list(map(spelled.__getitem__, data)), dtype=object)
+        cells = list(map(spelled.__getitem__, data))
+    elif (data.view(np.int64) == data[:1].view(np.int64)).all():  # one bit pattern, spelled once
+        cells = floats(data[:1].tolist()) * data.size
     else:
         bits, index = np.unique(data.view(np.int64), return_inverse=True)
-        cells = np.array(floats(bits.view(np.float64).tolist()), dtype=object)[index]
-    if missing is not None:
-        cells[missing] = blank
-    return cells.tolist()
+        cells = np.array(floats(bits.view(np.float64).tolist()), dtype=object)[index].tolist()
+    for k in () if missing is None else np.flatnonzero(missing).tolist():
+        cells[k] = blank
+    return cells
 
 
 def _spell(form: str, values: list) -> list[str]:

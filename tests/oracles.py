@@ -72,10 +72,13 @@ def dense_tolerance(r):
 
     The kernel's eigenvalues +-1/nu of (i/2) S Omega S are each good to about 8 eps
     relative to the largest, 1/nu_min, so nu_min is good to a few eps. S = Sigma^-1/2
-    comes from eigh of Sigma, whose eigenvalues b (1 +- R) / 2 are cond = (1+R)/(1-R)
-    apart, so S carries a relative error of about eps (1+R)/(1-R), as do b and 1 - R^2
-    from the rounded R. The closed forms are within about 4 eps (1 + 1/(1 - R)) too; the
-    difference of the two routes measured up to 5.3 units on 20,000 draws near both boundaries.
+    is the closed form a+ P+ + a- P- (``family._inverse_root``), no eigh, but its small
+    eigenvalue a+ = sqrt(2(1-R))/(1+R) is 1/sqrt(b) of its large one, so the rounding of
+    S and of S Omega S reaches nu_min relative to cond = (1+R)/(1-R) at worst, and the
+    rounded R moves a+, b and 1 - R^2 by |r - R|/(1 - R), up to eps/(1 - R). Both routes
+    take the same rounded R, so the 1/(1 - R) term stays. The closed forms are within about
+    4 eps (1 + 1/(1 - R)) too; the two routes' difference measured up to 2.5 units on
+    20,000 draws near both boundaries (4.8 with S from eigh).
     """
     return 16.0 * float(np.finfo(float).eps) * (1.0 + 1.0 / (1.0 - r))
 

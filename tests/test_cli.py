@@ -10,7 +10,7 @@ from ncgauss import FormulaDomainError, NCGaussError, ScanConfig, emit_fig1_data
 from ncgauss.cli import main
 from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS
 from ncgauss.separability import Verdict
-from oracles import rows_to_csv, rows_to_json
+from oracles import dense_tolerance, mp_spectra, rows_to_csv, rows_to_json
 
 # sha256 of stdout, recorded with the per-row writers. These outputs come from the closed
 # forms alone (elementwise arithmetic and libm pow, no LAPACK), so their bytes do not
@@ -263,19 +263,20 @@ class TestErrorMessages:
         err = capsys.readouterr().err
         assert "closed form leaves its domain at (theta, eta, m, n) = (5e+79, 0.0, 0.3, 0.2)" in err
 
-    @pytest.mark.parametrize(
-        "argv,couplings",
-        [
-            (["eval", "--theta", "0.5", "--eta", "0.5", "--m", "-0.999999999999999", "--n", "0"],
-             "(-0.999999999999999, 0.0)"),
-        ],
-    )
-    def test_covariance_failure_names_couplings(self, capsys, argv, couplings):
-        # R = 1 - 1e-15: Sigma's eigenvalues span 1 to 2e15, which fails the positivity test.
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert "covariance matrix is not positive-definite" in err
-        assert err.rstrip().endswith(f"at (m, n) = {couplings}")
+    def test_eval_and_scan_answer_next_to_r_equal_one(self, capsys):
+        # R = 1 - 1e-15: Sigma's eigenvalues span 1 to 2e15. Its closed-form root needs no positivity
+        # check, so eval --verbose answers on both routes in both signs of m, within dense_tolerance
+        # (3.6 relative at this R) of 60-digit mpmath, and an off-quadrant grid answers too.
+        mpmath = pytest.importorskip("mpmath")
+        for m in ("0.999999999999999", "-0.999999999999999"):
+            assert main(["eval", "--theta", "0.5", "--eta", "0.5", "--m", m, "--n", "0", "--verbose"]) == 0
+            obj = json.loads(capsys.readouterr().out)
+            want, want_prime = mp_spectra(0.5, 0.5, float(m), 0.0, dps=60)
+            for key, ref in (("nu_minus_numeric", want[0]), ("nu_minus_prime_numeric", want_prime[0])):
+                assert abs(float((mpmath.mpf(obj[key]) - ref) / ref)) <= dense_tolerance(obj["r"])
+        argv = ["scan", "--theta-range", "0:1:3", "--eta-range", "0:1:3", "--m", "-0.999999999999999", "--n", "0"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 10
 
     @pytest.mark.parametrize(
         "argv,message",

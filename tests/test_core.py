@@ -27,7 +27,7 @@ from ncgauss.core import (
     validate_covariance,
     validate_skew_form,
 )
-from ncgauss.family import _planar_forms
+from ncgauss.family import _ETA, _THETA, _UNIT
 from ncgauss.phase_space import EPSILON2
 from oracles import (
     brute_force_spectrum,
@@ -169,7 +169,7 @@ class TestStackedKernel:
         # planar flag: a composite of checked parts passes its own check.
         theta = 10.0**log_theta
         eta = (1.0 - 10.0**log_gap) / theta
-        (planar,) = _planar_forms(np.array([theta]), np.array([eta]))
+        planar = (theta * _THETA + eta * _ETA + _UNIT)[0, :4, :4]  # the dense route's P
         composite = block_diag(planar, planar)
         assert numerically_singular(composite) <= numerically_singular(planar)
         assert _asymmetric(composite, -1.0) <= _asymmetric(planar, -1.0)

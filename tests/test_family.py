@@ -22,14 +22,18 @@ from ncgauss import (
     numeric_invariants,
 )
 from ncgauss.cli import main
+from ncgauss.core import inverse_root
 from ncgauss.family import (
     FamilyParams,
     _closed_forms,
+    _covariance_matrix,
+    _inverse_root,
     _root_spectrum,
     dense_spectra,
     family_invariants,
     family_spectra,
 )
+from ncgauss.scan import eval_point
 from ncgauss.separability import primed_form
 from oracles import dense_tolerance, mp_spectra
 
@@ -91,6 +95,47 @@ class TestBuildCovariance:
     def test_rejects_radius_at_one(self):
         with pytest.raises(DomainError):
             build_covariance(1.0, 0.0, NCParams(0.0, 0.0))
+
+
+class TestInverseRoot:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_slack=st.floats(min_value=-12.0, max_value=0.0),
+        angle=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    )
+    @example(log_slack=0.0, angle=0.0)  # R = 0
+    @example(log_slack=-12.0, angle=2.0)
+    def test_inverts_sigma_and_matches_eigh_in_every_quadrant(self, log_slack, angle):
+        # R = 1 - 10^log_slack. Both bounds are in units of eps (1 + b), b = (1+R)/(1-R) = cond(Sigma).
+        # S Sigma S is two 8-term products: 16 eps ||S||^2 ||Sigma|| = 16 eps b normwise, and the few
+        # roundings in each entry of S and Sigma add about as much again; the rounded R moves it by
+        # eps/(1-R) < eps b. eigh's root holds its smaller eigenvalue b(1-R)/2 = (1+R)/2 to about
+        # 8 eps ||Sigma||, so its entries are good to about 4 eps b max|S|, and 8 eps max|S| more
+        # from assembling (V / sqrt(w)) V^T.
+        radius = 1.0 - 10.0**log_slack
+        m, n = radius * math.cos(angle), radius * math.sin(angle)
+        r, b = math.hypot(m, n), FamilyParams(m, n, NCParams(0.0, 0.0)).b
+        sigma = _covariance_matrix(m, n, b)
+        root = _inverse_root(m, n, r)
+        unit = EPS * (1.0 + b)
+        assert np.array_equal(root, root.T)
+        assert abs(root @ sigma @ root - np.eye(8)).max() <= 32.0 * unit
+        assert abs(root - inverse_root(sigma)).max() <= 16.0 * unit * abs(root).max()
+
+    def test_uncoupled_root_is_exactly_sqrt2_identity(self):
+        for m, n in [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)]:
+            assert np.array_equal(_inverse_root(m, n, math.hypot(m, n)), math.sqrt(2.0) * np.eye(8))
+
+    def test_dense_route_takes_no_eigh(self, monkeypatch):
+        # Sigma^-1/2 is in closed form: dense_spectra and an off-quadrant eval_point run one eigvalsh.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigh on the family's dense route")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        spectrum, reflected = dense_spectra([0.0, 0.3, 1.5], [0.5, 0.5, 0.5], -0.3, 0.2)
+        assert np.isfinite(spectrum).all() and np.isfinite(reflected).all()
+        for m, n in SIGNS[1:]:
+            assert eval_point(0.3, 0.5, 0.3 * m, 0.2 * n).nu_minus > 0.0
 
 
 class TestOmegaPm:
@@ -395,6 +440,11 @@ class TestFamilySpectra:
     @given(point=_near_both_boundaries())
     @example(point=(1.5, 0.6666666666666665, 0.96875, 0.0))  # 1 - theta*eta = 2.2e-16, R near 1
     @example(point=(1e13, 0.0, -0.3, 0.2))
+    # R = 1 - 1e-15, beyond Sigma's eigh-based positivity check: both signs of m, and a pair
+    # whose hypot rounds.
+    @example(point=(0.5, 0.5, 0.999999999999999, 0.0))
+    @example(point=(0.5, 0.5, -0.999999999999999, 0.0))
+    @example(point=(0.3, 0.5, 0.28, -0.959999999999999))
     def test_dense_route_matches_mpmath_near_both_boundaries(self, point):
         # nu_- and nu'_- of dense_spectra within dense_tolerance of 60-digit mpmath, in every
         # quadrant, where cond_2 of the planar form reaches 1e42: the kernel never inverts it.
