@@ -195,8 +195,6 @@ def _cells(column, floats, label, blank) -> list:
     if isinstance(data, list):
         spelled = {v: label(v) for v in set(data)}
         cells = list(map(spelled.__getitem__, data))
-    elif (data.view(np.int64) == data[:1].view(np.int64)).all():  # one bit pattern, spelled once
-        cells = floats(data[:1].tolist()) * data.size
     else:
         bits, index = np.unique(data.view(np.int64), return_inverse=True)
         cells = np.array(floats(bits.view(np.float64).tolist()), dtype=object)[index].tolist()

@@ -7,6 +7,7 @@ per-row CSV and JSON writers are the references for the column-table writers
 of ``ncgauss.scan``.
 """
 
+import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as quote
 
@@ -25,6 +26,7 @@ from ncgauss.separability import verdict_from_invariants
 
 # Entrywise bound on A - A^H for hermitian_min_eigenvalue.
 HERMITIAN_TOL = 1e-12
+EPS = float(np.finfo(float).eps)
 
 
 def brute_force_spectrum(sigma, form):
@@ -67,20 +69,39 @@ def mp_spectra(theta, eta, m, n, dps=40):
         return spectra
 
 
-def dense_tolerance(r):
-    """16 eps (1 + 1/(1 - R)): relative bound on the dense route's nu_- and nu'_- against a reference.
+def rounding_of_r(m, n):
+    """|r - R| / (1 - R): r = hypot(m, n) as rounded, R = sqrt(m^2 + n^2) to 40 digits; 0 at n = 0.
 
-    The kernel's eigenvalues +-1/nu of (i/2) S Omega S are each good to about 8 eps
-    relative to the largest, 1/nu_min, so nu_min is good to a few eps. S = Sigma^-1/2
-    is the closed form a+ P+ + a- P- (``family._inverse_root``), no eigh, but its small
-    eigenvalue a+ = sqrt(2(1-R))/(1+R) is 1/sqrt(b) of its large one, so the rounding of
-    S and of S Omega S reaches nu_min relative to cond = (1+R)/(1-R) at worst, and the
-    rounded R moves a+, b and 1 - R^2 by |r - R|/(1 - R), up to eps/(1 - R). Both routes
-    take the same rounded R, so the 1/(1 - R) term stays. The closed forms are within about
-    4 eps (1 + 1/(1 - R)) too; the two routes' difference measured up to 2.5 units on
-    20,000 draws near both boundaries (4.8 with S from eigh).
+    r moves b = (1+R)/(1-R) by this much relative, and no route that reads r can undo it.
     """
-    return 16.0 * float(np.finfo(float).eps) * (1.0 + 1.0 / (1.0 - r))
+    import mpmath
+
+    with mpmath.workdps(40):
+        radius = mpmath.sqrt(mpmath.mpf(m) ** 2 + mpmath.mpf(n) ** 2)
+        return float(abs(math.hypot(m, n) - radius) / (1 - radius))
+
+
+def closed_tolerance(m, n):
+    """4 (eps + |r - R| / (1 - R)): relative bound on the closed forms' nu_- and nu'_- against mpmath."""
+    return 4.0 * (EPS + rounding_of_r(m, n))
+
+
+def dense_tolerance(theta, eta, m, n, nu):
+    """16 eps (1 + 2 (1 + max(theta, eta)) nu) + 4 |r - R| / (1 - R): relative bound on the dense
+    route's smallest invariant ``nu`` (of Omega or of Omega') against mpmath.
+
+    The kernel's eigenvalues +-1/nu of H = (i/2) S Omega S come from one eigvalsh, good to a
+    few eps of ||H|| = 1/nu_min, so nu_min is good to a few eps once H is. Each entry of the
+    product S Omega S, sums over 8 x 8 matrices, carries about 16 eps of |S| |Omega| |S|. With
+    S = Sigma^-1/2 = d I + k K (``family._inverse_root``), |S| = |d| I + |k| |K| has norm
+    a- = sqrt(2/(1+R)) <= sqrt(2), and |Omega| has norm at most 1 + max(theta, eta), so relative
+    to 1/nu_min that is 16 eps 2 (1 + max(theta, eta)) nu_min. It grows where S's eigenvalues
+    a+ << a- make H much smaller than |S| |Omega| |S|: at (0.5, 0.5, -0.999999999999999, 0),
+    nu_min = 6e7 and the route is 1.9e-9 off. The last term is :func:`rounding_of_r`.
+    Measured worst on 16,500 draws near both boundaries, R up to 1 - 1e-15: 3.9 units of
+    eps (1 + 2 (1 + max(theta, eta)) nu) + |r - R| / (1 - R), a quarter of the bound.
+    """
+    return 16.0 * EPS * (1.0 + 2.0 * (1.0 + max(theta, eta)) * nu) + 4.0 * rounding_of_r(m, n)
 
 
 def random_spd(rng, dim, floor=0.1):

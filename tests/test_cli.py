@@ -266,14 +266,16 @@ class TestErrorMessages:
     def test_eval_and_scan_answer_next_to_r_equal_one(self, capsys):
         # R = 1 - 1e-15: Sigma's eigenvalues span 1 to 2e15. Its closed-form root needs no positivity
         # check, so eval --verbose answers on both routes in both signs of m, within dense_tolerance
-        # (3.6 relative at this R) of 60-digit mpmath, and an off-quadrant grid answers too.
+        # of 60-digit mpmath (about 3e-7 relative: nu_min is 6e7 and R is exact at n = 0), and an
+        # off-quadrant grid answers too.
         mpmath = pytest.importorskip("mpmath")
         for m in ("0.999999999999999", "-0.999999999999999"):
             assert main(["eval", "--theta", "0.5", "--eta", "0.5", "--m", m, "--n", "0", "--verbose"]) == 0
             obj = json.loads(capsys.readouterr().out)
             want, want_prime = mp_spectra(0.5, 0.5, float(m), 0.0, dps=60)
             for key, ref in (("nu_minus_numeric", want[0]), ("nu_minus_prime_numeric", want_prime[0])):
-                assert abs(float((mpmath.mpf(obj[key]) - ref) / ref)) <= dense_tolerance(obj["r"])
+                bound = dense_tolerance(0.5, 0.5, float(m), 0.0, float(ref))
+                assert abs(float((mpmath.mpf(obj[key]) - ref) / ref)) <= bound
         argv = ["scan", "--theta-range", "0:1:3", "--eta-range", "0:1:3", "--m", "-0.999999999999999", "--n", "0"]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 10

@@ -35,7 +35,7 @@ from ncgauss.family import (
 )
 from ncgauss.scan import eval_point
 from ncgauss.separability import primed_form
-from oracles import dense_tolerance, mp_spectra
+from oracles import closed_tolerance, dense_tolerance, mp_spectra
 
 FIG_M, FIG_N = np.sqrt(2.0) / 6.0, 1.0 / 6.0
 EPS = float(np.finfo(float).eps)
@@ -277,7 +277,7 @@ class TestClosedFormInvariants:
     def test_negative_couplings_give_the_smallest_invariants(self, m, n):
         # The invariants depend on |m| and |n|; at (-0.3, 0.2) nu'_- is 1.01788, where the
         # other Omega' pencil gives 1.6903.
-        bound = _mp_bound(m, n)
+        bound = closed_tolerance(m, n)
         result = closed_form_invariants(_params(0.25, 0.5, m, n))
         spectrum, reflected = mp_spectra(0.25, 0.5, m, n)
         assert _relative_error(result.nu_minus, spectrum[0]) <= bound
@@ -305,7 +305,7 @@ class TestClosedFormInvariants:
         radius = 1.0 - 10.0**log_slack
         m, n = signs[0] * radius * math.cos(angle), signs[1] * radius * math.sin(angle)
         assume(theta * eta < 1.0 and math.hypot(m, n) < 1.0)
-        bound = _mp_bound(m, n)
+        bound = closed_tolerance(m, n)
         spectrum, reflected = mp_spectra(theta, eta, m, n, dps=60)
         closed = closed_form_invariants(_params(theta, eta, m, n))
         assert _relative_error(closed.nu_minus, spectrum[0]) <= bound
@@ -314,14 +314,6 @@ class TestClosedFormInvariants:
 
 def _relative_error(got, want) -> float:
     return float(abs((want - got) / want))
-
-
-def _mp_bound(m, n) -> float:
-    """4 (eps + |r - R| / (1 - R)): r = hypot(m, n) as rounded, R = sqrt(m^2 + n^2) to 40 digits."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        radius = mpmath.sqrt(mpmath.mpf(m) ** 2 + mpmath.mpf(n) ** 2)
-        return 4.0 * (EPS + float(abs(math.hypot(m, n) - radius) / (1 - radius)))
 
 
 def _spectra_points():
@@ -454,8 +446,8 @@ class TestFamilySpectra:
         assume(theta * eta < 1.0)
         spectrum, reflected = dense_spectra([theta], [eta], m, n)
         want, want_prime = mp_spectra(theta, eta, m, n, dps=60)
-        bound = dense_tolerance(math.hypot(m, n))
         for got, ref in ((spectrum[0, 0], want[0]), (reflected[0, 0], want_prime[0])):
+            bound = dense_tolerance(theta, eta, m, n, float(ref))
             assert abs(float((mpmath.mpf(got) - ref) / ref)) <= bound
 
     def test_fig1_makes_no_dense_solve(self, monkeypatch, capsys):
