@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--m", type=_parse_float, required=True)
     p_eval.add_argument("--n", type=_parse_float, required=True)
     p_eval.add_argument(
-        "--verbose", action="store_true", help="cross-check against the spectral route"
+        "--verbose", action="store_true", help="add the dense 8x8 route's invariants as a cross-check"
     )
 
     p_scan = sub.add_parser("scan", help="classify a (theta, eta) grid")

@@ -4,12 +4,13 @@ The covariance matrix is b/2 * [[I4, G^T], [G, I4]] with a coupling block G
 parameterized by reals (m, n), R = sqrt(m^2 + n^2) < 1 and b = (1+R)/(1-R).
 Both parties share the same planar commutation form. Closed forms give the
 Williamson spectra before and after partial transposition, which depend on |m|
-and |n| only: ``family_spectra`` (figure 1) is closed form in every quadrant.
-The closed forms are one branch-free kernel, free of cancellation for the
-smallest invariants. For ``family_invariants`` the couplings pick the route:
-closed forms on the m, n >= 0 quadrant, off it the dense route: one eigvalsh per block
-of points, with Sigma^-1/2 in closed form. A point whose closed-form invariants overflow
-(theta or eta beyond about 1e77) raises FormulaDomainError and names itself.
+and |n| only. They are one branch-free kernel, free of cancellation for the
+smallest invariants, and decide every quadrant: ``family_invariants`` (scan, fig2,
+eval) and ``family_spectra`` (fig1) run it at (|m|, |n|) and take no root of Sigma,
+no inverse of a form and no eigensolve. A point whose invariants overflow (theta or
+eta beyond about 1e77) raises FormulaDomainError and names itself, in every quadrant.
+The dense 8x8 route, one eigvalsh per block of points with Sigma^-1/2 in closed form,
+is only ``dense_spectra``: the cross-check of ``eval --verbose`` and the tests.
 """
 
 from __future__ import annotations
@@ -143,9 +144,9 @@ def _closed_forms(theta, eta, m: float, n: float, r: float):
     where a gap vanishes, near the hyperbola and as R -> 1. (-|m|, -|n|) gives the
     second ones, where (1+n)|theta - eta| + 2n min(theta, eta) keeps Omega's
     difference exact at theta = 0 or eta = 0. Only an overflow (theta or eta beyond
-    about 1e77) leaves an invariant 0.
+    about 1e77) leaves an invariant 0 or NaN.
     """
-    with np.errstate(over="ignore"):  # an overflow gives nu = 0, which the check reports
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives nu = 0 or NaN: the check reports it
         s = theta + eta
         q = (1.0 - r) * (1.0 + r)
         q_n = (1.0 - abs(n)) * (1.0 + abs(n))
@@ -184,11 +185,6 @@ def closed_form_invariants(params: FamilyParams) -> ClosedFormInvariants:
         nu_minus=float(nu),
         nu_minus_prime=float(nu_prime),
     )
-
-
-# Points per stacked product and eigvalsh call. The stacks and work arrays of a block
-# take up to about 5 kB per point, so a large grid needs no more memory than a small one.
-_BLOCK = 512
 
 
 def _point_names(thetas, etas, m: float, n: float):
@@ -231,6 +227,25 @@ def family_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.nda
     return out[0], out[1]
 
 
+def family_invariants(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest invariants nu_- and nu'_- at the points (thetas[k], etas[k]).
+
+    Returns two float arrays, NaN where theta*eta >= 1. The closed forms decide every
+    point in every quadrant: they depend on |m| and |n| only, so the kernel runs at
+    (|m|, |n|), as in :func:`closed_form_invariants`. A failing check raises for the
+    first failing point, naming its (theta, eta, m, n) with the couplings as given;
+    that includes a point whose invariants overflow (:class:`FormulaDomainError`).
+    """
+    thetas, etas, r = _checked_points(thetas, etas, m, n)
+    nu, nu_prime = np.full((2, len(thetas)), np.nan)
+    todo = np.flatnonzero(thetas * etas < 1.0)
+    ts, es = thetas[todo], etas[todo]
+    # One point runs on numpy scalars: the same arithmetic at a fifth of the cost.
+    points = (ts[0], es[0]) if todo.size == 1 else (ts, es)
+    nu[todo], nu_prime[todo] = _checked_closed_forms(*points, abs(m), abs(n), r, _point_names(ts, es, m, n))[:2]
+    return nu, nu_prime
+
+
 def _inverse_root(m: float, n: float, r: float) -> np.ndarray:
     """Sigma^-1/2 = a+ P+ + a- P- of Sigma = b/2 (I + K), K = [[0, G], [G, 0]], G^2 = R^2 I.
 
@@ -250,10 +265,19 @@ _UNIT, _THETA, _ETA = (np.stack([omega.assembled, primed_form(omega)]) for omega
                        map(family_form, map(NCParams, (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))))
 _THETA, _ETA = _THETA - _UNIT, _ETA - _UNIT
 
+# Points per stacked product and eigvalsh call. The stacks and work arrays of a block
+# take up to about 5 kB per point, so a large grid needs no more memory than a small one.
+_BLOCK = 512
 
-def _spectra(thetas: np.ndarray, etas: np.ndarray, r: float, m: float, n: float
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`family_spectra` by the dense route, on checked points: one eigvalsh per block."""
+
+def dense_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`family_spectra` by the dense 8x8 route, with the same checks: its cross-check.
+
+    One eigvalsh per block of points. Sigma^-1/2 is in closed form and no form is inverted, so
+    neither is checked. nu_- and nu'_- are good to a few eps (1 + 1/(1-R)), the 1/(1-R) from the
+    rounded R; nu_k to about 8 eps nu_k / nu_min.
+    """
+    thetas, etas, r = _checked_points(thetas, etas, m, n)
     out = np.full((len(thetas), 2, 4), np.nan)
     todo = np.flatnonzero(thetas * etas < 1.0)
     root = _inverse_root(m, n, r)
@@ -263,41 +287,6 @@ def _spectra(thetas: np.ndarray, etas: np.ndarray, r: float, m: float, n: float
         forms = thetas[block, None, None, None] * _THETA + etas[block, None, None, None] * _ETA + _UNIT
         out[block] = _root_spectrum(root, forms, lambda k: where(k // 2))
     return out[:, 0], out[:, 1]
-
-
-def dense_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`family_spectra` by the dense 8x8 route, with the same checks: its cross-check.
-
-    Sigma^-1/2 is in closed form and no form is inverted, so neither is checked. nu_- and nu'_-
-    are good to a few eps (1 + 1/(1-R)), the 1/(1-R) from the rounded R; nu_k to about 8 eps nu_k / nu_min.
-    """
-    return _spectra(*_checked_points(thetas, etas, m, n), m, n)
-
-
-def family_invariants(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest invariants nu_- and nu'_- at the points (thetas[k], etas[k]).
-
-    Returns two float arrays, NaN where theta*eta >= 1. The couplings pick the
-    route for every point: the closed forms on the m, n >= 0 quadrant, where
-    they are exact, and :func:`family_spectra` off it. A failing check raises
-    for the first failing point, naming its (theta, eta, m, n); on the quadrant
-    that includes a point whose invariants overflow (:class:`FormulaDomainError`).
-    """
-    thetas, etas, r = _checked_points(thetas, etas, m, n)
-    nu = np.full(len(thetas), np.nan)
-    nu_prime = nu.copy()
-    todo = np.flatnonzero(thetas * etas < 1.0)
-    if not todo.size:
-        return nu, nu_prime
-    if m >= 0.0 and n >= 0.0:
-        ts, es = thetas[todo], etas[todo]
-        # One point runs on numpy scalars: the same arithmetic at a fifth of the cost.
-        points = (ts, es) if todo.size > 1 else (ts[0], es[0])
-        nu[todo], nu_prime[todo] = _checked_closed_forms(*points, m, n, r, _point_names(ts, es, m, n))[:2]
-    else:
-        spectrum, reflected = _spectra(thetas[todo], etas[todo], r, m, n)
-        nu[todo], nu_prime[todo] = spectrum[:, 0], reflected[:, 0]
-    return nu, nu_prime
 
 
 def evaluate_wigner(state: GaussianState, z) -> float:

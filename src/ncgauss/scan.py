@@ -1,14 +1,14 @@
 """Parameter-plane scans: point evaluation, grid classification, figure datasets.
 
 A grid is evaluated in one batched call, ``family.family_invariants``: the
-closed-form kernel on the m, n >= 0 quadrant, and off it the spectral route, one
-stacked eigvalsh per block of points; the couplings alone pick the route.
-The figure-1 spectra (``family.family_spectra``) come from the same kernel in every
-quadrant. The verdict column comes from one call of
-``separability.verdict_from_invariants`` on the invariant arrays, where NaN
-(theta*eta >= 1) gives ``invalid``. :func:`eval_point` is the one-point case of
-the grid call, :func:`numeric_invariants` that of the spectral route. Every grid
-range, the CLI's included, is checked by one function, :func:`_check_range`.
+closed-form kernel at (|m|, |n|), which decides every quadrant with no 8x8 algebra.
+The figure-1 spectra (``family.family_spectra``) come from the same kernel. The
+verdict column comes from one call of ``separability.verdict_from_invariants`` on
+the invariant arrays, where NaN (theta*eta >= 1) gives ``invalid``. :func:`eval_point`
+is the one-point case of the grid call; :func:`numeric_invariants` runs the dense
+spectral route (``family.dense_spectra``) at one point, the cross-check of
+``eval --verbose``. Every grid range, the CLI's included, is checked by one function,
+:func:`_check_range`.
 Rows run in row-major order, theta outer and eta inner.
 
 A table is a dict of equal-length columns: float64 arrays, lists of labels, or

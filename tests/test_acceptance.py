@@ -70,7 +70,7 @@ def test_criterion_2_closed_form_vs_spectral_oracle():
     while checked < 1000:
         theta, eta = _sample_valid_deformation(rng)
         radius = rng.uniform(0.0, 0.9)
-        angle = rng.uniform(0.0, np.pi / 2.0)
+        angle = rng.uniform(0.0, 2.0 * np.pi)  # the closed forms decide every quadrant
         m, n = float(radius * np.cos(angle)), float(radius * np.sin(angle))
         params = FamilyParams(m=m, n=n, nc=NCParams(theta, eta))
         try:

@@ -10,7 +10,7 @@ from ncgauss import FormulaDomainError, NCGaussError, ScanConfig, emit_fig1_data
 from ncgauss.cli import main
 from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS
 from ncgauss.separability import Verdict
-from oracles import dense_tolerance, mp_spectra, rows_to_csv, rows_to_json
+from oracles import closed_tolerance, dense_tolerance, mp_spectra, rows_to_csv, rows_to_json
 
 # sha256 of stdout, recorded with the per-row writers. These outputs come from the closed
 # forms alone (elementwise arithmetic and libm pow, no LAPACK), so their bytes do not
@@ -224,16 +224,25 @@ class TestNearHyperbola:
         assert main(argv) == 0
 
     def test_off_quadrant_point_at_the_last_float_below_the_hyperbola(self, capsys):
-        # 1 - theta*eta = 1.1e-16. The invariants depend on |m| only: off the quadrant they
-        # are those of the closed forms at m = 0.3 to an ulp or two.
+        # 1 - theta*eta = 1.1e-16. The invariants depend on |m| only and the closed forms decide
+        # both signs, so m = -0.3 prints the bits of m = 0.3. The --verbose dense cross-check
+        # holds dense_tolerance of 60-digit mpmath at either sign, the closed forms closed_tolerance.
+        mpmath = pytest.importorskip("mpmath")
+        theta, eta = 1.0, 0.9999999999999999
         records = []
-        for m in ("-0.3", "0.3"):
-            assert main(["eval", "--theta", "1", "--eta", "0.9999999999999999", "--m", m, "--n", "0.2"]) == 0
+        for m in (-0.3, 0.3):
+            argv = ["eval", "--theta", repr(theta), "--eta", repr(eta), "--m", repr(m), "--n", "0.2", "--verbose"]
+            assert main(argv) == 0
             records.append(json.loads(capsys.readouterr().out))
-        dense, closed = records
-        assert dense["verdict"] == closed["verdict"] == "nonquantum"
-        for key in ("nu_minus", "nu_minus_prime"):
-            assert abs(dense[key] - closed[key]) <= 2 * math.ulp(closed[key])
+        negative, positive = records
+        assert negative["verdict"] == positive["verdict"] == "nonquantum"
+        want = [spectrum[0] for spectrum in mp_spectra(theta, eta, 0.3, 0.2, dps=60)]
+        for key, ref in zip(("nu_minus", "nu_minus_prime"), want):
+            assert negative[key] == positive[key]
+            assert abs(float((mpmath.mpf(positive[key]) - ref) / ref)) <= closed_tolerance(0.3, 0.2)
+            for obj, m in ((negative, -0.3), (positive, 0.3)):
+                bound = dense_tolerance(theta, eta, m, 0.2, float(ref))
+                assert abs(float((mpmath.mpf(obj[key + "_numeric"]) - ref) / ref)) <= bound
 
     def test_verbose_cross_check_where_the_planar_form_is_ill_conditioned(self, capsys):
         # theta = 1e13 and eta = 0: cond_2 of the planar form is 1e26.
@@ -337,8 +346,8 @@ class TestOutputBytes:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("m,n", [(-0.2357, 0.1667), (-0.1, -0.1), (0.2357, -0.1667), (-0.0, 0.0)])
     def test_scan_matches_per_row_writer(self, capsys, m, n, fmt):
-        # Off the quadrant the last bits come from LAPACK, so compare with the reference
-        # writer; (-0.0, 0.0) keeps the sign of a zero coupling.
+        # Off the quadrant too the closed forms decide; compare with the reference writer.
+        # (-0.0, 0.0) keeps the sign of a zero coupling.
         ranges = (0.0, 2.0, 13), (0.0, 2.0, 13)
         argv = ["scan", "--theta-range", "0:2:13", "--eta-range", "0:2:13", "--m", repr(m), "--n", repr(n)]
         assert main([*argv, "--format", fmt]) == 0

@@ -127,15 +127,16 @@ class TestInverseRoot:
             assert np.array_equal(_inverse_root(m, n, math.hypot(m, n)), math.sqrt(2.0) * np.eye(8))
 
     def test_dense_route_takes_no_eigh(self, monkeypatch):
-        # Sigma^-1/2 is in closed form: dense_spectra and an off-quadrant eval_point run one eigvalsh.
+        # Sigma^-1/2 is in closed form: dense_spectra and numeric_invariants, its one-point
+        # case, run one eigvalsh and no eigh.
         def forbidden(*args, **kwargs):
             raise AssertionError("eigh on the family's dense route")
 
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         spectrum, reflected = dense_spectra([0.0, 0.3, 1.5], [0.5, 0.5, 0.5], -0.3, 0.2)
         assert np.isfinite(spectrum).all() and np.isfinite(reflected).all()
-        for m, n in SIGNS[1:]:
-            assert eval_point(0.3, 0.5, 0.3 * m, 0.2 * n).nu_minus > 0.0
+        for m, n in SIGNS:
+            assert numeric_invariants(0.3, 0.5, 0.3 * m, 0.2 * n).nu_minus > 0.0
 
 
 class TestOmegaPm:
@@ -260,6 +261,30 @@ class TestClosedFormInvariants:
                 closed = closed_form_invariants(_params(theta, eta, FIG_M, FIG_N))
                 assert (closed.nu_minus, closed.nu_minus_prime) == (want, want_prime)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        points=st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)), min_size=1, max_size=6),
+        radius=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        angle=st.floats(min_value=0.0, max_value=math.pi / 2.0),
+        signs=st.sampled_from(SIGNS),
+    )
+    @example(points=[(0.25, 0.5), (2.0, 2.0)], radius=0.0, angle=0.0, signs=SIGNS[2])  # m = n = -0.0
+    @example(points=[(1.0, 0.9999999999999999)], radius=0.36055512754639896, angle=0.5880026035475675,
+             signs=SIGNS[1])
+    def test_signs_of_the_couplings_change_no_bit(self, points, radius, angle, signs):
+        # family_invariants runs the kernel at (|m|, |n|) in every quadrant: on arrays and on
+        # the one-point numpy-scalar path, each sign pattern gives the bits of (|m|, |n|).
+        thetas, etas = np.array(points).T
+        m, n = radius * math.cos(angle), radius * math.sin(angle)
+        assume(math.hypot(m, n) < 1.0)
+        want = np.array(family_invariants(thetas, etas, m, n))
+        signed = signs[0] * m, signs[1] * n
+        got = np.array(family_invariants(thetas, etas, *signed))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for k, point in enumerate(points):
+            one = np.array(family_invariants([point[0]], [point[1]], *signed))[:, 0]
+            assert np.array_equal(one.view(np.int64), want[:, k].view(np.int64))
+
     def test_overflow_raises_and_names_the_point(self):
         # Beyond theta ~ 1e77 the gaps overflow and an invariant comes out 0: the point
         # raises, alone or in a grid, and the grid names its first such point.
@@ -269,9 +294,21 @@ class TestClosedFormInvariants:
             family_invariants([0.25, 1e80, 1e79], [0.5, 0.0, 0.0], FIG_M, FIG_N)
 
     def test_dense_overflow_raises_and_names_the_point(self):
-        # Off the quadrant, Sigma^-1/2 Omega Sigma^-1/2 overflows for theta near the largest float.
+        # Sigma^-1/2 Omega Sigma^-1/2 overflows for theta near the largest float.
         with pytest.raises(NCGaussError, match=r"overflows; .* at \(theta, eta, m, n\) = \(1\.7e\+308, 0\.0,"):
-            family_invariants([0.25, 1.7e308], [0.5, 0.0], -1e-300, 0.0)
+            dense_spectra([0.25, 1.7e308], [0.5, 0.0], -1e-300, 0.0)
+
+    def test_overflow_is_the_same_error_in_every_quadrant(self, capsys):
+        # The closed forms decide every quadrant, so m = -0.3 overflows at theta = 1e80 as
+        # m = 0.3 does: the same error, naming the point with the couplings as given.
+        for m in (0.3, -0.3):
+            named = rf"closed form leaves its domain at \(theta, eta, m, n\) = \(1e\+80, 0\.0, {m}, 0\.2\)"
+            with pytest.raises(FormulaDomainError, match=named):
+                family_invariants([0.25, 1e80], [0.5, 0.0], m, 0.2)
+            with pytest.raises(FormulaDomainError, match=named):
+                eval_point(1e80, 0.0, m, 0.2)
+            assert main(["eval", "--theta", "1e80", "--eta", "0", "--m", repr(m), "--n", "0.2"]) == 3
+            assert f"(1e+80, 0.0, {m}, 0.2)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("m,n", [(0.3, 0.2), (-0.3, 0.2), (-0.3, -0.2), (0.3, -0.2)])
     def test_negative_couplings_give_the_smallest_invariants(self, m, n):

@@ -23,7 +23,7 @@ from ncgauss import (
     scan_grid,
 )
 from ncgauss.cli import main
-from ncgauss.family import FamilyParams, family_invariants
+from ncgauss.family import FamilyParams, dense_spectra, family_invariants
 from ncgauss.scan import (
     FIG1_FIELDS,
     SCAN_FIELDS,
@@ -129,9 +129,9 @@ class TestEvalPoint:
         with pytest.raises(DomainError):
             eval_point(-0.1, 0.0, 0.1, 0.1)
 
-    def test_negative_couplings_use_spectral_route(self):
-        # The printed closed forms only hold for m, n >= 0; off the quadrant
-        # the record must still carry the true invariants.
+    def test_negative_couplings_agree_with_the_dense_cross_check(self):
+        # Off the quadrant the record carries the closed forms at (|m|, |n|); the dense
+        # route (numeric_invariants, eval --verbose) must find the same invariants.
         record = eval_point(0.25, 0.5, -0.3, 0.2)
         numeric = numeric_invariants(0.25, 0.5, -0.3, 0.2)
         assert record.nu_minus == pytest.approx(numeric.nu_minus, rel=1e-12)
@@ -193,6 +193,28 @@ class TestScanGrid:
         assert records[-1].theta == records[-1].eta == root2
         assert records[-1].verdict == "invalid"
 
+    @pytest.mark.parametrize(
+        "m,n", [(0.3, 0.2), (-0.3, 0.2), (-0.3, -0.2), (0.3, -0.2), (-0.0, 0.2), (0.3, -0.0), (-0.0, -0.0)]
+    )
+    def test_no_linear_algebra_in_any_quadrant(self, monkeypatch, capsys, m, n):
+        # The closed forms decide every quadrant: scan, fig2 and eval without --verbose run
+        # no eigensolver, solve or inverse, and a grid still equals its points.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense linear algebra on the evaluation path")
+
+        for name in ("eigvalsh", "eigh", "solve", "inv", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        config = ScanConfig((0.0, 2.0, 9), (0.0, 2.0, 9), m=m, n=n)
+        nu, invalid = scan_table(config)["nu_minus"]
+        assert invalid.any() and (nu[~invalid] > 0.0).all()
+        records = scan_grid(config)
+        assert records == [eval_point(rec.theta, rec.eta, m, n) for rec in records]
+        couplings = ["--m", repr(m), "--n", repr(n)]
+        assert main(["scan", "--theta-range", "0:2:5", "--eta-range", "0:2:5", *couplings]) == 0
+        assert main(["eval", "--theta", "0.25", "--eta", "0.5", *couplings]) == 0
+        assert main(["fig2", "--r", "0.5", "--theta-range", "0:2:5", "--eta-range", "0:2:5"]) == 0
+        assert capsys.readouterr().out
+
     def test_invalid_steps_rejected(self):
         with pytest.raises(DomainError):
             ScanConfig((0.0, 1.0, 0), (0.0, 1.0, 2), m=0.1, n=0.1)
@@ -252,13 +274,20 @@ class TestScanGrid:
         assert scan_grid(config) == expected
 
     def test_grid_beyond_one_block_equals_point_records(self):
+        # Grids and points agree bit for bit, and so do dense_spectra's stacked blocks of 512
+        # points and its one-point case, numeric_invariants.
         records = scan_grid(ScanConfig((0.0, 2.0, 31), (0.0, 2.0, 31), m=-0.3, n=0.2))
-        assert sum(rec.nu_minus is not None for rec in records) > 512  # more than one block
+        assert sum(rec.nu_minus is not None for rec in records) > 512  # more than one dense block
         assert records == [eval_point(rec.theta, rec.eta, rec.m, rec.n) for rec in records]
+        spectrum, reflected = dense_spectra([rec.theta for rec in records], [rec.eta for rec in records], -0.3, 0.2)
+        for rec, nu, nu_prime in zip(records, spectrum[:, 0], reflected[:, 0]):
+            if rec.nu_minus is not None:
+                numeric = numeric_invariants(rec.theta, rec.eta, rec.m, rec.n)
+                assert (numeric.nu_minus, numeric.nu_minus_prime) == (nu, nu_prime)
 
     def test_closed_form_domain_failures_raise_and_name_the_point(self, capsys):
         # Beyond theta ~ 1e77 the closed-form gaps overflow and an invariant comes out 0.
-        # Such a quadrant point raises and names itself; it never takes the spectral route.
+        # Such a point raises and names itself, in every quadrant (see test_family.py).
         first = r"closed form leaves its domain at \(theta, eta, m, n\) = \(1e\+80, 0\.0, 0\.3, 0\.2\)"
         with pytest.raises(FormulaDomainError, match=first):
             scan_grid(ScanConfig((0.0, 1e80, 2), (0.0, 1e-90, 2), m=0.3, n=0.2))
