@@ -17,7 +17,7 @@ import json
 import math
 import sys
 
-from .errors import DomainError, FormulaDomainError, NCGaussError
+from .errors import DomainError, NCGaussError
 from .scan import (
     ScanConfig,
     eval_point,
@@ -160,9 +160,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except FormulaDomainError as exc:
-        print(f"ncgauss: numerical-domain error: {exc}", file=sys.stderr)
-        return NUMERIC_EXIT
     except DomainError as exc:
         # Bad point parameters (R >= 1, negative deformations, malformed grid).
         print(f"ncgauss: {exc}", file=sys.stderr)

@@ -26,4 +26,4 @@ class DomainError(NCGaussError):
 
 
 class FormulaDomainError(DomainError):
-    """A closed form leaves floating-point range: an invariant overflows to 0."""
+    """A closed form leaves floating-point range. Kept for callers that catch it: ncgauss no longer raises it."""

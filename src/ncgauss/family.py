@@ -7,10 +7,12 @@ Williamson spectra before and after partial transposition, which depend on |m|
 and |n| only. They are one branch-free kernel, free of cancellation for the
 smallest invariants, and decide every quadrant: ``family_invariants`` (scan, fig2,
 eval) and ``family_spectra`` (fig1) run it at (|m|, |n|) and take no root of Sigma,
-no inverse of a form and no eigensolve. A point whose invariants overflow (theta or
-eta beyond about 1e77) raises FormulaDomainError and names itself, in every quadrant.
+no inverse of a form and no eigensolve. The kernel is total: it scales theta and eta
+by a power of two, so every admissible float point, theta and eta up to the largest
+float, gets finite positive invariants, and no closed form can abort.
 The dense 8x8 route, one eigvalsh per block of points with Sigma^-1/2 in closed form,
-is only ``dense_spectra``: the cross-check of ``eval --verbose`` and the tests.
+is only ``dense_spectra``: the cross-check of nu_- and nu'_- for ``eval --verbose`` and
+the tests.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _raise_first, _root_spectrum, validate_covariance
-from .errors import DimensionError, DomainError, FormulaDomainError
+from .errors import DimensionError, DomainError
 from .phase_space import (
     CompositeForm,
     NCParams,
@@ -129,7 +131,7 @@ def _invariant(gap, c, r: float):
 
 
 def _closed_forms(theta, eta, m: float, n: float, r: float):
-    """nu_-, nu'_-, their pencils' gaps g = omega/2 - c, and c, at the points (theta, eta).
+    """nu_-, nu'_-, their pencils' gaps g = omega/2 - c over k^2, c and 1/k, at the points (theta, eta).
 
     theta and eta are numpy scalars or equal-shape arrays. Each invariant is
     b / (1 - theta*eta) times the square root of the smaller root of a pencil
@@ -143,45 +145,37 @@ def _closed_forms(theta, eta, m: float, n: float, r: float):
     the smallest invariants: every term is non-negative, so nothing cancels, also
     where a gap vanishes, near the hyperbola and as R -> 1. (-|m|, -|n|) gives the
     second ones, where (1+n)|theta - eta| + 2n min(theta, eta) keeps Omega's
-    difference exact at theta = 0 or eta = 0. Only an overflow (theta or eta beyond
-    about 1e77) leaves an invariant 0 or NaN.
+    difference exact at theta = 0 or eta = 0. The kernel runs on theta/k, eta/k, 2m/k
+    and c/k^2, k = 2^max(e - 200, 0) with e the exponent of max(theta, eta), and divides
+    each invariant by k: a power of two scales exactly, so nothing overflows at any float
+    point, and below 2^200, where k = 1, every bit is that of the unscaled forms.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives nu = 0 or NaN: the check reports it
-        s = theta + eta
-        q = (1.0 - r) * (1.0 + r)
-        q_n = (1.0 - abs(n)) * (1.0 + abs(n))
-        c = q * _deficit(theta, eta)
-        split = (1.0 + n) * abs(theta - eta) + 2.0 * n * np.minimum(theta, eta)
-        lift = q_n * s + 2.0 * m
-        gap_minus = split * split / 2.0 + 2.0 * theta * eta * q
-        gap_plus = (lift * lift / 2.0 + 2.0 * n * n * q) / q_n
-        return _invariant(gap_minus, c, r), _invariant(gap_plus, c, r), gap_minus, gap_plus, c
-
-
-def _checked_closed_forms(theta, eta, m: float, n: float, r: float, where):
-    """:func:`_closed_forms`; raises for the first point where an invariant is not positive."""
-    nu, nu_prime, *rest = _closed_forms(theta, eta, m, n, r)
-    _raise_first(~((nu > 0.0) & (nu_prime > 0.0)), FormulaDomainError, "closed form leaves its domain", where)
-    return nu, nu_prime, *rest
+    q = (1.0 - r) * (1.0 + r)
+    q_n = (1.0 - abs(n)) * (1.0 + abs(n))
+    c = q * _deficit(theta, eta)
+    unit = np.ldexp(1.0, np.minimum(200 - np.frexp(np.maximum(theta, eta))[1], 0))  # 1/k
+    theta, eta, c_k = theta * unit, eta * unit, c * unit * unit
+    split = (1.0 + n) * abs(theta - eta) + 2.0 * n * np.minimum(theta, eta)
+    lift = q_n * (theta + eta) + 2.0 * m * unit
+    gap_minus = split * split / 2.0 + 2.0 * theta * eta * q
+    gap_plus = (lift * lift / 2.0 + 2.0 * n * n * q * unit * unit) / q_n
+    nu, nu_prime = _invariant(gap_minus, c_k, r) * unit, _invariant(gap_plus, c_k, r) * unit
+    return nu, nu_prime, gap_minus, gap_plus, c, unit
 
 
 def closed_form_invariants(params: FamilyParams) -> ClosedFormInvariants:
     """Evaluate the closed forms for nu_- and nu'_- at one point (see :func:`_closed_forms`).
 
     The invariants depend on |m| and |n| only, so the pencils are those at
-    (|m|, |n|); omega_+ and omega_- are their omega = 2(g + c).
-
-    Raises:
-        FormulaDomainError: an invariant overflows (theta or eta beyond about 1e77).
+    (|m|, |n|); omega_+ and omega_- are their omega = 2(g + c), inf only where
+    that exceeds the float range.
     """
     theta, eta = np.float64(params.nc.theta), np.float64(params.nc.eta)
-    where = _point_names([theta], [eta], params.m, params.n)
-    nu, nu_prime, gap_minus, gap_plus, c = _checked_closed_forms(
-        theta, eta, abs(params.m), abs(params.n), params.r, where
-    )
+    nu, nu_prime, gap_minus, gap_plus, c, unit = _closed_forms(theta, eta, abs(params.m), abs(params.n), params.r)
+    k, c = 1.0 / float(unit), float(c)  # Python floats: a product beyond the float range is inf, with no warning
     return ClosedFormInvariants(
-        omega_plus=float(2.0 * (gap_plus + c)),
-        omega_minus=float(2.0 * (gap_minus + c)),
+        omega_plus=2.0 * (float(gap_plus) * k * k + c),
+        omega_minus=2.0 * (float(gap_minus) * k * k + c),
         nu_minus=float(nu),
         nu_minus_prime=float(nu_prime),
     )
@@ -211,18 +205,19 @@ def family_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.nda
     Returns two (N, 4) arrays, ascending along each row, with NaN rows where
     theta*eta >= 1. Closed form in every quadrant: each form has two pencils x^2 - omega x + c^2
     (:func:`_closed_forms`) with roots nu_k and b(1+R)^2 / ((1 - theta*eta) nu_k). No root of Sigma
-    or inverse of a form is taken: the checks are on inputs and results, naming the first failing point.
+    or inverse of a form is taken; the inputs are checked, naming the first failing point.
+    nu_3 and nu_4 are inf only where they exceed the float range.
     """
     thetas, etas, r = _checked_points(thetas, etas, m, n)
     out = np.full((2, len(thetas), 4), np.nan)
     todo = np.flatnonzero(thetas * etas < 1.0)
     ts, es = thetas[todo], etas[todo]
-    where = _point_names(ts, es, m, n)
-    nu_1, nup_1, *_, c = _checked_closed_forms(ts, es, abs(m), abs(n), r, where)
-    nu_2, nup_2 = _checked_closed_forms(ts, es, -abs(m), -abs(n), r, where)[:2]
+    nu_1, nup_1, *_, c, _ = _closed_forms(ts, es, abs(m), abs(n), r)
+    nu_2, nup_2 = _closed_forms(ts, es, -abs(m), -abs(n), r)[:2]
     smallest, second = np.array([nu_1, nup_1]), np.array([nu_2, nup_2])
     product = (1.0 + r) ** 4 / c  # nu_1 nu_4 = nu_2 nu_3 = b (1+R)^2 / (1 - theta*eta)
-    rows = np.stack([smallest, second, product / second, product / smallest], axis=-1)
+    with np.errstate(over="ignore"):  # nu_3 and nu_4 beyond the float range are inf
+        rows = np.stack([smallest, second, product / second, product / smallest], axis=-1)
     out[:, todo] = np.maximum.accumulate(rows, axis=-1)  # roundoff can swap equal roots
     return out[0], out[1]
 
@@ -232,9 +227,9 @@ def family_invariants(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.
 
     Returns two float arrays, NaN where theta*eta >= 1. The closed forms decide every
     point in every quadrant: they depend on |m| and |n| only, so the kernel runs at
-    (|m|, |n|), as in :func:`closed_form_invariants`. A failing check raises for the
-    first failing point, naming its (theta, eta, m, n) with the couplings as given;
-    that includes a point whose invariants overflow (:class:`FormulaDomainError`).
+    (|m|, |n|), as in :func:`closed_form_invariants`, and answer at every admissible
+    float point. A failing input check raises for the first failing point, naming its
+    (theta, eta, m, n) with the couplings as given.
     """
     thetas, etas, r = _checked_points(thetas, etas, m, n)
     nu, nu_prime = np.full((2, len(thetas)), np.nan)
@@ -242,7 +237,7 @@ def family_invariants(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.
     ts, es = thetas[todo], etas[todo]
     # One point runs on numpy scalars: the same arithmetic at a fifth of the cost.
     points = (ts[0], es[0]) if todo.size == 1 else (ts, es)
-    nu[todo], nu_prime[todo] = _checked_closed_forms(*points, abs(m), abs(n), r, _point_names(ts, es, m, n))[:2]
+    nu[todo], nu_prime[todo] = _closed_forms(*points, abs(m), abs(n), r)[:2]
     return nu, nu_prime
 
 
@@ -271,11 +266,12 @@ _BLOCK = 512
 
 
 def dense_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`family_spectra` by the dense 8x8 route, with the same checks: its cross-check.
+    """:func:`family_spectra` by the dense 8x8 route, with the same checks: the cross-check of nu_- and nu'_-.
 
     One eigvalsh per block of points. Sigma^-1/2 is in closed form and no form is inverted, so
     neither is checked. nu_- and nu'_- are good to a few eps (1 + 1/(1-R)), the 1/(1-R) from the
-    rounded R; nu_k to about 8 eps nu_k / nu_min.
+    rounded R. The larger nu_k are good only to about 8 eps nu_k / nu_min, so they check nothing
+    at ill-conditioned points: at (1e13, 0, -0.3, 0.2) nu_4 comes out near 5e4, not 2.55e13.
     """
     thetas, etas, r = _checked_points(thetas, etas, m, n)
     out = np.full((len(thetas), 2, 4), np.nan)

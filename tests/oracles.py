@@ -69,6 +69,35 @@ def mp_spectra(theta, eta, m, n, dps=40):
         return spectra
 
 
+def mp_closed_forms(theta, eta, m, n, dps=50):
+    """nu_- and nu'_- of the family at one point, from the closed forms in mpmath at ``dps`` digits.
+
+    The float inputs are read as exact. With s = theta + eta, q = 1 - R^2, q_n = 1 - n^2 and
+    c = q (1 - theta*eta), each invariant is b / (1 - theta*eta) times the square root of the
+    smaller root 2 c^2 / (omega + sqrt(omega^2 - 4 c^2)) of x^2 - omega x + c^2, where
+
+        omega_-  = (|theta - eta| + |n| s)^2 + 4 theta eta q + 2c          (Omega)
+        omega'_- = ((q_n s + 2|m|)^2 + 4 n^2 q) / q_n + 2c                 (Omega')
+
+    Nothing cancels and mpmath's exponent range is unbounded, so the values are good to
+    ``dps`` digits at every float point, theta up to the largest float. Unlike
+    :func:`mp_spectra` the error is relative to each invariant, not to nu_max.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        t, e, m, n = (abs(mpmath.mpf(float(v))) for v in (theta, eta, m, n))
+        r = mpmath.sqrt(m * m + n * n)
+        s, q, q_n, deficit = t + e, 1 - r * r, 1 - n * n, 1 - t * e
+        c = q * deficit
+        omegas = (
+            (abs(t - e) + n * s) ** 2 + 4 * t * e * q + 2 * c,
+            ((q_n * s + 2 * m) ** 2 + 4 * n * n * q) / q_n + 2 * c,
+        )
+        scale = (1 + r) / ((1 - r) * deficit)
+        return tuple(scale * mpmath.sqrt(2 * c * c / (w + mpmath.sqrt(w * w - 4 * c * c))) for w in omegas)
+
+
 def rounding_of_r(m, n):
     """|r - R| / (1 - R): r = hypot(m, n) as rounded, R = sqrt(m^2 + n^2) to 40 digits; 0 at n = 0.
 

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from ncgauss import FormulaDomainError, NCGaussError, ScanConfig, emit_fig1_data, scan_grid
+from ncgauss import NCGaussError, ScanConfig, emit_fig1_data, scan_grid
 from ncgauss.cli import main
 from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS
 from ncgauss.separability import Verdict
@@ -265,13 +265,6 @@ class TestNearHyperbola:
 
 
 class TestErrorMessages:
-    def test_scan_names_failing_mid_grid_point(self, capsys):
-        # Row theta = 5e79, the middle of three, is the first whose closed-form invariants overflow.
-        argv = ["scan", "--theta-range", "0:1e80:3", "--eta-range", "0:1e-90:2", "--m", "0.3", "--n", "0.2"]
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert "closed form leaves its domain at (theta, eta, m, n) = (5e+79, 0.0, 0.3, 0.2)" in err
-
     def test_eval_and_scan_answer_next_to_r_equal_one(self, capsys):
         # R = 1 - 1e-15: Sigma's eigenvalues span 1 to 2e15. Its closed-form root needs no positivity
         # check, so eval --verbose answers on both routes in both signs of m, within dense_tolerance
@@ -316,14 +309,6 @@ class TestErrorMessages:
 
 
 class TestErrorMapping:
-    def test_formula_domain_error_exits_3(self, capsys, monkeypatch):
-        def boom(*args, **kwargs):
-            raise FormulaDomainError("synthetic closed-form failure")
-
-        monkeypatch.setattr("ncgauss.cli.eval_point", boom)
-        assert main(["eval", "--theta", "0", "--eta", "0", "--m", "0.1", "--n", "0.1"]) == 3
-        assert "numerical-domain" in capsys.readouterr().err
-
     def test_generic_numeric_error_exits_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise NCGaussError("synthetic spectral failure")

@@ -11,7 +11,6 @@ from scipy.stats import multivariate_normal, qmc
 
 from ncgauss import (
     DomainError,
-    FormulaDomainError,
     NCGaussError,
     NCParams,
     build_covariance,
@@ -25,7 +24,6 @@ from ncgauss.cli import main
 from ncgauss.core import inverse_root
 from ncgauss.family import (
     FamilyParams,
-    _closed_forms,
     _covariance_matrix,
     _inverse_root,
     _root_spectrum,
@@ -35,15 +33,38 @@ from ncgauss.family import (
 )
 from ncgauss.scan import eval_point
 from ncgauss.separability import primed_form
-from oracles import closed_tolerance, dense_tolerance, mp_spectra
+from oracles import closed_tolerance, dense_tolerance, mp_closed_forms, mp_spectra
 
 FIG_M, FIG_N = np.sqrt(2.0) / 6.0, 1.0 / 6.0
 EPS = float(np.finfo(float).eps)
+DBL_MAX = float(np.finfo(float).max)
 SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
 
 
 def _params(theta, eta, m, n):
     return FamilyParams(m=m, n=n, nc=NCParams(theta, eta))
+
+
+# Positive floats log-uniform over the whole range, subnormals included.
+_POSITIVE_FLOATS = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, 1023))
+
+
+@st.composite
+def _admissible_float_points(draw):
+    """(theta, eta, m, n) anywhere in the admissible domain: theta 0 or log-uniform over the floats;
+    eta 0, log-uniform too, or with 1 - theta*eta log-uniform down to 1e-16; either order; (m, n)
+    in any quadrant with 1 - R log-uniform down to 1e-16."""
+    theta = draw(st.just(0.0) | _POSITIVE_FLOATS)
+    gap = draw(st.none() | st.floats(min_value=-16.0, max_value=0.0))
+    eta = draw(st.just(0.0) | _POSITIVE_FLOATS) if gap is None or theta == 0.0 else (1.0 - 10.0**gap) / theta
+    if draw(st.booleans()):
+        theta, eta = eta, theta
+    radius = 1.0 - 10.0 ** draw(st.floats(min_value=-16.0, max_value=0.0))
+    angle = draw(st.floats(min_value=0.0, max_value=math.pi / 2.0))
+    signs = draw(st.sampled_from(SIGNS))
+    m, n = signs[0] * radius * math.cos(angle), signs[1] * radius * math.sin(angle)
+    assume(eta < math.inf and theta * eta < 1.0 and math.hypot(m, n) < 1.0)
+    return theta, eta, m, n
 
 
 class TestFamilyParams:
@@ -221,28 +242,49 @@ class TestClosedFormInvariants:
             checked += 1
 
     @settings(max_examples=400, deadline=None)
-    @given(
-        log_theta=st.floats(min_value=-8.0, max_value=math.log10(50.0)),
-        log_gap=st.floats(min_value=-16.0, max_value=0.0),
-        log_slack=st.floats(min_value=-15.0, max_value=0.0),
-        angle=st.floats(min_value=0.0, max_value=math.pi / 2.0),
-        signs=st.sampled_from(SIGNS),
-    )
-    def test_closed_forms_never_flag_an_admissible_quadrant_point(
-        self, log_theta, log_gap, log_slack, angle, signs
-    ):
-        # Only a non-positive invariant raises, so every admissible point of every sign
-        # quadrant (either pencil) must give positive, finite invariants. 1 - theta*eta
-        # and 1 - R are log-uniform down to 1e-16 and 1e-15, so half the draws lie
-        # within 1e-8 of the hyperbola or of R = 1.
-        theta = 10.0**log_theta
-        eta = (1.0 - 10.0**log_gap) / theta
-        radius = 1.0 - 10.0**log_slack
-        m, n = signs[0] * radius * math.cos(angle), signs[1] * radius * math.sin(angle)
-        r = math.hypot(m, n)
-        assume(theta * eta < 1.0 and r < 1.0)
-        nu, nu_prime = _closed_forms(np.float64(theta), np.float64(eta), m, n, r)[:2]
-        assert 0.0 < nu < math.inf and 0.0 < nu_prime < math.inf
+    @given(point=_admissible_float_points())
+    @example(point=(1e80, 0.0, 0.3, 0.2))
+    @example(point=(1e80, 0.0, -0.3, 0.2))
+    @example(point=(1e300, 1e-301, 0.3, 0.2))
+    @example(point=(1e200, 0.0, 0.999999, 0.0))
+    @example(point=(0.0, 1e250, 0.0, 0.9))
+    @example(point=(1.7e308, 0.0, 0.3, 0.2))
+    @example(point=(DBL_MAX, 0.0, 0.3, 0.2))
+    @example(point=(DBL_MAX, 1.0 / DBL_MAX, -0.9999999999999999, 0.0))
+    def test_every_admissible_float_point_answers(self, point):
+        # The kernel is total: every admissible point, theta and eta up to the largest float,
+        # 1 - theta*eta and 1 - R down to 1e-16, in every quadrant, gets finite positive
+        # invariants and a verdict, and nu_-, nu'_- stay within closed_tolerance of the
+        # closed forms at 50 digits. A result below the smallest normal float is rounded to
+        # the subnormal grid, whose spacing is 2^-1074: half of it is the last term.
+        mpmath = pytest.importorskip("mpmath")
+        theta, eta, m, n = point
+        nu, nu_prime = (float(v[0]) for v in family_invariants([theta], [eta], m, n))
+        record = eval_point(theta, eta, m, n)
+        assert record.verdict != "invalid"
+        assert (record.nu_minus, record.nu_minus_prime) == (nu, nu_prime)
+        spectrum, reflected = family_spectra([theta], [eta], m, n)
+        for got in (nu, nu_prime, *spectrum[0, :2], *reflected[0, :2]):
+            assert 0.0 < got < math.inf
+        bound = closed_tolerance(m, n)
+        for got, want in zip((nu, nu_prime), mp_closed_forms(theta, eta, m, n)):
+            assert abs(mpmath.mpf(got) - want) <= bound * want + mpmath.mpf(2) ** -1075
+
+    @pytest.mark.parametrize("theta,eta", [(0.0, 0.0), (0.25, 0.5), (3.0, 0.2), (0.0, 0.9), (1.0, 0.9999999999999999)])
+    @pytest.mark.parametrize("m,n", [(0.3, 0.2), (-0.3, 0.2), (-0.3, -0.2), (0.999999, 0.0), (0.0, -0.9)])
+    def test_closed_form_oracle_matches_the_spectra(self, theta, eta, m, n):
+        # The property above checks against mp_closed_forms, which holds at any float point;
+        # here that oracle meets the 8x8 spectra in mpmath where both apply.
+        mpmath = pytest.importorskip("mpmath")
+        spectrum, reflected = mp_spectra(theta, eta, m, n, dps=60)
+        for got, want in zip(mp_closed_forms(theta, eta, m, n), (spectrum[0], reflected[0])):
+            assert abs(got - want) <= mpmath.mpf(10) ** -40 * want
+
+    def test_bits_next_to_the_old_overflow_are_kept(self):
+        # Beyond 2^200 the kernel runs on theta/k and eta/k, k a power of two, and divides
+        # by k exactly: at theta = 1e76, where the unscaled forms still answered, every bit stays.
+        nu, nu_prime = family_invariants([1e76], [1e-77], 0.5, -0.4)
+        assert (nu[0], nu_prime[0]) == (1.9218748910618357e-76, 2.9357123881752905e-76)
 
     def test_arrays_match_single_points_bit_for_bit(self):
         # Grids run the closed forms on arrays and single points on numpy scalars.
@@ -285,30 +327,10 @@ class TestClosedFormInvariants:
             one = np.array(family_invariants([point[0]], [point[1]], *signed))[:, 0]
             assert np.array_equal(one.view(np.int64), want[:, k].view(np.int64))
 
-    def test_overflow_raises_and_names_the_point(self):
-        # Beyond theta ~ 1e77 the gaps overflow and an invariant comes out 0: the point
-        # raises, alone or in a grid, and the grid names its first such point.
-        with pytest.raises(FormulaDomainError, match=r"at \(theta, eta, m, n\) = \(1e\+80, 0\.0,"):
-            closed_form_invariants(_params(1e80, 0.0, FIG_M, FIG_N))
-        with pytest.raises(FormulaDomainError, match=r"at \(theta, eta, m, n\) = \(1e\+80, 0\.0,"):
-            family_invariants([0.25, 1e80, 1e79], [0.5, 0.0, 0.0], FIG_M, FIG_N)
-
     def test_dense_overflow_raises_and_names_the_point(self):
         # Sigma^-1/2 Omega Sigma^-1/2 overflows for theta near the largest float.
         with pytest.raises(NCGaussError, match=r"overflows; .* at \(theta, eta, m, n\) = \(1\.7e\+308, 0\.0,"):
             dense_spectra([0.25, 1.7e308], [0.5, 0.0], -1e-300, 0.0)
-
-    def test_overflow_is_the_same_error_in_every_quadrant(self, capsys):
-        # The closed forms decide every quadrant, so m = -0.3 overflows at theta = 1e80 as
-        # m = 0.3 does: the same error, naming the point with the couplings as given.
-        for m in (0.3, -0.3):
-            named = rf"closed form leaves its domain at \(theta, eta, m, n\) = \(1e\+80, 0\.0, {m}, 0\.2\)"
-            with pytest.raises(FormulaDomainError, match=named):
-                family_invariants([0.25, 1e80], [0.5, 0.0], m, 0.2)
-            with pytest.raises(FormulaDomainError, match=named):
-                eval_point(1e80, 0.0, m, 0.2)
-            assert main(["eval", "--theta", "1e80", "--eta", "0", "--m", repr(m), "--n", "0.2"]) == 3
-            assert f"(1e+80, 0.0, {m}, 0.2)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("m,n", [(0.3, 0.2), (-0.3, 0.2), (-0.3, -0.2), (0.3, -0.2)])
     def test_negative_couplings_give_the_smallest_invariants(self, m, n):

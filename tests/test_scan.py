@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ncgauss import (
     DomainError,
-    FormulaDomainError,
     NCParams,
     ScanConfig,
     build_covariance,
@@ -23,7 +22,7 @@ from ncgauss import (
     scan_grid,
 )
 from ncgauss.cli import main
-from ncgauss.family import FamilyParams, dense_spectra, family_invariants
+from ncgauss.family import FamilyParams, dense_spectra
 from ncgauss.scan import (
     FIG1_FIELDS,
     SCAN_FIELDS,
@@ -49,10 +48,6 @@ from oracles import (
 FIG_M, FIG_N = math.sqrt(2.0) / 6.0, 1.0 / 6.0
 EPS = float(np.finfo(float).eps)
 QUADRANTS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
-# Row theta = 5e79 of this grid is the first whose closed-form invariants overflow; the row
-# before it is admissible.
-FAILING_MID_GRID = ((0.0, 1e80, 3), (0.0, 1e-90, 2), 0.3, 0.2)
-FAILING_POINT = r"at \(theta, eta, m, n\) = \(5e\+79, 0\.0, 0\.3, 0\.2\)"
 
 
 def _column(values, dtype):
@@ -284,29 +279,6 @@ class TestScanGrid:
             if rec.nu_minus is not None:
                 numeric = numeric_invariants(rec.theta, rec.eta, rec.m, rec.n)
                 assert (numeric.nu_minus, numeric.nu_minus_prime) == (nu, nu_prime)
-
-    def test_closed_form_domain_failures_raise_and_name_the_point(self, capsys):
-        # Beyond theta ~ 1e77 the closed-form gaps overflow and an invariant comes out 0.
-        # Such a point raises and names itself, in every quadrant (see test_family.py).
-        first = r"closed form leaves its domain at \(theta, eta, m, n\) = \(1e\+80, 0\.0, 0\.3, 0\.2\)"
-        with pytest.raises(FormulaDomainError, match=first):
-            scan_grid(ScanConfig((0.0, 1e80, 2), (0.0, 1e-90, 2), m=0.3, n=0.2))
-        with pytest.raises(FormulaDomainError, match=first):
-            eval_point(1e80, 0.0, 0.3, 0.2)
-        # The name skips points beyond the hyperbola, which are never evaluated.
-        with pytest.raises(FormulaDomainError, match=first):
-            family_invariants([2.0, 1e80], [2.0, 0.0], 0.3, 0.2)
-        argv = ["scan", "--theta-range", "0:1e80:2", "--eta-range", "0:1e-90:2", "--m", "0.3", "--n", "0.2"]
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert "closed form leaves its domain at (theta, eta, m, n) = (1e+80, 0.0, 0.3, 0.2)" in err
-
-    def test_failing_point_is_named(self):
-        theta_range, eta_range, m, n = FAILING_MID_GRID
-        with pytest.raises(FormulaDomainError, match=FAILING_POINT):
-            scan_grid(ScanConfig(theta_range, eta_range, m=m, n=n))
-        with pytest.raises(FormulaDomainError, match=FAILING_POINT):
-            eval_point(5e79, 0.0, m, n)
 
     def test_commutative_rows_never_entangled(self):
         config = ScanConfig((0.0, 0.0, 1), (0.0, 0.0, 1), m=0.3, n=0.4)
