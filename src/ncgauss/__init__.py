@@ -27,7 +27,6 @@ from .errors import (
 from .family import (
     build_covariance,
     closed_form_invariants,
-    evaluate_wigner,
     family_form,
 )
 from .phase_space import (
@@ -37,11 +36,11 @@ from .phase_space import (
 )
 from .scan import (
     ScanConfig,
-    emit_fig1_data,
-    emit_fig2_data,
     eval_point,
+    fig1_table,
+    fig2_couplings,
     numeric_invariants,
-    scan_grid,
+    scan_table,
 )
 from .separability import (
     classify,
@@ -69,11 +68,10 @@ __all__ = [
     "build_covariance",
     "family_form",
     "closed_form_invariants",
-    "evaluate_wigner",
     "ScanConfig",
-    "scan_grid",
-    "emit_fig1_data",
-    "emit_fig2_data",
+    "scan_table",
+    "fig1_table",
+    "fig2_couplings",
     "eval_point",
     "numeric_invariants",
 ]

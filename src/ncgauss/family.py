@@ -66,11 +66,10 @@ class FamilyParams:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Centered Gaussian with phase-space density norm * exp(-z^T Sigma^-1 z)."""
+    """A centered family state: its parameters and its validated covariance matrix Sigma."""
 
     params: FamilyParams
     sigma: np.ndarray
-    norm: float
 
 
 def _coupling_block(m: float, n: float) -> np.ndarray:
@@ -96,8 +95,7 @@ def build_covariance(m: float, n: float, nc: NCParams) -> GaussianState:
     """Assemble the family covariance matrix for couplings (m, n)."""
     params = FamilyParams(m=m, n=n, nc=nc)
     sigma = validate_covariance(_covariance_matrix(m, n, params.b))
-    norm = 1.0 / (math.pi**4 * math.sqrt(np.linalg.det(sigma)))
-    return GaussianState(params=params, sigma=sigma, norm=norm)
+    return GaussianState(params=params, sigma=sigma)
 
 
 def family_form(nc: NCParams) -> CompositeForm:
@@ -130,6 +128,11 @@ def _invariant(gap, c, r: float):
     return (1.0 + r) ** 2 / np.sqrt(gap + c + np.sqrt(gap * (gap + 2.0 * c)))
 
 
+def _inverse_scale(theta, eta):
+    """1/k for the power of two k = 2^max(e - 200, 0), e the binary exponent of max(theta, eta)."""
+    return np.ldexp(1.0, np.minimum(200 - np.frexp(np.maximum(theta, eta))[1], 0))
+
+
 def _closed_forms(theta, eta, m: float, n: float, r: float):
     """nu_-, nu'_-, their pencils' gaps g = omega/2 - c over k^2, c and 1/k, at the points (theta, eta).
 
@@ -146,14 +149,14 @@ def _closed_forms(theta, eta, m: float, n: float, r: float):
     where a gap vanishes, near the hyperbola and as R -> 1. (-|m|, -|n|) gives the
     second ones, where (1+n)|theta - eta| + 2n min(theta, eta) keeps Omega's
     difference exact at theta = 0 or eta = 0. The kernel runs on theta/k, eta/k, 2m/k
-    and c/k^2, k = 2^max(e - 200, 0) with e the exponent of max(theta, eta), and divides
-    each invariant by k: a power of two scales exactly, so nothing overflows at any float
-    point, and below 2^200, where k = 1, every bit is that of the unscaled forms.
+    and c/k^2, k from :func:`_inverse_scale`, and divides each invariant by k: a power of
+    two scales exactly, so nothing overflows at any float point, and below 2^200, where
+    k = 1, every bit is that of the unscaled forms.
     """
     q = (1.0 - r) * (1.0 + r)
     q_n = (1.0 - abs(n)) * (1.0 + abs(n))
     c = q * _deficit(theta, eta)
-    unit = np.ldexp(1.0, np.minimum(200 - np.frexp(np.maximum(theta, eta))[1], 0))  # 1/k
+    unit = _inverse_scale(theta, eta)
     theta, eta, c_k = theta * unit, eta * unit, c * unit * unit
     split = (1.0 + n) * abs(theta - eta) + 2.0 * n * np.minimum(theta, eta)
     lift = q_n * (theta + eta) + 2.0 * m * unit
@@ -272,6 +275,8 @@ def dense_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndar
     neither is checked. nu_- and nu'_- are good to a few eps (1 + 1/(1-R)), the 1/(1-R) from the
     rounded R. The larger nu_k are good only to about 8 eps nu_k / nu_min, so they check nothing
     at ill-conditioned points: at (1e13, 0, -0.3, 0.2) nu_4 comes out near 5e4, not 2.55e13.
+    Each point's forms and invariants are divided by the kernel's k (:func:`_inverse_scale`), exactly:
+    (i/2) S (Omega/k) S has eigenvalues +-1/(k nu), nothing overflows, and below 2^200 every bit is kept.
     """
     thetas, etas, r = _checked_points(thetas, etas, m, n)
     out = np.full((len(thetas), 2, 4), np.nan)
@@ -280,16 +285,8 @@ def dense_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndar
     for start in range(0, todo.size, _BLOCK):
         block = todo[start : start + _BLOCK]
         where = _point_names(thetas[block], etas[block], m, n)
-        forms = thetas[block, None, None, None] * _THETA + etas[block, None, None, None] * _ETA + _UNIT
-        out[block] = _root_spectrum(root, forms, lambda k: where(k // 2))
+        ts, es = thetas[block, None, None, None], etas[block, None, None, None]
+        unit = _inverse_scale(ts, es)
+        forms = (ts * unit) * _THETA + (es * unit) * _ETA + unit * _UNIT
+        out[block] = _root_spectrum(root, forms, lambda k: where(k // 2)) * unit[..., 0]
     return out[:, 0], out[:, 1]
-
-
-def evaluate_wigner(state: GaussianState, z) -> float:
-    """Phase-space density norm * exp(-z^T Sigma^-1 z) at the point z."""
-    vec = np.asarray(z, dtype=float)
-    if vec.shape != (state.sigma.shape[0],):
-        raise DomainError(f"point must be a vector of length {state.sigma.shape[0]}")
-    if not np.all(np.isfinite(vec)):
-        raise DomainError("point contains non-finite entries")
-    return float(state.norm * math.exp(-vec @ np.linalg.solve(state.sigma, vec)))

@@ -123,30 +123,14 @@ def build_composite_form(
 
 @dataclass(frozen=True)
 class DarbouxMap:
-    """Block-diagonal linear map S = Diag[S_A, S_B] between variable sets.
+    """Block-diagonal linear map S = Diag[S_A, S_B] = ``assembled`` between variable sets.
 
-    ``lambda_scale`` and ``mu_scale`` are populated only for maps built from
-    planar parameters; user-supplied maps carry None. Construction does not
-    check S J S^T = Omega for any target form; :func:`build_darboux_map` checks
-    the maps it builds.
+    Construction checks nothing; :func:`build_darboux_map` checks S J S^T = Omega for the maps it builds.
     """
 
     s_a: np.ndarray
     s_b: np.ndarray
     assembled: np.ndarray
-    lambda_scale: float | None = None
-    mu_scale: float | None = None
-
-    @classmethod
-    def from_blocks(cls, s_a, s_b) -> "DarbouxMap":
-        a = np.asarray(s_a, dtype=float)
-        b = np.asarray(s_b, dtype=float)
-        for name, blk in (("S_A", a), ("S_B", b)):
-            if blk.ndim != 2 or blk.shape[0] != blk.shape[1] or blk.shape[0] % 2 != 0:
-                raise DimensionError(f"{name} must be square of even dimension, got {blk.shape}")
-            if numerically_singular(blk):
-                raise SingularMatrixError(f"{name} is numerically singular")
-        return cls(s_a=_readonly(a), s_b=_readonly(b), assembled=_readonly(block_diag(a, b)))
 
 
 def _planar_darboux_block(params: NCParams, lam: float, mu: float) -> np.ndarray:
@@ -168,7 +152,8 @@ def build_darboux_map(params: NCParams, lambda_scale: float = 1.0) -> DarbouxMap
     """Planar Darboux map with free gauge parameter lambda; S_A = S_B.
 
     mu is fixed by lambda*mu = (1 + sqrt(1 - eta*theta)) / 2, which keeps the
-    map invertible (det of each block is 1 - eta*theta).
+    map invertible (det of each block is 1 - eta*theta). lambda and mu are the
+    diagonal entries S_A[0, 0] and S_A[2, 2].
     """
     if not math.isfinite(lambda_scale) or lambda_scale <= 0:
         raise DomainError(f"lambda must be > 0, got {lambda_scale}")
@@ -183,13 +168,7 @@ def build_darboux_map(params: NCParams, lambda_scale: float = 1.0) -> DarbouxMap
     residual = np.max(np.abs(blk @ standard_symplectic_form(2) @ blk.T - target))
     if residual > MAP_RESIDUAL:
         raise MatrixStructureError(f"constructed map violates S J S^T = Omega by {residual:.3e}")
-    return DarbouxMap(
-        s_a=_readonly(blk),
-        s_b=_readonly(blk),
-        assembled=_readonly(block_diag(blk, blk)),
-        lambda_scale=lambda_scale,
-        mu_scale=mu,
-    )
+    return DarbouxMap(s_a=_readonly(blk), s_b=_readonly(blk), assembled=_readonly(block_diag(blk, blk)))
 
 
 def transform_covariance(dmap: DarbouxMap, sigma_tilde) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Parameter-plane scans: point evaluation, grid classification, figure datasets.
+"""Parameter-plane scans: point evaluation, the grid tables and their writers.
 
 A grid is evaluated in one batched call, ``family.family_invariants``: the
 closed-form kernel at (|m|, |n|), which decides every quadrant with no 8x8 algebra.
@@ -11,11 +11,10 @@ spectral route (``family.dense_spectra``) at one point, the cross-check of
 :func:`_check_range`.
 Rows run in row-major order, theta outer and eta inner.
 
-A table is a dict of equal-length columns: float64 arrays, lists of labels, or
-``(column, missing)`` pairs with a boolean mask. The CLI writes tables
-(:func:`table_to_csv`, :func:`table_to_json`), a column's distinct floats (per bit
-pattern) in one C-level format and a row as the join of its cells; :func:`scan_grid`
-and :func:`emit_fig1_data` read their records from them. Floats are rounded to 12
+A grid's output is a table (:func:`scan_table`, :func:`fig1_table`): a dict of equal-length
+columns, which are float64 arrays, lists of labels, or ``(column, missing)`` pairs with a boolean
+mask. :func:`table_to_csv` and :func:`table_to_json` write it, a column's distinct floats (per bit
+pattern) in one C-level format and a row as the join of its cells. Floats are rounded to 12
 significant digits, so identical configurations produce byte-identical files.
 """
 
@@ -101,7 +100,7 @@ def numeric_invariants(theta: float, eta: float, m: float, n: float) -> Classifi
 
 
 def eval_point(theta: float, eta: float, m: float, n: float) -> ScanRecord:
-    """Classify one family point: the one-point case of :func:`scan_grid`.
+    """Classify one family point: the one-point case of :func:`scan_table`.
 
     theta*eta >= 1 yields the invalid verdict. The verdict rule runs on the
     float pair: a one-point array or table would cost more than the evaluation.
@@ -115,14 +114,11 @@ def eval_point(theta: float, eta: float, m: float, n: float) -> ScanRecord:
     return ScanRecord(theta, eta, m, n, math.hypot(m, n), nu, nu_prime, verdict)
 
 
-def grid_axis(lo: float, hi: float, steps: int) -> np.ndarray:
-    return np.linspace(lo, hi, steps)
-
-
 def scan_table(config: ScanConfig) -> dict:
-    """The scan table of the grid; the invariants are missing where theta*eta >= 1."""
+    """The ``SCAN_FIELDS`` table of every grid point from one batched evaluation, theta outer and
+    eta inner; rows with theta*eta >= 1 are kept with the ``invalid`` verdict, invariants missing."""
     thetas, etas = np.meshgrid(
-        grid_axis(*config.theta_range), grid_axis(*config.eta_range), indexing="ij"
+        np.linspace(*config.theta_range), np.linspace(*config.eta_range), indexing="ij"
     )
     m, n = float(config.m), float(config.n)
     nu, nu_prime = family_invariants(thetas.ravel(), etas.ravel(), m, n)
@@ -133,11 +129,6 @@ def scan_table(config: ScanConfig) -> dict:
     return dict(zip(SCAN_FIELDS, columns))
 
 
-def scan_grid(config: ScanConfig) -> list[ScanRecord]:
-    """Classify every grid point in one batched evaluation, theta outer and eta inner."""
-    return list(map(ScanRecord, *(_cells(c, list, lambda v: v, None) for c in scan_table(config).values())))
-
-
 def fig2_couplings(r: float, swap: bool = False) -> tuple[float, float]:
     """(m, n) on the figure slice n = r/3, m = sqrt(2) r/3, or swapped."""
     if not (0.0 < r < 1.0):
@@ -146,22 +137,16 @@ def fig2_couplings(r: float, swap: bool = False) -> tuple[float, float]:
     return (n, m) if swap else (m, n)
 
 
-def emit_fig2_data(
-    r: float,
-    swap: bool = False,
-    theta_range: tuple[float, float, int] = (0.0, 2.0, 101),
-    eta_range: tuple[float, float, int] = (0.0, 2.0, 101),
-) -> list[ScanRecord]:
-    """Grid scan along the figure slice of :func:`fig2_couplings`."""
-    return scan_grid(ScanConfig(theta_range, eta_range, *fig2_couplings(r, swap)))
-
-
 def fig1_table(theta_values, eta_range: tuple[float, float, int], m: float, n: float) -> dict:
-    """The table of :func:`emit_fig1_data`; the spectra are missing where theta*eta >= 1."""
+    """The ``FIG1_FIELDS`` table: full spectra of (Sigma, Omega) and (Sigma, Omega') along eta per theta.
+
+    All points run in one batched call. Rows carry (m, n), which the eigenvalue plot leaves implicit;
+    rows with theta*eta >= 1 leave the spectrum columns empty (the form is singular on the hyperbola).
+    """
     theta_values = np.asarray(theta_values, dtype=float)
     if theta_values.ndim != 1 or not theta_values.size:
         raise DomainError(f"theta values must be a non-empty 1-D sequence, got shape {theta_values.shape}")
-    etas = grid_axis(*_check_range("eta", eta_range))
+    etas = np.linspace(*_check_range("eta", eta_range))
     thetas = np.repeat(theta_values, len(etas))
     etas = np.tile(etas, len(theta_values))
     spectrum, reflected = family_spectra(thetas, etas, m, n)
@@ -169,23 +154,6 @@ def fig1_table(theta_values, eta_range: tuple[float, float, int], m: float, n: f
     invalid = spectrum[:, 0] != spectrum[:, 0]
     spectra = [(column, invalid) for column in np.hstack([spectrum, reflected]).T]
     return dict(zip(FIG1_FIELDS, [thetas, etas, *couplings, *spectra]))
-
-
-def emit_fig1_data(
-    theta_values=(0.0, 0.25, 0.5),
-    eta_range: tuple[float, float, int] = (0.0, 2.0, 101),
-    m: float = math.sqrt(2.0) / 6.0,
-    n: float = 1.0 / 6.0,
-) -> list[dict]:
-    """Full four-invariant spectra of (Sigma, Omega) and (Sigma, Omega') per point.
-
-    All points are evaluated in one batched call. Rows carry the (m, n) choice
-    explicitly since the eigenvalue plot leaves it implicit. Points with
-    theta*eta >= 1 keep their row but leave the spectrum columns empty (the
-    form is singular on the hyperbola).
-    """
-    table = fig1_table(theta_values, eta_range, m, n)
-    return [dict(zip(table, row)) for row in zip(*(_cells(c, list, lambda v: v, None) for c in table.values()))]
 
 
 def _cells(column, floats, label, blank) -> list:

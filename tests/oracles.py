@@ -200,7 +200,8 @@ def mirror_reflection(n_a, n_b):
 
 def darboux_inverse(dmap):
     """The map Diag[S_A^-1, S_B^-1]."""
-    return DarbouxMap.from_blocks(np.linalg.inv(dmap.s_a), np.linalg.inv(dmap.s_b))
+    s_a, s_b = np.linalg.inv(dmap.s_a), np.linalg.inv(dmap.s_b)
+    return DarbouxMap(s_a, s_b, block_diag(s_a, s_b))
 
 
 def validate_darboux(dmap, target):
@@ -261,11 +262,14 @@ def partial_transpose_covariance(sigma, pt):
     return validate_covariance(out)
 
 
-def records_self_consistent(records):
-    """Recompute each verdict from the stored invariants (emitted-file sanity); None reads as NaN."""
-    for rec in records:
-        nu, nu_prime = (np.nan if v is None else v for v in (rec.nu_minus, rec.nu_minus_prime))
-        if rec.verdict != verdict_from_invariants(nu, nu_prime):
+def records_self_consistent(rows):
+    """Recompute each verdict from the row's invariants (emitted-file sanity); None reads as NaN.
+
+    ``rows`` are dicts with the scan columns, as :func:`table_rows` gives them.
+    """
+    for row in rows:
+        nu, nu_prime = (np.nan if row[key] is None else row[key] for key in ("nu_minus", "nu_minus_prime"))
+        if row["verdict"] != verdict_from_invariants(nu, nu_prime):
             return False
     return True
 
@@ -286,7 +290,8 @@ def rows_to_csv(rows, fields):
     """Reference CSV writer, one row at a time: a header of ``fields``, one line per row.
 
     None becomes an empty cell, strings pass through, and numbers are written
-    with 12 significant digits. Scan records go in as ``map(vars, records)``.
+    with 12 significant digits. A column table goes in as :func:`table_rows`, a
+    ``ScanRecord`` as ``vars(record)``.
     """
     lines = [",".join(fields)]
     for row in rows:

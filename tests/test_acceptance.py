@@ -11,14 +11,16 @@ import numpy as np
 
 from ncgauss import (
     NCParams,
+    ScanConfig,
     build_covariance,
     build_darboux_map,
     classify,
     closed_form_invariants,
-    emit_fig2_data,
     family_form,
+    fig2_couplings,
     nc_williamson_spectrum,
     rsup_holds,
+    scan_table,
     transform_covariance,
 )
 from ncgauss.cli import main
@@ -31,6 +33,7 @@ from oracles import (
     partial_transpose_map,
     random_skew_nonsingular,
     random_spd,
+    table_rows,
 )
 
 FIG_M, FIG_N = math.sqrt(2.0) / 6.0, 1.0 / 6.0
@@ -187,15 +190,14 @@ def test_criterion_7_region_census():
     start = time.perf_counter()
     expected = {"separable", "entangled", "nonquantum", "invalid"}
     for swap in (False, True):
-        records = emit_fig2_data(
-            0.5, swap=swap, theta_range=(0.0, 2.0, 101), eta_range=(0.0, 2.0, 101)
-        )
-        assert len(records) == 101 * 101
-        verdicts = {rec.verdict for rec in records}
+        config = ScanConfig((0.0, 2.0, 101), (0.0, 2.0, 101), *fig2_couplings(0.5, swap))
+        rows = table_rows(scan_table(config))
+        assert len(rows) == 101 * 101
+        verdicts = {row["verdict"] for row in rows}
         assert verdicts == expected
-        for rec in records:
-            if rec.theta * rec.eta > 1.0:
-                assert rec.verdict == "invalid"
+        for row in rows:
+            if row["theta"] * row["eta"] > 1.0:
+                assert row["verdict"] == "invalid"
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     _report(7, "region census on both parameter orderings", elapsed, "2 x 101x101 grids")

@@ -3,14 +3,18 @@
 import hashlib
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
-from ncgauss import NCGaussError, ScanConfig, emit_fig1_data, scan_grid
+from ncgauss import NCGaussError, eval_point, fig1_table
 from ncgauss.cli import main
 from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS
 from ncgauss.separability import Verdict
-from oracles import closed_tolerance, dense_tolerance, mp_spectra, rows_to_csv, rows_to_json
+from oracles import (
+    closed_tolerance, dense_tolerance, mp_closed_forms, mp_spectra, rows_to_csv, rows_to_json, table_rows,
+)
 
 # sha256 of stdout, recorded with the per-row writers. These outputs come from the closed
 # forms alone (elementwise arithmetic and libm pow, no LAPACK), so their bytes do not
@@ -252,6 +256,24 @@ class TestNearHyperbola:
         assert obj["verdict"] == "nonquantum"
         assert obj["nu_minus_numeric"] == obj["nu_minus"] > 0.0
 
+    @pytest.mark.parametrize("theta", ["1.7e308", "1.7976931348623157e308"])
+    @pytest.mark.parametrize("m,n", [("0.3", "0.2"), ("-0.3", "0.2"), ("-0.3", "-0.2"), ("0.3", "-0.2")])
+    def test_verbose_cross_check_at_the_largest_floats(self, capsys, theta, m, n):
+        # The dense cross-check scales each point's forms by the kernel's power of two, so it
+        # answers up to the largest float with no overflow warning, within dense_tolerance of
+        # the closed forms at 50 digits. The invariants are subnormal there: half the spacing
+        # 2^-1074 is the last term.
+        mpmath = pytest.importorskip("mpmath")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--theta", theta, "--eta", "0", "--m", m, "--n", n, "--verbose"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["verdict"] == "nonquantum"
+        for key, want in zip(("nu_minus_numeric", "nu_minus_prime_numeric"),
+                             mp_closed_forms(float(theta), 0.0, float(m), float(n))):
+            bound = dense_tolerance(float(theta), 0.0, float(m), float(n), float(want))
+            assert abs(mpmath.mpf(obj[key]) - want) <= bound * want + mpmath.mpf(2) ** -1075
+
     def test_grid_row_next_to_the_hyperbola_is_nonquantum(self, capsys):
         # Row theta = 100 has 1 - theta*eta down to 4e-15, at eta = 0.00999999999999996.
         argv = ["scan", "--theta-range", "99:101:3",
@@ -333,16 +355,17 @@ class TestOutputBytes:
     def test_scan_matches_per_row_writer(self, capsys, m, n, fmt):
         # Off the quadrant too the closed forms decide; compare with the reference writer.
         # (-0.0, 0.0) keeps the sign of a zero coupling.
-        ranges = (0.0, 2.0, 13), (0.0, 2.0, 13)
+        axis = np.linspace(0.0, 2.0, 13)
         argv = ["scan", "--theta-range", "0:2:13", "--eta-range", "0:2:13", "--m", repr(m), "--n", repr(n)]
         assert main([*argv, "--format", fmt]) == 0
         writer = rows_to_csv if fmt == "csv" else rows_to_json
-        expected = writer(map(vars, scan_grid(ScanConfig(*ranges, m=m, n=n))), SCAN_FIELDS)
+        expected = writer([vars(eval_point(t, e, m, n)) for t in axis for e in axis], SCAN_FIELDS)
         assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_fig1_matches_per_row_writer(self, capsys, fmt):
         assert main(["fig1", "--thetas", "0,0.25,1.25", "--eta-range", "0:2:21", "--format", fmt]) == 0
         writer = rows_to_csv if fmt == "csv" else rows_to_json
-        expected = writer(emit_fig1_data((0.0, 0.25, 1.25), (0.0, 2.0, 21)), FIG1_FIELDS)
+        table = fig1_table((0.0, 0.25, 1.25), (0.0, 2.0, 21), math.sqrt(2.0) / 6.0, 1.0 / 6.0)
+        expected = writer(table_rows(table), FIG1_FIELDS)
         assert capsys.readouterr().out == expected

@@ -1,4 +1,4 @@
-"""Tests for the explicit Gaussian family: covariance, closed forms, density."""
+"""Tests for the explicit Gaussian family: covariance, closed forms, spectra."""
 
 import math
 from fractions import Fraction
@@ -7,15 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import multivariate_normal, qmc
 
 from ncgauss import (
     DomainError,
-    NCGaussError,
     NCParams,
     build_covariance,
     closed_form_invariants,
-    evaluate_wigner,
     family_form,
     nc_williamson_spectrum,
     numeric_invariants,
@@ -327,10 +324,21 @@ class TestClosedFormInvariants:
             one = np.array(family_invariants([point[0]], [point[1]], *signed))[:, 0]
             assert np.array_equal(one.view(np.int64), want[:, k].view(np.int64))
 
-    def test_dense_overflow_raises_and_names_the_point(self):
-        # Sigma^-1/2 Omega Sigma^-1/2 overflows for theta near the largest float.
-        with pytest.raises(NCGaussError, match=r"overflows; .* at \(theta, eta, m, n\) = \(1\.7e\+308, 0\.0,"):
-            dense_spectra([0.25, 1.7e308], [0.5, 0.0], -1e-300, 0.0)
+    @pytest.mark.parametrize("m,n", [(0.3, 0.2), (-0.3, 0.2), (-0.3, -0.2), (0.3, -0.2)])
+    def test_dense_route_answers_up_to_the_largest_float(self, m, n):
+        # The dense route divides each point's forms by the kernel's power of two and its
+        # invariants by the same k, so S Omega S cannot overflow: at theta = 1.7e308 and at
+        # the largest float it answers within dense_tolerance of the closed forms at 50 digits.
+        # The invariants there are subnormal, rounded to a grid of spacing 2^-1074: half of it
+        # is the last term.
+        mpmath = pytest.importorskip("mpmath")
+        thetas = [0.25, 1.7e308, DBL_MAX]
+        spectrum, reflected = dense_spectra(thetas, [0.5, 0.0, 0.0], m, n)
+        for k, theta in enumerate(thetas):
+            eta = 0.5 if k == 0 else 0.0
+            for got, want in zip((spectrum[k, 0], reflected[k, 0]), mp_closed_forms(theta, eta, m, n)):
+                bound = dense_tolerance(theta, eta, m, n, float(want))
+                assert abs(mpmath.mpf(got) - want) <= bound * want + mpmath.mpf(2) ** -1075
 
     @pytest.mark.parametrize("m,n", [(0.3, 0.2), (-0.3, 0.2), (-0.3, -0.2), (0.3, -0.2)])
     def test_negative_couplings_give_the_smallest_invariants(self, m, n):
@@ -529,57 +537,3 @@ class TestFamilySpectra:
         numeric_invariants(0.25, 0.5, FIG_M, FIG_N)
         assert calls == [1]
 
-
-class TestEvaluateWigner:
-    def test_peak_of_uncoupled_state(self):
-        state = build_covariance(0.0, 0.0, NCParams(0.0, 0.0))
-        assert evaluate_wigner(state, np.zeros(8)) == pytest.approx(
-            16.0 / np.pi**4, rel=1e-14
-        )
-
-    def test_monotone_decay_along_rays(self):
-        rng = np.random.default_rng(29)
-        state = build_covariance(0.3, 0.4, NCParams(0.0, 0.0))
-        for _ in range(5):
-            direction = rng.normal(size=8)
-            values = [evaluate_wigner(state, t * direction) for t in (0.0, 0.5, 1.0, 2.0)]
-            assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_matches_gaussian_density_with_half_covariance(self):
-        # exp(-z^T Sigma^-1 z) normalized by pi^4 sqrt(det Sigma) is exactly
-        # the N(0, Sigma/2) density, which also certifies second moments
-        # Sigma/2 through the standard Gaussian moment identity.
-        rng = np.random.default_rng(37)
-        for m, n in [(0.0, 0.0), (FIG_M, FIG_N), (0.3, 0.4)]:
-            state = build_covariance(m, n, NCParams(0.0, 0.0))
-            density = multivariate_normal(mean=np.zeros(8), cov=state.sigma / 2.0)
-            for _ in range(10):
-                z = rng.normal(scale=0.8, size=8)
-                assert evaluate_wigner(state, z) == pytest.approx(density.pdf(z), rel=1e-12)
-
-    @pytest.mark.parametrize("m,n", [(0.0, 0.0), (0.3, 0.4)])
-    def test_quasi_random_box_integral_is_normalized(self, m, n):
-        # Randomized quasi-Monte Carlo over an eigen-aligned box covering
-        # +-3.5 standard deviations per axis.
-        state = build_covariance(m, n, NCParams(0.0, 0.0))
-        widths, axes = np.linalg.eigh(state.sigma / 2.0)
-        half = 3.5 * np.sqrt(widths)
-        volume = np.prod(2.0 * half)
-        estimates = []
-        for seed in (11, 23, 37, 53):
-            sampler = qmc.Sobol(d=8, scramble=True, seed=seed)
-            points = (2.0 * sampler.random(2**16) - 1.0) * half
-            values = [evaluate_wigner(state, axes @ p) for p in points]
-            estimates.append(volume * float(np.mean(values)))
-        assert abs(np.mean(estimates) - 1.0) < 0.01
-
-    def test_rejects_wrong_length(self):
-        state = build_covariance(0.0, 0.0, NCParams(0.0, 0.0))
-        with pytest.raises(DomainError):
-            evaluate_wigner(state, np.zeros(4))
-
-    def test_norm_field_matches_determinant(self):
-        state = build_covariance(0.3, 0.4, NCParams(0.0, 0.0))
-        assert state.norm == pytest.approx(
-            1.0 / (math.pi**4 * math.sqrt(np.linalg.det(state.sigma))), rel=1e-13
-        )

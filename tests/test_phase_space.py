@@ -102,12 +102,13 @@ class TestDarbouxMap:
     def test_commutative_map_is_identity(self):
         dmap = build_darboux_map(NCParams(0.0, 0.0), lambda_scale=1.0)
         np.testing.assert_array_equal(dmap.s_a, np.eye(4))
-        assert dmap.mu_scale == 1.0
+        assert dmap.s_a[2, 2] == 1.0  # mu
 
     def test_mu_from_invertibility_constraint(self):
+        # lambda and mu are the diagonal entries S_A[0, 0] and S_A[2, 2].
         dmap = build_darboux_map(NCParams(0.25, 0.5), lambda_scale=1.0)
-        assert dmap.mu_scale == pytest.approx((1.0 + np.sqrt(7.0 / 8.0)) / 2.0, rel=1e-12)
-        assert dmap.lambda_scale * dmap.mu_scale == pytest.approx(
+        assert dmap.s_a[2, 2] == pytest.approx((1.0 + np.sqrt(7.0 / 8.0)) / 2.0, rel=1e-12)
+        assert dmap.s_a[0, 0] * dmap.s_a[2, 2] == pytest.approx(
             (1.0 + np.sqrt(1.0 - 0.125)) / 2.0, abs=1e-12
         )
 
@@ -129,7 +130,8 @@ class TestDarbouxMap:
                 continue
             lam = float(np.exp(rng.uniform(-1.0, 1.0)))
             dmap = build_darboux_map(NCParams(theta, eta), lambda_scale=lam)
-            product = dmap.lambda_scale * dmap.mu_scale
+            assert dmap.s_a[0, 0] == lam
+            product = dmap.s_a[0, 0] * dmap.s_a[2, 2]
             expected = (product - theta * eta / (4.0 * product)) ** 2
             assert np.linalg.det(dmap.s_a) == pytest.approx(expected, rel=1e-10)
             assert expected == pytest.approx(1.0 - theta * eta, rel=1e-10)
@@ -138,14 +140,10 @@ class TestDarbouxMap:
         with pytest.raises(DomainError):
             build_darboux_map(NCParams(0.1, 0.1), lambda_scale=0.0)
 
-    def test_from_blocks_rejects_singular(self):
-        with pytest.raises(SingularMatrixError):
-            DarbouxMap.from_blocks(np.zeros((4, 4)), np.eye(4))
-
 
 class TestValidateDarboux:
     def test_identity_map_on_commutative_form(self):
-        dmap = DarbouxMap.from_blocks(np.eye(4), np.eye(4))
+        dmap = DarbouxMap(np.eye(4), np.eye(4), np.eye(8))
         assert validate_darboux(dmap, _composite(0.0, 0.0))
 
     def test_built_map_matches_own_target(self):
@@ -157,7 +155,7 @@ class TestValidateDarboux:
         assert not validate_darboux(dmap, _composite(0.3, 0.5))
 
     def test_dimension_mismatch(self):
-        dmap = DarbouxMap.from_blocks(np.eye(2), np.eye(2))
+        dmap = DarbouxMap(np.eye(2), np.eye(2), np.eye(4))
         with pytest.raises(DimensionError):
             validate_darboux(dmap, _composite(0.0, 0.0))
 
@@ -166,7 +164,7 @@ class TestTransformCovariance:
     def test_identity_map(self):
         rng = np.random.default_rng(5)
         sigma = random_spd(rng, 8)
-        dmap = DarbouxMap.from_blocks(np.eye(4), np.eye(4))
+        dmap = DarbouxMap(np.eye(4), np.eye(4), np.eye(8))
         np.testing.assert_allclose(transform_covariance(dmap, sigma), sigma, rtol=1e-14)
 
     def test_round_trip_through_inverse(self):

@@ -14,24 +14,16 @@ from ncgauss import (
     ScanConfig,
     build_covariance,
     closed_form_invariants,
-    emit_fig1_data,
-    emit_fig2_data,
     eval_point,
     family_form,
+    fig1_table,
+    fig2_couplings,
     numeric_invariants,
-    scan_grid,
+    scan_table,
 )
 from ncgauss.cli import main
 from ncgauss.family import FamilyParams, dense_spectra
-from ncgauss.scan import (
-    FIG1_FIELDS,
-    SCAN_FIELDS,
-    fig1_table,
-    grid_axis,
-    scan_table,
-    table_to_csv,
-    table_to_json,
-)
+from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS, table_to_csv, table_to_json
 from ncgauss.separability import primed_form
 from oracles import (
     bisect_decreasing,
@@ -48,6 +40,25 @@ from oracles import (
 FIG_M, FIG_N = math.sqrt(2.0) / 6.0, 1.0 / 6.0
 EPS = float(np.finfo(float).eps)
 QUADRANTS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
+
+
+def _scan_rows(config):
+    """The rows of the scan table, None in the missing invariant cells."""
+    return table_rows(scan_table(config))
+
+
+def _point_rows(config):
+    """The rows of one eval_point call per grid point, theta outer and eta inner."""
+    return [
+        vars(eval_point(t, e, config.m, config.n))
+        for t in np.linspace(*config.theta_range)
+        for e in np.linspace(*config.eta_range)
+    ]
+
+
+def _fig1_rows(theta_values, eta_range, m=FIG_M, n=FIG_N):
+    """The rows of the fig1 table, None in the missing spectrum cells."""
+    return table_rows(fig1_table(theta_values, eta_range, m, n))
 
 
 def _column(values, dtype):
@@ -169,24 +180,28 @@ class TestEvalPoint:
 class TestScanGrid:
     def test_small_grid_complete(self):
         config = ScanConfig((0.0, 0.1, 2), (0.0, 0.1, 2), m=0.3, n=0.4)
-        records = scan_grid(config)
-        assert len(records) == 4
-        assert all(rec.nu_minus is not None for rec in records)
+        rows = _scan_rows(config)
+        assert len(rows) == 4
+        assert all(row["nu_minus"] is not None for row in rows)
+        assert rows == _point_rows(config)
 
     def test_row_major_order(self):
         config = ScanConfig((0.0, 1.0, 3), (0.0, 1.0, 2), m=0.1, n=0.1)
-        records = scan_grid(config)
-        assert [(rec.theta, rec.eta) for rec in records] == [
+        rows = _scan_rows(config)
+        assert [(row["theta"], row["eta"]) for row in rows] == [
             (0.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 1.0), (1.0, 0.0), (1.0, 1.0)
         ]
+        assert rows == _point_rows(config)
 
     def test_hyperbola_points_kept_as_invalid(self):
         root2 = math.sqrt(2.0)
         config = ScanConfig((0.0, root2, 2), (0.0, root2, 2), m=0.1, n=0.1)
-        records = scan_grid(config)
-        assert len(records) == 4
-        assert records[-1].theta == records[-1].eta == root2
-        assert records[-1].verdict == "invalid"
+        rows = _scan_rows(config)
+        assert len(rows) == 4
+        assert rows[-1]["theta"] == rows[-1]["eta"] == root2
+        assert rows[-1]["verdict"] == "invalid"
+        assert rows[-1]["nu_minus"] is None and rows[-1]["nu_minus_prime"] is None
+        assert rows == _point_rows(config)
 
     @pytest.mark.parametrize(
         "m,n", [(0.3, 0.2), (-0.3, 0.2), (-0.3, -0.2), (0.3, -0.2), (-0.0, 0.2), (0.3, -0.0), (-0.0, -0.0)]
@@ -202,8 +217,7 @@ class TestScanGrid:
         config = ScanConfig((0.0, 2.0, 9), (0.0, 2.0, 9), m=m, n=n)
         nu, invalid = scan_table(config)["nu_minus"]
         assert invalid.any() and (nu[~invalid] > 0.0).all()
-        records = scan_grid(config)
-        assert records == [eval_point(rec.theta, rec.eta, m, n) for rec in records]
+        assert _scan_rows(config) == _point_rows(config)
         couplings = ["--m", repr(m), "--n", repr(n)]
         assert main(["scan", "--theta-range", "0:2:5", "--eta-range", "0:2:5", *couplings]) == 0
         assert main(["eval", "--theta", "0.25", "--eta", "0.5", *couplings]) == 0
@@ -225,9 +239,11 @@ class TestScanGrid:
     def test_numpy_integer_steps_accepted(self):
         config = ScanConfig((0.0, 1.0, np.int64(3)), (0.0, 1.0, 2.0), m=0.1, n=0.1)
         assert config.theta_range == (0.0, 1.0, 3) and config.eta_range == (0.0, 1.0, 2)
-        assert [(rec.theta, rec.eta) for rec in scan_grid(config)] == [
+        rows = _scan_rows(config)
+        assert [(row["theta"], row["eta"]) for row in rows] == [
             (0.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 1.0), (1.0, 0.0), (1.0, 1.0)
         ]
+        assert rows == _point_rows(config)
 
     def test_deterministic_emission(self):
         config = ScanConfig((0.0, 2.0, 11), (0.0, 2.0, 11), m=FIG_M, n=FIG_N)
@@ -237,7 +253,7 @@ class TestScanGrid:
 
     def test_records_self_consistent(self):
         config = ScanConfig((0.0, 2.0, 11), (0.0, 2.0, 11), m=FIG_M, n=FIG_N)
-        assert records_self_consistent(scan_grid(config))
+        assert records_self_consistent(_scan_rows(config))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -252,7 +268,7 @@ class TestScanGrid:
     def test_grid_records_equal_point_records(
         self, theta, product, spread, steps, radius, angle, quadrant
     ):
-        # The batched grid and the one-point case give the same records, bit for bit,
+        # The batched table and the one-point case give the same rows, bit for bit,
         # on grids straddling the hyperbola (theta*eta in [0.99, 1) and beyond).
         eta = product / theta
         m, n = quadrant[0] * radius * math.cos(angle), quadrant[1] * radius * math.sin(angle)
@@ -261,23 +277,19 @@ class TestScanGrid:
             (eta * (1.0 - spread), eta * (1.0 + spread), steps),
             m=m, n=n,
         )
-        expected = [
-            eval_point(t, e, m, n)
-            for t in grid_axis(*config.theta_range)
-            for e in grid_axis(*config.eta_range)
-        ]
-        assert scan_grid(config) == expected
+        assert _scan_rows(config) == _point_rows(config)
 
     def test_grid_beyond_one_block_equals_point_records(self):
         # Grids and points agree bit for bit, and so do dense_spectra's stacked blocks of 512
         # points and its one-point case, numeric_invariants.
-        records = scan_grid(ScanConfig((0.0, 2.0, 31), (0.0, 2.0, 31), m=-0.3, n=0.2))
-        assert sum(rec.nu_minus is not None for rec in records) > 512  # more than one dense block
-        assert records == [eval_point(rec.theta, rec.eta, rec.m, rec.n) for rec in records]
-        spectrum, reflected = dense_spectra([rec.theta for rec in records], [rec.eta for rec in records], -0.3, 0.2)
-        for rec, nu, nu_prime in zip(records, spectrum[:, 0], reflected[:, 0]):
-            if rec.nu_minus is not None:
-                numeric = numeric_invariants(rec.theta, rec.eta, rec.m, rec.n)
+        config = ScanConfig((0.0, 2.0, 31), (0.0, 2.0, 31), m=-0.3, n=0.2)
+        rows = _scan_rows(config)
+        assert sum(row["nu_minus"] is not None for row in rows) > 512  # more than one dense block
+        assert rows == _point_rows(config)
+        spectrum, reflected = dense_spectra([row["theta"] for row in rows], [row["eta"] for row in rows], -0.3, 0.2)
+        for row, nu, nu_prime in zip(rows, spectrum[:, 0], reflected[:, 0]):
+            if row["nu_minus"] is not None:
+                numeric = numeric_invariants(row["theta"], row["eta"], row["m"], row["n"])
                 assert (numeric.nu_minus, numeric.nu_minus_prime) == (nu, nu_prime)
 
     def test_commutative_rows_never_entangled(self):
@@ -304,7 +316,7 @@ class TestOutputFormats:
         line = table_to_csv(scan_table(config)).strip().split("\n")[1]
         fields = line.split(",")
         assert float(fields[4]) == pytest.approx(0.5, rel=1e-11)
-        assert fields[5] == format(scan_grid(config)[0].nu_minus, ".12g")
+        assert fields[5] == format(eval_point(0.0, 0.0, 0.3, 0.4).nu_minus, ".12g")
 
     def test_json_matches_json_dumps_layout(self, config):
         def reference(table):
@@ -357,7 +369,7 @@ class TestOutputFormats:
 
 class TestFig1:
     def test_default_columns_and_row_count(self):
-        rows = emit_fig1_data(eta_range=(0.0, 2.0, 21))
+        rows = _fig1_rows((0.0, 0.25, 0.5), (0.0, 2.0, 21))
         assert len(rows) == 3 * 21
         assert set(rows[0]) == {
             "theta", "eta", "m", "n",
@@ -365,13 +377,13 @@ class TestFig1:
         }
 
     def test_spectra_sorted(self):
-        for row in emit_fig1_data(eta_range=(0.0, 1.9, 11)):
+        for row in _fig1_rows((0.0, 0.25, 0.5), (0.0, 1.9, 11)):
             nus = [row[f"nu_{j}"] for j in range(1, 5)]
             nups = [row[f"nup_{j}"] for j in range(1, 5)]
             assert nus == sorted(nus) and nups == sorted(nups)
 
     def test_zero_deformation_row_matches_commutative_formulas(self):
-        row = emit_fig1_data(theta_values=(0.0,), eta_range=(0.0, 1.0, 2))[0]
+        row = _fig1_rows((0.0,), (0.0, 1.0, 2))[0]
         radius = math.hypot(FIG_M, FIG_N)
         assert row["nu_1"] == pytest.approx(
             (1.0 + radius) ** 1.5 / (1.0 - radius) ** 0.5, rel=1e-9
@@ -379,14 +391,14 @@ class TestFig1:
         assert row["nup_1"] == pytest.approx(1.0 + radius, rel=1e-9)
 
     def test_zero_theta_series_crosses_below_one(self):
-        rows = emit_fig1_data(theta_values=(0.0,), eta_range=(0.0, 2.0, 41))
+        rows = _fig1_rows((0.0,), (0.0, 2.0, 41))
         nups = [row["nup_1"] for row in rows]
         assert nups[0] > 1.0
         assert min(nups) < 1.0
 
     def test_crossing_located_by_bisection(self):
         def gap(eta):
-            row = emit_fig1_data(theta_values=(0.0,), eta_range=(eta, eta, 1))[0]
+            row = _fig1_rows((0.0,), (eta, eta, 1))[0]
             return row["nup_1"] - 1.0
 
         crossing, lo, hi = bisect_decreasing(gap, 1e-6, 2.0, width=1e-8)
@@ -397,7 +409,7 @@ class TestFig1:
         mpmath = pytest.importorskip("mpmath")
         m, n = -0.3, 0.2
         unit = 8 * EPS * (1.0 + 1.0 / (1.0 - math.hypot(m, n)))
-        rows = emit_fig1_data(theta_values=(0.0, 0.3, 0.98), eta_range=(0.0, 2.0, 21), m=m, n=n)
+        rows = _fig1_rows((0.0, 0.3, 0.98), (0.0, 2.0, 21), m, n)
         for row in rows:
             if row["theta"] * row["eta"] >= 1.0:
                 assert row["nu_1"] is None
@@ -407,9 +419,9 @@ class TestFig1:
             assert max(abs(float((mpmath.mpf(g) - w) / w)) for g, w in zip(got, want)) <= unit
 
     def test_hyperbola_row_left_empty(self):
-        rows = emit_fig1_data(theta_values=(0.5,), eta_range=(2.0, 2.0, 1))
-        assert rows[0]["nu_1"] is None and rows[0]["nup_4"] is None
         table = fig1_table((0.5,), (2.0, 2.0, 1), FIG_M, FIG_N)
+        row = table_rows(table)[0]
+        assert all(row[field] is None for field in FIG1_FIELDS[4:])
         assert table_to_csv(table).strip().split("\n")[1].endswith(",,,,,,,")
         objs = json.loads(table_to_json(table))
         assert "nu_1" not in objs[0]
@@ -421,42 +433,39 @@ class TestFig1:
         table = fig1_table(wrap(thetas), (0.0, 1.0, 3), FIG_M, FIG_N)
         np.testing.assert_array_equal(table["theta"], np.repeat(thetas, 3))
         assert table_to_csv(table) == table_to_csv(fig1_table(list(thetas), (0.0, 1.0, 3), FIG_M, FIG_N))
-        assert len(emit_fig1_data(wrap(thetas), (0.0, 1.0, 3))) == 3 * len(thetas)
+        assert len(table_rows(table)) == 3 * len(thetas)
 
     @pytest.mark.parametrize("thetas", [(), np.array([]), np.array([[0.5]]), np.array(0.5)])
     def test_rejects_empty_or_not_1d_thetas(self, thetas):
         with pytest.raises(DomainError, match="theta values must be a non-empty 1-D sequence"):
             fig1_table(thetas, (0.0, 1.0, 3), FIG_M, FIG_N)
-        with pytest.raises(DomainError):
-            emit_fig1_data(theta_values=thetas, eta_range=(0.0, 1.0, 3))
 
     @pytest.mark.parametrize("eta_range", [(2.0, 0.0, 3), (0.0, 2.0, 0), (0.0, 2.0, math.nan), (0.0, 2.0, 2.7)])
     def test_rejects_what_scan_config_rejects(self, eta_range):
         # Unchecked, a descending range emits rows in reverse order and zero steps no rows.
         with pytest.raises(DomainError):
-            emit_fig1_data(eta_range=eta_range)
+            fig1_table((0.0, 0.25, 0.5), eta_range, FIG_M, FIG_N)
 
 
 class TestFig2:
     def test_first_line_parameterization(self):
-        records = emit_fig2_data(0.1, theta_range=(0.0, 1.0, 2), eta_range=(0.0, 1.0, 2))
-        for rec in records:
-            assert rec.m == pytest.approx(math.sqrt(2.0) / 30.0, rel=1e-14)
-            assert rec.n == pytest.approx(1.0 / 30.0, rel=1e-14)
+        rows = _scan_rows(ScanConfig((0.0, 1.0, 2), (0.0, 1.0, 2), *fig2_couplings(0.1)))
+        for row in rows:
+            assert row["m"] == pytest.approx(math.sqrt(2.0) / 30.0, rel=1e-14)
+            assert row["n"] == pytest.approx(1.0 / 30.0, rel=1e-14)
 
     def test_swapped_parameterization(self):
-        records = emit_fig2_data(0.5, swap=True, theta_range=(0.0, 1.0, 2), eta_range=(0.0, 1.0, 2))
-        for rec in records:
-            assert rec.n == pytest.approx(math.sqrt(2.0) / 6.0, rel=1e-14)
-            assert rec.m == pytest.approx(1.0 / 6.0, rel=1e-14)
+        rows = _scan_rows(ScanConfig((0.0, 1.0, 2), (0.0, 1.0, 2), *fig2_couplings(0.5, swap=True)))
+        for row in rows:
+            assert row["n"] == pytest.approx(math.sqrt(2.0) / 6.0, rel=1e-14)
+            assert row["m"] == pytest.approx(1.0 / 6.0, rel=1e-14)
 
     def test_census_contains_all_verdicts(self):
-        records = emit_fig2_data(0.5, theta_range=(0.0, 2.0, 51), eta_range=(0.0, 2.0, 51))
-        verdicts = {rec.verdict for rec in records}
-        assert verdicts == {"separable", "entangled", "nonquantum", "invalid"}
+        table = scan_table(ScanConfig((0.0, 2.0, 51), (0.0, 2.0, 51), *fig2_couplings(0.5)))
+        assert set(table["verdict"]) == {"separable", "entangled", "nonquantum", "invalid"}
 
     def test_rejects_out_of_range_label(self):
         with pytest.raises(DomainError):
-            emit_fig2_data(1.0)
+            fig2_couplings(1.0)
         with pytest.raises(DomainError):
-            emit_fig2_data(0.0)
+            fig2_couplings(0.0)

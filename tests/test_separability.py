@@ -90,7 +90,7 @@ class TestPrimedForm:
 
 class TestPartialTransposeMap:
     def test_identity_map_gives_mirror(self):
-        dmap = DarbouxMap.from_blocks(np.eye(4), np.eye(4))
+        dmap = DarbouxMap(np.eye(4), np.eye(4), np.eye(8))
         pt = partial_transpose_map(dmap, 2, 2)
         np.testing.assert_array_equal(pt.mat, mirror_reflection(2, 2).mat)
 
