@@ -26,7 +26,6 @@ from .errors import (
 )
 from .family import (
     build_covariance,
-    closed_form_invariants,
     family_form,
 )
 from .phase_space import (
@@ -67,7 +66,6 @@ __all__ = [
     "verdict_from_invariants",
     "build_covariance",
     "family_form",
-    "closed_form_invariants",
     "ScanConfig",
     "scan_table",
     "fig1_table",

@@ -10,8 +10,6 @@ generic complex eigenproblem for 2i O^-1 S is kept as a test oracle only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -139,16 +137,19 @@ def numerically_singular(mat: np.ndarray):
     their root mean square, s_rms = ||A||_F / sqrt(n): A is singular iff
     g <= eps^((n-1)/n) * s_rms, eps = SINGULARITY. As s_rms <= s_1 and
     g^n >= s_1 * s_n^(n-1), a flagged A has (s_n/s_1)^((n-1)/n) <= g/s_1 <= eps^((n-1)/n),
-    i.e. cond_2(A) >= 1/eps, and A -> cA changes nothing. An absolute bound on det
-    cannot do this: the family's 8x8 form has det = (1 - theta*eta)^4 but cond_2
-    only of order 1/(1 - theta*eta). The test is one-sided: one tiny singular
-    value can hide in the mean. slogdet keeps det and its root finite up to MAX_DIM.
-    Returns a numpy bool for one matrix, and for a stack (..., n, n) an array
-    with one flag per matrix, from one slogdet call.
+    i.e. cond_2(A) >= 1/eps. An absolute bound on det cannot do this: the family's
+    8x8 form has det = (1 - theta*eta)^4 but cond_2 only of order 1/(1 - theta*eta).
+    The test is one-sided: one tiny singular value can hide in the mean. Both sides
+    are read off A / max|A|, so A -> cA changes nothing at any float scale: its sum
+    of squares lies in [1, n^2], and slogdet keeps det and its root finite up to
+    MAX_DIM. The zero matrix stays singular. Returns a numpy bool for one matrix, and for a stack (..., n, n) an
+    array with one flag per matrix, from one slogdet call.
     """
     dim = mat.shape[-1]
-    logdet = np.linalg.slogdet(mat)[1]  # -inf when det = 0, so g = 0 below
-    rms = np.sqrt((mat * mat).sum(axis=(-2, -1)) / dim)
+    scale = abs(mat).max(axis=(-2, -1), keepdims=True)
+    unit = mat / np.where(scale > 0.0, scale, 1.0)
+    logdet = np.linalg.slogdet(unit)[1]  # -inf when det = 0, so g = 0 below
+    rms = np.sqrt((unit * unit).sum(axis=(-2, -1)) / dim)
     return np.exp(logdet / dim) <= SINGULARITY ** ((dim - 1) / dim) * rms
 
 
@@ -160,20 +161,6 @@ def validate_skew_form(mat) -> np.ndarray:
     if numerically_singular(arr):
         raise SingularMatrixError("skew form is numerically singular")
     return _readonly(arr)
-
-
-@dataclass(frozen=True)
-class SymplecticSpectrum:
-    """Positive Williamson invariants of a (covariance, form) pair, ascending."""
-
-    invariants: tuple[float, ...]
-
-    @property
-    def smallest(self) -> float:
-        return self.invariants[0]
-
-    def __len__(self) -> int:
-        return len(self.invariants)
 
 
 def inverse_root(sigma) -> np.ndarray:
@@ -215,17 +202,20 @@ def _root_spectrum(root: np.ndarray, forms: np.ndarray, where=None) -> np.ndarra
                  "Sigma^-1/2 form Sigma^-1/2 overflows; inputs are out of range", where)
     vals = np.linalg.eigvalsh(0.5j * skew)
     # Pair the +-1/nu eigenvalues symmetrically to cancel roundoff: nu_k = 2 / (vals[-k] - vals[k-1]).
-    invariants = 2.0 / (vals[..., ::-1] - vals)[..., : vals.shape[-1] // 2]
+    # A larger pair that rounds to +-0 gives nu_k = inf, which carries no digits either way;
+    # the smallest pair is +-||S O S|| / 2 and never 0.
+    with np.errstate(divide="ignore"):
+        invariants = 2.0 / (vals[..., ::-1] - vals)[..., : vals.shape[-1] // 2]
     _raise_first(invariants[..., 0] <= 0.0, NCGaussError,
                  "spectrum is not strictly positive; inputs are degenerate", where)
     return invariants
 
 
-def nc_williamson_spectrum(sigma, form) -> SymplecticSpectrum:
+def nc_williamson_spectrum(sigma, form) -> np.ndarray:
     """Williamson invariants of a covariance matrix with respect to a skew form.
 
     Returns the n positive values {nu} such that the eigenvalues of
-    2i form^-1 sigma are exactly {+nu, -nu}, sorted ascending. With the
+    2i form^-1 sigma are exactly {+nu, -nu}, as an ascending 1-D float array. With the
     standard form this is the usual symplectic spectrum; with a deformed
     commutation form it is its noncommutative generalization. The smallest
     invariant is good to about 2n eps relative, nu_k to about 2n eps nu_k / nu_min
@@ -240,7 +230,7 @@ def nc_williamson_spectrum(sigma, form) -> SymplecticSpectrum:
         NotPositiveDefiniteError: sigma fails the spectral test.
         SingularMatrixError: form is singular.
     """
-    return SymplecticSpectrum(tuple(_root_spectrum(*validated_root(sigma, form)).tolist()))
+    return _root_spectrum(*validated_root(sigma, form))
 
 
 def rsup_holds(sigma, form) -> bool:
@@ -249,5 +239,5 @@ def rsup_holds(sigma, form) -> bool:
     Equivalent to positivity of the Hermitian matrix sigma + (i/2) form, up
     to the band BOUNDARY below 1.
     """
-    return nc_williamson_spectrum(sigma, form).smallest >= 1.0 - BOUNDARY
+    return bool(nc_williamson_spectrum(sigma, form)[0] >= 1.0 - BOUNDARY)
 

@@ -18,7 +18,6 @@ the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .phase_space import (
 )
 from .separability import primed_form
 
+
 def validate_couplings(m: float, n: float) -> float:
     """Require finite couplings with R = sqrt(m^2 + n^2) < 1; return R."""
     if not (math.isfinite(m) and math.isfinite(n)):
@@ -41,35 +41,6 @@ def validate_couplings(m: float, n: float) -> float:
     if r >= 1.0:
         raise DomainError(f"R = sqrt(m^2 + n^2) = {r} must be < 1")
     return r
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    """Coupling parameters (m, n) plus the deformation pair; R and b are derived."""
-
-    m: float
-    n: float
-    nc: NCParams
-
-    def __post_init__(self):
-        validate_couplings(self.m, self.n)
-
-    @property
-    def r(self) -> float:
-        return math.hypot(self.m, self.n)
-
-    @property
-    def b(self) -> float:
-        """The covariance scale b = (1+R)/(1-R)."""
-        return (1.0 + self.r) / (1.0 - self.r)
-
-
-@dataclass(frozen=True)
-class GaussianState:
-    """A centered family state: its parameters and its validated covariance matrix Sigma."""
-
-    params: FamilyParams
-    sigma: np.ndarray
 
 
 def _coupling_block(m: float, n: float) -> np.ndarray:
@@ -91,27 +62,16 @@ def _covariance_matrix(m: float, n: float, b: float) -> np.ndarray:
     return b / 2.0 * unit
 
 
-def build_covariance(m: float, n: float, nc: NCParams) -> GaussianState:
-    """Assemble the family covariance matrix for couplings (m, n)."""
-    params = FamilyParams(m=m, n=n, nc=nc)
-    sigma = validate_covariance(_covariance_matrix(m, n, params.b))
-    return GaussianState(params=params, sigma=sigma)
+def build_covariance(m: float, n: float) -> np.ndarray:
+    """The validated, read-only family covariance matrix Sigma for couplings (m, n), R < 1."""
+    r = validate_couplings(m, n)
+    return validate_covariance(_covariance_matrix(m, n, (1.0 + r) / (1.0 - r)))
 
 
 def family_form(nc: NCParams) -> CompositeForm:
     """Bipartite commutation form of the family: the same planar form for both parties."""
     part = build_planar_form(nc)
     return build_composite_form(part, part)
-
-
-@dataclass(frozen=True)
-class ClosedFormInvariants:
-    """Smallest invariants before (nu_minus) and after (nu_minus_prime) reflection."""
-
-    omega_plus: float
-    omega_minus: float
-    nu_minus: float
-    nu_minus_prime: float
 
 
 def _deficit(thetas: np.ndarray, etas: np.ndarray) -> np.ndarray:
@@ -166,24 +126,6 @@ def _closed_forms(theta, eta, m: float, n: float, r: float):
     return nu, nu_prime, gap_minus, gap_plus, c, unit
 
 
-def closed_form_invariants(params: FamilyParams) -> ClosedFormInvariants:
-    """Evaluate the closed forms for nu_- and nu'_- at one point (see :func:`_closed_forms`).
-
-    The invariants depend on |m| and |n| only, so the pencils are those at
-    (|m|, |n|); omega_+ and omega_- are their omega = 2(g + c), inf only where
-    that exceeds the float range.
-    """
-    theta, eta = np.float64(params.nc.theta), np.float64(params.nc.eta)
-    nu, nu_prime, gap_minus, gap_plus, c, unit = _closed_forms(theta, eta, abs(params.m), abs(params.n), params.r)
-    k, c = 1.0 / float(unit), float(c)  # Python floats: a product beyond the float range is inf, with no warning
-    return ClosedFormInvariants(
-        omega_plus=2.0 * (float(gap_plus) * k * k + c),
-        omega_minus=2.0 * (float(gap_minus) * k * k + c),
-        nu_minus=float(nu),
-        nu_minus_prime=float(nu_prime),
-    )
-
-
 def _point_names(thetas, etas, m: float, n: float):
     """``where`` for the per-point checks: names point k of the arrays."""
     return lambda k: (
@@ -230,7 +172,7 @@ def family_invariants(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.
 
     Returns two float arrays, NaN where theta*eta >= 1. The closed forms decide every
     point in every quadrant: they depend on |m| and |n| only, so the kernel runs at
-    (|m|, |n|), as in :func:`closed_form_invariants`, and answer at every admissible
+    (|m|, |n|) (see :func:`_closed_forms`), and answer at every admissible
     float point. A failing input check raises for the first failing point, naming its
     (theta, eta, m, n) with the couplings as given.
     """

@@ -60,8 +60,6 @@ class SubsystemForm:
     """Commutation form of one party: [[Theta, I], [-I, Upsilon]], dimension 2n."""
 
     n_modes: int
-    theta_block: np.ndarray
-    upsilon_block: np.ndarray
     assembled: np.ndarray
 
 
@@ -91,21 +89,15 @@ def _check_skew_block(block, n_modes: int, name: str) -> np.ndarray:
     return arr
 
 
-def build_subsystem_form(n_modes: int, theta_block, upsilon_block) -> SubsystemForm:
-    """Assemble and validate a subsystem form from its deformation blocks."""
+def build_subsystem_form(n_modes: int, theta, upsilon) -> SubsystemForm:
+    """Assemble and validate a subsystem form from its deformation blocks Theta and Upsilon."""
     if n_modes < 1:
         raise DimensionError(f"number of modes must be >= 1, got {n_modes}")
-    theta = _check_skew_block(theta_block, n_modes, "position deformation")
-    upsilon = _check_skew_block(upsilon_block, n_modes, "momentum deformation")
+    theta = _check_skew_block(theta, n_modes, "position deformation")
+    upsilon = _check_skew_block(upsilon, n_modes, "momentum deformation")
     eye = np.eye(n_modes)
-    assembled = np.block([[theta, eye], [-eye, upsilon]])
-    assembled = validate_skew_form(assembled)  # raises if singular
-    return SubsystemForm(
-        n_modes=n_modes,
-        theta_block=_readonly(theta),
-        upsilon_block=_readonly(upsilon),
-        assembled=assembled,
-    )
+    assembled = validate_skew_form(np.block([[theta, eye], [-eye, upsilon]]))  # raises if singular
+    return SubsystemForm(n_modes=n_modes, assembled=assembled)
 
 
 def build_planar_form(params: NCParams) -> SubsystemForm:

@@ -16,14 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (
-    BOUNDARY,
-    SymplecticSpectrum,
-    _readonly,
-    _root_spectrum,
-    block_diag,
-    validated_root,
-)
+from .core import BOUNDARY, _readonly, _root_spectrum, block_diag, validated_root
 from .phase_space import CompositeForm
 
 
@@ -67,15 +60,6 @@ def verdict_from_invariants(nu: float | np.ndarray, nu_prime: float | np.ndarray
     return _RANKED[valid * (1 + quantum * (1 + separable))]  # the Verdict of this rank
 
 
-def partial_transpose_spectra(
-    sigma, omega: CompositeForm
-) -> tuple[SymplecticSpectrum, SymplecticSpectrum]:
-    """Williamson spectra of (Sigma, Omega) and (Sigma, Omega') from one sqrt(Sigma)."""
-    root, form = validated_root(sigma, omega.assembled)
-    spectrum, reflected = _root_spectrum(root, np.stack([form, primed_form(omega)])).tolist()
-    return SymplecticSpectrum(tuple(spectrum)), SymplecticSpectrum(tuple(reflected))
-
-
 def classify(sigma, omega: CompositeForm) -> ClassificationResult:
     """Classify a bipartite state by nu_- of (Sigma, Omega) and nu'_- of (Sigma, Omega').
 
@@ -84,8 +68,9 @@ def classify(sigma, omega: CompositeForm) -> ClassificationResult:
     states (Simon 2000; Werner & Wolf, PRL 86, 3658, 2001). For 2x2-mode input
     such as the bundled family it is not proven sufficient.
     """
-    spectrum, reflected = partial_transpose_spectra(sigma, omega)
-    nu, nu_prime = spectrum.smallest, reflected.smallest
+    root, form = validated_root(sigma, omega.assembled)
+    # Both spectra from one Sigma^-1/2 and one eigvalsh; each row is ascending.
+    nu, nu_prime = _root_spectrum(root, np.stack([form, primed_form(omega)]))[:, 0].tolist()
     return ClassificationResult(
         verdict=verdict_from_invariants(nu, nu_prime), nu_minus=nu, nu_minus_prime=nu_prime
     )

@@ -15,7 +15,7 @@ from ncgauss import (
     build_covariance,
     build_darboux_map,
     classify,
-    closed_form_invariants,
+    eval_point,
     family_form,
     fig2_couplings,
     nc_williamson_spectrum,
@@ -25,8 +25,8 @@ from ncgauss import (
 )
 from ncgauss.cli import main
 from ncgauss.core import block_diag, standard_symplectic_form
-from ncgauss.family import FamilyParams
-from ncgauss.separability import Verdict, primed_form
+from ncgauss.family import family_invariants
+from ncgauss.separability import Verdict
 from oracles import (
     bisect_decreasing,
     hermitian_min_eigenvalue,
@@ -55,7 +55,7 @@ def _report(number, name, elapsed, detail=""):
 def test_criterion_1_commutative_limit_formulas():
     start = time.perf_counter()
     for radius, m, n in [(0.1, 0.06, 0.08), (0.2, 0.12, 0.16), (0.5, 0.3, 0.4)]:
-        result = closed_form_invariants(FamilyParams(m=m, n=n, nc=NCParams(0.0, 0.0)))
+        result = eval_point(0.0, 0.0, m, n)
         expected_nu = (1.0 + radius) ** 1.5 / (1.0 - radius) ** 0.5
         assert abs(result.nu_minus_prime - (1.0 + radius)) <= 1e-10
         assert abs(result.nu_minus - expected_nu) <= 1e-10
@@ -65,23 +65,25 @@ def test_criterion_1_commutative_limit_formulas():
 
 
 def test_criterion_2_closed_form_vs_spectral_oracle():
+    # The closed forms run batched, as scan runs them: one family_invariants call per
+    # coupling, one coupling per quadrant at a random radius, 250 points each. classify
+    # checks every point on the dense route.
     start = time.perf_counter()
     rng = np.random.default_rng(20240801)
     checked = 0
-    while checked < 1000:
-        theta, eta = _sample_valid_deformation(rng)
+    for sign_m, sign_n in ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)):
         radius = rng.uniform(0.0, 0.9)
-        angle = rng.uniform(0.0, 2.0 * np.pi)  # the closed forms decide every quadrant
-        m, n = float(radius * np.cos(angle)), float(radius * np.sin(angle))
-        params = FamilyParams(m=m, n=n, nc=NCParams(theta, eta))
-        result = closed_form_invariants(params)
-        state = build_covariance(m, n, params.nc)
-        form = family_form(params.nc)
-        nu = nc_williamson_spectrum(state.sigma, form.assembled).smallest
-        nu_prime = nc_williamson_spectrum(state.sigma, primed_form(form)).smallest
-        assert abs(result.nu_minus - nu) / nu <= 1e-8
-        assert abs(result.nu_minus_prime - nu_prime) / nu_prime <= 1e-8
-        checked += 1
+        angle = rng.uniform(0.0, 0.5 * np.pi)
+        m, n = float(sign_m * radius * np.cos(angle)), float(sign_n * radius * np.sin(angle))
+        thetas, etas = np.array([_sample_valid_deformation(rng) for _ in range(250)]).T
+        nus, nu_primes = family_invariants(thetas, etas, m, n)
+        sigma = build_covariance(m, n)
+        for theta, eta, nu_closed, nu_prime_closed in zip(thetas, etas, nus, nu_primes):
+            result = classify(sigma, family_form(NCParams(theta, eta)))
+            assert abs(nu_closed - result.nu_minus) / result.nu_minus <= 1e-8
+            assert abs(nu_prime_closed - result.nu_minus_prime) / result.nu_minus_prime <= 1e-8
+            checked += 1
+    assert checked == 1000
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _report(2, "closed form vs spectral oracle", elapsed, f"{checked} tuples")
@@ -113,17 +115,9 @@ def test_criterion_4_transport_independence():
         sigma_tilde = random_spd(rng, 8)
         lam1 = float(np.exp(rng.uniform(-1.0, 1.0)))
         lam2 = lam1 * float(np.exp(rng.uniform(0.2, 1.0)))
-        spec1 = np.asarray(
-            nc_williamson_spectrum(
-                transform_covariance(build_darboux_map(nc, lam1), sigma_tilde), omega
-            ).invariants
-        )
-        spec2 = np.asarray(
-            nc_williamson_spectrum(
-                transform_covariance(build_darboux_map(nc, lam2), sigma_tilde), omega
-            ).invariants
-        )
-        standard = np.asarray(nc_williamson_spectrum(sigma_tilde, J_COMPOSITE).invariants)
+        spec1 = nc_williamson_spectrum(transform_covariance(build_darboux_map(nc, lam1), sigma_tilde), omega)
+        spec2 = nc_williamson_spectrum(transform_covariance(build_darboux_map(nc, lam2), sigma_tilde), omega)
+        standard = nc_williamson_spectrum(sigma_tilde, J_COMPOSITE)
         np.testing.assert_allclose(spec1, spec2, rtol=1e-9)
         np.testing.assert_allclose(spec1, standard, rtol=1e-9)
         np.testing.assert_allclose(spec2, standard, rtol=1e-9)
@@ -155,19 +149,15 @@ def test_criterion_6_deformation_induced_entanglement():
     start = time.perf_counter()
 
     def classify_point(theta, eta):
-        nc = NCParams(theta, eta)
-        state = build_covariance(FIG_M, FIG_N, nc)
-        return classify(state.sigma, family_form(nc))
+        return classify(build_covariance(FIG_M, FIG_N), family_form(NCParams(theta, eta)))
 
     assert classify_point(0.0, 0.0).verdict is Verdict.SEPARABLE_QUANTUM
 
     def prime_gap(eta):
-        params = FamilyParams(m=FIG_M, n=FIG_N, nc=NCParams(0.0, eta))
-        return closed_form_invariants(params).nu_minus_prime - 1.0
+        return eval_point(0.0, eta, FIG_M, FIG_N).nu_minus_prime - 1.0
 
     def quantum_gap(eta):
-        params = FamilyParams(m=FIG_M, n=FIG_N, nc=NCParams(0.0, eta))
-        return closed_form_invariants(params).nu_minus - 1.0
+        return eval_point(0.0, eta, FIG_M, FIG_N).nu_minus - 1.0
 
     crossing, lo, hi = bisect_decreasing(prime_gap, 1e-9, 2.0, width=1e-10)
     assert hi - lo <= 1e-10

@@ -1,6 +1,7 @@
 """Tests for the explicit Gaussian family: covariance, closed forms, spectra."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,6 @@ from ncgauss import (
     DomainError,
     NCParams,
     build_covariance,
-    closed_form_invariants,
     family_form,
     nc_williamson_spectrum,
     numeric_invariants,
@@ -20,7 +20,6 @@ from ncgauss import (
 from ncgauss.cli import main
 from ncgauss.core import inverse_root
 from ncgauss.family import (
-    FamilyParams,
     _covariance_matrix,
     _inverse_root,
     _root_spectrum,
@@ -36,10 +35,6 @@ FIG_M, FIG_N = np.sqrt(2.0) / 6.0, 1.0 / 6.0
 EPS = float(np.finfo(float).eps)
 DBL_MAX = float(np.finfo(float).max)
 SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
-
-
-def _params(theta, eta, m, n):
-    return FamilyParams(m=m, n=n, nc=NCParams(theta, eta))
 
 
 # Positive floats log-uniform over the whole range, subnormals included.
@@ -64,32 +59,26 @@ def _admissible_float_points(draw):
     return theta, eta, m, n
 
 
-class TestFamilyParams:
+class TestBuildCovariance:
     def test_derived_scale(self):
-        params = _params(0.0, 0.0, 0.3, 0.4)
-        assert params.r == pytest.approx(0.5, rel=1e-14)
-        assert params.b == pytest.approx(3.0, rel=1e-14)
+        # R = 0.5 and b = (1+R)/(1-R) = 3: the diagonal is b/2.
+        sigma = build_covariance(0.3, 0.4)
+        assert eval_point(0.0, 0.0, 0.3, 0.4).r == pytest.approx(0.5, rel=1e-14)
+        np.testing.assert_allclose(np.diag(sigma), 1.5, rtol=1e-14)
 
     def test_figure_slice_has_scaled_radius(self):
         # n = R/3, m = sqrt(2) R/3 places the state at radius R/sqrt(3).
-        params = _params(0.0, 0.0, FIG_M, FIG_N)
-        assert params.r == pytest.approx(0.5 / np.sqrt(3.0), rel=1e-14)
-        assert params.b == pytest.approx(1.8116548391159553, rel=1e-12)
+        sigma = build_covariance(FIG_M, FIG_N)
+        assert eval_point(0.0, 0.0, FIG_M, FIG_N).r == pytest.approx(0.5 / np.sqrt(3.0), rel=1e-14)
+        np.testing.assert_allclose(np.diag(sigma), 1.8116548391159553 / 2.0, rtol=1e-12)
 
-    def test_rejects_radius_at_one(self):
-        with pytest.raises(DomainError):
-            _params(0.0, 0.0, 0.8, 0.6)
-
-
-class TestBuildCovariance:
     def test_uncoupled_is_half_identity(self):
-        state = build_covariance(0.0, 0.0, NCParams(0.0, 0.0))
-        np.testing.assert_array_equal(state.sigma, 0.5 * np.eye(8))
+        np.testing.assert_array_equal(build_covariance(0.0, 0.0), 0.5 * np.eye(8))
 
     def test_block_pattern(self):
-        state = build_covariance(FIG_M, FIG_N, NCParams(0.0, 0.0))
-        b = state.params.b
         m, n = FIG_M, FIG_N
+        r = math.hypot(m, n)
+        b = (1.0 + r) / (1.0 - r)
         coupling = np.array(
             [
                 [n, 0.0, m, 0.0],
@@ -99,20 +88,24 @@ class TestBuildCovariance:
             ]
         )
         expected = b / 2.0 * np.block([[np.eye(4), coupling.T], [coupling, np.eye(4)]])
-        np.testing.assert_allclose(state.sigma, expected, rtol=0, atol=0)
+        np.testing.assert_allclose(build_covariance(m, n), expected, rtol=0, atol=0)
 
     def test_positive_definite_across_radii(self):
         rng = np.random.default_rng(13)
         for radius in np.arange(0.1, 1.0, 0.1):
             angle = rng.uniform(0.0, 2.0 * np.pi)
-            state = build_covariance(
-                radius * np.cos(angle), radius * np.sin(angle), NCParams(0.0, 0.0)
-            )
-            assert np.linalg.eigvalsh(state.sigma)[0] > 0
+            sigma = build_covariance(radius * np.cos(angle), radius * np.sin(angle))
+            assert np.linalg.eigvalsh(sigma)[0] > 0
+
+    def test_returns_readonly(self):
+        sigma = build_covariance(FIG_M, FIG_N)
+        with pytest.raises(ValueError):
+            sigma[0, 0] = 2.0
 
     def test_rejects_radius_at_one(self):
-        with pytest.raises(DomainError):
-            build_covariance(1.0, 0.0, NCParams(0.0, 0.0))
+        for m, n in [(1.0, 0.0), (0.8, 0.6)]:
+            with pytest.raises(DomainError):
+                build_covariance(m, n)
 
 
 class TestInverseRoot:
@@ -132,7 +125,8 @@ class TestInverseRoot:
         # from assembling (V / sqrt(w)) V^T.
         radius = 1.0 - 10.0**log_slack
         m, n = radius * math.cos(angle), radius * math.sin(angle)
-        r, b = math.hypot(m, n), FamilyParams(m, n, NCParams(0.0, 0.0)).b
+        r = math.hypot(m, n)
+        b = (1.0 + r) / (1.0 - r)
         sigma = _covariance_matrix(m, n, b)
         root = _inverse_root(m, n, r)
         unit = EPS * (1.0 + b)
@@ -157,33 +151,12 @@ class TestInverseRoot:
             assert numeric_invariants(0.3, 0.5, 0.3 * m, 0.2 * n).nu_minus > 0.0
 
 
-class TestOmegaPm:
-    def test_zero_deformation(self):
-        params = _params(0.0, 0.0, 0.3, 0.4)
-        result = closed_form_invariants(params)
-        plus, minus = result.omega_plus, result.omega_minus
-        assert plus == pytest.approx(2.0 * (1.0 + 0.25), rel=1e-12)
-        assert minus == pytest.approx(2.0 * (1.0 - 0.25), rel=1e-12)
-
-    def test_zero_coupling(self):
-        params = _params(0.25, 0.5, 0.0, 0.0)
-        result = closed_form_invariants(params)
-        plus, minus = result.omega_plus, result.omega_minus
-        assert plus == minus == pytest.approx(2.0 + 0.25 + 0.0625, rel=1e-12)
-
-    def test_figure_point_arithmetic(self):
-        result = closed_form_invariants(_params(0.25, 0.5, FIG_M, FIG_N))
-        plus, minus = result.omega_plus, result.omega_minus
-        assert plus == pytest.approx(3.1914817811865475, rel=1e-12)
-        assert minus == pytest.approx(2.203125, rel=1e-12)
-
-
-class TestClosedFormInvariants:
+class TestClosedForms:
     @pytest.mark.parametrize(
         "radius,m,n", [(0.1, 0.06, 0.08), (0.2, 0.12, 0.16), (0.5, 0.3, 0.4)]
     )
     def test_commutative_limit_formulas(self, radius, m, n):
-        result = closed_form_invariants(_params(0.0, 0.0, m, n))
+        result = eval_point(0.0, 0.0, m, n)
         assert result.nu_minus == pytest.approx(
             (1.0 + radius) ** 1.5 / (1.0 - radius) ** 0.5, abs=1e-10
         )
@@ -193,26 +166,22 @@ class TestClosedFormInvariants:
         rng = np.random.default_rng(17)
         for radius in rng.uniform(0.0, 0.95, size=25):
             angle = rng.uniform(0.0, np.pi / 2.0)
-            result = closed_form_invariants(
-                _params(0.0, 0.0, radius * np.cos(angle), radius * np.sin(angle))
-            )
+            result = eval_point(0.0, 0.0, radius * np.cos(angle), radius * np.sin(angle))
             assert result.nu_minus == pytest.approx(
                 (1.0 + radius) ** 1.5 / (1.0 - radius) ** 0.5, abs=1e-10
             )
             assert result.nu_minus_prime == pytest.approx(1.0 + radius, abs=1e-10)
 
     def test_saturation_at_zero_radius(self):
-        result = closed_form_invariants(_params(0.0, 0.0, 0.0, 0.0))
+        result = eval_point(0.0, 0.0, 0.0, 0.0)
         assert result.nu_minus == pytest.approx(1.0, abs=1e-12)
         assert result.nu_minus_prime == pytest.approx(1.0, abs=1e-12)
 
     def test_figure_point_matches_spectral_route(self):
-        params = _params(0.25, 0.5, FIG_M, FIG_N)
-        state = build_covariance(FIG_M, FIG_N, params.nc)
-        form = family_form(params.nc)
-        result = closed_form_invariants(params)
-        nu_spectral = nc_williamson_spectrum(state.sigma, form.assembled).smallest
-        nu_prime_spectral = nc_williamson_spectrum(state.sigma, primed_form(form)).smallest
+        sigma, form = build_covariance(FIG_M, FIG_N), family_form(NCParams(0.25, 0.5))
+        result = eval_point(0.25, 0.5, FIG_M, FIG_N)
+        nu_spectral = nc_williamson_spectrum(sigma, form.assembled)[0]
+        nu_prime_spectral = nc_williamson_spectrum(sigma, primed_form(form))[0]
         assert result.nu_minus == pytest.approx(nu_spectral, rel=1e-8)
         assert result.nu_minus_prime == pytest.approx(nu_prime_spectral, rel=1e-8)
 
@@ -226,15 +195,11 @@ class TestClosedFormInvariants:
             radius = rng.uniform(0.0, 0.9)
             angle = rng.uniform(0.0, np.pi / 2.0)
             m, n = radius * np.cos(angle), radius * np.sin(angle)
-            params = _params(theta, eta, m, n)
-            state = build_covariance(m, n, params.nc)
-            form = family_form(params.nc)
-            result = closed_form_invariants(params)
-            assert result.nu_minus == pytest.approx(
-                nc_williamson_spectrum(state.sigma, form.assembled).smallest, rel=1e-8
-            )
+            sigma, form = build_covariance(m, n), family_form(NCParams(theta, eta))
+            result = eval_point(theta, eta, m, n)
+            assert result.nu_minus == pytest.approx(nc_williamson_spectrum(sigma, form.assembled)[0], rel=1e-8)
             assert result.nu_minus_prime == pytest.approx(
-                nc_williamson_spectrum(state.sigma, primed_form(form)).smallest, rel=1e-8
+                nc_williamson_spectrum(sigma, primed_form(form))[0], rel=1e-8
             )
             checked += 1
 
@@ -248,6 +213,7 @@ class TestClosedFormInvariants:
     @example(point=(1.7e308, 0.0, 0.3, 0.2))
     @example(point=(DBL_MAX, 0.0, 0.3, 0.2))
     @example(point=(DBL_MAX, 1.0 / DBL_MAX, -0.9999999999999999, 0.0))
+    @example(point=(0.25, 0.5, 0.0, 0.0))  # R = 0: both pencils coincide
     def test_every_admissible_float_point_answers(self, point):
         # The kernel is total: every admissible point, theta and eta up to the largest float,
         # 1 - theta*eta and 1 - R down to 1e-16, in every quadrant, gets finite positive
@@ -284,7 +250,7 @@ class TestClosedFormInvariants:
         assert (nu[0], nu_prime[0]) == (1.9218748910618357e-76, 2.9357123881752905e-76)
 
     def test_arrays_match_single_points_bit_for_bit(self):
-        # Grids run the closed forms on arrays and single points on numpy scalars.
+        # Grids run the closed forms on arrays and single points (eval_point) on numpy scalars.
         # Odd 27-bit mantissas have squares that are exact rounding ties, where
         # x*x and pow(x, 2) often round apart: any such split between the two
         # paths shows here.
@@ -294,11 +260,11 @@ class TestClosedFormInvariants:
         nu, nu_prime = family_invariants(thetas, etas, FIG_M, FIG_N)
         assert np.isnan(nu).any() and not np.isnan(nu).all()
         for theta, eta, want, want_prime in zip(thetas, etas, nu, nu_prime):
-            got, got_prime = family_invariants([theta], [eta], FIG_M, FIG_N)
-            np.testing.assert_array_equal([got[0], got_prime[0]], [want, want_prime])
-            if not np.isnan(want):
-                closed = closed_form_invariants(_params(theta, eta, FIG_M, FIG_N))
-                assert (closed.nu_minus, closed.nu_minus_prime) == (want, want_prime)
+            record = eval_point(theta, eta, FIG_M, FIG_N)
+            if np.isnan(want):
+                assert record.nu_minus is record.nu_minus_prime is None
+            else:
+                assert (record.nu_minus, record.nu_minus_prime) == (want, want_prime)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -345,7 +311,7 @@ class TestClosedFormInvariants:
         # The invariants depend on |m| and |n|; at (-0.3, 0.2) nu'_- is 1.01788, where the
         # other Omega' pencil gives 1.6903.
         bound = closed_tolerance(m, n)
-        result = closed_form_invariants(_params(0.25, 0.5, m, n))
+        result = eval_point(0.25, 0.5, m, n)
         spectrum, reflected = mp_spectra(0.25, 0.5, m, n)
         assert _relative_error(result.nu_minus, spectrum[0]) <= bound
         assert _relative_error(result.nu_minus_prime, reflected[0]) <= bound
@@ -374,7 +340,7 @@ class TestClosedFormInvariants:
         assume(theta * eta < 1.0 and math.hypot(m, n) < 1.0)
         bound = closed_tolerance(m, n)
         spectrum, reflected = mp_spectra(theta, eta, m, n, dps=60)
-        closed = closed_form_invariants(_params(theta, eta, m, n))
+        closed = eval_point(theta, eta, m, n)
         assert _relative_error(closed.nu_minus, spectrum[0]) <= bound
         assert _relative_error(closed.nu_minus_prime, reflected[0]) <= bound
 
@@ -516,6 +482,25 @@ class TestFamilySpectra:
         for got, ref in ((spectrum[0, 0], want[0]), (reflected[0, 0], want_prime[0])):
             bound = dense_tolerance(theta, eta, m, n, float(ref))
             assert abs(float((mpmath.mpf(got) - ref) / ref)) <= bound
+
+    @pytest.mark.parametrize("m,n", [(0.0, -0.9), *((0.6 * sm, 0.6 * sn) for sm, sn in SIGNS)])
+    def test_dense_route_warns_nowhere_up_to_theta_1e60(self, m, n):
+        # At these couplings and large theta a larger eigenvalue pair of (i/2) S Omega S rounds
+        # to +-0 and its nu_k is 2/0 = inf, which carries no digits. No warning escapes, even
+        # when warnings are errors, and the smallest invariants stay finite and positive.
+        thetas = np.concatenate([[4.401472479208437e59], 10.0 ** np.random.default_rng(46).uniform(0.0, 60.0, 100)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spectra = dense_spectra(thetas, np.zeros_like(thetas), m, n)
+        for smallest in (spectra[0][:, 0], spectra[1][:, 0]):
+            assert (np.isfinite(smallest) & (smallest > 0.0)).all()
+
+    def test_verbose_cross_check_keeps_its_bits_where_a_pair_rounds_to_zero(self):
+        # eval --theta 4.401472479208437e+59 --eta 0 --m 0 --n -0.9 --verbose: nu'_4 is 2/0 here.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = numeric_invariants(4.401472479208437e59, 0.0, 0.0, -0.9)
+        assert (result.nu_minus, result.nu_minus_prime) == (4.3167372032318083e-60, 1.8816221234709863e-59)
 
     def test_fig1_makes_no_dense_solve(self, monkeypatch, capsys):
         # fig1 never reaches the dense route (core._root_spectrum, called through family) nor any

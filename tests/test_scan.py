@@ -13,7 +13,6 @@ from ncgauss import (
     NCParams,
     ScanConfig,
     build_covariance,
-    closed_form_invariants,
     eval_point,
     family_form,
     fig1_table,
@@ -22,7 +21,7 @@ from ncgauss import (
     scan_table,
 )
 from ncgauss.cli import main
-from ncgauss.family import FamilyParams, dense_spectra
+from ncgauss.family import dense_spectra
 from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS, table_to_csv, table_to_json
 from ncgauss.separability import primed_form
 from oracles import (
@@ -149,7 +148,7 @@ class TestEvalPoint:
         theta, eta, m, n = 0.52, 1.92, -0.2357, 0.1667
         record = eval_point(theta, eta, m, n)
         nc = NCParams(theta, eta)
-        oracle = brute_force_spectrum(build_covariance(m, n, nc).sigma, primed_form(family_form(nc)))
+        oracle = brute_force_spectrum(build_covariance(m, n), primed_form(family_form(nc)))
         assert record.nu_minus_prime == pytest.approx(oracle[0], rel=1e-11)
 
     @settings(max_examples=60, deadline=None)
@@ -166,7 +165,7 @@ class TestEvalPoint:
         eta = product / theta
         m, n = radius * math.cos(angle), radius * math.sin(angle)
         assume(theta * eta < 1.0 and math.hypot(m, n) < 1.0)
-        closed = closed_form_invariants(FamilyParams(m=m, n=n, nc=NCParams(theta, eta)))
+        closed = eval_point(theta, eta, m, n)
         numeric = numeric_invariants(theta, eta, m, n)
         # Each route within its own bound of the exact value, so of each other within their sum.
         pytest.importorskip("mpmath")
@@ -404,7 +403,7 @@ class TestFig1:
         crossing, lo, hi = bisect_decreasing(gap, 1e-6, 2.0, width=1e-8)
         assert crossing == pytest.approx(0.5905735581730078, abs=1e-6)
 
-    def test_rows_equal_partial_transpose_spectra(self):
+    def test_rows_equal_the_spectra_of_both_forms(self):
         # The rows against 40-digit mpmath spectra of (Sigma, Omega) and (Sigma, Omega').
         mpmath = pytest.importorskip("mpmath")
         m, n = -0.3, 0.2

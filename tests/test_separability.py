@@ -14,7 +14,7 @@ from ncgauss import (
     build_covariance,
     build_darboux_map,
     classify,
-    closed_form_invariants,
+    eval_point,
     family_form,
     nc_williamson_spectrum,
     verdict_from_invariants,
@@ -34,8 +34,7 @@ INVARIANTS = st.one_of(
 
 def _family(theta, eta, m=FIG_M, n=FIG_N, lam=1.0):
     nc = NCParams(theta, eta)
-    state = build_covariance(m, n, nc)
-    return state, family_form(nc), build_darboux_map(nc, lambda_scale=lam)
+    return build_covariance(m, n), family_form(nc), build_darboux_map(nc, lambda_scale=lam)
 
 
 class TestMirrorReflection:
@@ -128,42 +127,42 @@ class TestPartialTransposeCovariance:
         np.testing.assert_allclose(out[:4, :4], sigma[:4, :4], atol=1e-12)
 
     def test_involution_recovers_input(self):
-        state, _, dmap = _family(0.25, 0.5)
+        sigma, _, dmap = _family(0.25, 0.5)
         pt = partial_transpose_map(dmap, 2, 2)
-        once = partial_transpose_covariance(state.sigma, pt)
+        once = partial_transpose_covariance(sigma, pt)
         twice = partial_transpose_covariance(once, pt)
-        np.testing.assert_allclose(twice, state.sigma, atol=1e-10)
+        np.testing.assert_allclose(twice, sigma, atol=1e-10)
 
     def test_commutative_mirror_flips_momentum_couplings(self):
         # With D = Lambda the reflected covariance is the direct product
         # Lambda Sigma Lambda.
-        state, _, dmap = _family(0.0, 0.0)
+        sigma, _, dmap = _family(0.0, 0.0)
         pt = partial_transpose_map(dmap, 2, 2)
         refl = mirror_reflection(2, 2).mat
         np.testing.assert_allclose(
-            partial_transpose_covariance(state.sigma, pt),
-            refl @ state.sigma @ refl.T,
+            partial_transpose_covariance(sigma, pt),
+            refl @ sigma @ refl.T,
             atol=1e-14,
         )
 
 
 class TestCheckSeparable:
     def test_commutative_half(self):
-        state, form, _ = _family(0.0, 0.0, m=0.3, n=0.4)
-        result = classify(state.sigma, form)
+        sigma, form, _ = _family(0.0, 0.0, m=0.3, n=0.4)
+        result = classify(sigma, form)
         assert result.verdict is Verdict.SEPARABLE_QUANTUM
         assert result.nu_minus_prime == pytest.approx(1.5, rel=1e-10)
 
     def test_commutative_tenth(self):
-        state, form, _ = _family(0.0, 0.0, m=0.06, n=0.08)
-        result = classify(state.sigma, form)
+        sigma, form, _ = _family(0.0, 0.0, m=0.06, n=0.08)
+        result = classify(sigma, form)
         assert result.verdict is Verdict.SEPARABLE_QUANTUM
         assert result.nu_minus_prime == pytest.approx(1.1, rel=1e-10)
 
     def test_momentum_deformation_slice_agrees_with_closed_form(self):
-        state, form, _ = _family(0.0, 0.5)
-        result = classify(state.sigma, form)
-        closed = closed_form_invariants(state.params)
+        sigma, form, _ = _family(0.0, 0.5)
+        result = classify(sigma, form)
+        closed = eval_point(0.0, 0.5, FIG_M, FIG_N)
         assert result.nu_minus_prime == pytest.approx(closed.nu_minus_prime, rel=1e-8)
         assert result.nu_minus_prime == pytest.approx(1.0395845604909313, rel=1e-8)
         # just above the nu' = 1 threshold
@@ -171,24 +170,22 @@ class TestCheckSeparable:
 
     def test_routes_agree(self):
         # (Sigma', Omega) and (Sigma, Omega') must give the same full spectrum.
-        state, form, dmap = _family(0.9, 0.4, lam=0.8)
+        sigma, form, dmap = _family(0.9, 0.4, lam=0.8)
         pt = partial_transpose_map(dmap, 2, 2)
-        reflected = partial_transpose_covariance(state.sigma, pt)
+        reflected = partial_transpose_covariance(sigma, pt)
         spec_a = nc_williamson_spectrum(reflected, form.assembled)
-        spec_b = nc_williamson_spectrum(state.sigma, primed_form(form))
-        np.testing.assert_allclose(
-            np.asarray(spec_a.invariants), np.asarray(spec_b.invariants), rtol=1e-9
-        )
+        spec_b = nc_williamson_spectrum(sigma, primed_form(form))
+        np.testing.assert_allclose(spec_a, spec_b, rtol=1e-9)
 
     def test_gauge_invariance_of_nu_prime(self):
-        state, form, _ = _family(0.6, 0.7)
+        sigma, form, _ = _family(0.6, 0.7)
         spectra = []
         for lam in (0.4, 1.0, 2.5):
             dmap = build_darboux_map(NCParams(0.6, 0.7), lambda_scale=lam)
-            reflected = partial_transpose_covariance(state.sigma, partial_transpose_map(dmap, 2, 2))
-            spectra.append(nc_williamson_spectrum(reflected, form.assembled).invariants)
+            reflected = partial_transpose_covariance(sigma, partial_transpose_map(dmap, 2, 2))
+            spectra.append(nc_williamson_spectrum(reflected, form.assembled))
         np.testing.assert_allclose(spectra, [spectra[0]] * 3, rtol=1e-9)
-        nu_prime = classify(state.sigma, form).nu_minus_prime
+        nu_prime = classify(sigma, form).nu_minus_prime
         assert spectra[0][0] == pytest.approx(nu_prime, rel=1e-9)
 
 
@@ -200,16 +197,16 @@ class TestClassify:
         assert result.nu_minus == pytest.approx(0.5, rel=1e-12)
 
     def test_commutative_family_is_separable(self):
-        state, form, _ = _family(0.0, 0.0, m=0.3, n=0.4)
-        result = classify(state.sigma, form)
+        sigma, form, _ = _family(0.0, 0.0, m=0.3, n=0.4)
+        result = classify(sigma, form)
         assert result.verdict is Verdict.SEPARABLE_QUANTUM
         assert result.nu_minus == pytest.approx(3.0 * np.sqrt(3.0) / 2.0, rel=1e-10)
         assert result.nu_minus_prime == pytest.approx(1.5, rel=1e-10)
 
     def test_momentum_deformation_entangles(self):
         # Between the nu'=1 crossing (~0.59) and the nu=1 crossing (~0.95).
-        state, form, _ = _family(0.0, 0.7704)
-        result = classify(state.sigma, form)
+        sigma, form, _ = _family(0.0, 0.7704)
+        result = classify(sigma, form)
         assert result.verdict is Verdict.ENTANGLED_QUANTUM
         assert result.nu_minus >= 1.0
         assert result.nu_minus_prime < 1.0
@@ -217,8 +214,8 @@ class TestClassify:
     def test_boundary_state_counts_as_separable(self):
         # m = n = 0 at zero deformation saturates nu = nu' = 1; ties resolve
         # toward >=.
-        state, form, _ = _family(0.0, 0.0, m=0.0, n=0.0)
-        result = classify(state.sigma, form)
+        sigma, form, _ = _family(0.0, 0.0, m=0.0, n=0.0)
+        result = classify(sigma, form)
         assert result.verdict is Verdict.SEPARABLE_QUANTUM
         assert result.nu_minus == pytest.approx(1.0, abs=1e-12)
         assert result.nu_minus_prime == pytest.approx(1.0, abs=1e-12)
@@ -228,10 +225,8 @@ class TestClassify:
         _, form, _ = _family(0.0, 0.0)
         for radius in np.linspace(0.0, 0.9, 10):
             angle = rng.uniform(0.0, np.pi / 2.0)
-            state = build_covariance(
-                radius * np.cos(angle), radius * np.sin(angle), NCParams(0.0, 0.0)
-            )
-            result = classify(state.sigma, form)
+            sigma = build_covariance(radius * np.cos(angle), radius * np.sin(angle))
+            result = classify(sigma, form)
             assert result.verdict is Verdict.SEPARABLE_QUANTUM
 
 
