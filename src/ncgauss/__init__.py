@@ -24,13 +24,11 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularMatrixError,
 )
-from .family import (
-    build_covariance,
-    family_form,
-)
+from .family import build_covariance
 from .phase_space import (
     NCParams,
     build_darboux_map,
+    build_planar_form,
     transform_covariance,
 )
 from .scan import (
@@ -60,12 +58,12 @@ __all__ = [
     "DomainError",
     "FormulaDomainError",
     "NCParams",
+    "build_planar_form",
     "build_darboux_map",
     "transform_covariance",
     "classify",
     "verdict_from_invariants",
     "build_covariance",
-    "family_form",
     "ScanConfig",
     "scan_table",
     "fig1_table",

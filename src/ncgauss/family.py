@@ -21,15 +21,9 @@ import math
 
 import numpy as np
 
-from .core import _raise_first, _root_spectrum, validate_covariance
+from .core import _raise_first, _root_spectrum, block_diag, validate_covariance
 from .errors import DimensionError, DomainError
-from .phase_space import (
-    CompositeForm,
-    NCParams,
-    build_composite_form,
-    build_planar_form,
-    invalid_deformations,
-)
+from .phase_space import NCParams, build_planar_form, invalid_deformations
 from .separability import primed_form
 
 
@@ -68,12 +62,6 @@ def build_covariance(m: float, n: float) -> np.ndarray:
     return validate_covariance(_covariance_matrix(m, n, (1.0 + r) / (1.0 - r)))
 
 
-def family_form(nc: NCParams) -> CompositeForm:
-    """Bipartite commutation form of the family: the same planar form for both parties."""
-    part = build_planar_form(nc)
-    return build_composite_form(part, part)
-
-
 def _deficit(thetas: np.ndarray, etas: np.ndarray) -> np.ndarray:
     """1 - theta*eta to about an ulp near the hyperbola too: 1 - fl(theta*eta) less Dekker's exact error."""
     product = thetas * etas
@@ -108,7 +96,9 @@ def _closed_forms(theta, eta, m: float, n: float, r: float):
     the smallest invariants: every term is non-negative, so nothing cancels, also
     where a gap vanishes, near the hyperbola and as R -> 1. (-|m|, -|n|) gives the
     second ones, where (1+n)|theta - eta| + 2n min(theta, eta) keeps Omega's
-    difference exact at theta = 0 or eta = 0. The kernel runs on theta/k, eta/k, 2m/k
+    difference exact at theta = 0 or eta = 0, and the lift q_n s - 2|m| of Omega', which cancels as
+    |m| -> 1, is (s - 2|m|) - n^2 s plus the rounding of s: no rounded q_n and no rounded s
+    enters the difference. The kernel runs on theta/k, eta/k, 2m/k
     and c/k^2, k from :func:`_inverse_scale`, and divides each invariant by k: a power of
     two scales exactly, so nothing overflows at any float point, and below 2^200, where
     k = 1, every bit is that of the unscaled forms.
@@ -119,7 +109,12 @@ def _closed_forms(theta, eta, m: float, n: float, r: float):
     unit = _inverse_scale(theta, eta)
     theta, eta, c_k = theta * unit, eta * unit, c * unit * unit
     split = (1.0 + n) * abs(theta - eta) + 2.0 * n * np.minimum(theta, eta)
-    lift = q_n * (theta + eta) + 2.0 * m * unit
+    total = theta + eta
+    if m < 0.0:  # the second pencil; Knuth's two-sum gives the rounding of s
+        late = total - theta
+        lift = ((total + 2.0 * m * unit) - n * n * total) + ((theta - (total - late)) + (eta - late))
+    else:
+        lift = q_n * total + 2.0 * m * unit
     gap_minus = split * split / 2.0 + 2.0 * theta * eta * q
     gap_plus = (lift * lift / 2.0 + 2.0 * n * n * q * unit * unit) / q_n
     nu, nu_prime = _invariant(gap_minus, c_k, r) * unit, _invariant(gap_plus, c_k, r) * unit
@@ -201,8 +196,8 @@ def _inverse_root(m: float, n: float, r: float) -> np.ndarray:
 
 
 # (Omega, Omega') = (Diag[P, P], Diag[P, -P]) = theta _THETA + eta _ETA + _UNIT, one nonzero term per entry.
-_UNIT, _THETA, _ETA = (np.stack([omega.assembled, primed_form(omega)]) for omega in
-                       map(family_form, map(NCParams, (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))))
+_UNIT, _THETA, _ETA = (np.stack([block_diag(part, part), primed_form(part, part)]) for part in
+                       map(build_planar_form, map(NCParams, (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))))
 _THETA, _ETA = _THETA - _UNIT, _ETA - _UNIT
 
 # Points per stacked product and eigvalsh call. The stacks and work arrays of a block

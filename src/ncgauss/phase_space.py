@@ -1,10 +1,12 @@
-"""Noncommutative commutation forms and Darboux maps.
+"""Noncommutative commutation forms and Darboux maps, as plain read-only float64 arrays.
 
-Variables are ordered (x_1..x_n, p_1..p_n) inside each subsystem, so a
-subsystem form takes the block layout [[Theta, I], [-I, Upsilon]] with skew
+Variables are ordered (x_1..x_n, p_1..p_n) inside each party, so a party's
+form takes the block layout [[Theta, I], [-I, Upsilon]] with skew
 deformation blocks Theta (position-position) and Upsilon (momentum-momentum).
-A Darboux map S turns standard commuting variables into the deformed ones,
-S J S^T = Omega; it is block-diagonal over the two parties and not unique.
+A bipartite form is Diag[Omega_A, Omega_B]; ``separability.classify`` takes the
+two party forms and assembles it. A Darboux map S turns standard commuting
+variables into the deformed ones, S J S^T = Omega; it is block-diagonal over the
+two parties and not unique.
 """
 
 from __future__ import annotations
@@ -55,31 +57,6 @@ class NCParams:
             )
 
 
-@dataclass(frozen=True)
-class SubsystemForm:
-    """Commutation form of one party: [[Theta, I], [-I, Upsilon]], dimension 2n."""
-
-    n_modes: int
-    assembled: np.ndarray
-
-
-@dataclass(frozen=True)
-class CompositeForm:
-    """Bipartite commutation form Diag[Omega_A, Omega_B]."""
-
-    part_a: SubsystemForm
-    part_b: SubsystemForm
-    assembled: np.ndarray
-
-    @property
-    def n_a(self) -> int:
-        return self.part_a.n_modes
-
-    @property
-    def n_b(self) -> int:
-        return self.part_b.n_modes
-
-
 def _check_skew_block(block, n_modes: int, name: str) -> np.ndarray:
     arr = np.asarray(block, dtype=float)
     if arr.shape != (n_modes, n_modes):
@@ -89,40 +66,20 @@ def _check_skew_block(block, n_modes: int, name: str) -> np.ndarray:
     return arr
 
 
-def build_subsystem_form(n_modes: int, theta, upsilon) -> SubsystemForm:
-    """Assemble and validate a subsystem form from its deformation blocks Theta and Upsilon."""
+def build_subsystem_form(theta, upsilon) -> np.ndarray:
+    """The validated, read-only party form [[Theta, I], [-I, Upsilon]], one mode per row of Theta."""
+    n_modes = np.shape(theta)[0] if np.ndim(theta) == 2 else 0
     if n_modes < 1:
-        raise DimensionError(f"number of modes must be >= 1, got {n_modes}")
+        raise DimensionError(f"position deformation block must be a square matrix, got {np.shape(theta)}")
     theta = _check_skew_block(theta, n_modes, "position deformation")
     upsilon = _check_skew_block(upsilon, n_modes, "momentum deformation")
     eye = np.eye(n_modes)
-    assembled = validate_skew_form(np.block([[theta, eye], [-eye, upsilon]]))  # raises if singular
-    return SubsystemForm(n_modes=n_modes, assembled=assembled)
+    return validate_skew_form(np.block([[theta, eye], [-eye, upsilon]]))  # raises if singular
 
 
-def build_planar_form(params: NCParams) -> SubsystemForm:
-    """Two-mode form with Theta = theta*eps and Upsilon = eta*eps."""
-    return build_subsystem_form(2, params.theta * EPSILON2, params.eta * EPSILON2)
-
-
-def build_composite_form(
-    part_a: SubsystemForm, part_b: SubsystemForm
-) -> CompositeForm:
-    """Stack two subsystem forms into the bipartite block-diagonal form."""
-    assembled = _readonly(block_diag(part_a.assembled, part_b.assembled))
-    return CompositeForm(part_a=part_a, part_b=part_b, assembled=assembled)
-
-
-@dataclass(frozen=True)
-class DarbouxMap:
-    """Block-diagonal linear map S = Diag[S_A, S_B] = ``assembled`` between variable sets.
-
-    Construction checks nothing; :func:`build_darboux_map` checks S J S^T = Omega for the maps it builds.
-    """
-
-    s_a: np.ndarray
-    s_b: np.ndarray
-    assembled: np.ndarray
+def build_planar_form(params: NCParams) -> np.ndarray:
+    """The 4x4 two-mode party form P, with Theta = theta*eps and Upsilon = eta*eps."""
+    return build_subsystem_form(params.theta * EPSILON2, params.eta * EPSILON2)
 
 
 def _planar_darboux_block(params: NCParams, lam: float, mu: float) -> np.ndarray:
@@ -140,8 +97,8 @@ def _planar_darboux_block(params: NCParams, lam: float, mu: float) -> np.ndarray
     )
 
 
-def build_darboux_map(params: NCParams, lambda_scale: float = 1.0) -> DarbouxMap:
-    """Planar Darboux map with free gauge parameter lambda; S_A = S_B.
+def build_darboux_map(params: NCParams, lambda_scale: float = 1.0) -> np.ndarray:
+    """The read-only 8x8 planar Darboux map Diag[S_A, S_A], with free gauge parameter lambda.
 
     mu is fixed by lambda*mu = (1 + sqrt(1 - eta*theta)) / 2, which keeps the
     map invertible (det of each block is 1 - eta*theta). lambda and mu are the
@@ -156,20 +113,18 @@ def build_darboux_map(params: NCParams, lambda_scale: float = 1.0) -> DarbouxMap
         raise SingularMatrixError(
             f"Darboux block is singular (theta*eta = {params.theta * params.eta})"
         )
-    target = build_planar_form(params).assembled
-    residual = np.max(np.abs(blk @ standard_symplectic_form(2) @ blk.T - target))
+    residual = np.max(np.abs(blk @ standard_symplectic_form(2) @ blk.T - build_planar_form(params)))
     if residual > MAP_RESIDUAL:
         raise MatrixStructureError(f"constructed map violates S J S^T = Omega by {residual:.3e}")
-    return DarbouxMap(s_a=_readonly(blk), s_b=_readonly(blk), assembled=_readonly(block_diag(blk, blk)))
+    return _readonly(block_diag(blk, blk))
 
 
-def transform_covariance(dmap: DarbouxMap, sigma_tilde) -> np.ndarray:
-    """Push a covariance matrix through the map: Sigma = S Sigma~ S^T."""
+def transform_covariance(dmap, sigma_tilde) -> np.ndarray:
+    """Push a covariance matrix through the map S: Sigma = S Sigma~ S^T."""
     sig = validate_covariance(sigma_tilde)
-    if sig.shape[0] != dmap.assembled.shape[0]:
-        raise DimensionError(
-            f"covariance is {sig.shape[0]}-dimensional but map is {dmap.assembled.shape[0]}-dimensional"
-        )
-    out = dmap.assembled @ sig @ dmap.assembled.T
+    dmap = np.asarray(dmap, dtype=float)
+    if dmap.shape != sig.shape:
+        raise DimensionError(f"covariance is {sig.shape[0]}-dimensional but map has shape {dmap.shape}")
+    out = dmap @ sig @ dmap.T
     out = 0.5 * (out + out.T)  # exact symmetry despite roundoff
     return validate_covariance(out)

@@ -21,7 +21,6 @@ from ncgauss.core import (
     standard_symplectic_form,
     validate_covariance,
 )
-from ncgauss.phase_space import DarbouxMap
 from ncgauss.separability import verdict_from_invariants
 
 # Entrywise bound on A - A^H for hermitian_min_eigenvalue.
@@ -198,27 +197,33 @@ def mirror_reflection(n_a, n_b):
     return MirrorReflection(n_a=n_a, n_b=n_b, mat=np.diag(diag))
 
 
-def darboux_inverse(dmap):
-    """The map Diag[S_A^-1, S_B^-1]."""
-    s_a, s_b = np.linalg.inv(dmap.s_a), np.linalg.inv(dmap.s_b)
-    return DarbouxMap(s_a, s_b, block_diag(s_a, s_b))
+def darboux_map(form):
+    """A map S with S J S^T = form, for any nonsingular skew form, from one eigh of the Hermitian i form.
+
+    Each eigenvalue b > 0 of i form has a unit eigenvector v = (u + i w) / sqrt(2), with
+    form u = b w and form w = -b u; u and w are orthonormal over all such v. So
+    form = sum_k b_k (w_k u_k^T - u_k w_k^T), and S = [x_1..x_n, p_1..p_n] with
+    x_k = sqrt(b_k) w_k and p_k = sqrt(b_k) u_k gives S J S^T = sum_k x_k p_k^T - p_k x_k^T = form.
+    """
+    vals, vecs = np.linalg.eigh(1j * np.asarray(form, dtype=float))
+    half = len(vals) // 2
+    scaled = vecs[:, half:] * np.sqrt(2.0 * vals[half:])
+    return np.hstack([scaled.imag, scaled.real])
 
 
-def validate_darboux(dmap, target):
-    """True iff the (block-diagonal) map is invertible and S J S^T matches the target form."""
-    dim = dmap.assembled.shape[0]
-    if dim != target.assembled.shape[0]:
-        raise DimensionError(
-            f"map is {dim}-dimensional but target form is {target.assembled.shape[0]}-dimensional"
-        )
-    if dmap.s_a.shape[0] != 2 * target.n_a:
-        raise DimensionError(
-            f"map block S_A is {dmap.s_a.shape[0]}-dimensional, target part A needs {2 * target.n_a}"
-        )
-    if numerically_singular(dmap.assembled):
+def validate_darboux(dmap, omega_a, omega_b):
+    """True iff the map is invertible and block-diagonal over the parties, and S J S^T = Omega.
+
+    Omega = Diag[Omega_A, Omega_B] of the two party forms.
+    """
+    target = block_diag(omega_a, omega_b)
+    if dmap.shape != target.shape:
+        raise DimensionError(f"map has shape {dmap.shape}, the target form {target.shape}")
+    dim_a, n_a, n_b = len(omega_a), len(omega_a) // 2, len(omega_b) // 2
+    if numerically_singular(dmap) or dmap[:dim_a, dim_a:].any() or dmap[dim_a:, :dim_a].any():
         return False
-    jay = block_diag(standard_symplectic_form(target.n_a), standard_symplectic_form(target.n_b))
-    residual = np.max(np.abs(dmap.assembled @ jay @ dmap.assembled.T - target.assembled))
+    jay = block_diag(standard_symplectic_form(n_a), standard_symplectic_form(n_b))
+    residual = np.max(np.abs(dmap @ jay @ dmap.T - target))
     return bool(residual <= MAP_RESIDUAL)
 
 
@@ -232,17 +237,16 @@ class PartialTransposeMap:
 
 
 def partial_transpose_map(dmap, n_a, n_b):
-    """Build the partial-transpose involution from a block-diagonal map."""
+    """Build the partial-transpose involution from a block-diagonal map Diag[S_A, S_B]."""
     if n_a < 1 or n_b < 1:
         raise DimensionError(f"mode counts must be >= 1, got ({n_a}, {n_b})")
-    if dmap.s_a.shape[0] != 2 * n_a or dmap.s_b.shape[0] != 2 * n_b:
-        raise DimensionError(
-            f"map blocks {dmap.s_a.shape[0]}/{dmap.s_b.shape[0]} do not match 2n_a={2 * n_a}, 2n_b={2 * n_b}"
-        )
-    if numerically_singular(dmap.s_b):
+    if dmap.shape != (2 * (n_a + n_b),) * 2:
+        raise DimensionError(f"map of shape {dmap.shape} does not match 2n_a={2 * n_a}, 2n_b={2 * n_b}")
+    s_b = dmap[2 * n_a :, 2 * n_a :]
+    if numerically_singular(s_b):
         raise SingularMatrixError("S_B is numerically singular")
     lam_b = np.diag(np.concatenate([np.ones(n_b), -np.ones(n_b)]))
-    d_b = dmap.s_b @ lam_b @ np.linalg.inv(dmap.s_b)
+    d_b = s_b @ lam_b @ np.linalg.inv(s_b)
     mat = block_diag(np.eye(2 * n_a), d_b)
     residual = np.max(np.abs(mat @ mat - np.eye(mat.shape[0])))
     if residual > MAP_RESIDUAL:

@@ -14,9 +14,9 @@ from ncgauss import (
     ScanConfig,
     build_covariance,
     build_darboux_map,
+    build_planar_form,
     classify,
     eval_point,
-    family_form,
     fig2_couplings,
     nc_williamson_spectrum,
     rsup_holds,
@@ -79,7 +79,8 @@ def test_criterion_2_closed_form_vs_spectral_oracle():
         nus, nu_primes = family_invariants(thetas, etas, m, n)
         sigma = build_covariance(m, n)
         for theta, eta, nu_closed, nu_prime_closed in zip(thetas, etas, nus, nu_primes):
-            result = classify(sigma, family_form(NCParams(theta, eta)))
+            part = build_planar_form(NCParams(theta, eta))
+            result = classify(sigma, part, part)
             assert abs(nu_closed - result.nu_minus) / result.nu_minus <= 1e-8
             assert abs(nu_prime_closed - result.nu_minus_prime) / result.nu_minus_prime <= 1e-8
             checked += 1
@@ -95,10 +96,11 @@ def test_criterion_3_darboux_constraint():
     for _ in range(100):
         theta, eta = _sample_valid_deformation(rng)
         nc = NCParams(theta, eta)
-        target = family_form(nc).assembled
+        part = build_planar_form(nc)
+        target = block_diag(part, part)
         for lam in (0.5, 1.0, 2.0):
             dmap = build_darboux_map(nc, lambda_scale=lam)
-            residual = np.max(np.abs(dmap.assembled @ J_COMPOSITE @ dmap.assembled.T - target))
+            residual = np.max(np.abs(dmap @ J_COMPOSITE @ dmap.T - target))
             assert residual <= 1e-10
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -111,7 +113,8 @@ def test_criterion_4_transport_independence():
     for _ in range(100):
         theta, eta = _sample_valid_deformation(rng)
         nc = NCParams(theta, eta)
-        omega = family_form(nc).assembled
+        part = build_planar_form(nc)
+        omega = block_diag(part, part)
         sigma_tilde = random_spd(rng, 8)
         lam1 = float(np.exp(rng.uniform(-1.0, 1.0)))
         lam2 = lam1 * float(np.exp(rng.uniform(0.2, 1.0)))
@@ -132,13 +135,13 @@ def test_criterion_5_primed_form_identity():
     for _ in range(100):
         theta, eta = _sample_valid_deformation(rng)
         nc = NCParams(theta, eta)
-        form = family_form(nc)
+        part = build_planar_form(nc)
         lam = float(np.exp(rng.uniform(-1.0, 1.0)))
         dmap = build_darboux_map(nc, lambda_scale=lam)
         dmat = partial_transpose_map(dmap, 2, 2).mat
         assert np.max(np.abs(dmat @ dmat - np.eye(8))) <= 1e-10
-        via_map = np.linalg.inv(dmat) @ form.assembled @ np.linalg.inv(dmat.T)
-        expected = block_diag(form.part_a.assembled, -form.part_b.assembled)
+        via_map = np.linalg.inv(dmat) @ block_diag(part, part) @ np.linalg.inv(dmat.T)
+        expected = block_diag(part, -part)
         assert np.max(np.abs(via_map - expected)) <= 1e-10
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -149,7 +152,8 @@ def test_criterion_6_deformation_induced_entanglement():
     start = time.perf_counter()
 
     def classify_point(theta, eta):
-        return classify(build_covariance(FIG_M, FIG_N), family_form(NCParams(theta, eta)))
+        part = build_planar_form(NCParams(theta, eta))
+        return classify(build_covariance(FIG_M, FIG_N), part, part)
 
     assert classify_point(0.0, 0.0).verdict is Verdict.SEPARABLE_QUANTUM
 
@@ -207,7 +211,8 @@ def test_criterion_8_rsup_equivalence():
             form = np.asarray(standard_symplectic_form(n_modes))
         elif kind == 1 and dim == 8:
             theta, eta = _sample_valid_deformation(rng)
-            form = family_form(NCParams(theta, eta)).assembled
+            part = build_planar_form(NCParams(theta, eta))
+            form = block_diag(part, part)
         else:
             form = random_skew_nonsingular(rng, dim)
         holds = rsup_holds(sigma, form)

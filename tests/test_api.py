@@ -1,5 +1,8 @@
 """The top-level namespace and the README document the same API."""
 
+import contextlib
+import io
+import math
 import re
 from pathlib import Path
 
@@ -27,3 +30,53 @@ def test_readme_imports_only_exported_names():
     assert imported  # the quick start imports from ncgauss
     assert sorted(imported - set(ncgauss.__all__)) == []
 
+
+
+def _quick_start_steps():
+    """The README's Python block as (code, expected) steps: each step's code ends in a line that
+    starts with ``print(``, and the ``# `` comment lines right after it are the printed lines."""
+    (block,) = re.findall(r"```python\n(.*?)```", README, re.S)
+    steps, code, lines = [], [], block.splitlines()
+    for k, line in enumerate(lines):
+        code.append(line)
+        if line.startswith("print("):
+            expected = []
+            for comment in lines[k + 1 :]:
+                if not comment.startswith("# "):
+                    break
+                expected.append(comment[2:])
+            steps.append(("\n".join(code), expected))
+            code = []
+    return steps
+
+
+def _same_printed_line(got, want):
+    """Words equal, numbers equal to 1e-12 relative; words split at commas and whitespace."""
+    got_words, want_words = re.split(r",|\s+", got), re.split(r",|\s+", want)
+    if len(got_words) != len(want_words):
+        return False
+    for g, w in zip(got_words, want_words):
+        try:
+            if not math.isclose(float(g), float(w), rel_tol=1e-12):
+                return False
+        except ValueError:
+            if g != w:
+                return False
+    return True
+
+
+def test_readme_quick_start_prints_what_it_documents():
+    steps = _quick_start_steps()
+    assert steps  # the quick start prints
+    namespace = {}
+    for code, expected in steps:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(code, "README.md", "exec"), namespace)
+        printed = out.getvalue().splitlines()
+        if expected and expected[-1] == "...":  # the comment shows the first lines only
+            expected, printed = expected[:-1], printed[: len(expected) - 1]
+        assert expected, code
+        assert len(printed) == len(expected), (printed, expected)
+        for got, want in zip(printed, expected):
+            assert _same_printed_line(got, want), (got, want)

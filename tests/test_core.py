@@ -13,7 +13,7 @@ from ncgauss import (
     SingularMatrixError,
     build_covariance,
     build_darboux_map,
-    family_form,
+    build_planar_form,
     nc_williamson_spectrum,
     rsup_holds,
 )
@@ -54,7 +54,8 @@ SCALES = [1e-300, 1e-160, 1e-6, 1.0, 1e6, 1e155, 1e300]
 
 
 def _family_pair(theta, eta, m=FIG_M, n=FIG_N):
-    return build_covariance(m, n), family_form(NCParams(theta, eta)).assembled
+    part = build_planar_form(NCParams(theta, eta))
+    return build_covariance(m, n), block_diag(part, part)
 
 
 class TestStandardForm:
@@ -132,7 +133,7 @@ class TestValidation:
         with pytest.raises(NotPositiveDefiniteError):
             validate_covariance(scale * np.diag([1.0, 1e-17]))
 
-    def test_skew_accepts_family_form_near_hyperbola(self):
+    def test_skew_accepts_family_composite_form_near_hyperbola(self):
         # det = (1 - theta*eta)^4 = 1e-24, yet cond_2 is only about 4e6.
         _, form = _family_pair(1.0, 1.0 - 1e-6)
         validate_skew_form(form)
@@ -255,8 +256,8 @@ class TestSpectrum:
         # M = S M_J S^-1 preserves Omega = S J S^T.
         rng = np.random.default_rng(23)
         nc = NCParams(0.25, 0.5)
-        darboux = build_darboux_map(nc).assembled
-        omega = family_form(nc).assembled
+        darboux = build_darboux_map(nc)
+        omega = block_diag(*[build_planar_form(nc)] * 2)
         sigma = random_spd(rng, 8)
         base = nc_williamson_spectrum(sigma, omega)
         # The composite standard form is block-diagonal over the two parties.

@@ -13,12 +13,12 @@ from ncgauss import (
     DomainError,
     NCParams,
     build_covariance,
-    family_form,
+    build_planar_form,
     nc_williamson_spectrum,
     numeric_invariants,
 )
 from ncgauss.cli import main
-from ncgauss.core import inverse_root
+from ncgauss.core import block_diag, inverse_root
 from ncgauss.family import (
     _covariance_matrix,
     _inverse_root,
@@ -178,10 +178,10 @@ class TestClosedForms:
         assert result.nu_minus_prime == pytest.approx(1.0, abs=1e-12)
 
     def test_figure_point_matches_spectral_route(self):
-        sigma, form = build_covariance(FIG_M, FIG_N), family_form(NCParams(0.25, 0.5))
+        sigma, part = build_covariance(FIG_M, FIG_N), build_planar_form(NCParams(0.25, 0.5))
         result = eval_point(0.25, 0.5, FIG_M, FIG_N)
-        nu_spectral = nc_williamson_spectrum(sigma, form.assembled)[0]
-        nu_prime_spectral = nc_williamson_spectrum(sigma, primed_form(form))[0]
+        nu_spectral = nc_williamson_spectrum(sigma, block_diag(part, part))[0]
+        nu_prime_spectral = nc_williamson_spectrum(sigma, primed_form(part, part))[0]
         assert result.nu_minus == pytest.approx(nu_spectral, rel=1e-8)
         assert result.nu_minus_prime == pytest.approx(nu_prime_spectral, rel=1e-8)
 
@@ -195,11 +195,12 @@ class TestClosedForms:
             radius = rng.uniform(0.0, 0.9)
             angle = rng.uniform(0.0, np.pi / 2.0)
             m, n = radius * np.cos(angle), radius * np.sin(angle)
-            sigma, form = build_covariance(m, n), family_form(NCParams(theta, eta))
+            sigma, part = build_covariance(m, n), build_planar_form(NCParams(theta, eta))
             result = eval_point(theta, eta, m, n)
-            assert result.nu_minus == pytest.approx(nc_williamson_spectrum(sigma, form.assembled)[0], rel=1e-8)
+            omega = block_diag(part, part)
+            assert result.nu_minus == pytest.approx(nc_williamson_spectrum(sigma, omega)[0], rel=1e-8)
             assert result.nu_minus_prime == pytest.approx(
-                nc_williamson_spectrum(sigma, primed_form(form))[0], rel=1e-8
+                nc_williamson_spectrum(sigma, primed_form(part, part))[0], rel=1e-8
             )
             checked += 1
 
@@ -371,6 +372,23 @@ def _near_both_boundaries(draw):
     return theta, eta, radius * math.cos(angle), radius * math.sin(angle)
 
 
+@st.composite
+def _near_the_second_pencil_cancellation(draw):
+    """(theta, eta, m, n) with 1 - |m| log-uniform in [1e-9, 1e-2]; n = 0, or |n| up to 0.9 sqrt(1 - |m|),
+    uniform or log-uniform down to 1e-8 of that; and theta + eta within a log-uniform 1e-12 to 1e-2
+    relative of 2|m| / (1 - n^2), where the second Omega' pencil's q_n (theta + eta) - 2|m| cancels;
+    theta*eta < 1."""
+    gap = 10.0 ** draw(st.floats(min_value=-9.0, max_value=-2.0))
+    m = draw(st.sampled_from((1.0, -1.0))) * (1.0 - gap)
+    tiny = st.builds(lambda sign, log: sign * 10.0**log, st.sampled_from((1.0, -1.0)), st.floats(-8.0, 0.0))
+    n = draw(st.just(0.0) | st.floats(min_value=-0.9, max_value=0.9) | tiny) * math.sqrt(gap)
+    offset = draw(st.sampled_from((1.0, -1.0))) * 10.0 ** draw(st.floats(min_value=-12.0, max_value=-2.0))
+    total = 2.0 * abs(m) / ((1.0 - abs(n)) * (1.0 + abs(n))) * (1.0 + offset)
+    theta = total * draw(st.floats(min_value=0.0, max_value=0.35))
+    eta = total - theta
+    return (eta, theta, m, n) if draw(st.booleans()) else (theta, eta, m, n)
+
+
 class TestFamilySpectra:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -412,6 +430,22 @@ class TestFamilySpectra:
         want = sum(mp_spectra(theta, eta, m, n), [])
         errors = [abs(float((mpmath.mpf(g) - w) / w)) for g, w in zip([*spectrum[0], *reflected[0]], want)]
         assert max(errors) <= 8.0 * EPS * (1.0 + 1.0 / (1.0 - math.hypot(m, n)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(point=_near_the_second_pencil_cancellation())
+    @example(point=(0.25, 1.76, 0.9999999, 0.0))  # fig1 --m 0.9999999 --n 0
+    # n != 0 but tiny, where R rounds exactly: a rounded q_n = (1 - |n|)(1 + |n|) in the lift fails here.
+    @example(point=(0.0, 1.9998000000000002, 0.99, 1e-13))
+    @example(point=(0.9835655928464397, 1.0164300020264638, -0.9999920898143775, 1.594367936191587e-10))
+    def test_every_column_matches_mpmath_as_m_nears_one(self, point):
+        # All four invariants of both spectra within closed_tolerance of 60-digit mpmath, where the
+        # second Omega' pencil's lift q_n (theta + eta) - 2|m| cancels to the rounding of theta + eta.
+        mpmath = pytest.importorskip("mpmath")
+        theta, eta, m, n = point
+        spectrum, reflected = family_spectra([theta], [eta], m, n)
+        want = sum(mp_spectra(theta, eta, m, n, dps=60), [])
+        errors = [abs(float((mpmath.mpf(g) - w) / w)) for g, w in zip([*spectrum[0], *reflected[0]], want)]
+        assert max(errors) <= closed_tolerance(m, n)
 
     @pytest.mark.parametrize("m,n", [(FIG_M, FIG_N), (0.3, 0.0), (0.0, -0.4), (-0.9999, 0.001)])
     def test_rows_ascending_and_paired(self, m, n):

@@ -13,8 +13,8 @@ from ncgauss import (
     NCParams,
     ScanConfig,
     build_covariance,
+    build_planar_form,
     eval_point,
-    family_form,
     fig1_table,
     fig2_couplings,
     numeric_invariants,
@@ -147,8 +147,8 @@ class TestEvalPoint:
         # (Sigma, Omega') is 1.4e-14 off and the brute-force oracle 2.6e-13.
         theta, eta, m, n = 0.52, 1.92, -0.2357, 0.1667
         record = eval_point(theta, eta, m, n)
-        nc = NCParams(theta, eta)
-        oracle = brute_force_spectrum(build_covariance(m, n), primed_form(family_form(nc)))
+        part = build_planar_form(NCParams(theta, eta))
+        oracle = brute_force_spectrum(build_covariance(m, n), primed_form(part, part))
         assert record.nu_minus_prime == pytest.approx(oracle[0], rel=1e-11)
 
     @settings(max_examples=60, deadline=None)

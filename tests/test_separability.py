@@ -9,20 +9,28 @@ from hypothesis import strategies as st
 
 from ncgauss import (
     DimensionError,
+    MatrixStructureError,
     NCParams,
     SingularMatrixError,
     build_covariance,
     build_darboux_map,
+    build_planar_form,
     classify,
     eval_point,
-    family_form,
     nc_williamson_spectrum,
     verdict_from_invariants,
 )
 from ncgauss.core import BOUNDARY, block_diag, standard_symplectic_form
-from ncgauss.phase_space import DarbouxMap, build_composite_form, build_planar_form
+from ncgauss.phase_space import build_subsystem_form
 from ncgauss.separability import Verdict, primed_form
-from oracles import mirror_reflection, partial_transpose_covariance, partial_transpose_map, random_spd
+from oracles import (
+    darboux_map,
+    mirror_reflection,
+    partial_transpose_covariance,
+    partial_transpose_map,
+    random_spd,
+    random_symplectic,
+)
 
 FIG_M, FIG_N = np.sqrt(2.0) / 6.0, 1.0 / 6.0
 # Invariants for the verdict rule: the threshold, its neighbours, NaN and any float.
@@ -33,8 +41,9 @@ INVARIANTS = st.one_of(
 
 
 def _family(theta, eta, m=FIG_M, n=FIG_N, lam=1.0):
+    """Sigma, the party form P and the 8x8 Darboux map of the family at one point."""
     nc = NCParams(theta, eta)
-    return build_covariance(m, n), family_form(nc), build_darboux_map(nc, lambda_scale=lam)
+    return build_covariance(m, n), build_planar_form(nc), build_darboux_map(nc, lambda_scale=lam)
 
 
 class TestMirrorReflection:
@@ -65,32 +74,33 @@ class TestMirrorReflection:
 
 class TestPrimedForm:
     def test_commutative_flips_bob(self):
-        form = build_composite_form(
-            build_planar_form(NCParams(0.0, 0.0)), build_planar_form(NCParams(0.0, 0.0))
-        )
+        part = build_planar_form(NCParams(0.0, 0.0))
         expected = block_diag(standard_symplectic_form(2), -standard_symplectic_form(2))
-        np.testing.assert_array_equal(primed_form(form), expected)
+        np.testing.assert_array_equal(primed_form(part, part), expected)
+
+    def test_unequal_parties_flip_bob_only(self):
+        jay_a, jay_b = standard_symplectic_form(1), standard_symplectic_form(3)
+        np.testing.assert_array_equal(primed_form(jay_a, jay_b), block_diag(jay_a, -jay_b))
 
     def test_matches_mirror_route_at_zero_deformation(self):
-        _, form, _ = _family(0.0, 0.0)
+        _, part, _ = _family(0.0, 0.0)
         refl = mirror_reflection(2, 2).mat
-        via_mirror = np.linalg.inv(refl) @ form.assembled @ np.linalg.inv(refl.T)
-        np.testing.assert_allclose(primed_form(form), via_mirror, atol=1e-15)
+        via_mirror = np.linalg.inv(refl) @ block_diag(part, part) @ np.linalg.inv(refl.T)
+        np.testing.assert_allclose(primed_form(part, part), via_mirror, atol=1e-15)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_matches_transpose_map_route(self, lam):
         # Direct product D^-1 Omega D^-T must equal Diag[Omega_A, -Omega_B]
         # for any gauge of the block-diagonal map.
-        _, form, dmap = _family(0.25, 0.5, lam=lam)
+        _, part, dmap = _family(0.25, 0.5, lam=lam)
         dmat = partial_transpose_map(dmap, 2, 2).mat
-        via_map = np.linalg.inv(dmat) @ form.assembled @ np.linalg.inv(dmat.T)
-        np.testing.assert_allclose(primed_form(form), via_map, atol=1e-10)
+        via_map = np.linalg.inv(dmat) @ block_diag(part, part) @ np.linalg.inv(dmat.T)
+        np.testing.assert_allclose(primed_form(part, part), via_map, atol=1e-10)
 
 
 class TestPartialTransposeMap:
     def test_identity_map_gives_mirror(self):
-        dmap = DarbouxMap(np.eye(4), np.eye(4), np.eye(8))
-        pt = partial_transpose_map(dmap, 2, 2)
+        pt = partial_transpose_map(np.eye(8), 2, 2)
         np.testing.assert_array_equal(pt.mat, mirror_reflection(2, 2).mat)
 
     def test_involutive(self):
@@ -105,11 +115,8 @@ class TestPartialTransposeMap:
         np.testing.assert_array_equal(pt.mat[:4, 4:], np.zeros((4, 4)))
 
     def test_rejects_singular_bob_block(self):
-        dmap = DarbouxMap(
-            s_a=np.eye(4), s_b=np.zeros((4, 4)), assembled=block_diag(np.eye(4), np.zeros((4, 4)))
-        )
         with pytest.raises(SingularMatrixError):
-            partial_transpose_map(dmap, 2, 2)
+            partial_transpose_map(block_diag(np.eye(4), np.zeros((4, 4))), 2, 2)
 
     def test_rejects_mismatched_modes(self):
         _, _, dmap = _family(0.25, 0.5)
@@ -148,20 +155,20 @@ class TestPartialTransposeCovariance:
 
 class TestCheckSeparable:
     def test_commutative_half(self):
-        sigma, form, _ = _family(0.0, 0.0, m=0.3, n=0.4)
-        result = classify(sigma, form)
+        sigma, part, _ = _family(0.0, 0.0, m=0.3, n=0.4)
+        result = classify(sigma, part, part)
         assert result.verdict is Verdict.SEPARABLE_QUANTUM
         assert result.nu_minus_prime == pytest.approx(1.5, rel=1e-10)
 
     def test_commutative_tenth(self):
-        sigma, form, _ = _family(0.0, 0.0, m=0.06, n=0.08)
-        result = classify(sigma, form)
+        sigma, part, _ = _family(0.0, 0.0, m=0.06, n=0.08)
+        result = classify(sigma, part, part)
         assert result.verdict is Verdict.SEPARABLE_QUANTUM
         assert result.nu_minus_prime == pytest.approx(1.1, rel=1e-10)
 
     def test_momentum_deformation_slice_agrees_with_closed_form(self):
-        sigma, form, _ = _family(0.0, 0.5)
-        result = classify(sigma, form)
+        sigma, part, _ = _family(0.0, 0.5)
+        result = classify(sigma, part, part)
         closed = eval_point(0.0, 0.5, FIG_M, FIG_N)
         assert result.nu_minus_prime == pytest.approx(closed.nu_minus_prime, rel=1e-8)
         assert result.nu_minus_prime == pytest.approx(1.0395845604909313, rel=1e-8)
@@ -170,43 +177,43 @@ class TestCheckSeparable:
 
     def test_routes_agree(self):
         # (Sigma', Omega) and (Sigma, Omega') must give the same full spectrum.
-        sigma, form, dmap = _family(0.9, 0.4, lam=0.8)
+        sigma, part, dmap = _family(0.9, 0.4, lam=0.8)
         pt = partial_transpose_map(dmap, 2, 2)
         reflected = partial_transpose_covariance(sigma, pt)
-        spec_a = nc_williamson_spectrum(reflected, form.assembled)
-        spec_b = nc_williamson_spectrum(sigma, primed_form(form))
+        spec_a = nc_williamson_spectrum(reflected, block_diag(part, part))
+        spec_b = nc_williamson_spectrum(sigma, primed_form(part, part))
         np.testing.assert_allclose(spec_a, spec_b, rtol=1e-9)
 
     def test_gauge_invariance_of_nu_prime(self):
-        sigma, form, _ = _family(0.6, 0.7)
+        sigma, part, _ = _family(0.6, 0.7)
         spectra = []
         for lam in (0.4, 1.0, 2.5):
             dmap = build_darboux_map(NCParams(0.6, 0.7), lambda_scale=lam)
             reflected = partial_transpose_covariance(sigma, partial_transpose_map(dmap, 2, 2))
-            spectra.append(nc_williamson_spectrum(reflected, form.assembled))
+            spectra.append(nc_williamson_spectrum(reflected, block_diag(part, part)))
         np.testing.assert_allclose(spectra, [spectra[0]] * 3, rtol=1e-9)
-        nu_prime = classify(sigma, form).nu_minus_prime
+        nu_prime = classify(sigma, part, part).nu_minus_prime
         assert spectra[0][0] == pytest.approx(nu_prime, rel=1e-9)
 
 
 class TestClassify:
     def test_subvacuum_is_nonquantum(self):
-        _, form, _ = _family(0.0, 0.0)
-        result = classify(0.25 * np.eye(8), form)
+        _, part, _ = _family(0.0, 0.0)
+        result = classify(0.25 * np.eye(8), part, part)
         assert result.verdict is Verdict.NON_QUANTUM
         assert result.nu_minus == pytest.approx(0.5, rel=1e-12)
 
     def test_commutative_family_is_separable(self):
-        sigma, form, _ = _family(0.0, 0.0, m=0.3, n=0.4)
-        result = classify(sigma, form)
+        sigma, part, _ = _family(0.0, 0.0, m=0.3, n=0.4)
+        result = classify(sigma, part, part)
         assert result.verdict is Verdict.SEPARABLE_QUANTUM
         assert result.nu_minus == pytest.approx(3.0 * np.sqrt(3.0) / 2.0, rel=1e-10)
         assert result.nu_minus_prime == pytest.approx(1.5, rel=1e-10)
 
     def test_momentum_deformation_entangles(self):
         # Between the nu'=1 crossing (~0.59) and the nu=1 crossing (~0.95).
-        sigma, form, _ = _family(0.0, 0.7704)
-        result = classify(sigma, form)
+        sigma, part, _ = _family(0.0, 0.7704)
+        result = classify(sigma, part, part)
         assert result.verdict is Verdict.ENTANGLED_QUANTUM
         assert result.nu_minus >= 1.0
         assert result.nu_minus_prime < 1.0
@@ -214,20 +221,80 @@ class TestClassify:
     def test_boundary_state_counts_as_separable(self):
         # m = n = 0 at zero deformation saturates nu = nu' = 1; ties resolve
         # toward >=.
-        sigma, form, _ = _family(0.0, 0.0, m=0.0, n=0.0)
-        result = classify(sigma, form)
+        sigma, part, _ = _family(0.0, 0.0, m=0.0, n=0.0)
+        result = classify(sigma, part, part)
         assert result.verdict is Verdict.SEPARABLE_QUANTUM
         assert result.nu_minus == pytest.approx(1.0, abs=1e-12)
         assert result.nu_minus_prime == pytest.approx(1.0, abs=1e-12)
 
     def test_commutative_limit_never_entangled(self):
         rng = np.random.default_rng(31)
-        _, form, _ = _family(0.0, 0.0)
+        _, part, _ = _family(0.0, 0.0)
         for radius in np.linspace(0.0, 0.9, 10):
             angle = rng.uniform(0.0, np.pi / 2.0)
             sigma = build_covariance(radius * np.cos(angle), radius * np.sin(angle))
-            result = classify(sigma, form)
+            result = classify(sigma, part, part)
             assert result.verdict is Verdict.SEPARABLE_QUANTUM
+
+
+def _party_form(rng, n_modes, deformed):
+    """The standard form of n_modes, or a deformed one with random skew Theta and Upsilon."""
+    if not deformed:
+        return standard_symplectic_form(n_modes)
+    theta, upsilon = (0.3 * (a - a.T) for a in rng.normal(size=(2, n_modes, n_modes)))
+    return build_subsystem_form(theta, upsilon)
+
+
+class TestUnequalBipartitions:
+    @pytest.mark.parametrize("deformed", [False, True])
+    @pytest.mark.parametrize("n_a,n_b", [(1, 1), (1, 2), (2, 1), (1, 3)])
+    def test_nu_prime_is_the_mirror_reflected_spectrum(self, n_a, n_b, deformed):
+        # In commuting variables Sigma~ = S^-1 Sigma S^-T, S = Diag[S_A, S_B] with S J S^T = Omega,
+        # partial transposition is the mirror reflection of Bob's momenta. Each state is
+        # S M Diag[nu/2, nu/2] M^T S^T with M a random symplectic map: nu_k in [0.96, 2], mixed
+        # by M across the parties; for 1xN modes PPT is also sufficient for separability.
+        rng = np.random.default_rng(100 * n_a + 10 * n_b + deformed)
+        jay = block_diag(standard_symplectic_form(n_a), standard_symplectic_form(n_b))
+        refl = mirror_reflection(n_a, n_b).mat
+        verdicts = set()
+        for _ in range(24):
+            omega_a, omega_b = _party_form(rng, n_a, deformed), _party_form(rng, n_b, deformed)
+            darboux = block_diag(darboux_map(omega_a), darboux_map(omega_b))
+            mixer = darboux @ random_symplectic(rng, jay, scale=rng.uniform(0.0, 0.4))
+            sigma = mixer @ np.diag(np.tile(rng.uniform(0.48, 1.0, n_a + n_b), 2)) @ mixer.T
+            result = classify(0.5 * (sigma + sigma.T), omega_a, omega_b)
+            inverse = np.linalg.inv(darboux)
+            tilde = inverse @ sigma @ inverse.T
+            tilde = 0.5 * (tilde + tilde.T)
+            assert result.nu_minus == pytest.approx(nc_williamson_spectrum(tilde, jay)[0], rel=1e-9)
+            reflected = nc_williamson_spectrum(refl @ tilde @ refl, jay)
+            assert result.nu_minus_prime == pytest.approx(reflected[0], rel=1e-9)
+            assert result.verdict is verdict_from_invariants(result.nu_minus, result.nu_minus_prime)
+            verdicts.add(result.verdict)
+        assert {Verdict.ENTANGLED_QUANTUM, Verdict.SEPARABLE_QUANTUM} <= verdicts
+
+    def test_darboux_oracle_reproduces_the_form(self):
+        rng = np.random.default_rng(7)
+        for n_modes in (1, 2, 3):
+            form = _party_form(rng, n_modes, deformed=True)
+            s = darboux_map(form)
+            np.testing.assert_allclose(s @ standard_symplectic_form(n_modes) @ s.T, form, atol=1e-12)
+
+    @pytest.mark.parametrize("bad,error", [
+        (np.zeros((2, 3)), DimensionError),  # non-square
+        (np.zeros((3, 3)), DimensionError),  # odd dimension
+        (np.eye(2), MatrixStructureError),  # not skew
+    ])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_malformed_party_form_raises(self, bad, error, slot):
+        parts = [standard_symplectic_form(1), standard_symplectic_form(1)]
+        parts[slot] = bad
+        with pytest.raises(error):
+            classify(np.eye(4), *parts)
+
+    def test_parties_must_match_the_covariance(self):
+        with pytest.raises(DimensionError):
+            classify(np.eye(4), standard_symplectic_form(1), standard_symplectic_form(2))
 
 
 class TestVerdictRule:
