@@ -1,12 +1,12 @@
 """Command-line front end: single-point evaluation and parameter-plane scans.
 
 ``scan``, ``fig1`` and ``fig2`` write the column table of one batched evaluation
-(``scan.scan_table``, ``scan.fig1_table``); the writers spell each column's distinct
-values in bulk, and the bytes are those of spelling every cell.
+(``scan.scan_table``, ``scan.fig1_table``) to stdout or the ``--out`` file, a block of rows per
+write; each column's distinct values are spelled in bulk, the bytes of spelling every cell.
 
 Exit codes: 0 on success, 2 on usage errors (bad arguments, a grid range
-with MIN > MAX, a non-finite bound or STEPS < 1, R >= 1, unwritable output),
-3 on numerical-domain errors raised during evaluation.
+with MIN > MAX, a non-finite bound or STEPS < 1, R >= 1, unwritable output,
+a closed pipe), 3 on numerical-domain errors raised during evaluation.
 """
 
 from __future__ import annotations
@@ -65,12 +65,12 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _write_table(table, args) -> None:
-    text = (table_to_csv if args.format == "csv" else table_to_json)(table)
+    write = table_to_csv if args.format == "csv" else table_to_json
     if args.out == "-":
-        sys.stdout.write(text)
+        write(table, sys.stdout)
     else:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            write(table, handle)
 
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:

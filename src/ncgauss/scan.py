@@ -13,9 +13,10 @@ Rows run in row-major order, theta outer and eta inner.
 
 A grid's output is a table (:func:`scan_table`, :func:`fig1_table`): a dict of equal-length
 columns, which are float64 arrays, lists of labels, or ``(column, missing)`` pairs with a boolean
-mask. :func:`table_to_csv` and :func:`table_to_json` write it, a column's distinct floats (per bit
-pattern) in one C-level format and a row as the join of its cells. Floats are rounded to 12
-significant digits, so identical configurations produce byte-identical files.
+mask. :func:`table_to_csv` and :func:`table_to_json` write it to a text handle, a block of rows
+per write: a column's distinct floats (per bit pattern) are spelled in one C-level format and indexed
+by row, so no whole-output text exists. Floats are rounded to 12 significant digits, so identical
+configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from json.encoder import encode_basestring_ascii as quote
 import numpy as np
 
 from .errors import DomainError
-from .family import dense_spectra, family_invariants, family_spectra
-from .phase_space import NCParams
+from .family import _point_names, dense_spectra, family_invariants, family_spectra
 from .separability import ClassificationResult, Verdict, verdict_from_invariants
 
 SCAN_FIELDS = ("theta", "eta", "m", "n", "r", "nu_minus", "nu_minus_prime", "verdict")
@@ -90,9 +90,12 @@ class ScanRecord:
 
 
 def numeric_invariants(theta: float, eta: float, m: float, n: float) -> ClassificationResult:
-    """Spectral-route classification of a family point (the cross-check of ``eval --verbose``)."""
-    NCParams(theta=theta, eta=eta)  # theta*eta >= 1 is an error here, not an invalid record
+    """Spectral-route classification of a family point (the cross-check of ``eval --verbose``). It
+    raises ``dense_spectra``'s errors, and at theta*eta >= 1, not an invalid record, one naming the point."""
     spectrum, reflected = dense_spectra([theta], [eta], m, n)
+    if theta * eta >= 1.0:
+        point = _point_names([theta], [eta], m, n)(0)
+        raise DomainError(f"theta*eta = {theta * eta} violates the domain theta*eta < 1 at {point}")
     nu, nu_prime = float(spectrum[0, 0]), float(reflected[0, 0])
     return ClassificationResult(
         verdict=verdict_from_invariants(nu, nu_prime), nu_minus=nu, nu_minus_prime=nu_prime
@@ -156,19 +159,31 @@ def fig1_table(theta_values, eta_range: tuple[float, float, int], m: float, n: f
     return dict(zip(FIG1_FIELDS, [thetas, etas, *couplings, *spectra]))
 
 
-def _cells(column, floats, label, blank) -> list:
-    """Every cell of a column spelled, ``blank`` in its missing cells: ``floats`` spells all distinct
-    bit patterns of a float column in one call (0.0 and -0.0 stay apart), ``label`` each label."""
+_BLOCK = 1024  # rows per write of the table writers; from 512 to 4096 a default map writes alike
+
+
+def _words(column, floats, label, blank) -> tuple[np.ndarray, np.ndarray]:
+    """A column as its distinct spellings, ``blank`` last, and each row's position in them, a
+    missing cell at the blank. ``floats`` spells all distinct bit patterns of a float column in
+    one call (0.0 and -0.0 stay apart), ``label`` each distinct label."""
     data, missing = column if isinstance(column, tuple) else (column, None)
     if isinstance(data, list):
-        spelled = {v: label(v) for v in set(data)}
-        cells = list(map(spelled.__getitem__, data))
+        positions = {v: k for k, v in enumerate(set(data))}
+        words = list(map(label, positions))
+        index = np.fromiter(map(positions.__getitem__, data), np.intp, len(data))
     else:
         bits, index = np.unique(data.view(np.int64), return_inverse=True)
-        cells = np.array(floats(bits.view(np.float64).tolist()), dtype=object)[index].tolist()
-    for k in () if missing is None else np.flatnonzero(missing).tolist():
-        cells[k] = blank
-    return cells
+        words = floats(bits.view(np.float64).tolist())
+    if missing is not None:
+        index[missing] = len(words)
+    return np.array(words + [blank], dtype=object), index
+
+
+def _blocks(columns):
+    """The rows of each block of up to ``_BLOCK`` rows, as tuples of their cells."""
+    rows = len(columns[0][1]) if columns else 0
+    for start in range(0, rows, _BLOCK):
+        yield zip(*[words[index[start : start + _BLOCK]].tolist() for words, index in columns])
 
 
 def _spell(form: str, values: list) -> list[str]:
@@ -176,14 +191,17 @@ def _spell(form: str, values: list) -> list[str]:
     return ((form + "\0") * len(values) % tuple(values)).split("\0")[:-1]
 
 
-def table_to_csv(table: dict) -> str:
-    """CSV text with a header of the column names and one line per row, in order.
+def table_to_csv(table: dict, out) -> None:
+    """Write CSV to the text handle ``out``, a block of rows per write: a header of the column
+    names and one line per row, in order.
 
     Missing cells are empty, labels pass through, and numbers are written
     with 12 significant digits.
     """
-    cells = [_cells(c, lambda vs: _spell("%.12g", vs), lambda v: v, "") for c in table.values()]
-    return "\n".join([",".join(table), *map(",".join, zip(*cells))]) + "\n"
+    columns = [_words(c, lambda vs: _spell("%.12g", vs), lambda v: v, "") for c in table.values()]
+    out.write(",".join(table) + "\n")
+    for rows in _blocks(columns):
+        out.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _json_floats(key: str, values) -> list[str]:
@@ -197,21 +215,24 @@ def _json_floats(key: str, values) -> list[str]:
     return _spell(key.replace("%", "%%") + "%s", texts)
 
 
-def table_to_json(table: dict) -> str:
-    """JSON array with one object per row, keys in column order.
+def table_to_json(table: dict, out) -> None:
+    """Write a JSON array to the text handle ``out``, a block of rows per write: one object per row.
 
-    Missing cells omit their key, labels are JSON-encoded, and numbers are rounded to 12
-    significant digits: the text of ``json.dumps(objects, indent=2)``, built directly. Each
-    cell carries its separator and key, and a row's first cell opens its object.
+    Keys are in column order. Missing cells omit their key, labels are JSON-encoded, and numbers are
+    rounded to 12 significant digits: the text of ``json.dumps(objects, indent=2)``, built directly.
+    Each cell carries its separator and key, a row's first cell opens its object, and its block closes it.
     """
     columns = []
     for name, column in table.items():
         blank = "" if columns else "  {"
         key = (blank or ",") + f"\n    {quote(name)}: "
-        columns.append(_cells(column, lambda vs: _json_floats(key, vs), lambda v: key + quote(v), blank))
-    fix = bool(columns) and "  {" in columns[0]  # a row misses its first cell
-    text = "\n  },\n".join(map("".join, zip(*columns)))
-    del columns  # free the cells before the text is copied
-    text = "[\n" + text + "\n  }\n]\n" if text else "[]\n"
-    # No JSON string holds a raw newline: these match a row missing its first cell, or all.
-    return text.replace("{,\n", "{\n").replace("{\n  }", "{}") if fix else text
+        columns.append(_words(column, lambda vs: _json_floats(key, vs), lambda v: key + quote(v), blank))
+    first = next(iter(table.values()), None)
+    fix = isinstance(first, tuple) and bool(first[1].any())  # a row misses its first cell
+    head = "[\n"
+    for rows in _blocks(columns):
+        text = head + "\n  },\n".join(map("".join, rows)) + "\n  }"
+        # No JSON string holds a raw newline: these match a row missing its first cell, or all.
+        out.write(text.replace("{,\n", "{\n").replace("{\n  }", "{}") if fix else text)
+        head = ",\n"
+    out.write("[]\n" if head == "[\n" else "\n]\n")

@@ -34,12 +34,13 @@ def test_readme_imports_only_exported_names():
 
 def _quick_start_steps():
     """The README's Python block as (code, expected) steps: each step's code ends in a line that
-    starts with ``print(``, and the ``# `` comment lines right after it are the printed lines."""
+    starts with ``print(`` or writes to ``sys.stdout``, and the ``# `` comment lines right after it
+    are the printed lines."""
     (block,) = re.findall(r"```python\n(.*?)```", README, re.S)
     steps, code, lines = [], [], block.splitlines()
     for k, line in enumerate(lines):
         code.append(line)
-        if line.startswith("print("):
+        if line.startswith("print(") or "sys.stdout)" in line:
             expected = []
             for comment in lines[k + 1 :]:
                 if not comment.startswith("# "):

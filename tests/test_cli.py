@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -147,6 +148,22 @@ class TestScan:
             ]
         )
         assert code == 2
+        assert "cannot write output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_pipe_closed_mid_output_is_usage_error(self, capsys, monkeypatch, fmt):
+        # The reader goes away after the first write: the second raises, and main reports it.
+        writes = []
+
+        def write(text):
+            writes.append(text)
+            if len(writes) == 2:
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", SimpleNamespace(write=write))
+        grid = ["--theta-range", "0:2:61", "--eta-range", "0:2:61"]
+        assert main(["scan", "--m", "0.3", "--n", "0.2", *grid, "--format", fmt]) == 2
+        assert len(writes) == 2
         assert "cannot write output" in capsys.readouterr().err
 
 

@@ -1,13 +1,17 @@
 """Tests for grid scans, figure datasets, and deterministic emission."""
 
+import io
 import json
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import ncgauss.scan
 from ncgauss import (
     DomainError,
     NCParams,
@@ -53,6 +57,13 @@ def _point_rows(config):
         for t in np.linspace(*config.theta_range)
         for e in np.linspace(*config.eta_range)
     ]
+
+
+def _written(writer, table):
+    """The text that ``writer`` writes for ``table``."""
+    out = io.StringIO()
+    writer(table, out)
+    return out.getvalue()
 
 
 def _fig1_rows(theta_values, eta_range, m=FIG_M, n=FIG_N):
@@ -133,6 +144,20 @@ class TestEvalPoint:
     def test_rejects_negative_deformation(self):
         with pytest.raises(DomainError):
             eval_point(-0.1, 0.0, 0.1, 0.1)
+
+    @pytest.mark.parametrize("point, message", [
+        ((2.0, 0.5, 0.3, 0.2),
+         "theta*eta = 1.0 violates the domain theta*eta < 1 at (theta, eta, m, n) = (2.0, 0.5, 0.3, 0.2)"),
+        ((-1.0, 0.5, 0.3, 0.2),
+         "theta and eta must be finite and >= 0 at (theta, eta, m, n) = (-1.0, 0.5, 0.3, 0.2)"),
+        ((0.5, 0.5, 1.2, 0.0), "R = sqrt(m^2 + n^2) = 1.2 must be < 1"),
+    ])
+    def test_numeric_invariants_errors_name_the_point(self, point, message):
+        # theta*eta >= 1 is an error of the cross-check, not an invalid record; the other two
+        # are the errors eval_point and the grids raise.
+        with pytest.raises(DomainError) as exc:
+            numeric_invariants(*point)
+        assert str(exc.value) == message
 
     def test_negative_couplings_agree_with_the_dense_cross_check(self):
         # Off the quadrant the record carries the closed forms at (|m|, |n|); the dense
@@ -247,8 +272,8 @@ class TestScanGrid:
     def test_deterministic_emission(self):
         config = ScanConfig((0.0, 2.0, 11), (0.0, 2.0, 11), m=FIG_M, n=FIG_N)
         first, second = scan_table(config), scan_table(config)
-        assert table_to_csv(first) == table_to_csv(second)
-        assert table_to_json(first) == table_to_json(second)
+        assert _written(table_to_csv, first) == _written(table_to_csv, second)
+        assert _written(table_to_json, first) == _written(table_to_json, second)
 
     def test_records_self_consistent(self):
         config = ScanConfig((0.0, 2.0, 11), (0.0, 2.0, 11), m=FIG_M, n=FIG_N)
@@ -305,14 +330,14 @@ class TestOutputFormats:
         return ScanConfig((0.0, root2, 2), (0.0, root2, 2), m=0.3, n=0.4)
 
     def test_csv_header_and_empty_invariants(self, config):
-        lines = table_to_csv(scan_table(config)).strip().split("\n")
+        lines = _written(table_to_csv, scan_table(config)).strip().split("\n")
         assert lines[0] == "theta,eta,m,n,r,nu_minus,nu_minus_prime,verdict"
         assert len(lines) == 5
         invalid = [line for line in lines[1:] if line.endswith("invalid")]
         assert invalid and all(",,," in line for line in invalid)
 
     def test_csv_values_round_trip_at_12_digits(self, config):
-        line = table_to_csv(scan_table(config)).strip().split("\n")[1]
+        line = _written(table_to_csv, scan_table(config)).strip().split("\n")[1]
         fields = line.split(",")
         assert float(fields[4]) == pytest.approx(0.5, rel=1e-11)
         assert fields[5] == format(eval_point(0.0, 0.0, 0.3, 0.4).nu_minus, ".12g")
@@ -334,10 +359,10 @@ class TestOutputFormats:
         }
         empty = {field: [] if field == "verdict" else np.array([]) for field in SCAN_FIELDS}
         for table in (scan_table(config), empty, odd):
-            assert table_to_json(table) == reference(table)
+            assert _written(table_to_json, table) == reference(table)
 
     def test_json_omits_invariants_for_invalid(self, config):
-        objs = json.loads(table_to_json(scan_table(config)))
+        objs = json.loads(_written(table_to_json, scan_table(config)))
         assert len(objs) == 4
         for obj in objs:
             if obj["verdict"] == "invalid":
@@ -360,10 +385,40 @@ class TestOutputFormats:
         "nu_minus": _column([None, 999999999999.5, 5e-324], float),
     })
     def test_table_writers_equal_per_row_reference(self, table):
-        # Spelling each distinct value once gives the text of spelling every cell.
+        # Spelling each distinct value once gives the text of spelling every cell, also in blocks
+        # of 1, 2 and 5 rows, where a table of at most 12 rows crosses a block's edge.
         rows, fields = table_rows(table), tuple(table)
-        assert table_to_csv(table) == rows_to_csv(rows, fields)
-        assert table_to_json(table) == rows_to_json(rows, fields)
+        for block in (1, 2, 5, ncgauss.scan._BLOCK):
+            with mock.patch("ncgauss.scan._BLOCK", block):
+                assert _written(table_to_csv, table) == rows_to_csv(rows, fields)
+                assert _written(table_to_json, table) == rows_to_json(rows, fields)
+
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_rows_missing_cells_at_block_edges(self, monkeypatch, block):
+        # Row 2 misses its first cell and row 3 every cell; rows 5 and 6 the other way round.
+        # Blocks of 3 rows split both pairs at a block's edge; blocks of 2 keep rows 2 and 3 in one.
+        table = {
+            "theta": _column([0.5, -0.0, None, None, 1e-300, None, None, 2.0], float),
+            "verdict": _column(["separable", "invalid", 'q"', None, "entangled", None, "", "x"], object),
+            "nu_minus": _column([1.5, None, 0.25, None, math.inf, None, 3.0, None], float),
+        }
+        monkeypatch.setattr("ncgauss.scan._BLOCK", block)
+        rows, fields = table_rows(table), tuple(table)
+        assert _written(table_to_csv, table) == rows_to_csv(rows, fields)
+        assert _written(table_to_json, table) == rows_to_json(rows, fields)
+
+    @pytest.mark.parametrize("writer, reference", [(table_to_csv, rows_to_csv), (table_to_json, rows_to_json)])
+    def test_no_write_is_longer_than_one_block(self, writer, reference):
+        # A 61x61 map is more than one block, so its text reaches the handle in several writes,
+        # none longer than a block's text; the whole output is never one string.
+        table = scan_table(ScanConfig((0.0, 2.0, 61), (0.0, 2.0, 61), m=0.3, n=0.2))
+        rows, fields, block = table_rows(table), tuple(table), ncgauss.scan._BLOCK
+        assert len(rows) > block
+        writes = []
+        writer(table, SimpleNamespace(write=writes.append))
+        assert "".join(writes) == reference(rows, fields)
+        longest = max(len(reference(rows[k : k + block], fields)) for k in range(0, len(rows), block))
+        assert len(writes) > len(rows) // block and max(map(len, writes)) <= longest
 
 
 class TestFig1:
@@ -421,8 +476,8 @@ class TestFig1:
         table = fig1_table((0.5,), (2.0, 2.0, 1), FIG_M, FIG_N)
         row = table_rows(table)[0]
         assert all(row[field] is None for field in FIG1_FIELDS[4:])
-        assert table_to_csv(table).strip().split("\n")[1].endswith(",,,,,,,")
-        objs = json.loads(table_to_json(table))
+        assert _written(table_to_csv, table).strip().split("\n")[1].endswith(",,,,,,,")
+        objs = json.loads(_written(table_to_json, table))
         assert "nu_1" not in objs[0]
 
     @pytest.mark.parametrize("wrap", [tuple, np.array])
@@ -431,7 +486,8 @@ class TestFig1:
         # An array of two or more thetas used to raise numpy's "truth value ... is ambiguous".
         table = fig1_table(wrap(thetas), (0.0, 1.0, 3), FIG_M, FIG_N)
         np.testing.assert_array_equal(table["theta"], np.repeat(thetas, 3))
-        assert table_to_csv(table) == table_to_csv(fig1_table(list(thetas), (0.0, 1.0, 3), FIG_M, FIG_N))
+        listed = fig1_table(list(thetas), (0.0, 1.0, 3), FIG_M, FIG_N)
+        assert _written(table_to_csv, table) == _written(table_to_csv, listed)
         assert len(table_rows(table)) == 3 * len(thetas)
 
     @pytest.mark.parametrize("thetas", [(), np.array([]), np.array([[0.5]]), np.array(0.5)])
