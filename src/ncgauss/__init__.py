@@ -32,11 +32,9 @@ from .phase_space import (
     transform_covariance,
 )
 from .scan import (
-    ScanConfig,
     eval_point,
     fig1_table,
     fig2_couplings,
-    numeric_invariants,
     scan_table,
 )
 from .separability import (
@@ -64,10 +62,8 @@ __all__ = [
     "classify",
     "verdict_from_invariants",
     "build_covariance",
-    "ScanConfig",
     "scan_table",
     "fig1_table",
     "fig2_couplings",
     "eval_point",
-    "numeric_invariants",
 ]

@@ -3,9 +3,10 @@
 ``scan``, ``fig1`` and ``fig2`` write the column table of one batched evaluation
 (``scan.scan_table``, ``scan.fig1_table``) to stdout or the ``--out`` file, a block of rows per
 write; each column's distinct values are spelled in bulk, the bytes of spelling every cell.
+``eval --verbose`` adds the dense route's invariants at the point (``family.dense_spectra``).
 
 Exit codes: 0 on success, 2 on usage errors (bad arguments, a grid range
-with MIN > MAX, a non-finite bound or STEPS < 1, R >= 1, unwritable output,
+with MIN > MAX, a non-finite bound, STEPS < 1 or too large to index, R >= 1, unwritable output,
 a closed pipe), 3 on numerical-domain errors raised during evaluation.
 """
 
@@ -18,16 +19,8 @@ import math
 import sys
 
 from .errors import DomainError, NCGaussError
-from .scan import (
-    ScanConfig,
-    eval_point,
-    fig1_table,
-    fig2_couplings,
-    numeric_invariants,
-    scan_table,
-    table_to_csv,
-    table_to_json,
-)
+from .family import dense_spectra
+from .scan import eval_point, fig1_table, fig2_couplings, scan_table, table_to_csv, table_to_json
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -128,15 +121,14 @@ def _cmd_eval(args) -> int:
     record = eval_point(args.theta, args.eta, args.m, args.n)
     obj = {key: value for key, value in vars(record).items() if value is not None}
     if args.verbose and record.nu_minus is not None:
-        result = numeric_invariants(args.theta, args.eta, args.m, args.n)
-        obj["nu_minus_numeric"] = result.nu_minus
-        obj["nu_minus_prime_numeric"] = result.nu_minus_prime
+        spectrum, reflected = dense_spectra([args.theta], [args.eta], args.m, args.n)
+        obj["nu_minus_numeric"], obj["nu_minus_prime_numeric"] = spectrum[0, 0].item(), reflected[0, 0].item()
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
     return 0
 
 
 def _cmd_scan(args) -> int:
-    _write_table(scan_table(ScanConfig(args.theta_range, args.eta_range, args.m, args.n)), args)
+    _write_table(scan_table(args.theta_range, args.eta_range, args.m, args.n), args)
     return 0
 
 
@@ -146,8 +138,7 @@ def _cmd_fig1(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
-    couplings = fig2_couplings(args.r, args.swap)
-    _write_table(scan_table(ScanConfig(args.theta_range, args.eta_range, *couplings)), args)
+    _write_table(scan_table(args.theta_range, args.eta_range, *fig2_couplings(args.r, args.swap)), args)
     return 0
 
 

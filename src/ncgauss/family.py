@@ -128,15 +128,18 @@ def _point_names(thetas, etas, m: float, n: float):
     )
 
 
-def _checked_points(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """The points as 1-D float arrays, each checked for finite theta, eta >= 0; also R."""
+def _checked_points(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """The points as 1-D float arrays, each checked for finite theta, eta >= 0; also R and the
+    indices of the points in the domain theta*eta < 1."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     if thetas.ndim != 1 or thetas.shape != etas.shape:
         raise DimensionError(f"theta and eta must be 1-D of one length, got {thetas.shape}, {etas.shape}")
     _raise_first(invalid_deformations(thetas, etas), DomainError,
                  "theta and eta must be finite and >= 0", _point_names(thetas, etas, m, n))
-    return thetas, etas, validate_couplings(m, n)
+    with np.errstate(over="ignore"):  # theta*eta beyond the float range is inf, off the domain
+        todo = np.flatnonzero(thetas * etas < 1.0)
+    return thetas, etas, validate_couplings(m, n), todo
 
 
 def family_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:
@@ -148,9 +151,8 @@ def family_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.nda
     or inverse of a form is taken; the inputs are checked, naming the first failing point.
     nu_3 and nu_4 are inf only where they exceed the float range.
     """
-    thetas, etas, r = _checked_points(thetas, etas, m, n)
+    thetas, etas, r, todo = _checked_points(thetas, etas, m, n)
     out = np.full((2, len(thetas), 4), np.nan)
-    todo = np.flatnonzero(thetas * etas < 1.0)
     ts, es = thetas[todo], etas[todo]
     nu_1, nup_1, *_, c, _ = _closed_forms(ts, es, abs(m), abs(n), r)
     nu_2, nup_2 = _closed_forms(ts, es, -abs(m), -abs(n), r)[:2]
@@ -171,9 +173,8 @@ def family_invariants(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.
     float point. A failing input check raises for the first failing point, naming its
     (theta, eta, m, n) with the couplings as given.
     """
-    thetas, etas, r = _checked_points(thetas, etas, m, n)
+    thetas, etas, r, todo = _checked_points(thetas, etas, m, n)
     nu, nu_prime = np.full((2, len(thetas)), np.nan)
-    todo = np.flatnonzero(thetas * etas < 1.0)
     ts, es = thetas[todo], etas[todo]
     # One point runs on numpy scalars: the same arithmetic at a fifth of the cost.
     points = (ts[0], es[0]) if todo.size == 1 else (ts, es)
@@ -215,9 +216,8 @@ def dense_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndar
     Each point's forms and invariants are divided by the kernel's k (:func:`_inverse_scale`), exactly:
     (i/2) S (Omega/k) S has eigenvalues +-1/(k nu), nothing overflows, and below 2^200 every bit is kept.
     """
-    thetas, etas, r = _checked_points(thetas, etas, m, n)
+    thetas, etas, r, todo = _checked_points(thetas, etas, m, n)
     out = np.full((len(thetas), 2, 4), np.nan)
-    todo = np.flatnonzero(thetas * etas < 1.0)
     root = _inverse_root(m, n, r)
     for start in range(0, todo.size, _BLOCK):
         block = todo[start : start + _BLOCK]

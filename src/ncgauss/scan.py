@@ -4,16 +4,15 @@ A grid is evaluated in one batched call, ``family.family_invariants``: the
 closed-form kernel at (|m|, |n|), which decides every quadrant with no 8x8 algebra.
 The figure-1 spectra (``family.family_spectra``) come from the same kernel. The
 verdict column comes from one call of ``separability.verdict_from_invariants`` on
-the invariant arrays, where NaN (theta*eta >= 1) gives ``invalid``. :func:`eval_point`
-is the one-point case of the grid call; :func:`numeric_invariants` runs the dense
-spectral route (``family.dense_spectra``) at one point, the cross-check of
-``eval --verbose``. Every grid range, the CLI's included, is checked by one function,
-:func:`_check_range`.
+the invariant arrays: each point's verdict as an integer code, NaN (theta*eta >= 1)
+giving ``invalid``. :func:`eval_point` is the one-point case of the grid call. Every
+grid range, the CLI's included, is checked by one function, :func:`_check_range`.
 Rows run in row-major order, theta outer and eta inner.
 
 A grid's output is a table (:func:`scan_table`, :func:`fig1_table`): a dict of equal-length
-columns, which are float64 arrays, lists of labels, or ``(column, missing)`` pairs with a boolean
-mask. :func:`table_to_csv` and :func:`table_to_json` write it to a text handle, a block of rows
+columns of two kinds. A float column is a float64 array, NaN where a cell is missing; a label
+column is a pair ``(codes, labels)``, each row's integer position in the tuple ``labels``.
+:func:`table_to_csv` and :func:`table_to_json` write it to a text handle, a block of rows
 per write: a column's distinct floats (per bit pattern) are spelled in one C-level format and indexed
 by row, so no whole-output text exists. Floats are rounded to 12 significant digits, so identical
 configurations produce byte-identical files.
@@ -23,14 +22,15 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as quote
 
 import numpy as np
 
 from .errors import DomainError
-from .family import _point_names, dense_spectra, family_invariants, family_spectra
-from .separability import ClassificationResult, Verdict, verdict_from_invariants
+from .family import family_invariants, family_spectra
+from .separability import Verdict, verdict_from_invariants
 
 SCAN_FIELDS = ("theta", "eta", "m", "n", "r", "nu_minus", "nu_minus_prime", "verdict")
 FIG1_FIELDS = (
@@ -50,29 +50,19 @@ FIG1_FIELDS = (
 
 
 def _check_range(name: str, rng: tuple[float, float, int]) -> tuple[float, float, int]:
-    """Return (min, max, steps) with an int steps; require finite min <= max and whole steps >= 1."""
+    """Return (min, max, steps) with an int steps; require finite min <= max and whole steps from 1
+    to ``sys.maxsize``, the most numpy can index."""
     lo, hi, steps = rng
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise DomainError(f"{name} range must satisfy finite min <= max, got {rng}")
-    if not float(steps).is_integer():  # NaN, infinite or fractional
+    # An int is whole, and float() of a huge one raises: only other types are read as floats.
+    if not (isinstance(steps, int) or float(steps).is_integer()):  # NaN, infinite or fractional
         raise DomainError(f"{name} range needs a whole number of steps, got {steps}")
     if steps < 1:
         raise DomainError(f"{name} range needs >= 1 steps, got {steps}")
+    if steps > sys.maxsize:
+        raise DomainError(f"{name} range needs <= {sys.maxsize} steps, got {steps}")
     return lo, hi, int(steps)
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    """Grid specification: each range is (min, max, number of points)."""
-
-    theta_range: tuple[float, float, int]
-    eta_range: tuple[float, float, int]
-    m: float
-    n: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta_range", _check_range("theta", self.theta_range))
-        object.__setattr__(self, "eta_range", _check_range("eta", self.eta_range))
 
 
 @dataclass(frozen=True)
@@ -87,19 +77,6 @@ class ScanRecord:
     nu_minus: float | None
     nu_minus_prime: float | None
     verdict: Verdict
-
-
-def numeric_invariants(theta: float, eta: float, m: float, n: float) -> ClassificationResult:
-    """Spectral-route classification of a family point (the cross-check of ``eval --verbose``). It
-    raises ``dense_spectra``'s errors, and at theta*eta >= 1, not an invalid record, one naming the point."""
-    spectrum, reflected = dense_spectra([theta], [eta], m, n)
-    if theta * eta >= 1.0:
-        point = _point_names([theta], [eta], m, n)(0)
-        raise DomainError(f"theta*eta = {theta * eta} violates the domain theta*eta < 1 at {point}")
-    nu, nu_prime = float(spectrum[0, 0]), float(reflected[0, 0])
-    return ClassificationResult(
-        verdict=verdict_from_invariants(nu, nu_prime), nu_minus=nu, nu_minus_prime=nu_prime
-    )
 
 
 def eval_point(theta: float, eta: float, m: float, n: float) -> ScanRecord:
@@ -117,19 +94,21 @@ def eval_point(theta: float, eta: float, m: float, n: float) -> ScanRecord:
     return ScanRecord(theta, eta, m, n, math.hypot(m, n), nu, nu_prime, verdict)
 
 
-def scan_table(config: ScanConfig) -> dict:
-    """The ``SCAN_FIELDS`` table of every grid point from one batched evaluation, theta outer and
-    eta inner; rows with theta*eta >= 1 are kept with the ``invalid`` verdict, invariants missing."""
+def scan_table(
+    theta_range: tuple[float, float, int], eta_range: tuple[float, float, int], m: float, n: float
+) -> dict:
+    """The ``SCAN_FIELDS`` table of the grid, each range (min, max, number of points), from one
+    batched evaluation, theta outer and eta inner; rows with theta*eta >= 1 are kept with the
+    ``invalid`` verdict, invariants missing."""
     thetas, etas = np.meshgrid(
-        np.linspace(*config.theta_range), np.linspace(*config.eta_range), indexing="ij"
+        np.linspace(*_check_range("theta", theta_range)), np.linspace(*_check_range("eta", eta_range)),
+        indexing="ij",
     )
-    m, n = float(config.m), float(config.n)
+    m, n = float(m), float(n)
     nu, nu_prime = family_invariants(thetas.ravel(), etas.ravel(), m, n)
     couplings = np.full((3, len(nu)), [[m], [n], [math.hypot(m, n)]])
-    invalid = nu != nu  # NaN off the domain
-    verdicts = verdict_from_invariants(nu, nu_prime).tolist()
-    columns = [thetas.ravel(), etas.ravel(), *couplings, (nu, invalid), (nu_prime, invalid), verdicts]
-    return dict(zip(SCAN_FIELDS, columns))
+    verdicts = (verdict_from_invariants(nu, nu_prime), tuple(Verdict))
+    return dict(zip(SCAN_FIELDS, [thetas.ravel(), etas.ravel(), *couplings, nu, nu_prime, verdicts]))
 
 
 def fig2_couplings(r: float, swap: bool = False) -> tuple[float, float]:
@@ -154,29 +133,25 @@ def fig1_table(theta_values, eta_range: tuple[float, float, int], m: float, n: f
     etas = np.tile(etas, len(theta_values))
     spectrum, reflected = family_spectra(thetas, etas, m, n)
     couplings = np.full((2, len(thetas)), [[m], [n]], dtype=float)
-    invalid = spectrum[:, 0] != spectrum[:, 0]
-    spectra = [(column, invalid) for column in np.hstack([spectrum, reflected]).T]
-    return dict(zip(FIG1_FIELDS, [thetas, etas, *couplings, *spectra]))
+    return dict(zip(FIG1_FIELDS, [thetas, etas, *couplings, *np.hstack([spectrum, reflected]).T]))
 
 
 _BLOCK = 1024  # rows per write of the table writers; from 512 to 4096 a default map writes alike
 
 
 def _words(column, floats, label, blank) -> tuple[np.ndarray, np.ndarray]:
-    """A column as its distinct spellings, ``blank`` last, and each row's position in them, a
-    missing cell at the blank. ``floats`` spells all distinct bit patterns of a float column in
-    one call (0.0 and -0.0 stay apart), ``label`` each distinct label."""
-    data, missing = column if isinstance(column, tuple) else (column, None)
-    if isinstance(data, list):
-        positions = {v: k for k, v in enumerate(set(data))}
-        words = list(map(label, positions))
-        index = np.fromiter(map(positions.__getitem__, data), np.intp, len(data))
-    else:
-        bits, index = np.unique(data.view(np.int64), return_inverse=True)
-        words = floats(bits.view(np.float64).tolist())
-    if missing is not None:
-        index[missing] = len(words)
-    return np.array(words + [blank], dtype=object), index
+    """A column as its distinct spellings and each row's position in them. ``label`` spells each
+    label of a ``(codes, labels)`` column, and the codes are the positions. ``floats`` spells all
+    distinct bit patterns of a float column in one call (0.0 and -0.0 stay apart); every NaN
+    pattern, a missing cell, is then spelled ``blank``."""
+    if isinstance(column, tuple):
+        codes, labels = column
+        return np.array(list(map(label, labels)), dtype=object), codes
+    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    values = bits.view(np.float64)
+    words = np.array(floats(values.tolist()), dtype=object)
+    words[values != values] = blank
+    return words, index
 
 
 def _blocks(columns):
@@ -228,7 +203,7 @@ def table_to_json(table: dict, out) -> None:
         key = (blank or ",") + f"\n    {quote(name)}: "
         columns.append(_words(column, lambda vs: _json_floats(key, vs), lambda v: key + quote(v), blank))
     first = next(iter(table.values()), None)
-    fix = isinstance(first, tuple) and bool(first[1].any())  # a row misses its first cell
+    fix = isinstance(first, np.ndarray) and bool(np.isnan(first).any())  # a row misses its first cell
     head = "[\n"
     for rows in _blocks(columns):
         text = head + "\n  },\n".join(map("".join, rows)) + "\n  }"

@@ -21,6 +21,7 @@ from ncgauss.core import (
     standard_symplectic_form,
     validate_covariance,
 )
+from ncgauss.family import dense_spectra
 from ncgauss.separability import verdict_from_invariants
 
 # Entrywise bound on A - A^H for hermitian_min_eigenvalue.
@@ -266,6 +267,12 @@ def partial_transpose_covariance(sigma, pt):
     return validate_covariance(out)
 
 
+def dense_point(theta, eta, m, n):
+    """(nu_-, nu'_-) of the dense route at one point: the pair ``eval --verbose`` prints."""
+    spectrum, reflected = dense_spectra([theta], [eta], m, n)
+    return spectrum[0, 0].item(), reflected[0, 0].item()
+
+
 def records_self_consistent(rows):
     """Recompute each verdict from the row's invariants (emitted-file sanity); None reads as NaN.
 
@@ -279,10 +286,12 @@ def records_self_consistent(rows):
 
 
 def _cell_values(column):
-    """The cells of a table column as Python values, None where missing."""
-    data, missing = column if isinstance(column, tuple) else (column, None)
-    values = list(data) if isinstance(data, list) else data.tolist()
-    return values if missing is None else [None if gone else v for v, gone in zip(values, missing.tolist())]
+    """The cells of a table column as Python values: a ``(codes, labels)`` column's labels, and a
+    float column's values with None for NaN, a missing cell."""
+    if isinstance(column, tuple):
+        codes, labels = column
+        return [labels[code] for code in codes.tolist()]
+    return [None if v != v else v for v in column.tolist()]
 
 
 def table_rows(table):

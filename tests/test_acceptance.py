@@ -11,7 +11,6 @@ import numpy as np
 
 from ncgauss import (
     NCParams,
-    ScanConfig,
     build_covariance,
     build_darboux_map,
     build_planar_form,
@@ -184,8 +183,7 @@ def test_criterion_7_region_census():
     start = time.perf_counter()
     expected = {"separable", "entangled", "nonquantum", "invalid"}
     for swap in (False, True):
-        config = ScanConfig((0.0, 2.0, 101), (0.0, 2.0, 101), *fig2_couplings(0.5, swap))
-        rows = table_rows(scan_table(config))
+        rows = table_rows(scan_table((0.0, 2.0, 101), (0.0, 2.0, 101), *fig2_couplings(0.5, swap)))
         assert len(rows) == 101 * 101
         verdicts = {row["verdict"] for row in rows}
         assert verdicts == expected

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -327,6 +328,9 @@ class TestErrorMessages:
             (["scan", "--m", "0.2", "--n", "0.1", "--eta-range", "2:0:3"],
              "eta range must satisfy finite min <= max, got (2.0, 0.0, 3)"),
             (["fig1", "--eta-range", "0:2:0"], "eta range needs >= 1 steps, got 0"),
+            # float() of this count overflows; no int is read as a float.
+            (["scan", "--m", "0.3", "--n", "0.2", "--theta-range", "0:1:1" + "0" * 400],
+             f"theta range needs <= {sys.maxsize} steps, got 1{'0' * 400}"),
             (["fig2", "--r", "0.5", "--theta-range", "0:inf:3"],
              "theta range must satisfy finite min <= max, got (0.0, inf, 3)"),
         ],

@@ -15,7 +15,6 @@ from ncgauss import (
     build_covariance,
     build_planar_form,
     nc_williamson_spectrum,
-    numeric_invariants,
 )
 from ncgauss.cli import main
 from ncgauss.core import block_diag, inverse_root
@@ -29,7 +28,7 @@ from ncgauss.family import (
 )
 from ncgauss.scan import eval_point
 from ncgauss.separability import primed_form
-from oracles import closed_tolerance, dense_tolerance, mp_closed_forms, mp_spectra
+from oracles import closed_tolerance, dense_point, dense_tolerance, mp_closed_forms, mp_spectra
 
 FIG_M, FIG_N = np.sqrt(2.0) / 6.0, 1.0 / 6.0
 EPS = float(np.finfo(float).eps)
@@ -139,8 +138,8 @@ class TestInverseRoot:
             assert np.array_equal(_inverse_root(m, n, math.hypot(m, n)), math.sqrt(2.0) * np.eye(8))
 
     def test_dense_route_takes_no_eigh(self, monkeypatch):
-        # Sigma^-1/2 is in closed form: dense_spectra and numeric_invariants, its one-point
-        # case, run one eigvalsh and no eigh.
+        # Sigma^-1/2 is in closed form: dense_spectra, also at one point as eval --verbose calls
+        # it, runs one eigvalsh and no eigh.
         def forbidden(*args, **kwargs):
             raise AssertionError("eigh on the family's dense route")
 
@@ -148,7 +147,7 @@ class TestInverseRoot:
         spectrum, reflected = dense_spectra([0.0, 0.3, 1.5], [0.5, 0.5, 0.5], -0.3, 0.2)
         assert np.isfinite(spectrum).all() and np.isfinite(reflected).all()
         for m, n in SIGNS:
-            assert numeric_invariants(0.3, 0.5, 0.3 * m, 0.2 * n).nu_minus > 0.0
+            assert dense_point(0.3, 0.5, 0.3 * m, 0.2 * n)[0] > 0.0
 
 
 class TestClosedForms:
@@ -533,12 +532,12 @@ class TestFamilySpectra:
         # eval --theta 4.401472479208437e+59 --eta 0 --m 0 --n -0.9 --verbose: nu'_4 is 2/0 here.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = numeric_invariants(4.401472479208437e59, 0.0, 0.0, -0.9)
-        assert (result.nu_minus, result.nu_minus_prime) == (4.3167372032318083e-60, 1.8816221234709863e-59)
+            result = dense_point(4.401472479208437e59, 0.0, 0.0, -0.9)
+        assert result == (4.3167372032318083e-60, 1.8816221234709863e-59)
 
     def test_fig1_makes_no_dense_solve(self, monkeypatch, capsys):
         # fig1 never reaches the dense route (core._root_spectrum, called through family) nor any
-        # dense solve or eigensolver; numeric_invariants, the eval --verbose cross-check, does.
+        # dense solve or eigensolver; dense_spectra, the eval --verbose cross-check, does.
         calls = []
         monkeypatch.setattr("ncgauss.family._root_spectrum", lambda *a: calls.append(1) or _root_spectrum(*a))
 
@@ -553,6 +552,6 @@ class TestFamilySpectra:
                 assert main(["fig1", "--thetas", "0,0.98", "--eta-range", "0:2:5", *couplings]) == 0
         assert calls == []
         assert capsys.readouterr().out
-        numeric_invariants(0.25, 0.5, FIG_M, FIG_N)
+        dense_point(0.25, 0.5, FIG_M, FIG_N)
         assert calls == [1]
 

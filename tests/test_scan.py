@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import sys
 from types import SimpleNamespace
 from unittest import mock
 
@@ -15,23 +16,22 @@ import ncgauss.scan
 from ncgauss import (
     DomainError,
     NCParams,
-    ScanConfig,
     build_covariance,
     build_planar_form,
     eval_point,
     fig1_table,
     fig2_couplings,
-    numeric_invariants,
     scan_table,
 )
 from ncgauss.cli import main
 from ncgauss.family import dense_spectra
-from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS, table_to_csv, table_to_json
-from ncgauss.separability import primed_form
+from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS, _check_range, table_to_csv, table_to_json
+from ncgauss.separability import Verdict, primed_form, verdict_from_invariants
 from oracles import (
     bisect_decreasing,
     brute_force_spectrum,
     closed_tolerance,
+    dense_point,
     dense_tolerance,
     mp_spectra,
     records_self_consistent,
@@ -43,19 +43,19 @@ from oracles import (
 FIG_M, FIG_N = math.sqrt(2.0) / 6.0, 1.0 / 6.0
 EPS = float(np.finfo(float).eps)
 QUADRANTS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
+DBL_MAX = float(np.finfo(float).max)
+PAYLOAD_NAN = np.array(0x7FF8_0000_DEAD_BEEF).view(np.float64).item()  # a quiet NaN with a payload
 
 
-def _scan_rows(config):
+def _scan_rows(theta_range, eta_range, m, n):
     """The rows of the scan table, None in the missing invariant cells."""
-    return table_rows(scan_table(config))
+    return table_rows(scan_table(theta_range, eta_range, m, n))
 
 
-def _point_rows(config):
+def _point_rows(theta_range, eta_range, m, n):
     """The rows of one eval_point call per grid point, theta outer and eta inner."""
     return [
-        vars(eval_point(t, e, config.m, config.n))
-        for t in np.linspace(*config.theta_range)
-        for e in np.linspace(*config.eta_range)
+        vars(eval_point(t, e, m, n)) for t in np.linspace(*theta_range) for e in np.linspace(*eta_range)
     ]
 
 
@@ -72,11 +72,11 @@ def _fig1_rows(theta_values, eta_range, m=FIG_M, n=FIG_N):
 
 
 def _column(values, dtype):
-    """A float array or a label list of ``values``, paired with its mask if a value is None."""
-    data = [(math.nan if dtype is float else "") if v is None else v for v in values]
-    data = np.array(data, dtype=float) if dtype is float else data
-    missing = np.array([v is None for v in values], dtype=bool)
-    return (data, missing) if missing.any() else data
+    """A float column of ``values``, NaN for None, or the ``(codes, labels)`` column of labels."""
+    if dtype is float:
+        return np.array([math.nan if v is None else v for v in values], dtype=float)
+    labels = tuple(dict.fromkeys(values))
+    return np.array([labels.index(v) for v in values], dtype=np.intp), labels
 
 
 @st.composite
@@ -84,14 +84,15 @@ def _tables(draw):
     """Random column tables for the writer property.
 
     Floats repeat and include signed zeros, non-finite and extreme values, labels
-    need JSON escapes, a column name holds a % directive, and any cell may be missing.
+    need JSON escapes, and a column name holds a % directive. Any float cell may be
+    missing, as None or as a NaN of any sign or payload; a label cell never is.
     """
     size = draw(st.integers(min_value=0, max_value=12))
     # From 1e12 on: values at or next to where "%.12g" and repr pick different notations or digits.
     floats = st.one_of(
-        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 123456789012345.0, 0.5,
-                         1e12, 999999999999.5, 1e15, 1e16, 9999999999999998.0, 1e-4,
-                         9.999999999995e-5, 5e-324, -2.0]),
+        st.sampled_from([0.0, -0.0, math.nan, -math.nan, PAYLOAD_NAN, math.inf, -math.inf, 1e-300,
+                         123456789012345.0, 0.5, 1e12, 999999999999.5, 1e15, 1e16, 9999999999999998.0,
+                         1e-4, 9.999999999995e-5, 5e-324, -2.0]),
         st.floats(),
     )
     labels = st.one_of(st.sampled_from(['q"\u00e9\n', "invalid", "\\", "\t\u2603", ""]), st.text(max_size=4))
@@ -100,7 +101,7 @@ def _tables(draw):
     table = {}
     for name in names:
         dtype = draw(st.sampled_from([float, object]))
-        cells = st.one_of(st.none(), floats if dtype is float else labels)
+        cells = st.one_of(st.none(), floats) if dtype is float else labels
         table[name] = _column(draw(st.lists(cells, min_size=size, max_size=size)), dtype)
     return table
 
@@ -132,9 +133,9 @@ class TestEvalPoint:
 
     def test_closed_form_agrees_with_numeric_route(self):
         record = eval_point(0.25, 0.5, FIG_M, FIG_N)
-        numeric = numeric_invariants(0.25, 0.5, FIG_M, FIG_N)
-        assert record.nu_minus == pytest.approx(numeric.nu_minus, rel=1e-8)
-        assert record.nu_minus_prime == pytest.approx(numeric.nu_minus_prime, rel=1e-8)
+        nu, nu_prime = dense_point(0.25, 0.5, FIG_M, FIG_N)
+        assert record.nu_minus == pytest.approx(nu, rel=1e-8)
+        assert record.nu_minus_prime == pytest.approx(nu_prime, rel=1e-8)
         assert record.verdict == "entangled"
 
     def test_rejects_radius_at_one(self):
@@ -146,26 +147,36 @@ class TestEvalPoint:
             eval_point(-0.1, 0.0, 0.1, 0.1)
 
     @pytest.mark.parametrize("point, message", [
-        ((2.0, 0.5, 0.3, 0.2),
-         "theta*eta = 1.0 violates the domain theta*eta < 1 at (theta, eta, m, n) = (2.0, 0.5, 0.3, 0.2)"),
         ((-1.0, 0.5, 0.3, 0.2),
          "theta and eta must be finite and >= 0 at (theta, eta, m, n) = (-1.0, 0.5, 0.3, 0.2)"),
         ((0.5, 0.5, 1.2, 0.0), "R = sqrt(m^2 + n^2) = 1.2 must be < 1"),
     ])
-    def test_numeric_invariants_errors_name_the_point(self, point, message):
-        # theta*eta >= 1 is an error of the cross-check, not an invalid record; the other two
-        # are the errors eval_point and the grids raise.
+    def test_dense_route_errors_name_the_point(self, point, message):
+        # The errors eval_point and the grids raise, with the same messages.
+        theta, eta, m, n = point
         with pytest.raises(DomainError) as exc:
-            numeric_invariants(*point)
+            dense_spectra([theta], [eta], m, n)
         assert str(exc.value) == message
+
+    def test_dense_route_leaves_the_hyperbola_missing(self, capsys):
+        # theta*eta >= 1 is no error: dense_spectra's row is NaN, and eval --verbose prints the
+        # invalid record with no cross-check.
+        spectrum, reflected = dense_spectra([0.25, 2.0], [0.5, 0.5], 0.3, 0.2)
+        assert np.isnan(spectrum[1]).all() and np.isnan(reflected[1]).all()
+        assert np.isfinite(spectrum[0]).all() and np.isfinite(reflected[0]).all()
+        argv = ["eval", "--theta", "2", "--eta", "0.5", "--m", "0.3", "--n", "0.2", "--verbose"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "theta": 2.0, "eta": 0.5, "m": 0.3, "n": 0.2, "r": math.hypot(0.3, 0.2), "verdict": "invalid"
+        }
 
     def test_negative_couplings_agree_with_the_dense_cross_check(self):
         # Off the quadrant the record carries the closed forms at (|m|, |n|); the dense
-        # route (numeric_invariants, eval --verbose) must find the same invariants.
+        # route (dense_spectra, eval --verbose) must find the same invariants.
         record = eval_point(0.25, 0.5, -0.3, 0.2)
-        numeric = numeric_invariants(0.25, 0.5, -0.3, 0.2)
-        assert record.nu_minus == pytest.approx(numeric.nu_minus, rel=1e-12)
-        assert record.nu_minus_prime == pytest.approx(numeric.nu_minus_prime, rel=1e-12)
+        nu, nu_prime = dense_point(0.25, 0.5, -0.3, 0.2)
+        assert record.nu_minus == pytest.approx(nu, rel=1e-12)
+        assert record.nu_minus_prime == pytest.approx(nu_prime, rel=1e-12)
 
     def test_off_quadrant_nu_prime_comes_from_reflected_form(self):
         # Here the reflected-covariance route D Sigma D^T is 1.4e-9 off (cond S_B ~ 119);
@@ -191,41 +202,39 @@ class TestEvalPoint:
         m, n = radius * math.cos(angle), radius * math.sin(angle)
         assume(theta * eta < 1.0 and math.hypot(m, n) < 1.0)
         closed = eval_point(theta, eta, m, n)
-        numeric = numeric_invariants(theta, eta, m, n)
+        numeric = dense_point(theta, eta, m, n)
         # Each route within its own bound of the exact value, so of each other within their sum.
         pytest.importorskip("mpmath")
-        for got, want in zip(
-            (numeric.nu_minus, numeric.nu_minus_prime), (closed.nu_minus, closed.nu_minus_prime)
-        ):
+        for got, want in zip(numeric, (closed.nu_minus, closed.nu_minus_prime)):
             bound = dense_tolerance(theta, eta, m, n, want) + closed_tolerance(m, n)
             assert abs(got - want) <= bound * want
 
 
 class TestScanGrid:
     def test_small_grid_complete(self):
-        config = ScanConfig((0.0, 0.1, 2), (0.0, 0.1, 2), m=0.3, n=0.4)
-        rows = _scan_rows(config)
+        grid = (0.0, 0.1, 2), (0.0, 0.1, 2), 0.3, 0.4
+        rows = _scan_rows(*grid)
         assert len(rows) == 4
         assert all(row["nu_minus"] is not None for row in rows)
-        assert rows == _point_rows(config)
+        assert rows == _point_rows(*grid)
 
     def test_row_major_order(self):
-        config = ScanConfig((0.0, 1.0, 3), (0.0, 1.0, 2), m=0.1, n=0.1)
-        rows = _scan_rows(config)
+        grid = (0.0, 1.0, 3), (0.0, 1.0, 2), 0.1, 0.1
+        rows = _scan_rows(*grid)
         assert [(row["theta"], row["eta"]) for row in rows] == [
             (0.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 1.0), (1.0, 0.0), (1.0, 1.0)
         ]
-        assert rows == _point_rows(config)
+        assert rows == _point_rows(*grid)
 
     def test_hyperbola_points_kept_as_invalid(self):
         root2 = math.sqrt(2.0)
-        config = ScanConfig((0.0, root2, 2), (0.0, root2, 2), m=0.1, n=0.1)
-        rows = _scan_rows(config)
+        grid = (0.0, root2, 2), (0.0, root2, 2), 0.1, 0.1
+        rows = _scan_rows(*grid)
         assert len(rows) == 4
         assert rows[-1]["theta"] == rows[-1]["eta"] == root2
         assert rows[-1]["verdict"] == "invalid"
         assert rows[-1]["nu_minus"] is None and rows[-1]["nu_minus_prime"] is None
-        assert rows == _point_rows(config)
+        assert rows == _point_rows(*grid)
 
     @pytest.mark.parametrize(
         "m,n", [(0.3, 0.2), (-0.3, 0.2), (-0.3, -0.2), (0.3, -0.2), (-0.0, 0.2), (0.3, -0.0), (-0.0, -0.0)]
@@ -238,10 +247,11 @@ class TestScanGrid:
 
         for name in ("eigvalsh", "eigh", "solve", "inv", "eigvals"):
             monkeypatch.setattr(np.linalg, name, forbidden)
-        config = ScanConfig((0.0, 2.0, 9), (0.0, 2.0, 9), m=m, n=n)
-        nu, invalid = scan_table(config)["nu_minus"]
+        grid = (0.0, 2.0, 9), (0.0, 2.0, 9), m, n
+        nu = scan_table(*grid)["nu_minus"]
+        invalid = np.isnan(nu)
         assert invalid.any() and (nu[~invalid] > 0.0).all()
-        assert _scan_rows(config) == _point_rows(config)
+        assert _scan_rows(*grid) == _point_rows(*grid)
         couplings = ["--m", repr(m), "--n", repr(n)]
         assert main(["scan", "--theta-range", "0:2:5", "--eta-range", "0:2:5", *couplings]) == 0
         assert main(["eval", "--theta", "0.25", "--eta", "0.5", *couplings]) == 0
@@ -250,34 +260,49 @@ class TestScanGrid:
 
     def test_invalid_steps_rejected(self):
         with pytest.raises(DomainError):
-            ScanConfig((0.0, 1.0, 0), (0.0, 1.0, 2), m=0.1, n=0.1)
+            scan_table((0.0, 1.0, 0), (0.0, 1.0, 2), 0.1, 0.1)
         with pytest.raises(DomainError):
-            ScanConfig((1.0, 0.0, 2), (0.0, 1.0, 2), m=0.1, n=0.1)
+            scan_table((1.0, 0.0, 2), (0.0, 1.0, 2), 0.1, 0.1)
 
     @pytest.mark.parametrize("steps", [math.nan, math.inf, -math.inf, 2.7])
     def test_steps_that_are_not_whole_rejected(self, steps):
         # Neither a bare ValueError or OverflowError from int(), nor a silent truncation.
         with pytest.raises(DomainError, match=r"^eta range needs a whole number of steps, got "):
-            ScanConfig((0.0, 1.0, 2), (0.0, 1.0, steps), m=0.1, n=0.1)
+            scan_table((0.0, 1.0, 2), (0.0, 1.0, steps), 0.1, 0.1)
+
+    @pytest.mark.parametrize("steps", [10**400, -(10**400), sys.maxsize + 1])
+    def test_steps_beyond_the_float_or_index_range_rejected(self, steps):
+        # float(10**400) raises OverflowError; an int is whole as it stands. Counts no index can
+        # reach are rejected before numpy sees them.
+        message = rf"^theta range needs (>= 1|<= {sys.maxsize}) steps, got -?\d+$"
+        with pytest.raises(DomainError, match=message):
+            scan_table((0.0, 1.0, steps), (0.0, 1.0, 2), 0.1, 0.1)
+        with pytest.raises(DomainError, match=message.replace("theta", "eta")):
+            fig1_table((0.0, 0.5), (0.0, 1.0, steps), 0.1, 0.1)
+
+    def test_whole_steps_keep_their_value(self):
+        # Whole counts of every type become that int; an int is never read as a float.
+        for steps in (3, 3.0, np.int64(3), np.float64(3.0), True):
+            checked = _check_range("eta", (0.0, 1.0, steps))
+            assert checked == (0.0, 1.0, int(steps)) and type(checked[2]) is int
+        huge = 2**62 + 1  # float(huge) would round it to 2**62
+        assert _check_range("eta", (0.0, 1.0, huge))[2] == huge
 
     def test_numpy_integer_steps_accepted(self):
-        config = ScanConfig((0.0, 1.0, np.int64(3)), (0.0, 1.0, 2.0), m=0.1, n=0.1)
-        assert config.theta_range == (0.0, 1.0, 3) and config.eta_range == (0.0, 1.0, 2)
-        rows = _scan_rows(config)
+        rows = _scan_rows((0.0, 1.0, np.int64(3)), (0.0, 1.0, 2.0), 0.1, 0.1)
         assert [(row["theta"], row["eta"]) for row in rows] == [
             (0.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 1.0), (1.0, 0.0), (1.0, 1.0)
         ]
-        assert rows == _point_rows(config)
+        assert rows == _point_rows((0.0, 1.0, 3), (0.0, 1.0, 2), 0.1, 0.1)
 
     def test_deterministic_emission(self):
-        config = ScanConfig((0.0, 2.0, 11), (0.0, 2.0, 11), m=FIG_M, n=FIG_N)
-        first, second = scan_table(config), scan_table(config)
+        grid = (0.0, 2.0, 11), (0.0, 2.0, 11), FIG_M, FIG_N
+        first, second = scan_table(*grid), scan_table(*grid)
         assert _written(table_to_csv, first) == _written(table_to_csv, second)
         assert _written(table_to_json, first) == _written(table_to_json, second)
 
     def test_records_self_consistent(self):
-        config = ScanConfig((0.0, 2.0, 11), (0.0, 2.0, 11), m=FIG_M, n=FIG_N)
-        assert records_self_consistent(_scan_rows(config))
+        assert records_self_consistent(_scan_rows((0.0, 2.0, 11), (0.0, 2.0, 11), FIG_M, FIG_N))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -296,28 +321,26 @@ class TestScanGrid:
         # on grids straddling the hyperbola (theta*eta in [0.99, 1) and beyond).
         eta = product / theta
         m, n = quadrant[0] * radius * math.cos(angle), quadrant[1] * radius * math.sin(angle)
-        config = ScanConfig(
+        grid = (
             (theta * (1.0 - spread), theta * (1.0 + spread), steps),
             (eta * (1.0 - spread), eta * (1.0 + spread), steps),
-            m=m, n=n,
+            m, n,
         )
-        assert _scan_rows(config) == _point_rows(config)
+        assert _scan_rows(*grid) == _point_rows(*grid)
 
     def test_grid_beyond_one_block_equals_point_records(self):
         # Grids and points agree bit for bit, and so do dense_spectra's stacked blocks of 512
-        # points and its one-point case, numeric_invariants.
-        config = ScanConfig((0.0, 2.0, 31), (0.0, 2.0, 31), m=-0.3, n=0.2)
-        rows = _scan_rows(config)
+        # points and its one-point case, the eval --verbose cross-check.
+        grid = (0.0, 2.0, 31), (0.0, 2.0, 31), -0.3, 0.2
+        rows = _scan_rows(*grid)
         assert sum(row["nu_minus"] is not None for row in rows) > 512  # more than one dense block
-        assert rows == _point_rows(config)
+        assert rows == _point_rows(*grid)
         spectrum, reflected = dense_spectra([row["theta"] for row in rows], [row["eta"] for row in rows], -0.3, 0.2)
         for row, nu, nu_prime in zip(rows, spectrum[:, 0], reflected[:, 0]):
             if row["nu_minus"] is not None:
-                numeric = numeric_invariants(row["theta"], row["eta"], row["m"], row["n"])
-                assert (numeric.nu_minus, numeric.nu_minus_prime) == (nu, nu_prime)
+                assert dense_point(row["theta"], row["eta"], row["m"], row["n"]) == (nu, nu_prime)
 
     def test_commutative_rows_never_entangled(self):
-        config = ScanConfig((0.0, 0.0, 1), (0.0, 0.0, 1), m=0.3, n=0.4)
         for radius in np.linspace(0.0, 0.9, 7):
             record = eval_point(0.0, 0.0, radius, 0.0)
             assert record.verdict == "separable"
@@ -325,24 +348,24 @@ class TestScanGrid:
 
 class TestOutputFormats:
     @pytest.fixture()
-    def config(self):
+    def table(self):
         root2 = math.sqrt(2.0)
-        return ScanConfig((0.0, root2, 2), (0.0, root2, 2), m=0.3, n=0.4)
+        return scan_table((0.0, root2, 2), (0.0, root2, 2), 0.3, 0.4)
 
-    def test_csv_header_and_empty_invariants(self, config):
-        lines = _written(table_to_csv, scan_table(config)).strip().split("\n")
+    def test_csv_header_and_empty_invariants(self, table):
+        lines = _written(table_to_csv, table).strip().split("\n")
         assert lines[0] == "theta,eta,m,n,r,nu_minus,nu_minus_prime,verdict"
         assert len(lines) == 5
         invalid = [line for line in lines[1:] if line.endswith("invalid")]
         assert invalid and all(",,," in line for line in invalid)
 
-    def test_csv_values_round_trip_at_12_digits(self, config):
-        line = _written(table_to_csv, scan_table(config)).strip().split("\n")[1]
+    def test_csv_values_round_trip_at_12_digits(self, table):
+        line = _written(table_to_csv, table).strip().split("\n")[1]
         fields = line.split(",")
         assert float(fields[4]) == pytest.approx(0.5, rel=1e-11)
         assert fields[5] == format(eval_point(0.0, 0.0, 0.3, 0.4).nu_minus, ".12g")
 
-    def test_json_matches_json_dumps_layout(self, config):
+    def test_json_matches_json_dumps_layout(self, table):
         def reference(table):
             objs = [
                 {f: v if isinstance(v, str) else float("%.12g" % v)
@@ -351,18 +374,19 @@ class TestOutputFormats:
             ]
             return json.dumps(objs, indent=2) + "\n"
 
-        # The odd rows, one type per column: row 0 misses every cell, row 1 holds the label.
+        # The odd rows: row 0 misses every cell, row 1 its first one.
         odd = {
             "a": _column([None, None, math.inf, 1e-300], float),
-            "label": _column([None, 'q"\u00e9\n', None, None], object),
             "b": _column([None, -0.0, math.nan, 123456789012345.0], float),
         }
-        empty = {field: [] if field == "verdict" else np.array([]) for field in SCAN_FIELDS}
-        for table in (scan_table(config), empty, odd):
-            assert _written(table_to_json, table) == reference(table)
+        labelled = {**odd, "label": _column(["x", 'q"\u00e9\n', "x", "invalid"], object)}
+        empty = {field: np.array([]) for field in SCAN_FIELDS[:-1]}
+        empty["verdict"] = (np.array([], dtype=np.intp), tuple(Verdict))
+        for written in (table, empty, odd, labelled):
+            assert _written(table_to_json, written) == reference(written)
 
-    def test_json_omits_invariants_for_invalid(self, config):
-        objs = json.loads(_written(table_to_json, scan_table(config)))
+    def test_json_omits_invariants_for_invalid(self, table):
+        objs = json.loads(_written(table_to_json, table))
         assert len(objs) == 4
         for obj in objs:
             if obj["verdict"] == "invalid":
@@ -376,13 +400,16 @@ class TestOutputFormats:
     @given(table=_tables())
     @example(table={
         "x": _column([0.0, -0.0, 0.0, None, -0.0], float),
-        "y": _column([math.nan, math.inf, 1e-300, 123456789012345.0, math.nan], float),
-        "verdict": _column(['q"\u00e9\n', "invalid", None, "invalid", "\\\t"], object),
+        "y": _column([math.nan, math.inf, 1e-300, 123456789012345.0, -math.nan], float),
+        "verdict": _column(['q"\u00e9\n', "invalid", "", "invalid", "\\\t"], object),
     })
     @example(table={  # row 0 has every cell missing, row 1 its first one
-        "theta": _column([None, None, 1e12], float),
-        "verdict": _column([None, "invalid", None], object),
-        "nu_minus": _column([None, 999999999999.5, 5e-324], float),
+        "theta": _column([None, math.nan, 1e12], float),
+        "nu_minus": _column([PAYLOAD_NAN, 999999999999.5, 5e-324], float),
+    })
+    @example(table={  # rows 0 and 1 miss their first cell, before a label
+        "theta": _column([-math.nan, PAYLOAD_NAN, 1e12], float),
+        "verdict": _column(["invalid", "invalid", "separable"], object),
     })
     def test_table_writers_equal_per_row_reference(self, table):
         # Spelling each distinct value once gives the text of spelling every cell, also in blocks
@@ -399,7 +426,7 @@ class TestOutputFormats:
         # Blocks of 3 rows split both pairs at a block's edge; blocks of 2 keep rows 2 and 3 in one.
         table = {
             "theta": _column([0.5, -0.0, None, None, 1e-300, None, None, 2.0], float),
-            "verdict": _column(["separable", "invalid", 'q"', None, "entangled", None, "", "x"], object),
+            "r": _column([0.5, math.nan, 0.25, None, 1.0, -math.nan, PAYLOAD_NAN, 2.0], float),
             "nu_minus": _column([1.5, None, 0.25, None, math.inf, None, 3.0, None], float),
         }
         monkeypatch.setattr("ncgauss.scan._BLOCK", block)
@@ -411,7 +438,7 @@ class TestOutputFormats:
     def test_no_write_is_longer_than_one_block(self, writer, reference):
         # A 61x61 map is more than one block, so its text reaches the handle in several writes,
         # none longer than a block's text; the whole output is never one string.
-        table = scan_table(ScanConfig((0.0, 2.0, 61), (0.0, 2.0, 61), m=0.3, n=0.2))
+        table = scan_table((0.0, 2.0, 61), (0.0, 2.0, 61), 0.3, 0.2)
         rows, fields, block = table_rows(table), tuple(table), ncgauss.scan._BLOCK
         assert len(rows) > block
         writes = []
@@ -419,6 +446,69 @@ class TestOutputFormats:
         assert "".join(writes) == reference(rows, fields)
         longest = max(len(reference(rows[k : k + block], fields)) for k in range(0, len(rows), block))
         assert len(writes) > len(rows) // block and max(map(len, writes)) <= longest
+
+
+# Deformations over the whole float range: 0, or log-uniform from the smallest subnormal up.
+_DEFORMATIONS = st.just(0.0) | st.builds(
+    math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, 1023)
+)
+
+
+def _range(draw):
+    """A (min, max, steps) range of deformations anywhere in the float range."""
+    ends = sorted(draw(st.lists(_DEFORMATIONS, min_size=2, max_size=2)))
+    return ends[0], ends[1], draw(st.integers(min_value=1, max_value=3))
+
+
+@st.composite
+def _grids(draw):
+    """(theta_range, eta_range, m, n) of a small grid anywhere in the float range, in any quadrant."""
+    radius = draw(st.floats(min_value=0.0, max_value=0.9999))
+    angle = draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))
+    return _range(draw), _range(draw), radius * math.cos(angle), radius * math.sin(angle)
+
+
+class TestMissingCells:
+    """The writers print every NaN as a missing cell, so a NaN must mean "off the domain"."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid=_grids())
+    @example(grid=((1.0, 2.0, 3), (0.5, 1.0, 3), 0.3, 0.2))  # on and across the hyperbola
+    @example(grid=((0.0, DBL_MAX, 3), (0.0, 5e-324, 2), -0.3, 0.2))  # the CI's extreme ranges
+    def test_scan_cell_is_nan_iff_its_row_is_off_the_domain(self, grid):
+        table = scan_table(*grid)
+        codes, labels = table["verdict"]
+        assert labels == tuple(Verdict) and np.issubdtype(codes.dtype, np.integer)
+        for k, (theta, eta) in enumerate(zip(table["theta"].tolist(), table["eta"].tolist())):
+            off = theta * eta >= 1.0  # Python floats: an overflow is inf, with no warning
+            nu, nu_prime = table["nu_minus"][k].item(), table["nu_minus_prime"][k].item()
+            assert math.isnan(nu) == math.isnan(nu_prime) == off
+            assert not any(math.isnan(table[field][k]) for field in SCAN_FIELDS[:5])
+            assert tuple(Verdict)[codes[k]] is verdict_from_invariants(nu, nu_prime)
+
+    @settings(max_examples=150, deadline=None)
+    @given(thetas=st.lists(_DEFORMATIONS, min_size=1, max_size=3), grid=_grids())
+    @example(thetas=[2.0, 0.5, DBL_MAX], grid=(None, (0.0, 2.0, 5), 0.999999999999999, 0.0))
+    def test_fig1_cell_is_nan_iff_its_row_is_off_the_domain(self, thetas, grid):
+        _, eta_range, m, n = grid
+        table = fig1_table(thetas, eta_range, m, n)
+        for k, (theta, eta) in enumerate(zip(table["theta"].tolist(), table["eta"].tolist())):
+            off = theta * eta >= 1.0
+            assert [math.isnan(table[field][k]) for field in FIG1_FIELDS] == [False] * 4 + [off] * 8
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_every_nan_is_written_as_a_missing_cell(self, monkeypatch, block):
+        # NaN of either sign and with a payload, in the first column too, at every block size.
+        nans = [math.nan, -math.nan, PAYLOAD_NAN]
+        assert len({np.float64(v).view(np.int64).item() for v in nans}) == 3
+        table = {
+            "a": np.array([nans[1], 1.0, nans[2], nans[0], 2.0, nans[1]]),
+            "b": np.array([nans[2], nans[1], 3.0, nans[0], nans[1], 0.5]),
+        }
+        monkeypatch.setattr("ncgauss.scan._BLOCK", block)
+        assert _written(table_to_csv, table) == "a,b\n,\n1,\n,3\n,\n2,\n,0.5\n"
+        objects = [{}, {"a": 1.0}, {"b": 3.0}, {}, {"a": 2.0}, {"b": 0.5}]
+        assert _written(table_to_json, table) == json.dumps(objects, indent=2) + "\n"
 
 
 class TestFig1:
@@ -496,7 +586,7 @@ class TestFig1:
             fig1_table(thetas, (0.0, 1.0, 3), FIG_M, FIG_N)
 
     @pytest.mark.parametrize("eta_range", [(2.0, 0.0, 3), (0.0, 2.0, 0), (0.0, 2.0, math.nan), (0.0, 2.0, 2.7)])
-    def test_rejects_what_scan_config_rejects(self, eta_range):
+    def test_rejects_what_scan_table_rejects(self, eta_range):
         # Unchecked, a descending range emits rows in reverse order and zero steps no rows.
         with pytest.raises(DomainError):
             fig1_table((0.0, 0.25, 0.5), eta_range, FIG_M, FIG_N)
@@ -504,20 +594,20 @@ class TestFig1:
 
 class TestFig2:
     def test_first_line_parameterization(self):
-        rows = _scan_rows(ScanConfig((0.0, 1.0, 2), (0.0, 1.0, 2), *fig2_couplings(0.1)))
+        rows = _scan_rows((0.0, 1.0, 2), (0.0, 1.0, 2), *fig2_couplings(0.1))
         for row in rows:
             assert row["m"] == pytest.approx(math.sqrt(2.0) / 30.0, rel=1e-14)
             assert row["n"] == pytest.approx(1.0 / 30.0, rel=1e-14)
 
     def test_swapped_parameterization(self):
-        rows = _scan_rows(ScanConfig((0.0, 1.0, 2), (0.0, 1.0, 2), *fig2_couplings(0.5, swap=True)))
+        rows = _scan_rows((0.0, 1.0, 2), (0.0, 1.0, 2), *fig2_couplings(0.5, swap=True))
         for row in rows:
             assert row["n"] == pytest.approx(math.sqrt(2.0) / 6.0, rel=1e-14)
             assert row["m"] == pytest.approx(1.0 / 6.0, rel=1e-14)
 
     def test_census_contains_all_verdicts(self):
-        table = scan_table(ScanConfig((0.0, 2.0, 51), (0.0, 2.0, 51), *fig2_couplings(0.5)))
-        assert set(table["verdict"]) == {"separable", "entangled", "nonquantum", "invalid"}
+        codes, labels = scan_table((0.0, 2.0, 51), (0.0, 2.0, 51), *fig2_couplings(0.5))["verdict"]
+        assert {labels[code] for code in codes.tolist()} == {"separable", "entangled", "nonquantum", "invalid"}
 
     def test_rejects_out_of_range_label(self):
         with pytest.raises(DomainError):

@@ -317,6 +317,6 @@ class TestVerdictRule:
     @given(st.lists(st.tuples(INVARIANTS, INVARIANTS), max_size=12))
     def test_arrays_equal_elementwise_floats(self, pairs):
         nu, nu_prime = np.array(pairs, dtype=float).reshape(-1, 2).T
-        verdicts = verdict_from_invariants(nu, nu_prime)
-        assert verdicts.shape == nu.shape
-        assert verdicts.tolist() == [verdict_from_invariants(x, y) for x, y in pairs]
+        codes = verdict_from_invariants(nu, nu_prime)
+        assert codes.shape == nu.shape and np.issubdtype(codes.dtype, np.integer)
+        assert [tuple(Verdict)[code] for code in codes] == [verdict_from_invariants(x, y) for x, y in pairs]
