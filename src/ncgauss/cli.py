@@ -2,7 +2,8 @@
 
 ``scan``, ``fig1`` and ``fig2`` write the column table of one batched evaluation
 (``scan.scan_table``, ``scan.fig1_table``) to stdout or the ``--out`` file, a block of rows per
-write; each column's distinct values are spelled in bulk, the bytes of spelling every cell.
+write; each column's distinct values are spelled in bulk with their separators, a column of one
+word joins the column before it, and the bytes are those of spelling every cell.
 ``eval --verbose`` adds the dense route's invariants at the point (``family.dense_spectra``).
 
 Exit codes: 0 on success, 2 on usage errors (bad arguments, a grid range

@@ -13,8 +13,9 @@ A grid's output is a table (:func:`scan_table`, :func:`fig1_table`): a dict of e
 columns of two kinds. A float column is a float64 array, NaN where a cell is missing; a label
 column is a pair ``(codes, labels)``, each row's integer position in the tuple ``labels``.
 :func:`table_to_csv` and :func:`table_to_json` write it to a text handle, a block of rows
-per write: a column's distinct floats (per bit pattern) are spelled in one C-level format and indexed
-by row, so no whole-output text exists. Floats are rounded to 12 significant digits, so identical
+per write: a column's distinct floats (per bit pattern) are spelled in one C-level format, each word
+with its separator, and indexed by row, so no whole-output text exists. A column of one word joins
+the words of the column before it. Floats are rounded to 12 significant digits, so identical
 configurations produce byte-identical files.
 """
 
@@ -140,54 +141,85 @@ _BLOCK = 1024  # rows per write of the table writers; from 512 to 4096 a default
 
 
 def _words(column, floats, label, blank) -> tuple[np.ndarray, np.ndarray]:
-    """A column as its distinct spellings and each row's position in them. ``label`` spells each
-    label of a ``(codes, labels)`` column, and the codes are the positions. ``floats`` spells all
-    distinct bit patterns of a float column in one call (0.0 and -0.0 stay apart); every NaN
-    pattern, a missing cell, is then spelled ``blank``."""
+    """A column as its distinct words, each carrying the cell's separators, and each row's position
+    in them. ``label`` spells each label of a ``(codes, labels)`` column, and the codes are the
+    positions. ``floats`` spells the array of all distinct bit patterns of a float column in one
+    call (0.0 and -0.0 stay apart); every NaN pattern, a missing cell, is then spelled ``blank``."""
     if isinstance(column, tuple):
         codes, labels = column
         return np.array(list(map(label, labels)), dtype=object), codes
-    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    bits = column.view(np.int64)
+    if len(bits) and (bits == bits[0]).all():  # one value, such as a map's m, n and r: no sort
+        bits, index = bits[:1], np.zeros(len(bits), np.intp)
+    else:
+        bits, index = np.unique(bits, return_inverse=True)
     values = bits.view(np.float64)
-    words = np.array(floats(values.tolist()), dtype=object)
+    words = np.array(floats(values), dtype=object)
     words[values != values] = blank
     return words, index
 
 
 def _blocks(columns):
-    """The rows of each block of up to ``_BLOCK`` rows, as tuples of their cells."""
-    rows = len(columns[0][1]) if columns else 0
+    """The text of each block of up to ``_BLOCK`` rows: all its cells, row by row, in one join.
+
+    A column of one word is appended to the words of the column before it, so its cells are never
+    gathered; the first column stays, so a table whose every column has one word still has rows."""
+    kept = columns[:1]
+    for words, index in columns[1:]:
+        if len(words) == 1:
+            kept[-1] = (kept[-1][0] + words[0], kept[-1][1])
+        else:
+            kept.append((words, index))
+    rows = len(kept[0][1]) if kept else 0
     for start in range(0, rows, _BLOCK):
-        yield zip(*[words[index[start : start + _BLOCK]].tolist() for words, index in columns])
+        cells = np.empty((min(rows - start, _BLOCK), len(kept)), dtype=object)
+        for k, (words, index) in enumerate(kept):
+            cells[:, k] = words[index[start : start + _BLOCK]]
+        yield "".join(cells.ravel().tolist())
 
 
-def _spell(form: str, values: list) -> list[str]:
+def _spell(form: str, values: np.ndarray) -> list[str]:
     """``form % v`` for every value, all in one C-level format; ``form`` holds no NUL."""
-    return ((form + "\0") * len(values) % tuple(values)).split("\0")[:-1]
+    return ((form + "\0") * len(values) % tuple(values.tolist())).split("\0")[:-1]
 
 
 def table_to_csv(table: dict, out) -> None:
     """Write CSV to the text handle ``out``, a block of rows per write: a header of the column
     names and one line per row, in order.
 
-    Missing cells are empty, labels pass through, and numbers are written
-    with 12 significant digits.
+    Missing cells are empty, labels pass through, and numbers are written with 12 significant
+    digits. Each word ends in its separator: a comma, or the line end in the last column.
     """
-    columns = [_words(c, lambda vs: _spell("%.12g", vs), lambda v: v, "") for c in table.values()]
+    columns = []
+    for k, column in enumerate(table.values()):
+        end = "," if k < len(table) - 1 else "\n"
+        columns.append(_words(column, lambda vs: _spell("%.12g" + end, vs), lambda v: v + end, end))
     out.write(",".join(table) + "\n")
-    for rows in _blocks(columns):
-        out.write("\n".join(map(",".join, rows)) + "\n")
+    for text in _blocks(columns):
+        out.write(text)
 
 
-def _json_floats(key: str, values) -> list[str]:
-    """``key + json.dumps(float("%.12g" % v))`` for every value: the "%.12g" text itself except
-    for an integer, a subnormal, NaN and infinity, which are spelled one by one."""
-    texts = _spell("%.12g", values)
-    numbers = np.fromiter(map(float, texts), float, len(texts))
-    odd = ~(np.isfinite(numbers) & (np.abs(numbers) >= np.finfo(float).tiny)) | (numbers == np.floor(numbers))
+def _json_floats(key: str, tail: str, values: np.ndarray) -> list[str]:
+    """``key + json.dumps(float("%.12g" % v)) + tail`` for every value, from one spelling of
+    ``key + "%.12g" + tail``; only the candidates below are respelled, one by one.
+
+    Candidates are the values that are not finite, that have ``|v| >= 1e11`` or ``|v| < 1e-299``,
+    or that lie within ``1e-11 |v|`` of an integer. Any other value's ``text = "%.12g" % v`` is
+    already the JSON number ``repr(float(text))``. Its digits are repr's: two different decimals of
+    at most 15 significant digits never round to the same normal double, so no shorter decimal
+    than the text's (at most 12 digits) gives ``float(text)``. It has a ``.`` wherever repr does:
+    a 12-digit rounding that gives an integer lies within ``0.5e-11 |v|`` of it, so the text is
+    no integer and repr adds no ``.0``. And below ``1e11`` both pick the same notation: fixed from
+    ``1e-4`` on, and below it scientific with at least two exponent digits. So the candidates are
+    a superset of the values whose spellings differ, and respelling one that agrees changes nothing.
+    """
+    texts = _spell(key.replace("%", "%%") + "%.12g" + tail, values)
+    size = np.abs(values)
+    finite = np.where(size < 1e11, values, 0.0)  # the rest are candidates; inf - rint(inf) warns
+    odd = ~(size < 1e11) | (size < 1e-299) | (np.abs(finite - np.rint(finite)) <= 1e-11 * size)
     for k in np.flatnonzero(odd).tolist():
-        texts[k] = json.dumps(numbers[k].item())
-    return _spell(key.replace("%", "%%") + "%s", texts)
+        texts[k] = key + json.dumps(float("%.12g" % values[k])) + tail
+    return texts
 
 
 def table_to_json(table: dict, out) -> None:
@@ -195,19 +227,23 @@ def table_to_json(table: dict, out) -> None:
 
     Keys are in column order. Missing cells omit their key, labels are JSON-encoded, and numbers are
     rounded to 12 significant digits: the text of ``json.dumps(objects, indent=2)``, built directly.
-    Each cell carries its separator and key, a row's first cell opens its object, and its block closes it.
+    Each word carries its cell's separator and key; the first column's words also open the row's
+    object after a comma, which the first row drops, and the last column's close it.
     """
     columns = []
-    for name, column in table.items():
-        blank = "" if columns else "  {"
-        key = (blank or ",") + f"\n    {quote(name)}: "
-        columns.append(_words(column, lambda vs: _json_floats(key, vs), lambda v: key + quote(v), blank))
+    for k, (name, column) in enumerate(table.items()):
+        head = "" if k else ",\n  {"
+        tail = "\n  }" if k == len(table) - 1 else ""
+        key = (head or ",") + f"\n    {quote(name)}: "
+        columns.append(_words(
+            column, lambda vs: _json_floats(key, tail, vs), lambda v: key + quote(v) + tail, head + tail
+        ))
     first = next(iter(table.values()), None)
     fix = isinstance(first, np.ndarray) and bool(np.isnan(first).any())  # a row misses its first cell
-    head = "[\n"
-    for rows in _blocks(columns):
-        text = head + "\n  },\n".join(map("".join, rows)) + "\n  }"
+    opening = "["
+    for text in _blocks(columns):
         # No JSON string holds a raw newline: these match a row missing its first cell, or all.
-        out.write(text.replace("{,\n", "{\n").replace("{\n  }", "{}") if fix else text)
-        head = ",\n"
-    out.write("[]\n" if head == "[\n" else "\n]\n")
+        text = text.replace("{,\n", "{\n").replace("{\n  }", "{}") if fix else text
+        out.write(opening + text[1:] if opening else text)
+        opening = ""
+    out.write("[]\n" if opening else "\n]\n")

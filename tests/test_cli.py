@@ -384,6 +384,19 @@ class TestOutputBytes:
         assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_word_columns_match_per_row_writer(self, capsys, fmt):
+        # At one theta the first column has one word and stays a column; the scan's m, n and r
+        # and fig1's m and n join the eta column. Both write what the per-row writers write.
+        writer = rows_to_csv if fmt == "csv" else rows_to_json
+        argv = ["scan", "--theta-range", "1:1:1", "--eta-range", "0:2:5", "--m", "0.3", "--n", "0.2"]
+        assert main([*argv, "--format", fmt]) == 0
+        rows = [vars(eval_point(1.0, e, 0.3, 0.2)) for e in np.linspace(0.0, 2.0, 5)]
+        assert capsys.readouterr().out == writer(rows, SCAN_FIELDS)
+        assert main(["fig1", "--thetas", "0.5", "--eta-range", "0:2:5", "--format", fmt]) == 0
+        table = fig1_table((0.5,), (0.0, 2.0, 5), math.sqrt(2.0) / 6.0, 1.0 / 6.0)
+        assert capsys.readouterr().out == writer(table_rows(table), FIG1_FIELDS)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_fig1_matches_per_row_writer(self, capsys, fmt):
         assert main(["fig1", "--thetas", "0,0.25,1.25", "--eta-range", "0:2:21", "--format", fmt]) == 0
         writer = rows_to_csv if fmt == "csv" else rows_to_json

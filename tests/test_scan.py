@@ -411,14 +411,74 @@ class TestOutputFormats:
         "theta": _column([-math.nan, PAYLOAD_NAN, 1e12], float),
         "verdict": _column(["invalid", "invalid", "separable"], object),
     })
+    @example(table={  # a one-word first column stays a column of its own
+        "m": _column([0.25] * 7, float),
+        "eta": _column([0.0, 0.5, 1.0, 1.5, 2.0, 0.5, 1e12], float),
+    })
+    @example(table={  # two one-word columns in the middle, both joining the first column's words
+        "theta": _column([0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 0.5], float),
+        "m": _column([-0.0] * 7, float),
+        "n": _column([1e12] * 7, float),
+        "nu_minus": _column([1.5, None, 0.25, None, 3.0, 0.75, 1e-300], float),
+    })
+    @example(table={  # a one-word last column, its line end or object close carried by the fold
+        "theta": _column([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5], float),
+        "nu_minus": _column([None] * 7, float),
+    })
+    @example(table={  # every column has one word: still one row per row
+        "m": _column([0.5] * 6, float),
+        "n": _column([-0.0] * 6, float),
+        "verdict": _column(["invalid"] * 6, object),
+        "r": _column([math.inf] * 6, float),
+    })
+    @example(table={"theta": _column([math.nan], float)})  # one row with one missing cell
+    @example(table={  # a one-word all-NaN first column: every row misses its first cell
+        "theta": _column([None] * 6, float),
+        "m": _column([0.25] * 6, float),
+        "nu_minus": _column([1.0, None, 2.0, 3.0, None, 1e15], float),
+    })
+    @example(table={  # ... and with nothing after it, every row misses every cell
+        "theta": _column([None] * 6, float),
+        "nu_minus": _column([None] * 6, float),
+    })
+    @example(table={  # a one-word label column, in the middle and last
+        "theta": _column([0.0, 0.5, 1.0, 1.5, 2.0, 2.5], float),
+        "label": _column(['q"\u00e9\n'] * 6, object),
+        "nu_minus": _column([1.0, None, 2.0, 3.0, None, 0.5], float),
+        "verdict": _column(["separable"] * 6, object),
+    })
     def test_table_writers_equal_per_row_reference(self, table):
         # Spelling each distinct value once gives the text of spelling every cell, also in blocks
-        # of 1, 2 and 5 rows, where a table of at most 12 rows crosses a block's edge.
+        # of 1, 2 and 5 rows, where a table of at most 12 rows crosses a block's edge. The examples
+        # place one-word columns, which join the column before them, first, in the middle, last
+        # and everywhere.
         rows, fields = table_rows(table), tuple(table)
         for block in (1, 2, 5, ncgauss.scan._BLOCK):
             with mock.patch("ncgauss.scan._BLOCK", block):
                 assert _written(table_to_csv, table) == rows_to_csv(rows, fields)
                 assert _written(table_to_json, table) == rows_to_json(rows, fields)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.one_of(st.floats(), st.floats(1e11, 1e17), st.floats(-1e17, -1e11)))
+    @example(value=99999999999.5)  # rounds up to the integer 1e11 at 12 digits
+    @example(value=1e11)
+    @example(value=100000000000.5)
+    @example(value=1.5e12)  # "%.12g" turns scientific, repr does not
+    @example(value=999999999999.5)
+    @example(value=2.2250738585072014e-308)  # the smallest normal double
+    @example(value=1e-299)  # the lower edge of the digits argument
+    @example(value=5e-324)
+    @example(value=1e-05)  # scientific in both spellings
+    @example(value=0.1)
+    @example(value=-0.0)
+    @example(value=1.000000000004)  # 12 digits give the integer 1, 4e-12 away
+    @example(value=-1234.000000001)
+    @example(value=1.23456789012e-320)  # a subnormal with fewer digits than the text
+    def test_json_number_is_json_dumps_of_its_12_digit_rounding(self, value):
+        # The one-pass spelling respells only its candidates (not finite, |v| >= 1e11, |v| < 1e-299
+        # or within 1e-11 |v| of an integer); every other text must already be the JSON number.
+        obj = {} if math.isnan(value) else {"x": float("%.12g" % value)}
+        assert _written(table_to_json, {"x": np.array([value])}) == json.dumps([obj], indent=2) + "\n"
 
     @pytest.mark.parametrize("block", [2, 3])
     def test_rows_missing_cells_at_block_edges(self, monkeypatch, block):
