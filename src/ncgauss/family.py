@@ -5,11 +5,13 @@ parameterized by reals (m, n), R = sqrt(m^2 + n^2) < 1 and b = (1+R)/(1-R).
 Both parties share the same planar commutation form. Closed forms give the
 Williamson spectra before and after partial transposition, which depend on |m|
 and |n| only. They are one branch-free kernel, free of cancellation for the
-smallest invariants, and decide every quadrant: ``family_invariants`` (scan, fig2,
-eval) and ``family_spectra`` (fig1) run it at (|m|, |n|) and take no root of Sigma,
-no inverse of a form and no eigensolve. The kernel is total: it scales theta and eta
-by a power of two, so every admissible float point, theta and eta up to the largest
-float, gets finite positive invariants, and no closed form can abort.
+smallest invariants, and decide every quadrant: ``family_invariants`` (scan, fig2),
+``point_invariants`` (eval) and ``family_spectra`` (fig1) run it at (|m|, |n|) and take no
+root of Sigma, no inverse of a form and no eigensolve. One kernel text runs on the arrays
+and on the Python floats of ``point_invariants``, with numpy's primitives or math's, to the
+same bits. It is total: it scales theta and eta by a power of two, so every admissible
+float point, theta and eta up to the largest float, gets finite positive invariants, and no
+closed form can abort.
 The dense 8x8 route, one eigvalsh per block of points with Sigma^-1/2 in closed form,
 is only ``dense_spectra``: the cross-check of nu_- and nu'_- for ``eval --verbose`` and
 the tests.
@@ -18,6 +20,7 @@ the tests.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -62,31 +65,54 @@ def build_covariance(m: float, n: float) -> np.ndarray:
     return validate_covariance(_covariance_matrix(m, n, (1.0 + r) / (1.0 - r)))
 
 
-def _deficit(thetas: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """1 - theta*eta to about an ulp near the hyperbola too: 1 - fl(theta*eta) less Dekker's exact error."""
-    product = thetas * etas
-    th, eh = ((v.view(np.int64) & -(1 << 27)).view(np.float64) for v in (thetas, etas))
-    tl, el = thetas - th, etas - eh
-    error = ((th * eh - product) + th * el + tl * eh) + tl * el
+_FLOAT_PRIMITIVES = SimpleNamespace(sqrt=math.sqrt, minimum=min, maximum=max, frexp=math.frexp, ldexp=math.ldexp)
+
+
+def _primitives(x):
+    """The kernel's few primitives: numpy's for an array, math's (and min, max) for a Python float."""
+    return np if isinstance(x, np.ndarray) else _FLOAT_PRIMITIVES
+
+
+def _high_half(x):
+    """Veltkamp's split: the high 26 bits of x, with x less them exact in 26 more."""
+    c = 134217729.0 * x
+    return c - (c - x)
+
+
+def _deficit(big, small):
+    """1 - big*small to about an ulp near the hyperbola too: 1 - fl(big*small) less Dekker's exact error.
+
+    Veltkamp's split (:func:`_high_half`) halves each factor exactly, by plain arithmetic; as a
+    function its temporaries are freed on return, and on arrays fewer live temporaries measured
+    faster. The kernel passes max(theta, eta)/k and min(theta, eta) k (:func:`_inverse_scale`):
+    the product keeps its value, and the larger stays below 2^200, so 134217729 x cannot overflow.
+    """
+    product = big * small
+    bh, sh = _high_half(big), _high_half(small)
+    bl, sl = big - bh, small - sh
+    error = ((bh * sh - product) + bh * sl + bl * sh) + bl * sl
     return (1.0 - product) - error
 
 
 def _invariant(gap, c, r: float):
     """b / (1 - theta*eta) times the square root of the smaller root of x^2 - 2(gap + c) x + c^2."""
-    return (1.0 + r) ** 2 / np.sqrt(gap + c + np.sqrt(gap * (gap + 2.0 * c)))
+    sqrt = _primitives(gap).sqrt
+    return (1.0 + r) ** 2 / sqrt(gap + c + sqrt(gap * (gap + 2.0 * c)))
 
 
-def _inverse_scale(theta, eta):
-    """1/k for the power of two k = 2^max(e - 200, 0), e the binary exponent of max(theta, eta)."""
-    return np.ldexp(1.0, np.minimum(200 - np.frexp(np.maximum(theta, eta))[1], 0))
+def _inverse_scale(big):
+    """1/k for the power of two k = 2^max(e - 200, 0), e the binary exponent of ``big`` = max(theta, eta)."""
+    xp = _primitives(big)
+    return xp.ldexp(1.0, xp.minimum(200 - xp.frexp(big)[1], 0))
 
 
 def _closed_forms(theta, eta, m: float, n: float, r: float):
     """nu_-, nu'_-, their pencils' gaps g = omega/2 - c over k^2, c and 1/k, at the points (theta, eta).
 
-    theta and eta are numpy scalars or equal-shape arrays. Each invariant is
-    b / (1 - theta*eta) times the square root of the smaller root of a pencil
-    x^2 - omega x + c^2, c = (1-R^2)(1 - theta*eta): (1+R)^2 / sqrt(g + c + sqrt(g (g + 2c))).
+    theta and eta are Python floats or equal-shape arrays: one text for both, whose few
+    primitives come from math or numpy (:func:`_primitives`), so a point and a grid get the
+    same bits. Each invariant is b / (1 - theta*eta) times the square root of the smaller root
+    of a pencil x^2 - omega x + c^2, c = (1-R^2)(1 - theta*eta): (1+R)^2 / sqrt(g + c + sqrt(g (g + 2c))).
     With s = theta + eta, q = (1-R)(1+R), q_n = (1-|n|)(1+|n|) and c from :func:`_deficit`,
 
         g_- = (|theta - eta| + n s)^2 / 2 + 2 theta eta q              (Omega, nu_-)
@@ -95,37 +121,46 @@ def _closed_forms(theta, eta, m: float, n: float, r: float):
     The signs pick the pencil, n's for Omega and m's for Omega'. (|m|, |n|) gives
     the smallest invariants: every term is non-negative, so nothing cancels, also
     where a gap vanishes, near the hyperbola and as R -> 1. (-|m|, -|n|) gives the
-    second ones, where (1+n)|theta - eta| + 2n min(theta, eta) keeps Omega's
+    second ones, where (1+n)(max - min) + 2n min of theta and eta keeps Omega's
     difference exact at theta = 0 or eta = 0, and the lift q_n s - 2|m| of Omega', which cancels as
     |m| -> 1, is (s - 2|m|) - n^2 s plus the rounding of s: no rounded q_n and no rounded s
-    enters the difference. The kernel runs on theta/k, eta/k, 2m/k
-    and c/k^2, k from :func:`_inverse_scale`, and divides each invariant by k: a power of
-    two scales exactly, so nothing overflows at any float point, and below 2^200, where
-    k = 1, every bit is that of the unscaled forms.
+    enters the difference. The forms are symmetric in theta and eta, so the kernel runs on
+    max(theta, eta)/k, min(theta, eta)/k, 2m/k and c/k^2, k from :func:`_inverse_scale`, and
+    divides each invariant by k: a power of two scales exactly, so nothing overflows at any
+    float point, and below 2^200, where k = 1, every bit is that of the unscaled forms. On
+    floats nothing warns or raises either: no root or quotient meets a negative or zero operand.
     """
+    xp = _primitives(theta)
+    big, small = xp.maximum(theta, eta), xp.minimum(theta, eta)
     q = (1.0 - r) * (1.0 + r)
     q_n = (1.0 - abs(n)) * (1.0 + abs(n))
-    c = q * _deficit(theta, eta)
-    unit = _inverse_scale(theta, eta)
-    theta, eta, c_k = theta * unit, eta * unit, c * unit * unit
-    split = (1.0 + n) * abs(theta - eta) + 2.0 * n * np.minimum(theta, eta)
-    total = theta + eta
+    unit = _inverse_scale(big)
+    big = big * unit
+    c = q * _deficit(big, small / unit)
+    small, c_k = small * unit, c * unit * unit
+    split = (1.0 + n) * (big - small) + 2.0 * n * small
+    total = big + small
     if m < 0.0:  # the second pencil; Knuth's two-sum gives the rounding of s
-        late = total - theta
-        lift = ((total + 2.0 * m * unit) - n * n * total) + ((theta - (total - late)) + (eta - late))
+        late = total - big
+        lift = ((total + 2.0 * m * unit) - n * n * total) + ((big - (total - late)) + (small - late))
     else:
         lift = q_n * total + 2.0 * m * unit
-    gap_minus = split * split / 2.0 + 2.0 * theta * eta * q
+    gap_minus = split * split / 2.0 + 2.0 * big * small * q
     gap_plus = (lift * lift / 2.0 + 2.0 * n * n * q * unit * unit) / q_n
     nu, nu_prime = _invariant(gap_minus, c_k, r) * unit, _invariant(gap_plus, c_k, r) * unit
     return nu, nu_prime, gap_minus, gap_plus, c, unit
 
 
+def _point_name(theta: float, eta: float, m: float, n: float) -> str:
+    return f"(theta, eta, m, n) = ({float(theta)!r}, {float(eta)!r}, {float(m)!r}, {float(n)!r})"
+
+
 def _point_names(thetas, etas, m: float, n: float):
     """``where`` for the per-point checks: names point k of the arrays."""
-    return lambda k: (
-        f"(theta, eta, m, n) = ({float(thetas[k])!r}, {float(etas[k])!r}, {float(m)!r}, {float(n)!r})"
-    )
+    return lambda k: _point_name(thetas[k], etas[k], m, n)
+
+
+_BAD_DEFORMATION = "theta and eta must be finite and >= 0"
 
 
 def _checked_points(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
@@ -135,8 +170,8 @@ def _checked_points(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.nd
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     if thetas.ndim != 1 or thetas.shape != etas.shape:
         raise DimensionError(f"theta and eta must be 1-D of one length, got {thetas.shape}, {etas.shape}")
-    _raise_first(invalid_deformations(thetas, etas), DomainError,
-                 "theta and eta must be finite and >= 0", _point_names(thetas, etas, m, n))
+    _raise_first(invalid_deformations(thetas, etas), DomainError, _BAD_DEFORMATION,
+                 _point_names(thetas, etas, m, n))
     with np.errstate(over="ignore"):  # theta*eta beyond the float range is inf, off the domain
         todo = np.flatnonzero(thetas * etas < 1.0)
     return thetas, etas, validate_couplings(m, n), todo
@@ -175,11 +210,22 @@ def family_invariants(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.
     """
     thetas, etas, r, todo = _checked_points(thetas, etas, m, n)
     nu, nu_prime = np.full((2, len(thetas)), np.nan)
-    ts, es = thetas[todo], etas[todo]
-    # One point runs on numpy scalars: the same arithmetic at a fifth of the cost.
-    points = (ts[0], es[0]) if todo.size == 1 else (ts, es)
-    nu[todo], nu_prime[todo] = _closed_forms(*points, abs(m), abs(n), r)[:2]
+    nu[todo], nu_prime[todo] = _closed_forms(thetas[todo], etas[todo], abs(m), abs(n), r)[:2]
     return nu, nu_prime
+
+
+def point_invariants(theta: float, eta: float, m: float, n: float) -> tuple[float, float]:
+    """:func:`family_invariants` at one point of Python floats, as floats: the same checks with the
+    same messages, and the same kernel text run on floats, so every bit is the grid's.
+
+    Floats need no ``errstate``: theta*eta beyond the float range is inf, with no warning.
+    """
+    if not (math.isfinite(theta) and math.isfinite(eta) and theta >= 0.0 and eta >= 0.0):
+        raise DomainError(f"{_BAD_DEFORMATION} at {_point_name(theta, eta, m, n)}")
+    r = validate_couplings(m, n)
+    if not theta * eta < 1.0:
+        return math.nan, math.nan
+    return _closed_forms(theta, eta, abs(m), abs(n), r)[:2]
 
 
 def _inverse_root(m: float, n: float, r: float) -> np.ndarray:
@@ -223,7 +269,7 @@ def dense_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndar
         block = todo[start : start + _BLOCK]
         where = _point_names(thetas[block], etas[block], m, n)
         ts, es = thetas[block, None, None, None], etas[block, None, None, None]
-        unit = _inverse_scale(ts, es)
+        unit = _inverse_scale(np.maximum(ts, es))
         forms = (ts * unit) * _THETA + (es * unit) * _ETA + unit * _UNIT
         out[block] = _root_spectrum(root, forms, lambda k: where(k // 2)) * unit[..., 0]
     return out[:, 0], out[:, 1]

@@ -5,7 +5,8 @@ closed-form kernel at (|m|, |n|), which decides every quadrant with no 8x8 algeb
 The figure-1 spectra (``family.family_spectra``) come from the same kernel. The
 verdict column comes from one call of ``separability.verdict_from_invariants`` on
 the invariant arrays: each point's verdict as an integer code, NaN (theta*eta >= 1)
-giving ``invalid``. :func:`eval_point` is the one-point case of the grid call. Every
+giving ``invalid``. :func:`eval_point` runs the same kernel text and verdict rule on
+Python floats (``family.point_invariants``), so a point gets the bits of its grid row. Every
 grid range, the CLI's included, is checked by one function, :func:`_check_range`.
 Rows run in row-major order, theta outer and eta inner.
 
@@ -30,7 +31,7 @@ from json.encoder import encode_basestring_ascii as quote
 import numpy as np
 
 from .errors import DomainError
-from .family import family_invariants, family_spectra
+from .family import family_invariants, family_spectra, point_invariants
 from .separability import Verdict, verdict_from_invariants
 
 SCAN_FIELDS = ("theta", "eta", "m", "n", "r", "nu_minus", "nu_minus_prime", "verdict")
@@ -81,14 +82,13 @@ class ScanRecord:
 
 
 def eval_point(theta: float, eta: float, m: float, n: float) -> ScanRecord:
-    """Classify one family point: the one-point case of :func:`scan_table`.
+    """Classify one family point: :func:`scan_table`'s kernel text and verdict rule run on floats.
 
-    theta*eta >= 1 yields the invalid verdict. The verdict rule runs on the
-    float pair: a one-point array or table would cost more than the evaluation.
+    theta*eta >= 1 yields the invalid verdict. ``family.point_invariants`` runs the closed forms
+    on Python floats, so the record carries the bits of the grid's row at the same point.
     """
     theta, eta, m, n = float(theta), float(eta), float(m), float(n)
-    nu, nu_prime = family_invariants(np.array([theta]), np.array([eta]), m, n)
-    nu, nu_prime = nu.item(), nu_prime.item()
+    nu, nu_prime = point_invariants(theta, eta, m, n)
     verdict = verdict_from_invariants(nu, nu_prime)
     if verdict is Verdict.INVALID_DOMAIN:
         nu = nu_prime = None

@@ -267,6 +267,21 @@ def partial_transpose_covariance(sigma, pt):
     return validate_covariance(out)
 
 
+def int64_split_deficit(thetas, etas):
+    """1 - theta*eta on float arrays as the kernel once took it: 1 - fl(theta*eta) less Dekker's error,
+    with each factor cut by masking the low 27 bits of its int64 view.
+
+    That cut leaves a low half of 27 bits, so the last product, of the two low halves, can round:
+    within a few ulps of the hyperbola the result can be an ulp off 1 - theta*eta correctly
+    rounded. The reference for the bits of ``family._deficit``, which splits by Veltkamp.
+    """
+    product = thetas * etas
+    th, eh = ((v.view(np.int64) & -(1 << 27)).view(np.float64) for v in (thetas, etas))
+    tl, el = thetas - th, etas - eh
+    error = ((th * eh - product) + th * el + tl * eh) + tl * el
+    return (1.0 - product) - error
+
+
 def dense_point(theta, eta, m, n):
     """(nu_-, nu'_-) of the dense route at one point: the pair ``eval --verbose`` prints."""
     spectrum, reflected = dense_spectra([theta], [eta], m, n)

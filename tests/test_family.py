@@ -16,6 +16,7 @@ from ncgauss import (
     build_planar_form,
     nc_williamson_spectrum,
 )
+from ncgauss import family
 from ncgauss.cli import main
 from ncgauss.core import block_diag, inverse_root
 from ncgauss.family import (
@@ -25,10 +26,18 @@ from ncgauss.family import (
     dense_spectra,
     family_invariants,
     family_spectra,
+    point_invariants,
 )
 from ncgauss.scan import eval_point
 from ncgauss.separability import primed_form
-from oracles import closed_tolerance, dense_point, dense_tolerance, mp_closed_forms, mp_spectra
+from oracles import (
+    closed_tolerance,
+    dense_point,
+    dense_tolerance,
+    int64_split_deficit,
+    mp_closed_forms,
+    mp_spectra,
+)
 
 FIG_M, FIG_N = np.sqrt(2.0) / 6.0, 1.0 / 6.0
 EPS = float(np.finfo(float).eps)
@@ -249,8 +258,53 @@ class TestClosedForms:
         nu, nu_prime = family_invariants([1e76], [1e-77], 0.5, -0.4)
         assert (nu[0], nu_prime[0]) == (1.9218748910618357e-76, 2.9357123881752905e-76)
 
+    @pytest.mark.parametrize("m,n", [(0.3, 0.2), (-0.9999999, 0.0001)])
+    def test_veltkamps_split_keeps_the_int64_splits_bits(self, monkeypatch, m, n):
+        # The kernel once cut Dekker's halves by masking the int64 view (oracles.int64_split_deficit).
+        # Veltkamp's split is plain arithmetic, so one text runs on floats too, and no array bit of
+        # nu_- or nu'_- changes, near the hyperbola and over the whole float range. The deficit
+        # itself changes only where the mask's low halves of 27 bits made Dekker's last product
+        # round: there the new one is 1 - theta*eta correctly rounded and the old one is not, and
+        # only the larger fig1 invariants, which divide by c, move, within the fig1 bound of mpmath.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(59)
+        size = 20000
+        thetas = np.ldexp(rng.uniform(1.0, 2.0, size), rng.integers(-1074, 1024, size))
+        thetas[: size // 2] = rng.uniform(0.5, 2.0, size // 2)
+        with np.errstate(over="ignore"):
+            etas = (1.0 - 2.0 ** -rng.uniform(0.0, 53.0, size)) / thetas
+        for _ in range(3):  # a few ulps closer to the hyperbola
+            etas = np.where(rng.random(size) < 0.5, np.nextafter(etas, 0.0), etas)
+        keep = (etas < math.inf) & (thetas * etas < 1.0)
+        thetas, etas = thetas[keep], etas[keep]
+        swap = rng.random(len(thetas)) < 0.5
+        thetas, etas = np.where(swap, etas, thetas), np.where(swap, thetas, etas)
+        big, small = np.maximum(thetas, etas), np.minimum(thetas, etas)
+        unit = family._inverse_scale(big)
+        new = family._deficit(big * unit, small / unit)
+        old = int64_split_deficit(thetas, etas)
+        got = np.array(family_invariants(thetas, etas, m, n)), np.array(family_spectra(thetas, etas, m, n))
+        monkeypatch.setattr(family, "_deficit", lambda big, small: int64_split_deficit(thetas, etas))
+        want = np.array(family_invariants(thetas, etas, m, n)), np.array(family_spectra(thetas, etas, m, n))
+        np.testing.assert_array_equal(got[0].view(np.int64), want[0].view(np.int64))
+        np.testing.assert_array_equal(got[1][..., :2].view(np.int64), want[1][..., :2].view(np.int64))
+        moved = np.flatnonzero(new.view(np.int64) != old.view(np.int64))
+        assert 0 < len(moved) < len(thetas) // 50
+        for k in moved.tolist():
+            exact = float(1 - Fraction(thetas[k]) * Fraction(etas[k]))
+            assert new[k] == exact != old[k]
+        changed = np.flatnonzero((got[1] != want[1]).any(axis=(0, 2)))
+        assert set(changed.tolist()) <= set(moved.tolist())
+        checked = changed[big[changed] <= 2.0][:4]  # where the 8x8 mpmath route applies
+        assert len(checked)
+        for k in checked.tolist():
+            expected = sum(mp_spectra(thetas[k], etas[k], m, n), [])
+            errors = [abs(float((mpmath.mpf(g) - w) / w)) for g, w in zip(got[1][:, k].ravel(), expected)]
+            assert max(errors) <= 8.0 * EPS * (1.0 + 1.0 / (1.0 - math.hypot(m, n)))
+
     def test_arrays_match_single_points_bit_for_bit(self):
-        # Grids run the closed forms on arrays and single points (eval_point) on numpy scalars.
+        # Grids run the closed forms on arrays and single points (eval_point) on Python floats,
+        # one kernel text with numpy's primitives or math's.
         # Odd 27-bit mantissas have squares that are exact rounding ties, where
         # x*x and pow(x, 2) often round apart: any such split between the two
         # paths shows here.
@@ -278,7 +332,7 @@ class TestClosedForms:
              signs=SIGNS[1])
     def test_signs_of_the_couplings_change_no_bit(self, points, radius, angle, signs):
         # family_invariants runs the kernel at (|m|, |n|) in every quadrant: on arrays and on
-        # the one-point numpy-scalar path, each sign pattern gives the bits of (|m|, |n|).
+        # one point's floats (point_invariants), each sign pattern gives the bits of (|m|, |n|).
         thetas, etas = np.array(points).T
         m, n = radius * math.cos(angle), radius * math.sin(angle)
         assume(math.hypot(m, n) < 1.0)
@@ -287,7 +341,7 @@ class TestClosedForms:
         got = np.array(family_invariants(thetas, etas, *signed))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         for k, point in enumerate(points):
-            one = np.array(family_invariants([point[0]], [point[1]], *signed))[:, 0]
+            one = np.array(point_invariants(*point, *signed))
             assert np.array_equal(one.view(np.int64), want[:, k].view(np.int64))
 
     @pytest.mark.parametrize("m,n", [(0.3, 0.2), (-0.3, 0.2), (-0.3, -0.2), (0.3, -0.2)])
@@ -480,9 +534,9 @@ class TestFamilySpectra:
         nu, nu_prime = family_invariants(thetas, etas, m, n)
         np.testing.assert_array_equal(spectrum[:, 0], nu)
         np.testing.assert_array_equal(reflected[:, 0], nu_prime)
-        for k in range(0, len(thetas), 20):  # one point runs on numpy scalars
-            one = family_invariants(thetas[k : k + 1], etas[k : k + 1], m, n)
-            np.testing.assert_array_equal([one[0][0], one[1][0]], [nu[k], nu_prime[k]])
+        for k in range(0, len(thetas), 20):  # one point runs on Python floats
+            one = point_invariants(thetas[k].item(), etas[k].item(), float(m), float(n))
+            np.testing.assert_array_equal(one, [nu[k], nu_prime[k]])
 
     @pytest.mark.parametrize("m,n", [(-0.3, 0.2), (0.3, -0.2), (-0.1, -0.1), (FIG_M, FIG_N)])
     def test_dense_route_agrees_and_checks_alike(self, m, n):

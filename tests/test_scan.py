@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -24,7 +25,7 @@ from ncgauss import (
     scan_table,
 )
 from ncgauss.cli import main
-from ncgauss.family import dense_spectra
+from ncgauss.family import dense_spectra, family_invariants, family_spectra
 from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS, _check_range, table_to_csv, table_to_json
 from ncgauss.separability import Verdict, primed_form, verdict_from_invariants
 from oracles import (
@@ -33,6 +34,7 @@ from oracles import (
     closed_tolerance,
     dense_point,
     dense_tolerance,
+    mp_closed_forms,
     mp_spectra,
     records_self_consistent,
     rows_to_csv,
@@ -45,6 +47,55 @@ EPS = float(np.finfo(float).eps)
 QUADRANTS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
 DBL_MAX = float(np.finfo(float).max)
 PAYLOAD_NAN = np.array(0x7FF8_0000_DEAD_BEEF).view(np.float64).item()  # a quiet NaN with a payload
+
+
+# Bad points and the DomainError text that eval_point and every array route give for each.
+POINT_ERRORS = [
+    ((-1.0, 0.5, 0.3, 0.2),
+     "theta and eta must be finite and >= 0 at (theta, eta, m, n) = (-1.0, 0.5, 0.3, 0.2)"),
+    ((0.5, -5e-324, 0.3, 0.2),
+     "theta and eta must be finite and >= 0 at (theta, eta, m, n) = (0.5, -5e-324, 0.3, 0.2)"),
+    ((math.nan, 0.5, 0.3, 0.2),
+     "theta and eta must be finite and >= 0 at (theta, eta, m, n) = (nan, 0.5, 0.3, 0.2)"),
+    ((0.5, math.inf, 0.3, 0.2),
+     "theta and eta must be finite and >= 0 at (theta, eta, m, n) = (0.5, inf, 0.3, 0.2)"),
+    ((-math.inf, 0.5, 1.2, 0.0),  # the deformations are checked first
+     "theta and eta must be finite and >= 0 at (theta, eta, m, n) = (-inf, 0.5, 1.2, 0.0)"),
+    ((0.5, 0.5, 1.2, 0.0), "R = sqrt(m^2 + n^2) = 1.2 must be < 1"),
+    ((0.5, 0.5, 0.6, 0.8), "R = sqrt(m^2 + n^2) = 1.0 must be < 1"),
+    ((2.0, 0.5, 1.0, 0.0), "R = sqrt(m^2 + n^2) = 1.0 must be < 1"),  # beyond the hyperbola too
+]
+# ROADMAP item 2's point: the deformation alone makes it NPT, inside the verdict band.
+BAND_POINT = (0.0, 0.5905735581745339, 0.23570226039551587, 0.16666666666666666)
+
+
+@st.composite
+def _float_range_points(draw):
+    """(theta, eta, m, n) in any quadrant over the whole float range: the larger deformation up to
+    the largest float with the smaller down to the subnormals, theta*eta in [0.98, 1) (rounding
+    can push it to 1, off the domain), or any two floats; R up to 1 - 2^-53."""
+    kind = draw(st.sampled_from(("extreme", "hyperbola", "any")))
+    big = _ldexp_floats(900, 1023) if kind == "extreme" else _ldexp_floats(-1074, 1023)
+    theta = draw(big)
+    if kind == "extreme":
+        eta = draw(st.just(0.0) | _ldexp_floats(-1074, -1023))
+    elif kind == "hyperbola":
+        eta = draw(st.floats(min_value=0.98, max_value=1.0, exclude_max=True)) / theta
+    else:
+        eta = draw(st.just(0.0) | big)
+    if draw(st.booleans()):
+        theta, eta = eta, theta
+    radius = draw(st.sampled_from((0.0, 0.9999999999999999)) | st.floats(0.0, 0.9999999999999999))
+    angle = draw(st.floats(min_value=0.0, max_value=math.pi / 2.0))
+    signs = draw(st.sampled_from(QUADRANTS))
+    m, n = signs[0] * radius * math.cos(angle), signs[1] * radius * math.sin(angle)
+    assume(math.isfinite(theta) and math.isfinite(eta) and math.hypot(m, n) < 1.0)
+    return theta, eta, m, n
+
+
+def _ldexp_floats(low, high):
+    """Positive floats with a binary exponent from ``low`` to ``high``, log-uniform."""
+    return st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(low, high))
 
 
 def _scan_rows(theta_range, eta_range, m, n):
@@ -146,17 +197,90 @@ class TestEvalPoint:
         with pytest.raises(DomainError):
             eval_point(-0.1, 0.0, 0.1, 0.1)
 
-    @pytest.mark.parametrize("point, message", [
-        ((-1.0, 0.5, 0.3, 0.2),
-         "theta and eta must be finite and >= 0 at (theta, eta, m, n) = (-1.0, 0.5, 0.3, 0.2)"),
-        ((0.5, 0.5, 1.2, 0.0), "R = sqrt(m^2 + n^2) = 1.2 must be < 1"),
-    ])
+    @pytest.mark.parametrize("point, message", POINT_ERRORS)
     def test_dense_route_errors_name_the_point(self, point, message):
-        # The errors eval_point and the grids raise, with the same messages.
+        # The errors eval_point and the grids raise, with the same messages: eval_point checks its
+        # floats itself, and the array routes check arrays.
         theta, eta, m, n = point
+        for route in (dense_spectra, family_invariants, family_spectra):
+            with pytest.raises(DomainError) as exc:
+                route([theta], [eta], m, n)
+            assert str(exc.value) == message
         with pytest.raises(DomainError) as exc:
-            dense_spectra([theta], [eta], m, n)
+            eval_point(theta, eta, m, n)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("point, message", POINT_ERRORS)
+    def test_eval_exit_codes(self, capsys, point, message):
+        # ncgauss eval exits 2 on every bad point: argparse refuses a non-finite value, and a
+        # finite bad point prints eval_point's message.
+        argv = ["eval", *(f"--{k}={v!r}" for k, v in zip(("theta", "eta", "m", "n"), point))]
+        if all(map(math.isfinite, point)):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"ncgauss: {message}\n"
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "value must be finite" in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None)
+    @given(point=st.tuples(st.floats(), st.floats(), st.floats(), st.floats()))
+    @example(point=(DBL_MAX, DBL_MAX, 0.3, 0.2))  # theta*eta overflows to inf
+    @example(point=(DBL_MAX, 5e-324, 0.9999999999999999, 0.0))
+    @example(point=(math.inf, 0.0, 0.3, 0.2))
+    @example(point=(0.5, 0.5, DBL_MAX, DBL_MAX))
+    def test_float_path_raises_only_domain_errors(self, point):
+        # Any float quadruple gives a record or a DomainError: no OverflowError, ValueError or
+        # ZeroDivisionError from math, and no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                record = eval_point(*point)
+            except DomainError:
+                return
+        if record.verdict is Verdict.INVALID_DOMAIN:
+            assert record.nu_minus is record.nu_minus_prime is None
+        else:
+            assert 0.0 < record.nu_minus < math.inf and 0.0 < record.nu_minus_prime < math.inf
+
+    @settings(max_examples=300, deadline=None)
+    @given(point=_float_range_points())
+    @example(point=(DBL_MAX, 5e-324, -0.3, 0.2))
+    @example(point=(5e-324, DBL_MAX, 0.3, -0.2))
+    @example(point=(DBL_MAX, 1.0 / DBL_MAX, -0.9999999999999999, 0.0))
+    @example(point=(1.0, 0.9999999999999999, -0.3, -0.2))
+    @example(point=(1.2, 0.98 / 1.2, 0.0, 0.9999999999999999))
+    @example(point=(2.0, 0.5, 0.3, 0.2))  # theta*eta = 1: invalid
+    def test_point_has_the_bits_of_its_grid_row(self, point):
+        # eval_point runs the kernel text on floats and scan_table on arrays: nu_-, nu'_- and the
+        # verdict agree bit for bit, in every quadrant and over the whole float range.
+        theta, eta, m, n = point
+        record = eval_point(theta, eta, m, n)
+        table = scan_table((theta, theta, 1), (eta, eta, 1), m, n)
+        codes, labels = table["verdict"]
+        assert labels[codes[0]] is record.verdict
+        for got, name in ((record.nu_minus, "nu_minus"), (record.nu_minus_prime, "nu_minus_prime")):
+            want = table[name][0].item()
+            if math.isnan(want):
+                assert got is None
+            else:
+                assert got.hex() == want.hex()
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the 1e-12 verdict band counts nu'_- = 1 - 5e-13 as >= 1")
+    def test_deformation_alone_entangles_inside_the_verdict_band(self):
+        # At 60 digits nu'_- = 1 - 5.04e-13 here, so the state is NPT, but the band calls it separable.
+        mpmath = pytest.importorskip("mpmath")
+        assert mp_closed_forms(*BAND_POINT, dps=60)[1] < 1 - mpmath.mpf("5e-13")
+        assert eval_point(*BAND_POINT).verdict == "entangled"
+
+    def test_eval_and_a_one_point_scan_agree_inside_the_verdict_band(self, capsys):
+        theta, eta, m, n = map(repr, BAND_POINT)
+        assert main(["eval", "--theta", theta, "--eta", eta, "--m", m, "--n", n]) == 0
+        label = json.loads(capsys.readouterr().out)["verdict"]
+        ranges = ["--theta-range", f"{theta}:{theta}:1", "--eta-range", f"{eta}:{eta}:1"]
+        assert main(["scan", *ranges, "--m", m, "--n", n, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["verdict"] == label
 
     def test_dense_route_leaves_the_hyperbola_missing(self, capsys):
         # theta*eta >= 1 is no error: dense_spectra's row is NaN, and eval --verbose prints the
@@ -317,7 +441,7 @@ class TestScanGrid:
     def test_grid_records_equal_point_records(
         self, theta, product, spread, steps, radius, angle, quadrant
     ):
-        # The batched table and the one-point case give the same rows, bit for bit,
+        # The batched table and eval_point, the kernel on floats, give the same rows, bit for bit,
         # on grids straddling the hyperbola (theta*eta in [0.99, 1) and beyond).
         eta = product / theta
         m, n = quadrant[0] * radius * math.cos(angle), quadrant[1] * radius * math.sin(angle)
