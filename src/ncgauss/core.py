@@ -44,14 +44,14 @@ def _readonly(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_square(mat, what: str, even: bool = True) -> np.ndarray:
+def _require_square(mat, what: str) -> np.ndarray:
     arr = np.asarray(mat, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"{what} must be a square matrix, got shape {arr.shape}")
     dim = arr.shape[0]
     if dim < 1 or dim > MAX_DIM:
         raise DimensionError(f"{what} dimension {dim} outside supported range [1, {MAX_DIM}]")
-    if even and dim % 2 != 0:
+    if dim % 2 != 0:
         raise DimensionError(f"{what} must have even dimension, got {dim}")
     if not np.all(np.isfinite(arr)):
         raise NCGaussError(f"{what} contains non-finite entries")

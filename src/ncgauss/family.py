@@ -12,6 +12,8 @@ and on the Python floats of ``point_invariants``, with numpy's primitives or mat
 same bits. It is total: it scales theta and eta by a power of two, so every admissible
 float point, theta and eta up to the largest float, gets finite positive invariants, and no
 closed form can abort.
+Every route checks theta and eta (``phase_space.admissible_deformations``), then the couplings
+(:func:`validate_couplings`); the CLI passes its numbers on unchecked, so these are its messages.
 The dense 8x8 route, one eigvalsh per block of points with Sigma^-1/2 in closed form,
 is only ``dense_spectra``: the cross-check of nu_- and nu'_- for ``eval --verbose`` and
 the tests.
@@ -26,7 +28,7 @@ import numpy as np
 
 from .core import _raise_first, _root_spectrum, block_diag, validate_covariance
 from .errors import DimensionError, DomainError
-from .phase_space import NCParams, build_planar_form, invalid_deformations
+from .phase_space import _BAD_DEFORMATION, NCParams, admissible_deformations, build_planar_form
 from .separability import primed_form
 
 
@@ -160,17 +162,14 @@ def _point_names(thetas, etas, m: float, n: float):
     return lambda k: _point_name(thetas[k], etas[k], m, n)
 
 
-_BAD_DEFORMATION = "theta and eta must be finite and >= 0"
-
-
 def _checked_points(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """The points as 1-D float arrays, each checked for finite theta, eta >= 0; also R and the
-    indices of the points in the domain theta*eta < 1."""
+    """The points as 1-D float arrays, each checked by ``phase_space.admissible_deformations``; also R
+    and the indices of the points in the domain theta*eta < 1."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     if thetas.ndim != 1 or thetas.shape != etas.shape:
         raise DimensionError(f"theta and eta must be 1-D of one length, got {thetas.shape}, {etas.shape}")
-    _raise_first(invalid_deformations(thetas, etas), DomainError, _BAD_DEFORMATION,
+    _raise_first(~admissible_deformations(thetas, etas), DomainError, _BAD_DEFORMATION,
                  _point_names(thetas, etas, m, n))
     with np.errstate(over="ignore"):  # theta*eta beyond the float range is inf, off the domain
         todo = np.flatnonzero(thetas * etas < 1.0)
@@ -220,7 +219,7 @@ def point_invariants(theta: float, eta: float, m: float, n: float) -> tuple[floa
 
     Floats need no ``errstate``: theta*eta beyond the float range is inf, with no warning.
     """
-    if not (math.isfinite(theta) and math.isfinite(eta) and theta >= 0.0 and eta >= 0.0):
+    if not admissible_deformations(theta, eta):
         raise DomainError(f"{_BAD_DEFORMATION} at {_point_name(theta, eta, m, n)}")
     r = validate_couplings(m, n)
     if not theta * eta < 1.0:

@@ -7,6 +7,8 @@ A bipartite form is Diag[Omega_A, Omega_B]; ``separability.classify`` takes the
 two party forms and assembles it. A Darboux map S turns standard commuting
 variables into the deformed ones, S J S^T = Omega; it is block-diagonal over the
 two parties and not unique.
+Every input theta and eta, NCParams' and each point of the family routes, meets one check,
+:func:`admissible_deformations`, with one message.
 """
 
 from __future__ import annotations
@@ -30,15 +32,17 @@ from .errors import DimensionError, DomainError, MatrixStructureError, SingularM
 
 # 2x2 antisymmetric symbol with epsilon_12 = +1.
 EPSILON2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_BAD_DEFORMATION = "theta and eta must be finite and >= 0"
 
 
-def invalid_deformations(theta, eta):
-    """Flag theta or eta non-finite or negative, per point for arrays.
+def admissible_deformations(theta, eta):
+    """True where theta and eta are finite and >= 0, a bool for floats and per point for arrays;
+    callers raise with ``_BAD_DEFORMATION`` where not. Positive, as ``~`` of a Python bool is an int.
 
     theta*eta < 1 is a separate test: grid points beyond the hyperbola are kept
     as invalid rows, while these inputs are errors.
     """
-    return ~(np.isfinite(theta) & np.isfinite(eta)) | (theta < 0) | (eta < 0)
+    return (0.0 <= theta) & (theta < math.inf) & (0.0 <= eta) & (eta < math.inf)
 
 
 @dataclass(frozen=True)
@@ -49,8 +53,8 @@ class NCParams:
     eta: float
 
     def __post_init__(self):
-        if invalid_deformations(self.theta, self.eta):
-            raise DomainError(f"theta and eta must be finite and >= 0, got ({self.theta}, {self.eta})")
+        if not admissible_deformations(self.theta, self.eta):
+            raise DomainError(f"{_BAD_DEFORMATION}, got ({self.theta}, {self.eta})")
         if self.theta * self.eta >= 1:
             raise DomainError(
                 f"theta*eta = {self.theta * self.eta} violates the domain theta*eta < 1"

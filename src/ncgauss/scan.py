@@ -25,8 +25,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as quote
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +34,21 @@ from .errors import DomainError
 from .family import family_invariants, family_spectra, point_invariants
 from .separability import Verdict, verdict_from_invariants
 
-SCAN_FIELDS = ("theta", "eta", "m", "n", "r", "nu_minus", "nu_minus_prime", "verdict")
+
+class ScanRecord(NamedTuple):
+    """One grid point, a row of ``SCAN_FIELDS``; the nu fields are None when the point is out of domain."""
+
+    theta: float
+    eta: float
+    m: float
+    n: float
+    r: float
+    nu_minus: float | None
+    nu_minus_prime: float | None
+    verdict: Verdict
+
+
+SCAN_FIELDS = ScanRecord._fields
 FIG1_FIELDS = (
     "theta",
     "eta",
@@ -65,20 +79,6 @@ def _check_range(name: str, rng: tuple[float, float, int]) -> tuple[float, float
     if steps > sys.maxsize:
         raise DomainError(f"{name} range needs <= {sys.maxsize} steps, got {steps}")
     return lo, hi, int(steps)
-
-
-@dataclass(frozen=True)
-class ScanRecord:
-    """One grid point; the nu fields are None when the point is out of domain."""
-
-    theta: float
-    eta: float
-    m: float
-    n: float
-    r: float
-    nu_minus: float | None
-    nu_minus_prime: float | None
-    verdict: Verdict
 
 
 def eval_point(theta: float, eta: float, m: float, n: float) -> ScanRecord:

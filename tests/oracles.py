@@ -27,6 +27,7 @@ from ncgauss.separability import verdict_from_invariants
 # Entrywise bound on A - A^H for hermitian_min_eigenvalue.
 HERMITIAN_TOL = 1e-12
 EPS = float(np.finfo(float).eps)
+PAYLOAD_NAN = np.array(0x7FF8_0000_DEAD_BEEF).view(np.float64).item()  # a quiet NaN with a payload
 
 
 def brute_force_spectrum(sigma, form):
@@ -319,7 +320,7 @@ def rows_to_csv(rows, fields):
 
     None becomes an empty cell, strings pass through, and numbers are written
     with 12 significant digits. A column table goes in as :func:`table_rows`, a
-    ``ScanRecord`` as ``vars(record)``.
+    ``ScanRecord`` as ``record._asdict()``.
     """
     lines = [",".join(fields)]
     for row in rows:

@@ -333,10 +333,18 @@ class TestErrorMessages:
              f"theta range needs <= {sys.maxsize} steps, got 1{'0' * 400}"),
             (["fig2", "--r", "0.5", "--theta-range", "0:inf:3"],
              "theta range must satisfy finite min <= max, got (0.0, inf, 3)"),
+            # A non-finite number parses and meets the library's check of its kind.
+            (["scan", "--m", "nan", "--n", "0.2"], "m and n must be finite, got (nan, 0.2)"),
+            (["fig1", "--thetas", "0,inf"],
+             "theta and eta must be finite and >= 0 at (theta, eta, m, n) = "
+             "(inf, 0.0, 0.23570226039551587, 0.16666666666666666)"),
+            (["fig1", "--n", "nan"], "m and n must be finite, got (0.23570226039551587, nan)"),
+            (["fig2", "--r", "nan"], "r must lie in (0, 1), got nan"),
         ],
     )
-    def test_bad_range_values_are_usage_errors(self, capsys, argv, message):
-        # The one range check, scan._check_range, rejects the values after parsing.
+    def test_bad_values_are_usage_errors(self, capsys, argv, message):
+        # Argument parsing only parses: the library's checks reject the values, the ranges in
+        # scan._check_range, theta and eta in one predicate, m, n and r where they are used.
         assert main(argv) == 2
         assert capsys.readouterr().err == f"ncgauss: {message}\n"
 
@@ -380,7 +388,7 @@ class TestOutputBytes:
         argv = ["scan", "--theta-range", "0:2:13", "--eta-range", "0:2:13", "--m", repr(m), "--n", repr(n)]
         assert main([*argv, "--format", fmt]) == 0
         writer = rows_to_csv if fmt == "csv" else rows_to_json
-        expected = writer([vars(eval_point(t, e, m, n)) for t in axis for e in axis], SCAN_FIELDS)
+        expected = writer([eval_point(t, e, m, n)._asdict() for t in axis for e in axis], SCAN_FIELDS)
         assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -390,7 +398,7 @@ class TestOutputBytes:
         writer = rows_to_csv if fmt == "csv" else rows_to_json
         argv = ["scan", "--theta-range", "1:1:1", "--eta-range", "0:2:5", "--m", "0.3", "--n", "0.2"]
         assert main([*argv, "--format", fmt]) == 0
-        rows = [vars(eval_point(1.0, e, 0.3, 0.2)) for e in np.linspace(0.0, 2.0, 5)]
+        rows = [eval_point(1.0, e, 0.3, 0.2)._asdict() for e in np.linspace(0.0, 2.0, 5)]
         assert capsys.readouterr().out == writer(rows, SCAN_FIELDS)
         assert main(["fig1", "--thetas", "0.5", "--eta-range", "0:2:5", "--format", fmt]) == 0
         table = fig1_table((0.5,), (0.0, 2.0, 5), math.sqrt(2.0) / 6.0, 1.0 / 6.0)

@@ -17,7 +17,7 @@ from ncgauss import (
 )
 from ncgauss.core import block_diag, standard_symplectic_form
 from ncgauss.phase_space import EPSILON2, build_planar_form, build_subsystem_form
-from oracles import brute_force_spectrum, random_spd, validate_darboux
+from oracles import PAYLOAD_NAN, brute_force_spectrum, random_spd, validate_darboux
 
 
 def _composite(theta, eta):
@@ -27,8 +27,12 @@ def _composite(theta, eta):
 
 class TestNCParams:
     def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            NCParams(-0.1, 0.5)
+        # Negative and non-finite deformations, each in either slot, with the one message.
+        for bad in (-0.1, -5e-324, -np.inf, np.inf, np.nan, PAYLOAD_NAN):
+            for theta, eta in ((bad, 0.5), (0.5, bad)):
+                with pytest.raises(DomainError) as exc:
+                    NCParams(theta, eta)
+                assert str(exc.value) == f"theta and eta must be finite and >= 0, got ({theta}, {eta})"
 
     def test_rejects_product_at_one(self):
         with pytest.raises(DomainError):

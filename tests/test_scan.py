@@ -29,6 +29,7 @@ from ncgauss.family import dense_spectra, family_invariants, family_spectra
 from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS, _check_range, table_to_csv, table_to_json
 from ncgauss.separability import Verdict, primed_form, verdict_from_invariants
 from oracles import (
+    PAYLOAD_NAN,
     bisect_decreasing,
     brute_force_spectrum,
     closed_tolerance,
@@ -46,7 +47,6 @@ FIG_M, FIG_N = math.sqrt(2.0) / 6.0, 1.0 / 6.0
 EPS = float(np.finfo(float).eps)
 QUADRANTS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
 DBL_MAX = float(np.finfo(float).max)
-PAYLOAD_NAN = np.array(0x7FF8_0000_DEAD_BEEF).view(np.float64).item()  # a quiet NaN with a payload
 
 
 # Bad points and the DomainError text that eval_point and every array route give for each.
@@ -64,6 +64,8 @@ POINT_ERRORS = [
     ((0.5, 0.5, 1.2, 0.0), "R = sqrt(m^2 + n^2) = 1.2 must be < 1"),
     ((0.5, 0.5, 0.6, 0.8), "R = sqrt(m^2 + n^2) = 1.0 must be < 1"),
     ((2.0, 0.5, 1.0, 0.0), "R = sqrt(m^2 + n^2) = 1.0 must be < 1"),  # beyond the hyperbola too
+    ((0.5, PAYLOAD_NAN, 0.3, 0.2),  # a NaN with a payload is named as any NaN
+     "theta and eta must be finite and >= 0 at (theta, eta, m, n) = (0.5, nan, 0.3, 0.2)"),
 ]
 # ROADMAP item 2's point: the deformation alone makes it NPT, inside the verdict band.
 BAND_POINT = (0.0, 0.5905735581745339, 0.23570226039551587, 0.16666666666666666)
@@ -106,7 +108,7 @@ def _scan_rows(theta_range, eta_range, m, n):
 def _point_rows(theta_range, eta_range, m, n):
     """The rows of one eval_point call per grid point, theta outer and eta inner."""
     return [
-        vars(eval_point(t, e, m, n)) for t in np.linspace(*theta_range) for e in np.linspace(*eta_range)
+        eval_point(t, e, m, n)._asdict() for t in np.linspace(*theta_range) for e in np.linspace(*eta_range)
     ]
 
 
@@ -163,6 +165,8 @@ class TestEvalPoint:
         assert record.verdict == "separable"
         assert record.nu_minus_prime == pytest.approx(1.5, rel=1e-12)
         assert record.r == pytest.approx(0.5, rel=1e-14)
+        with pytest.raises(AttributeError):  # records are immutable
+            record.verdict = Verdict.ENTANGLED_QUANTUM
 
     def test_figure_slice_commutative_point(self):
         # The n = r/3, m = sqrt(2) r/3 slice sits at radius r/sqrt(3), so its
@@ -199,8 +203,8 @@ class TestEvalPoint:
 
     @pytest.mark.parametrize("point, message", POINT_ERRORS)
     def test_dense_route_errors_name_the_point(self, point, message):
-        # The errors eval_point and the grids raise, with the same messages: eval_point checks its
-        # floats itself, and the array routes check arrays.
+        # The errors eval_point and the grids raise, with the same messages: one predicate checks
+        # eval_point's floats and the array routes' arrays.
         theta, eta, m, n = point
         for route in (dense_spectra, family_invariants, family_spectra):
             with pytest.raises(DomainError) as exc:
@@ -212,17 +216,11 @@ class TestEvalPoint:
 
     @pytest.mark.parametrize("point, message", POINT_ERRORS)
     def test_eval_exit_codes(self, capsys, point, message):
-        # ncgauss eval exits 2 on every bad point: argparse refuses a non-finite value, and a
-        # finite bad point prints eval_point's message.
+        # ncgauss eval exits 2 on every bad point, a non-finite one included, and prints
+        # eval_point's message: argument parsing checks no value.
         argv = ["eval", *(f"--{k}={v!r}" for k, v in zip(("theta", "eta", "m", "n"), point))]
-        if all(map(math.isfinite, point)):
-            assert main(argv) == 2
-            assert capsys.readouterr().err == f"ncgauss: {message}\n"
-        else:
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            assert "value must be finite" in capsys.readouterr().err
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"ncgauss: {message}\n"
 
     @settings(max_examples=300, deadline=None)
     @given(point=st.tuples(st.floats(), st.floats(), st.floats(), st.floats()))
