@@ -1,16 +1,15 @@
 """Command-line front end: single-point evaluation and parameter-plane scans.
 
-``scan``, ``fig1`` and ``fig2`` write the column table of one batched evaluation
-(``scan.scan_table``, ``scan.fig1_table``) to stdout or the ``--out`` file, a block of rows per
-write; each column's distinct values are spelled in bulk with their separators, a column of one
-word joins the column before it, and the bytes are those of spelling every cell.
+The commands are one table, ``_COMMANDS``: each name with its help text, its runner and its
+options in ``--help`` order. ``scan``, ``fig1`` and ``fig2`` write the column table of one batched
+evaluation (``scan.scan_table``, ``scan.fig1_table``) to stdout or the ``--out`` file.
 ``eval --verbose`` adds the dense route's invariants at the point (``family.dense_spectra``).
 
-Argument parsing refuses only malformed text; the library checks every number and names what
-fails. Exit codes: 0 on success, 2 on usage errors (malformed text, a
-non-finite or negative deformation, non-finite couplings or R >= 1, a grid range with MIN > MAX, a
-non-finite bound, STEPS < 1 or too large to index, unwritable output, a closed pipe), 3 on
-numerical-domain errors raised during evaluation.
+Argument parsing refuses only malformed text and reads a negative number in any float spelling
+as a value; the library checks every number and names what fails. Exit codes: 0 on success, 2 on
+usage errors (malformed text, a non-finite or negative deformation, non-finite couplings or R >= 1,
+a grid range with MIN > MAX, a non-finite bound, STEPS < 1 or too large to index, unwritable
+output, a closed pipe), 3 on numerical-domain errors raised during evaluation.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 from .errors import DomainError, NCGaussError
@@ -56,9 +56,47 @@ def _write_table(table, args) -> None:
             write(table, handle)
 
 
-def _add_output_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-    parser.add_argument("--out", default="-", help="output path, or - for stdout")
+def _cmd_eval(args) -> None:
+    record = eval_point(args.theta, args.eta, args.m, args.n)
+    obj = {key: value for key, value in record._asdict().items() if value is not None}
+    if args.verbose and record.nu_minus is not None:
+        spectrum, reflected = dense_spectra([args.theta], [args.eta], args.m, args.n)
+        obj["nu_minus_numeric"], obj["nu_minus_prime_numeric"] = spectrum[0, 0].item(), reflected[0, 0].item()
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+
+
+_FLOAT = {"type": float, "required": True}
+_RANGE = {"type": _parse_range, "default": (0.0, 2.0, 101), "metavar": "MIN:MAX:STEPS"}
+_OUTPUT = (("--format", {"choices": ("csv", "json"), "default": "csv", "help": "output format"}),
+           ("--out", {"default": "-", "help": "output path, or - for stdout"}))
+_COMMANDS = {
+    "eval": ("classify a single (theta, eta, m, n) point", _cmd_eval, [
+        ("--theta", _FLOAT), ("--eta", _FLOAT), ("--m", _FLOAT), ("--n", _FLOAT),
+        ("--verbose", {"action": "store_true", "help": "add the dense 8x8 route's invariants as a cross-check"}),
+    ]),
+    "scan": ("classify a (theta, eta) grid",
+             lambda a: _write_table(scan_table(a.theta_range, a.eta_range, a.m, a.n), a), [
+        ("--theta-range", _RANGE), ("--eta-range", _RANGE), ("--m", _FLOAT), ("--n", _FLOAT), *_OUTPUT,
+    ]),
+    "fig1": ("emit full spectra along eta for several theta",
+             lambda a: _write_table(fig1_table(a.thetas, a.eta_range, a.m, a.n), a), [
+        ("--thetas", {"type": _parse_float_list, "default": (0.0, 0.25, 0.5), "metavar": "T1,T2,..."}),
+        ("--eta-range", _RANGE),
+        ("--m", {"type": float, "default": math.sqrt(2.0) / 6.0}),
+        ("--n", {"type": float, "default": 1.0 / 6.0}),
+        *_OUTPUT,
+    ]),
+    "fig2": ("scan the figure slice for a given r label",
+             lambda a: _write_table(scan_table(a.theta_range, a.eta_range, *fig2_couplings(a.r, a.swap)), a), [
+        ("--r", _FLOAT),
+        ("--swap", {"action": "store_true", "help": "swap the (m, n) parameterization"}),
+        ("--theta-range", _RANGE), ("--eta-range", _RANGE), *_OUTPUT,
+    ]),
+}
+# argparse reads a token that a parser's _negative_number_matcher matches as a value; its own
+# matcher takes only -123 and -1.5. This one takes every float spelling (-1e-5, -.5, -inf): no
+# ncgauss option starts with "-" and a digit, ".", inf or nan.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:[\d.]|inf|nan)", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,72 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantumness and separability maps of deformed-phase-space Gaussian states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="classify a single (theta, eta, m, n) point")
-    p_eval.add_argument("--theta", type=float, required=True)
-    p_eval.add_argument("--eta", type=float, required=True)
-    p_eval.add_argument("--m", type=float, required=True)
-    p_eval.add_argument("--n", type=float, required=True)
-    p_eval.add_argument(
-        "--verbose", action="store_true", help="add the dense 8x8 route's invariants as a cross-check"
-    )
-
-    p_scan = sub.add_parser("scan", help="classify a (theta, eta) grid")
-    p_scan.add_argument("--theta-range", type=_parse_range, default=(0.0, 2.0, 101),
-                        metavar="MIN:MAX:STEPS")
-    p_scan.add_argument("--eta-range", type=_parse_range, default=(0.0, 2.0, 101),
-                        metavar="MIN:MAX:STEPS")
-    p_scan.add_argument("--m", type=float, required=True)
-    p_scan.add_argument("--n", type=float, required=True)
-    _add_output_options(p_scan)
-
-    p_fig1 = sub.add_parser("fig1", help="emit full spectra along eta for several theta")
-    p_fig1.add_argument("--thetas", type=_parse_float_list, default=(0.0, 0.25, 0.5),
-                        metavar="T1,T2,...")
-    p_fig1.add_argument("--eta-range", type=_parse_range, default=(0.0, 2.0, 101),
-                        metavar="MIN:MAX:STEPS")
-    p_fig1.add_argument("--m", type=float, default=math.sqrt(2.0) / 6.0)
-    p_fig1.add_argument("--n", type=float, default=1.0 / 6.0)
-    _add_output_options(p_fig1)
-
-    p_fig2 = sub.add_parser("fig2", help="scan the figure slice for a given r label")
-    p_fig2.add_argument("--r", type=float, required=True)
-    p_fig2.add_argument("--swap", action="store_true", help="swap the (m, n) parameterization")
-    p_fig2.add_argument("--theta-range", type=_parse_range, default=(0.0, 2.0, 101),
-                        metavar="MIN:MAX:STEPS")
-    p_fig2.add_argument("--eta-range", type=_parse_range, default=(0.0, 2.0, 101),
-                        metavar="MIN:MAX:STEPS")
-    _add_output_options(p_fig2)
-
+    for name, (help_text, run, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command._negative_number_matcher = _NEGATIVE_NUMBER
+        command.set_defaults(run=run)
+        for flag, spec in options:
+            command.add_argument(flag, **spec)
     return parser
 
 
-def _cmd_eval(args) -> int:
-    record = eval_point(args.theta, args.eta, args.m, args.n)
-    obj = {key: value for key, value in record._asdict().items() if value is not None}
-    if args.verbose and record.nu_minus is not None:
-        spectrum, reflected = dense_spectra([args.theta], [args.eta], args.m, args.n)
-        obj["nu_minus_numeric"], obj["nu_minus_prime_numeric"] = spectrum[0, 0].item(), reflected[0, 0].item()
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
-    return 0
-
-
-def _cmd_scan(args) -> int:
-    _write_table(scan_table(args.theta_range, args.eta_range, args.m, args.n), args)
-    return 0
-
-
-def _cmd_fig1(args) -> int:
-    _write_table(fig1_table(args.thetas, args.eta_range, args.m, args.n), args)
-    return 0
-
-
-def _cmd_fig2(args) -> int:
-    _write_table(scan_table(args.theta_range, args.eta_range, *fig2_couplings(args.r, args.swap)), args)
-    return 0
-
-
-_HANDLERS = {"eval": _cmd_eval, "scan": _cmd_scan, "fig1": _cmd_fig1, "fig2": _cmd_fig2}
 # main's parser, built once per process: building it costs more than a five-point fig1.
 _parser = functools.cache(build_parser)
 
@@ -140,7 +121,7 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        args.run(args)
     except DomainError as exc:
         # Bad numbers, as the library checks them (R >= 1, a non-finite value, a bad grid range).
         print(f"ncgauss: {exc}", file=sys.stderr)
@@ -151,6 +132,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"ncgauss: cannot write output: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    return 0
 
 
 if __name__ == "__main__":

@@ -62,11 +62,16 @@ class TestEval:
         assert obj["verdict"] == "invalid"
         assert "nu_minus" not in obj
 
-    def test_verbose_adds_spectral_cross_check(self, capsys):
-        assert main(
-            ["eval", "--theta", "0.25", "--eta", "0.5", "--m", "0.2", "--n", "0.1", "--verbose"]
-        ) == 0
-        obj = json.loads(capsys.readouterr().out)
+    @pytest.mark.parametrize("m", ["0.2", "-1e-5", "-.5", "-5E-1"])
+    def test_verbose_adds_spectral_cross_check(self, capsys, m):
+        # A negative m in any float spelling is a value, as when joined to its option by "=".
+        argv = ["eval", "--theta", "0.25", "--eta", "0.5", "--m", m, "--n", "0.1", "--verbose"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert main([*argv[:5], f"--m={m}", *argv[7:]]) == 0
+        assert capsys.readouterr().out == out
+        obj = json.loads(out)
+        assert obj["m"] == float(m)
         assert obj["nu_minus_numeric"] == pytest.approx(obj["nu_minus"], rel=1e-8)
         assert obj["nu_minus_prime_numeric"] == pytest.approx(obj["nu_minus_prime"], rel=1e-8)
 
@@ -340,6 +345,14 @@ class TestErrorMessages:
              "(inf, 0.0, 0.23570226039551587, 0.16666666666666666)"),
             (["fig1", "--n", "nan"], "m and n must be finite, got (0.23570226039551587, nan)"),
             (["fig2", "--r", "nan"], "r must lie in (0, 1), got nan"),
+            # A negative number in any spelling is a value, not an option, and meets the same checks.
+            (["eval", "--theta", "0.5", "--eta", "0.5", "--m", "-inf", "--n", "0"],
+             "m and n must be finite, got (-inf, 0.0)"),
+            (["scan", "--m", "0.3", "--n", "0.2", "--theta-range", "-1:2:3"],
+             "theta and eta must be finite and >= 0 at (theta, eta, m, n) = (-1.0, 0.0, 0.3, 0.2)"),
+            (["fig1", "--thetas", "-0.5,1"],
+             "theta and eta must be finite and >= 0 at (theta, eta, m, n) = "
+             "(-0.5, 0.0, 0.23570226039551587, 0.16666666666666666)"),
         ],
     )
     def test_bad_values_are_usage_errors(self, capsys, argv, message):
