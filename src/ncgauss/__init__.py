@@ -22,7 +22,6 @@ from .errors import (
     MatrixStructureError,
     NCGaussError,
     NotPositiveDefiniteError,
-    SingularMatrixError,
 )
 from .family import build_covariance
 from .phase_space import (
@@ -52,7 +51,6 @@ __all__ = [
     "DimensionError",
     "MatrixStructureError",
     "NotPositiveDefiniteError",
-    "SingularMatrixError",
     "DomainError",
     "FormulaDomainError",
     "NCParams",

@@ -9,7 +9,8 @@ Argument parsing refuses only malformed text and reads a negative number in any 
 as a value; the library checks every number and names what fails. Exit codes: 0 on success, 2 on
 usage errors (malformed text, a non-finite or negative deformation, non-finite couplings or R >= 1,
 a grid range with MIN > MAX, a non-finite bound, STEPS < 1 or too large to index, unwritable
-output, a closed pipe), 3 on numerical-domain errors raised during evaluation.
+output, a closed pipe), 3 on any other NCGaussError. No input reaches exit 3: the library raises
+only DomainError for what the commands pass it, so ``NUMERIC_EXIT`` guards against a library bug.
 """
 
 from __future__ import annotations

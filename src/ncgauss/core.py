@@ -3,8 +3,9 @@
 All phase-space matrices are real float64 arrays of even dimension 2n with
 hbar = 1. The spectrum of a (covariance, skew form) pair comes from one
 Hermitian eigensolve of (i/2) S^-1/2 O S^-1/2, whose eigenvalues are +-1/nu:
-no inverse of or solve against the form O, so the smallest invariant, the one
-every verdict reads, is good to about 2n eps whatever the conditioning of O. The
+no inverse of or solve against the form O, so any skew O is accepted, a singular
+one included, and the smallest invariant, the one every verdict reads, does not
+depend on the conditioning of O (see :func:`nc_williamson_spectrum`). The
 generic complex eigenproblem for 2i O^-1 S is kept as a test oracle only.
 """
 
@@ -17,8 +18,8 @@ from .errors import (
     MatrixStructureError,
     NCGaussError,
     NotPositiveDefiniteError,
-    SingularMatrixError,
 )
+from .scaling import inverse_scale
 
 # Dense O(n^3) routines only; the bundled Gaussian family needs just 2n = 8.
 MAX_DIM = 64
@@ -26,16 +27,9 @@ MAX_DIM = 64
 # Largest entrywise asymmetry (or skew defect) relative to max|A|: room for the
 # roundoff of assembled products such as S Sigma S^T, far below any modelling error.
 SYMMETRY = 1e-12
-# 1 / cond_2 at or below which a generic skew form or a Darboux map counts as singular,
-# near enough to rank loss that its inverse keeps about four significant digits
-# (see numerically_singular). The spectral kernel takes no inverse of the form.
-SINGULARITY = 1e-12
 # Band below nu = 1 that still counts as nu >= 1, so that a state on the boundary,
 # such as the vacuum (nu = 1 exactly), does not flip on roundoff in the last bits.
 BOUNDARY = 1e-12
-# Entrywise bound on S J S^T - Omega and on D^2 - I: roundoff in these products grows
-# with the conditioning of the maps, while a wrong entry or sign is of order one.
-MAP_RESIDUAL = 1e-10
 
 
 def _readonly(mat: np.ndarray) -> np.ndarray:
@@ -120,46 +114,14 @@ def validate_covariance(mat) -> np.ndarray:
     return _readonly(arr)
 
 
-def _raise_first(bad, error: type[NCGaussError], message: str, where=None) -> None:
-    """Raise ``error`` for the first flagged entry of a per-matrix check, in row-major order.
-
-    ``bad`` holds one flag per matrix of a stack (a single flag for one matrix);
-    ``where(k)`` names the point behind flat index k, and the message ends in it.
-    """
-    if bad.any():
-        raise error(message if where is None else f"{message} at {where(int(np.argmax(bad)))}")
-
-
-def numerically_singular(mat: np.ndarray):
-    """True when the square matrix A (n x n) is singular to SINGULARITY, at any scale.
-
-    Compares the geometric mean of the singular values, g = |det A|^(1/n), with
-    their root mean square, s_rms = ||A||_F / sqrt(n): A is singular iff
-    g <= eps^((n-1)/n) * s_rms, eps = SINGULARITY. As s_rms <= s_1 and
-    g^n >= s_1 * s_n^(n-1), a flagged A has (s_n/s_1)^((n-1)/n) <= g/s_1 <= eps^((n-1)/n),
-    i.e. cond_2(A) >= 1/eps. An absolute bound on det cannot do this: the family's
-    8x8 form has det = (1 - theta*eta)^4 but cond_2 only of order 1/(1 - theta*eta).
-    The test is one-sided: one tiny singular value can hide in the mean. Both sides
-    are read off A / max|A|, so A -> cA changes nothing at any float scale: its sum
-    of squares lies in [1, n^2], and slogdet keeps det and its root finite up to
-    MAX_DIM. The zero matrix stays singular. Returns a numpy bool for one matrix, and for a stack (..., n, n) an
-    array with one flag per matrix, from one slogdet call.
-    """
-    dim = mat.shape[-1]
-    scale = abs(mat).max(axis=(-2, -1), keepdims=True)
-    unit = mat / np.where(scale > 0.0, scale, 1.0)
-    logdet = np.linalg.slogdet(unit)[1]  # -inf when det = 0, so g = 0 below
-    rms = np.sqrt((unit * unit).sum(axis=(-2, -1)) / dim)
-    return np.exp(logdet / dim) <= SINGULARITY ** ((dim - 1) / dim) * rms
-
-
 def validate_skew_form(mat) -> np.ndarray:
-    """Check skew-symmetry and nonsingularity; return a read-only copy."""
+    """Check shape, finiteness and skew-symmetry; return a read-only copy.
+
+    A singular form is accepted: the spectral kernel never inverts it.
+    """
     arr = _require_square(mat, "skew form")
     if _asymmetric(arr, -1.0):
         raise MatrixStructureError("form is not skew-symmetric within tolerance")
-    if numerically_singular(arr):
-        raise SingularMatrixError("skew form is numerically singular")
     return _readonly(arr)
 
 
@@ -186,51 +148,68 @@ def validated_root(sigma, form) -> tuple[np.ndarray, np.ndarray]:
     return root, frm
 
 
-def _root_spectrum(root: np.ndarray, forms: np.ndarray, where=None) -> np.ndarray:
+def _root_spectrum(root: np.ndarray, forms: np.ndarray) -> np.ndarray:
     """Williamson invariants of Sigma^-1/2 against a form or a stack (..., 2n, 2n).
 
-    Returns the invariants, ascending along the last axis of an (..., n) array,
-    from one eigvalsh for the whole stack. The eigenvalues of (i/2) S O S,
-    S = Sigma^-1/2, are +-1/nu, each to about 2n eps ||S O S|| / 2 = 2n eps / nu_min:
-    nu_min is good to about 2n eps relative, nu_k to about 2n eps nu_k / nu_min.
-    ``where`` names the point behind a matrix whose S O S overflows or whose smallest
-    invariant is not positive.
+    Returns the invariants, ascending along the last axis of an (..., n) array, from one eigvalsh for
+    the whole stack. Each form O is divided by the power of two k of its max|entry| (``scaling``) and
+    its invariants by k, exactly, so no form overflows S O S, S = Sigma^-1/2, and below 2^200 (k = 1)
+    every bit is kept. Only an S beyond about 2^400, as of a covariance near 1e-310 I, still overflows.
     """
+    unit = inverse_scale(abs(forms).max(axis=(-2, -1), keepdims=True), np)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is not finite, which the check reports
-        skew = root @ forms @ root
-    _raise_first(~np.isfinite(skew).all(axis=(-2, -1)), NCGaussError,
-                 "Sigma^-1/2 form Sigma^-1/2 overflows; inputs are out of range", where)
-    vals = np.linalg.eigvalsh(0.5j * skew)
+        skew = root @ (forms * unit) @ root
+    if not np.isfinite(skew).all():
+        raise NCGaussError("Sigma^-1/2 form Sigma^-1/2 overflows; inputs are out of range")
+    # eigvalsh's root-free QR (LAPACK dsterf) works on squares and can lose the digits of every
+    # eigenvalue where entries far below the largest remain: with ratios of 2^-465 to 2^-538 the
+    # family's nu_- came out up to 1.7% off, as at (theta, eta, m, n) = (1.6e-162, 3.1e161, 0, 0).
+    # An entry below 2^-400 of the largest moves no eigenvalue by more than 2n 2^-400 ||H||: drop it.
+    tiny = abs(skew) < 2.0**-400 * abs(skew).max(axis=(-2, -1), keepdims=True)
+    vals = np.linalg.eigvalsh(0.5j * np.where(tiny, 0.0, skew))
     # Pair the +-1/nu eigenvalues symmetrically to cancel roundoff: nu_k = 2 / (vals[-k] - vals[k-1]).
-    # A larger pair that rounds to +-0 gives nu_k = inf, which carries no digits either way;
-    # the smallest pair is +-||S O S|| / 2 and never 0.
-    with np.errstate(divide="ignore"):
+    # The values ascend, so each difference is >= +0 and nu_k lies in (0, inf]: a pair that
+    # rounds to +-0, as every pair of the zero form does, or to a gap below 2/DBL_MAX gives inf.
+    with np.errstate(divide="ignore", over="ignore"):
         invariants = 2.0 / (vals[..., ::-1] - vals)[..., : vals.shape[-1] // 2]
-    _raise_first(invariants[..., 0] <= 0.0, NCGaussError,
-                 "spectrum is not strictly positive; inputs are degenerate", where)
-    return invariants
+    return invariants * unit[..., 0]
 
 
 def nc_williamson_spectrum(sigma, form) -> np.ndarray:
     """Williamson invariants of a covariance matrix with respect to a skew form.
 
-    Returns the n positive values {nu} such that the eigenvalues of
-    2i form^-1 sigma are exactly {+nu, -nu}, as an ascending 1-D float array. With the
-    standard form this is the usual symplectic spectrum; with a deformed
-    commutation form it is its noncommutative generalization. The smallest
-    invariant is good to about 2n eps relative, nu_k to about 2n eps nu_k / nu_min
-    (see :func:`_root_spectrum`).
+    Returns the n values {nu} in (0, inf], as an ascending 1-D float array, for which
+    the Hermitian pencil sigma + (i/2) x form is singular at x = +-nu: equivalently, the
+    eigenvalues of (i/2) sigma^-1/2 form sigma^-1/2 are +-1/nu, and for a nonsingular form
+    those of 2i form^-1 sigma are +-nu. With the standard form this is the usual symplectic
+    spectrum; with a deformed commutation form it is its noncommutative generalization.
+    sigma + (i/2) form >= 0 holds iff the smallest invariant is >= 1, for every skew form.
+    A singular form's null pairs give nu = inf (no constraint), so the zero form gives all inf.
+
+    Accuracy. eigh's Sigma^-1/2 is that of a Sigma + E, ||E|| about 2n eps ||Sigma||: a congruence by
+    (I + F)^-1/2, ||F|| <= ||Sigma^-1|| ||E||, which moves each 1/nu by at most ||F|| relative
+    (Ostrowski). Forming S O S, S = Sigma^-1/2, adds about 2n eps |S| |O| |S|, and ||S||^2 ||O|| <=
+    cond(Sigma) ||S O S||; eigvalsh adds 2n eps / nu_min, :func:`_root_spectrum`'s dropped entries
+    2n 2^-400 / nu_min. So nu_min is within about 2 (2n) eps cond(Sigma) nu_min, plus 2^-1074 where
+    it is subnormal; nu_k within that times nu_k / nu_min. On the family, cond(Sigma) = (1+R)/(1-R)
+    and nu_- stays within 1.2 (2n) eps cond(Sigma) nu_- + 2^-1074 of the closed forms.
 
     Args:
         sigma: symmetric positive-definite 2n x 2n matrix.
-        form: skew-symmetric nonsingular 2n x 2n matrix.
+        form: skew-symmetric 2n x 2n matrix, singular or not.
 
     Raises:
         DimensionError: mismatched or odd dimensions.
+        MatrixStructureError: sigma is not symmetric or form is not skew-symmetric.
         NotPositiveDefiniteError: sigma fails the spectral test.
-        SingularMatrixError: form is singular.
+        NCGaussError: a non-finite entry, or sigma^-1/2 so large that S O S overflows.
     """
     return _root_spectrum(*validated_root(sigma, form))
+
+
+def _uncertainty_holds(nu):
+    """nu >= 1 up to the band BOUNDARY below 1, per entry: the one test of rsup_holds and the verdict."""
+    return nu >= 1.0 - BOUNDARY
 
 
 def rsup_holds(sigma, form) -> bool:
@@ -239,5 +218,5 @@ def rsup_holds(sigma, form) -> bool:
     Equivalent to positivity of the Hermitian matrix sigma + (i/2) form, up
     to the band BOUNDARY below 1.
     """
-    return bool(nc_williamson_spectrum(sigma, form)[0] >= 1.0 - BOUNDARY)
+    return bool(_uncertainty_holds(nc_williamson_spectrum(sigma, form)[0]))
 

@@ -17,10 +17,6 @@ class NotPositiveDefiniteError(NCGaussError):
     """A covariance matrix is not positive-definite."""
 
 
-class SingularMatrixError(NCGaussError):
-    """A matrix that must be invertible is numerically singular."""
-
-
 class DomainError(NCGaussError):
     """Parameters fall outside the admissible domain (theta*eta >= 1, R >= 1, ...)."""
 

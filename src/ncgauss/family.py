@@ -26,9 +26,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import _raise_first, _root_spectrum, block_diag, validate_covariance
+from .core import _root_spectrum, block_diag, validate_covariance
 from .errors import DimensionError, DomainError
 from .phase_space import _BAD_DEFORMATION, NCParams, admissible_deformations, build_planar_form
+from .scaling import inverse_scale
 from .separability import primed_form
 
 
@@ -86,7 +87,7 @@ def _deficit(big, small):
 
     Veltkamp's split (:func:`_high_half`) halves each factor exactly, by plain arithmetic; as a
     function its temporaries are freed on return, and on arrays fewer live temporaries measured
-    faster. The kernel passes max(theta, eta)/k and min(theta, eta) k (:func:`_inverse_scale`):
+    faster. The kernel passes max(theta, eta)/k and min(theta, eta) k (``scaling.inverse_scale``):
     the product keeps its value, and the larger stays below 2^200, so 134217729 x cannot overflow.
     """
     product = big * small
@@ -100,12 +101,6 @@ def _invariant(gap, c, r: float):
     """b / (1 - theta*eta) times the square root of the smaller root of x^2 - 2(gap + c) x + c^2."""
     sqrt = _primitives(gap).sqrt
     return (1.0 + r) ** 2 / sqrt(gap + c + sqrt(gap * (gap + 2.0 * c)))
-
-
-def _inverse_scale(big):
-    """1/k for the power of two k = 2^max(e - 200, 0), e the binary exponent of ``big`` = max(theta, eta)."""
-    xp = _primitives(big)
-    return xp.ldexp(1.0, xp.minimum(200 - xp.frexp(big)[1], 0))
 
 
 def _closed_forms(theta, eta, m: float, n: float, r: float):
@@ -127,7 +122,7 @@ def _closed_forms(theta, eta, m: float, n: float, r: float):
     difference exact at theta = 0 or eta = 0, and the lift q_n s - 2|m| of Omega', which cancels as
     |m| -> 1, is (s - 2|m|) - n^2 s plus the rounding of s: no rounded q_n and no rounded s
     enters the difference. The forms are symmetric in theta and eta, so the kernel runs on
-    max(theta, eta)/k, min(theta, eta)/k, 2m/k and c/k^2, k from :func:`_inverse_scale`, and
+    max(theta, eta)/k, min(theta, eta)/k, 2m/k and c/k^2, k from ``scaling.inverse_scale``, and
     divides each invariant by k: a power of two scales exactly, so nothing overflows at any
     float point, and below 2^200, where k = 1, every bit is that of the unscaled forms. On
     floats nothing warns or raises either: no root or quotient meets a negative or zero operand.
@@ -136,7 +131,7 @@ def _closed_forms(theta, eta, m: float, n: float, r: float):
     big, small = xp.maximum(theta, eta), xp.minimum(theta, eta)
     q = (1.0 - r) * (1.0 + r)
     q_n = (1.0 - abs(n)) * (1.0 + abs(n))
-    unit = _inverse_scale(big)
+    unit = inverse_scale(big, xp)
     big = big * unit
     c = q * _deficit(big, small / unit)
     small, c_k = small * unit, c * unit * unit
@@ -157,11 +152,6 @@ def _point_name(theta: float, eta: float, m: float, n: float) -> str:
     return f"(theta, eta, m, n) = ({float(theta)!r}, {float(eta)!r}, {float(m)!r}, {float(n)!r})"
 
 
-def _point_names(thetas, etas, m: float, n: float):
-    """``where`` for the per-point checks: names point k of the arrays."""
-    return lambda k: _point_name(thetas[k], etas[k], m, n)
-
-
 def _checked_points(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """The points as 1-D float arrays, each checked by ``phase_space.admissible_deformations``; also R
     and the indices of the points in the domain theta*eta < 1."""
@@ -169,8 +159,9 @@ def _checked_points(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.nd
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
     if thetas.ndim != 1 or thetas.shape != etas.shape:
         raise DimensionError(f"theta and eta must be 1-D of one length, got {thetas.shape}, {etas.shape}")
-    _raise_first(~admissible_deformations(thetas, etas), DomainError, _BAD_DEFORMATION,
-                 _point_names(thetas, etas, m, n))
+    bad = np.flatnonzero(~admissible_deformations(thetas, etas))
+    if bad.size:  # name the first failing point, in row-major order
+        raise DomainError(f"{_BAD_DEFORMATION} at {_point_name(thetas[bad[0]], etas[bad[0]], m, n)}")
     with np.errstate(over="ignore"):  # theta*eta beyond the float range is inf, off the domain
         todo = np.flatnonzero(thetas * etas < 1.0)
     return thetas, etas, validate_couplings(m, n), todo
@@ -258,17 +249,14 @@ def dense_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndar
     neither is checked. nu_- and nu'_- are good to a few eps (1 + 1/(1-R)), the 1/(1-R) from the
     rounded R. The larger nu_k are good only to about 8 eps nu_k / nu_min, so they check nothing
     at ill-conditioned points: at (1e13, 0, -0.3, 0.2) nu_4 comes out near 5e4, not 2.55e13.
-    Each point's forms and invariants are divided by the kernel's k (:func:`_inverse_scale`), exactly:
-    (i/2) S (Omega/k) S has eigenvalues +-1/(k nu), nothing overflows, and below 2^200 every bit is kept.
+    ``core._root_spectrum`` scales each form by the closed forms' power of two, so nothing overflows
+    up to the largest float: Sigma^-1/2's entries are at most sqrt 2, and a scaled form's below 2^200.
     """
     thetas, etas, r, todo = _checked_points(thetas, etas, m, n)
     out = np.full((len(thetas), 2, 4), np.nan)
     root = _inverse_root(m, n, r)
     for start in range(0, todo.size, _BLOCK):
         block = todo[start : start + _BLOCK]
-        where = _point_names(thetas[block], etas[block], m, n)
         ts, es = thetas[block, None, None, None], etas[block, None, None, None]
-        unit = _inverse_scale(np.maximum(ts, es))
-        forms = (ts * unit) * _THETA + (es * unit) * _ETA + unit * _UNIT
-        out[block] = _root_spectrum(root, forms, lambda k: where(k // 2)) * unit[..., 0]
+        out[block] = _root_spectrum(root, ts * _THETA + es * _ETA + _UNIT)
     return out[:, 0], out[:, 1]

@@ -19,16 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    MAP_RESIDUAL,
     _asymmetric,
     _readonly,
     block_diag,
-    numerically_singular,
     standard_symplectic_form,
     validate_covariance,
     validate_skew_form,
 )
-from .errors import DimensionError, DomainError, MatrixStructureError, SingularMatrixError
+from .errors import DimensionError, DomainError, MatrixStructureError
 
 # 2x2 antisymmetric symbol with epsilon_12 = +1.
 EPSILON2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -56,9 +54,7 @@ class NCParams:
         if not admissible_deformations(self.theta, self.eta):
             raise DomainError(f"{_BAD_DEFORMATION}, got ({self.theta}, {self.eta})")
         if self.theta * self.eta >= 1:
-            raise DomainError(
-                f"theta*eta = {self.theta * self.eta} violates the domain theta*eta < 1"
-            )
+            raise DomainError(f"theta*eta must be < 1, got ({self.theta}, {self.eta})")
 
 
 def _check_skew_block(block, n_modes: int, name: str) -> np.ndarray:
@@ -78,7 +74,7 @@ def build_subsystem_form(theta, upsilon) -> np.ndarray:
     theta = _check_skew_block(theta, n_modes, "position deformation")
     upsilon = _check_skew_block(upsilon, n_modes, "momentum deformation")
     eye = np.eye(n_modes)
-    return validate_skew_form(np.block([[theta, eye], [-eye, upsilon]]))  # raises if singular
+    return validate_skew_form(np.block([[theta, eye], [-eye, upsilon]]))
 
 
 def build_planar_form(params: NCParams) -> np.ndarray:
@@ -106,20 +102,34 @@ def build_darboux_map(params: NCParams, lambda_scale: float = 1.0) -> np.ndarray
 
     mu is fixed by lambda*mu = (1 + sqrt(1 - eta*theta)) / 2, which keeps the
     map invertible (det of each block is 1 - eta*theta). lambda and mu are the
-    diagonal entries S_A[0, 0] and S_A[2, 2].
+    diagonal entries S_A[0, 0] and S_A[2, 2]. S_A splits into two 2x2 blocks of determinant
+    sqrt(1 - theta*eta) and squared Frobenius norm f = lambda^2 + mu^2 + a^2 + b^2, a = theta/(2 lambda),
+    b = eta/(2 mu), so cond_2(S_A) is within a factor 2 of f / sqrt(1 - theta*eta), about
+    (theta/lambda)^2 / 4 where theta/lambda dominates: the digits a caller that inverts S loses.
+
+    Raises:
+        DomainError: lambda is not finite and > 0, or S or S J S^T leaves the float range, named by
+            (theta, eta, lambda).
+        MatrixStructureError: S J S^T misses Omega by more than its roundoff, a construction error.
     """
     if not math.isfinite(lambda_scale) or lambda_scale <= 0:
         raise DomainError(f"lambda must be > 0, got {lambda_scale}")
     product = (1.0 + math.sqrt(1.0 - params.eta * params.theta)) / 2.0
-    mu = product / lambda_scale
-    blk = _planar_darboux_block(params, lambda_scale, mu)
-    if numerically_singular(blk):
-        raise SingularMatrixError(
-            f"Darboux block is singular (theta*eta = {params.theta * params.eta})"
-        )
-    residual = np.max(np.abs(blk @ standard_symplectic_form(2) @ blk.T - build_planar_form(params)))
-    if residual > MAP_RESIDUAL:
-        raise MatrixStructureError(f"constructed map violates S J S^T = Omega by {residual:.3e}")
+    blk = _planar_darboux_block(params, lambda_scale, product / lambda_scale)
+    jay = standard_symplectic_form(2)
+    point = f"(theta, eta, lambda) = ({params.theta!r}, {params.eta!r}, {lambda_scale!r})"
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry of S puts NaN on its row's diagonal
+        image = blk @ jay @ blk.T
+    if not np.isfinite(image).all():
+        raise DomainError(f"the Darboux map leaves the float range at {point}")
+    # |S J S^T - Omega| <= 8 eps |S| |J| |S|^T, entrywise. S J is exact (J moves and negates columns), so
+    # Higham's gamma_4 |S J| |S^T| bounds the product's rounding: 4u = 2 eps, u = eps/2. Each entry sums
+    # two products of block entries (theta = 2 lambda a, eta = 2 b mu, 1 = lambda mu + a b); a, b, mu carry
+    # one rounding each, 3u of that sum, and P + theta eta/(4P), P = lambda mu, is stationary in P where
+    # sqrt(1 - theta eta) rounds worst: P adds about 2u. Doubled; a flipped sign moves an entry far more.
+    bound = 8.0 * np.finfo(float).eps * (abs(blk) @ abs(jay) @ abs(blk).T)
+    if not (abs(image - build_planar_form(params)) <= bound).all():
+        raise MatrixStructureError(f"constructed map violates S J S^T = Omega at {point}")
     return _readonly(block_diag(blk, blk))
 
 

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import BOUNDARY, _readonly, _root_spectrum, block_diag, validate_skew_form, validated_root
+from .core import _readonly, _root_spectrum, _uncertainty_holds, block_diag, validate_skew_form, validated_root
 
 
 def primed_form(omega_a, omega_b) -> np.ndarray:
@@ -61,8 +61,7 @@ def verdict_from_invariants(nu: float | np.ndarray, nu_prime: float | np.ndarray
     that shape: each verdict's rank, its position in ``tuple(Verdict)``.
     """
     valid = (nu == nu) & (nu_prime == nu_prime)  # False where either is NaN
-    quantum = nu >= 1.0 - BOUNDARY
-    separable = nu_prime >= 1.0 - BOUNDARY
+    quantum, separable = _uncertainty_holds(nu), _uncertainty_holds(nu_prime)
     rank = valid * (1 + quantum * (1 + separable))
     return rank if isinstance(rank, np.ndarray) else _BY_RANK[rank]
 
@@ -71,7 +70,8 @@ def classify(sigma, omega_a, omega_b) -> ClassificationResult:
     """Classify a bipartite state by nu_- of (Sigma, Omega) and nu'_- of (Sigma, Omega').
 
     Omega = Diag[Omega_A, Omega_B] of the two parties' skew forms, each checked by
-    ``validate_skew_form``, so a malformed party raises an NCGaussError.
+    ``validate_skew_form``, so a malformed party raises an NCGaussError. Any skew form answers, singular
+    (null pairs give nu = inf) or up to the largest float, to ``nc_williamson_spectrum``'s accuracy.
 
     SEPARABLE_QUANTUM means PPT: the partial transpose is positive (nu'_- >= 1).
     PPT is necessary for separability, and sufficient for 1xN-mode Gaussian

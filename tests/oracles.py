@@ -12,22 +12,42 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as quote
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from ncgauss import DimensionError, MatrixStructureError, NCGaussError, SingularMatrixError
-from ncgauss.core import (
-    MAP_RESIDUAL,
-    block_diag,
-    numerically_singular,
-    standard_symplectic_form,
-    validate_covariance,
-)
+from ncgauss import DimensionError, MatrixStructureError, NCGaussError
+from ncgauss.core import block_diag, standard_symplectic_form, validate_covariance
 from ncgauss.family import dense_spectra
 from ncgauss.separability import verdict_from_invariants
 
 # Entrywise bound on A - A^H for hermitian_min_eigenvalue.
 HERMITIAN_TOL = 1e-12
+# The maps here are built at well-conditioned points: a map counts as singular at cond_2 >= 1e12,
+# and S J S^T - Omega and D^2 - I may miss by 1e-10 per entry, far below a wrong entry or sign.
+SINGULAR_COND = 1e12
+MAP_TOL = 1e-10
 EPS = float(np.finfo(float).eps)
 PAYLOAD_NAN = np.array(0x7FF8_0000_DEAD_BEEF).view(np.float64).item()  # a quiet NaN with a payload
+# Positive floats log-uniform over the whole range, subnormals included.
+POSITIVE_FLOATS = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, 1023))
+
+
+@st.composite
+def admissible_float_points(draw, min_log_slack=-16.0):
+    """(theta, eta, m, n) anywhere in the admissible domain: theta 0 or log-uniform over the floats;
+    eta 0, log-uniform too, or with 1 - theta*eta log-uniform down to 1e-16; either order; (m, n) in
+    any quadrant or on the n axis (m = +-0 exactly), with 1 - R log-uniform down to 10^min_log_slack."""
+    theta = draw(st.just(0.0) | POSITIVE_FLOATS)
+    gap = draw(st.none() | st.floats(min_value=-16.0, max_value=0.0))
+    eta = draw(st.just(0.0) | POSITIVE_FLOATS) if gap is None or theta == 0.0 else (1.0 - 10.0**gap) / theta
+    if draw(st.booleans()):
+        theta, eta = eta, theta
+    radius = 1.0 - 10.0 ** draw(st.floats(min_value=min_log_slack, max_value=0.0))
+    angle = draw(st.none() | st.floats(min_value=0.0, max_value=math.pi / 2.0))  # None: the n axis
+    m, n = (0.0, radius) if angle is None else (radius * math.cos(angle), radius * math.sin(angle))
+    m, n = draw(st.sampled_from([1.0, -1.0])) * m, draw(st.sampled_from([1.0, -1.0])) * n
+    assume(eta < math.inf and theta * eta < 1.0 and math.hypot(m, n) < 1.0)
+    return theta, eta, m, n
 
 
 def brute_force_spectrum(sigma, form):
@@ -134,6 +154,17 @@ def dense_tolerance(theta, eta, m, n, nu):
     return 16.0 * EPS * (1.0 + 2.0 * (1.0 + max(theta, eta)) * nu) + 4.0 * rounding_of_r(m, n)
 
 
+def generic_tolerance(m, n):
+    """2 (2n) eps cond(Sigma) + :func:`closed_tolerance`, 2n = 8: relative bound on the generic
+    route's nu_- and nu'_- (``classify``) against the closed forms, for the family's Sigma, whose
+    cond(Sigma) is (1 + R)/(1 - R). The first term is ``nc_williamson_spectrum``'s bound; at R near 1
+    it is far above :func:`dense_tolerance`, since eigh's Sigma^-1/2 carries cond(Sigma) and the
+    dense route's closed-form root does not. Where the invariants are subnormal, 2^-1074 more.
+    """
+    r = math.hypot(m, n)
+    return 16.0 * EPS * (1.0 + r) / (1.0 - r) + closed_tolerance(m, n)
+
+
 def random_spd(rng, dim, floor=0.1):
     """Well-conditioned random symmetric positive-definite matrix."""
     a = rng.normal(size=(dim, dim))
@@ -222,11 +253,11 @@ def validate_darboux(dmap, omega_a, omega_b):
     if dmap.shape != target.shape:
         raise DimensionError(f"map has shape {dmap.shape}, the target form {target.shape}")
     dim_a, n_a, n_b = len(omega_a), len(omega_a) // 2, len(omega_b) // 2
-    if numerically_singular(dmap) or dmap[:dim_a, dim_a:].any() or dmap[dim_a:, :dim_a].any():
+    if np.linalg.cond(dmap) >= SINGULAR_COND or dmap[:dim_a, dim_a:].any() or dmap[dim_a:, :dim_a].any():
         return False
     jay = block_diag(standard_symplectic_form(n_a), standard_symplectic_form(n_b))
     residual = np.max(np.abs(dmap @ jay @ dmap.T - target))
-    return bool(residual <= MAP_RESIDUAL)
+    return bool(residual <= MAP_TOL)
 
 
 @dataclass(frozen=True)
@@ -245,13 +276,13 @@ def partial_transpose_map(dmap, n_a, n_b):
     if dmap.shape != (2 * (n_a + n_b),) * 2:
         raise DimensionError(f"map of shape {dmap.shape} does not match 2n_a={2 * n_a}, 2n_b={2 * n_b}")
     s_b = dmap[2 * n_a :, 2 * n_a :]
-    if numerically_singular(s_b):
-        raise SingularMatrixError("S_B is numerically singular")
+    if np.linalg.cond(s_b) >= SINGULAR_COND:
+        raise np.linalg.LinAlgError("S_B is numerically singular")
     lam_b = np.diag(np.concatenate([np.ones(n_b), -np.ones(n_b)]))
     d_b = s_b @ lam_b @ np.linalg.inv(s_b)
     mat = block_diag(np.eye(2 * n_a), d_b)
     residual = np.max(np.abs(mat @ mat - np.eye(mat.shape[0])))
-    if residual > MAP_RESIDUAL:
+    if residual > MAP_TOL:
         raise MatrixStructureError(f"partial transpose map is not involutive ({residual:.3e})")
     return PartialTransposeMap(n_a=n_a, n_b=n_b, mat=mat)
 

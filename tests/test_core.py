@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from ncgauss import (
     DimensionError,
     MatrixStructureError,
+    NCGaussError,
     NCParams,
     NotPositiveDefiniteError,
-    SingularMatrixError,
     build_covariance,
     build_darboux_map,
     build_planar_form,
@@ -18,17 +18,16 @@ from ncgauss import (
     rsup_holds,
 )
 from ncgauss.core import (
-    _asymmetric,
+    BOUNDARY,
     _root_spectrum,
     block_diag,
     inverse_root,
-    numerically_singular,
     standard_symplectic_form,
     validate_covariance,
     validate_skew_form,
 )
-from ncgauss.family import _ETA, _THETA, _UNIT
 from ncgauss.phase_space import EPSILON2
+from ncgauss.separability import Verdict, verdict_from_invariants
 from oracles import (
     brute_force_spectrum,
     hermitian_min_eigenvalue,
@@ -102,20 +101,22 @@ class TestValidation:
         with pytest.raises(MatrixStructureError):
             validate_skew_form(np.eye(2))
 
-    def test_skew_rejects_singular(self):
-        with pytest.raises(SingularMatrixError):
-            validate_skew_form(np.zeros((2, 2)))
+    def test_skew_accepts_singular(self):
+        # The kernel never inverts the form, so no singularity test runs.
+        np.testing.assert_array_equal(validate_skew_form(np.zeros((2, 2))), np.zeros((2, 2)))
 
     @pytest.mark.parametrize("scale", SCALES)
-    def test_skew_singularity_test_is_scale_invariant(self, scale):
+    def test_singular_forms_answer_alike_at_every_scale(self, scale):
         jay = np.asarray(standard_symplectic_form(2))
-        validate_skew_form(scale * jay)
         # (c I, c J) has the spectrum (2, 2) at every scale c: nothing overflows or underflows.
         np.testing.assert_allclose(nc_williamson_spectrum(scale * np.eye(4), scale * jay), [2.0, 2.0], rtol=1e-14)
-        # theta = eta = 1 puts the planar form on the hyperbola theta*eta = 1.
+        # theta = eta = 1 puts the planar form on the hyperbola theta*eta = 1: (i/2) P has the
+        # eigenvalues +-1 and a null pair, so (c I, c P) has nu = 1 and a null pair's nu, which is
+        # inf or, as its pair of eigenvalues rounds near 0, beyond 1e14.
         on_hyperbola = np.block([[EPSILON2, np.eye(2)], [-np.eye(2), EPSILON2]])
-        with pytest.raises(SingularMatrixError):
-            validate_skew_form(scale * on_hyperbola)
+        spectrum = nc_williamson_spectrum(scale * np.eye(4), scale * on_hyperbola)
+        assert spectrum[0] == pytest.approx(1.0, rel=1e-14)
+        assert spectrum[1] > 1e14
 
     @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e5])
     def test_covariance_tests_are_scale_invariant(self, scale):
@@ -154,33 +155,6 @@ class TestStackedKernel:
         for form, row in zip(forms.reshape(6, 8, 8), stacked.reshape(6, 4)):
             np.testing.assert_array_equal(row, nc_williamson_spectrum(sigma, form))
 
-    @pytest.mark.parametrize("scale", SCALES)
-    def test_stacked_singularity_flags_match_per_matrix_calls(self, scale):
-        # Each matrix of a stack is read at its own scale; the zero matrix stays singular.
-        near = _family_pair(1.0, 1.0 - 1e-6)[1][:4, :4]
-        on_hyperbola = np.block([[EPSILON2, np.eye(2)], [-np.eye(2), EPSILON2]])
-        forms = np.stack([scale * near, scale * on_hyperbola, np.zeros((4, 4)), near, on_hyperbola])
-        flags = numerically_singular(forms)
-        assert flags.tolist() == [bool(numerically_singular(f)) for f in forms]
-        assert flags.tolist() == [False, True, True, False, True]
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        log_theta=st.floats(min_value=-3.0, max_value=4.0),
-        log_gap=st.floats(min_value=-17.0, max_value=-1.0),
-    )
-    def test_planar_check_covers_composite_form(self, log_theta, log_gap):
-        # build_planar_form checks P, and classify checks the assembled Diag[P, P] again.
-        # Diag[P, P] has the geometric-mean and RMS singular values of P against the smaller
-        # threshold eps^(7/8) < eps^(3/4), and P's skewness, so a composite flag implies a
-        # planar flag: a composite of checked parts passes its own check.
-        theta = 10.0**log_theta
-        eta = (1.0 - 10.0**log_gap) / theta
-        planar = (theta * _THETA + eta * _ETA + _UNIT)[0, :4, :4]  # the dense route's P
-        composite = block_diag(planar, planar)
-        assert numerically_singular(composite) <= numerically_singular(planar)
-        assert _asymmetric(composite, -1.0) <= _asymmetric(planar, -1.0)
-
 
 class TestSpectrum:
     def test_vacuum_boundary(self):
@@ -216,9 +190,32 @@ class TestSpectrum:
         with pytest.raises(NotPositiveDefiniteError):
             nc_williamson_spectrum(np.diag([1.0, -0.5]), standard_symplectic_form(1))
 
-    def test_rejects_singular_form(self):
-        with pytest.raises(SingularMatrixError):
-            nc_williamson_spectrum(np.eye(2), np.zeros((2, 2)))
+    def test_zero_form_gives_inf(self):
+        # Every pair of the zero form is a null pair: no constraint, so the relation holds.
+        sigma, zero = np.diag([1.0, 2.0, 0.5, 3.0]), np.zeros((4, 4))
+        assert nc_williamson_spectrum(sigma, zero).tolist() == [np.inf, np.inf]
+        assert rsup_holds(sigma, zero)
+
+    def test_each_form_of_a_stack_is_scaled_alone(self):
+        # Against the vacuum, S J S = 2 DBL_MAX J overflows unless the form is scaled first; a form
+        # of order 1 in the same stack keeps its own scale and bits. nu = 1/DBL_MAX is subnormal.
+        jay, big = np.asarray(standard_symplectic_form(1)), float(np.finfo(float).max)
+        root = inverse_root(0.5 * np.eye(2))
+        stacked = _root_spectrum(root, np.stack([big * jay, jay]))
+        assert stacked.tolist() == [_root_spectrum(root, big * jay).tolist(), _root_spectrum(root, jay).tolist()]
+        assert abs(stacked[0, 0] - 1.0 / big) <= 2.0**-1074 and stacked[1, 0] == pytest.approx(1.0, rel=1e-15)
+
+    def test_a_covariance_near_underflow_still_overflows(self):
+        # Sigma^-1/2 = 1e155 I makes S J S about 1e310: the one overflow scaling cannot prevent.
+        with pytest.raises(NCGaussError, match="overflows"):
+            nc_williamson_spectrum(1e-310 * np.eye(2), standard_symplectic_form(1))
+
+    @pytest.mark.parametrize("nu", [1.0 - 2.0 * BOUNDARY, 1.0 - BOUNDARY / 2.0, 1.0, 0.5, 1.5])
+    def test_rsup_and_the_verdict_read_one_band(self, nu):
+        # (nu/2 I, J) has the invariant nu: rsup_holds and the verdict's first stage agree.
+        quantum = rsup_holds(0.5 * nu * np.eye(2), standard_symplectic_form(1))
+        assert quantum == (nu >= 1.0 - BOUNDARY)
+        assert verdict_from_invariants(nu, 2.0) is (Verdict.SEPARABLE_QUANTUM if quantum else Verdict.NON_QUANTUM)
 
     def test_negation_closure_of_pencil(self):
         # The eigenvalues of 2i O^-1 S come in +-nu pairs and the positive

@@ -28,9 +28,11 @@ from ncgauss.family import (
     family_spectra,
     point_invariants,
 )
+from ncgauss.scaling import inverse_scale
 from ncgauss.scan import eval_point
 from ncgauss.separability import primed_form
 from oracles import (
+    admissible_float_points,
     closed_tolerance,
     dense_point,
     dense_tolerance,
@@ -43,28 +45,6 @@ FIG_M, FIG_N = np.sqrt(2.0) / 6.0, 1.0 / 6.0
 EPS = float(np.finfo(float).eps)
 DBL_MAX = float(np.finfo(float).max)
 SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
-
-
-# Positive floats log-uniform over the whole range, subnormals included.
-_POSITIVE_FLOATS = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, 1023))
-
-
-@st.composite
-def _admissible_float_points(draw):
-    """(theta, eta, m, n) anywhere in the admissible domain: theta 0 or log-uniform over the floats;
-    eta 0, log-uniform too, or with 1 - theta*eta log-uniform down to 1e-16; either order; (m, n)
-    in any quadrant with 1 - R log-uniform down to 1e-16."""
-    theta = draw(st.just(0.0) | _POSITIVE_FLOATS)
-    gap = draw(st.none() | st.floats(min_value=-16.0, max_value=0.0))
-    eta = draw(st.just(0.0) | _POSITIVE_FLOATS) if gap is None or theta == 0.0 else (1.0 - 10.0**gap) / theta
-    if draw(st.booleans()):
-        theta, eta = eta, theta
-    radius = 1.0 - 10.0 ** draw(st.floats(min_value=-16.0, max_value=0.0))
-    angle = draw(st.floats(min_value=0.0, max_value=math.pi / 2.0))
-    signs = draw(st.sampled_from(SIGNS))
-    m, n = signs[0] * radius * math.cos(angle), signs[1] * radius * math.sin(angle)
-    assume(eta < math.inf and theta * eta < 1.0 and math.hypot(m, n) < 1.0)
-    return theta, eta, m, n
 
 
 class TestBuildCovariance:
@@ -213,7 +193,7 @@ class TestClosedForms:
             checked += 1
 
     @settings(max_examples=400, deadline=None)
-    @given(point=_admissible_float_points())
+    @given(point=admissible_float_points())
     @example(point=(1e80, 0.0, 0.3, 0.2))
     @example(point=(1e80, 0.0, -0.3, 0.2))
     @example(point=(1e300, 1e-301, 0.3, 0.2))
@@ -280,7 +260,7 @@ class TestClosedForms:
         swap = rng.random(len(thetas)) < 0.5
         thetas, etas = np.where(swap, etas, thetas), np.where(swap, thetas, etas)
         big, small = np.maximum(thetas, etas), np.minimum(thetas, etas)
-        unit = family._inverse_scale(big)
+        unit = inverse_scale(big, np)
         new = family._deficit(big * unit, small / unit)
         old = int64_split_deficit(thetas, etas)
         got = np.array(family_invariants(thetas, etas, m, n)), np.array(family_spectra(thetas, etas, m, n))
@@ -344,13 +324,13 @@ class TestClosedForms:
             one = np.array(point_invariants(*point, *signed))
             assert np.array_equal(one.view(np.int64), want[:, k].view(np.int64))
 
-    @pytest.mark.parametrize("m,n", [(0.3, 0.2), (-0.3, 0.2), (-0.3, -0.2), (0.3, -0.2)])
+    @pytest.mark.parametrize("m,n", [(0.3, 0.2), (-0.3, 0.2), (-0.3, -0.2), (0.3, -0.2), (0.0, 0.0)])
     def test_dense_route_answers_up_to_the_largest_float(self, m, n):
         # The dense route divides each point's forms by the kernel's power of two and its
         # invariants by the same k, so S Omega S cannot overflow: at theta = 1.7e308 and at
         # the largest float it answers within dense_tolerance of the closed forms at 50 digits.
-        # The invariants there are subnormal, rounded to a grid of spacing 2^-1074: half of it
-        # is the last term.
+        # R = 0 gives Sigma^-1/2 its largest entries, sqrt 2. The invariants there are subnormal,
+        # rounded to a grid of spacing 2^-1074: half of it is the last term.
         mpmath = pytest.importorskip("mpmath")
         thetas = [0.25, 1.7e308, DBL_MAX]
         spectrum, reflected = dense_spectra(thetas, [0.5, 0.0, 0.0], m, n)
@@ -359,6 +339,19 @@ class TestClosedForms:
             for got, want in zip((spectrum[k, 0], reflected[k, 0]), mp_closed_forms(theta, eta, m, n)):
                 bound = dense_tolerance(theta, eta, m, n, float(want))
                 assert abs(mpmath.mpf(got) - want) <= bound * want + mpmath.mpf(2) ** -1075
+
+    @pytest.mark.parametrize("theta,eta,n", [(1.6224516419599106e-162, 3.08175594926209e161, 0.0),
+                                             (1.633315037068751e-162, 6.122488320232443e161, 0.0),
+                                             (1.4601686716764242e-162, 6.848523868485537e161, 0.3),
+                                             (3.510276560392191e-163, 2.84877838767253e162, -0.9)])
+    def test_dense_route_keeps_its_digits_on_graded_forms(self, theta, eta, n):
+        # At m = 0 and eta near 1e162, S Omega S holds entries about 2^-540 of its largest, and
+        # eigvalsh's root-free QR lost up to 1.7% of nu_-; the kernel now drops the entries below
+        # 2^-400 of the largest first.
+        mpmath = pytest.importorskip("mpmath")
+        spectrum, reflected = dense_spectra([theta], [eta], 0.0, n)
+        for got, want in zip((spectrum[0, 0], reflected[0, 0]), mp_closed_forms(theta, eta, 0.0, n)):
+            assert abs(mpmath.mpf(got) - want) <= dense_tolerance(theta, eta, 0.0, n, float(want)) * want
 
     @pytest.mark.parametrize("m,n", [(0.3, 0.2), (-0.3, 0.2), (-0.3, -0.2), (0.3, -0.2)])
     def test_negative_couplings_give_the_smallest_invariants(self, m, n):

@@ -1,8 +1,11 @@
 """Tests for deformation forms, Darboux maps, and covariance transport."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncgauss import (
@@ -10,14 +13,17 @@ from ncgauss import (
     DomainError,
     MatrixStructureError,
     NCParams,
-    SingularMatrixError,
     build_darboux_map,
     nc_williamson_spectrum,
+    rsup_holds,
     transform_covariance,
 )
+from ncgauss import phase_space
 from ncgauss.core import block_diag, standard_symplectic_form
 from ncgauss.phase_space import EPSILON2, build_planar_form, build_subsystem_form
-from oracles import PAYLOAD_NAN, brute_force_spectrum, random_spd, validate_darboux
+from oracles import PAYLOAD_NAN, brute_force_spectrum, hermitian_min_eigenvalue, random_spd, validate_darboux
+
+EPS = float(np.finfo(float).eps)
 
 
 def _composite(theta, eta):
@@ -35,8 +41,10 @@ class TestNCParams:
                 assert str(exc.value) == f"theta and eta must be finite and >= 0, got ({theta}, {eta})"
 
     def test_rejects_product_at_one(self):
-        with pytest.raises(DomainError):
+        # Both messages name the point.
+        with pytest.raises(DomainError) as exc:
             NCParams(0.5, 2.0)
+        assert str(exc.value) == "theta*eta must be < 1, got (0.5, 2.0)"
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -71,10 +79,17 @@ class TestSubsystemForm:
         with pytest.raises(MatrixStructureError):
             build_subsystem_form(np.eye(2), np.zeros((2, 2)))
 
-    def test_rejects_singular_assembly(self):
-        # theta*eta = 1 makes the assembled form singular.
-        with pytest.raises(SingularMatrixError):
-            build_subsystem_form(EPSILON2, EPSILON2)
+    def test_singular_assembly_agrees_with_direct_test(self):
+        # theta*eta = 1 makes the assembled form singular, and it is accepted: Sigma / nu_- puts
+        # the smallest eigenvalue of Sigma + (i/2) Omega at 0, and Sigma passes both tests alike.
+        form = build_subsystem_form(EPSILON2, EPSILON2)
+        assert np.linalg.matrix_rank(form) == 2
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            sigma = random_spd(rng, 4)
+            nu = nc_williamson_spectrum(sigma, form)[0]
+            assert abs(hermitian_min_eigenvalue(sigma / nu + 0.5j * form)) <= 1e-12 * np.linalg.norm(sigma / nu)
+            assert rsup_holds(sigma, form) == (hermitian_min_eigenvalue(sigma + 0.5j * form) >= 0.0)
 
     def test_rejects_wrong_block_shape(self):
         with pytest.raises(DimensionError):
@@ -103,6 +118,12 @@ class TestPlanarForm:
     def test_rejects_product_at_one(self):
         with pytest.raises(DomainError):
             build_planar_form(NCParams(0.5, 2.0))
+
+    @pytest.mark.parametrize("theta", [1.5e9, 1e300, float(np.finfo(float).max)])
+    def test_large_deformations_are_forms_too(self, theta):
+        # det P = 1 at eta = 0, however badly conditioned P is.
+        form = build_planar_form(NCParams(theta, 0.0))
+        assert form[0, 1] == theta and form[0, 2] == 1.0
 
 
 class TestDarbouxMap:
@@ -148,6 +169,67 @@ class TestDarbouxMap:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(DomainError):
             build_darboux_map(NCParams(0.1, 0.1), lambda_scale=0.0)
+
+    def test_residual_is_read_at_the_products_scale(self):
+        # S J S^T misses theta by one ulp of theta here, 1.16e-10: roundoff, not a wrong map.
+        dmap = build_darboux_map(NCParams(649806.5773688976, 8.11366365538548e-09), 2.05577829378066)
+        assert np.isfinite(dmap).all()
+
+    @pytest.mark.parametrize("theta,eta,lam", [(1e308, 0.0, 0.01), (0.5, 1.0, 1e-320), (0.0, 1e10, 1e300),
+                                               (float(np.finfo(float).max), 0.0, 3.0)])
+    def test_map_beyond_the_float_range_names_its_point(self, theta, eta, lam):
+        # a = theta/(2 lambda), mu = lambda*mu / lambda or b = eta/(2 mu) leaves the float range, or
+        # only S J S^T does: at the largest theta and lambda = 3, lambda a + a lambda rounds to inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as exc:
+                build_darboux_map(NCParams(theta, eta), lam)
+        assert str(exc.value).endswith(f"at (theta, eta, lambda) = ({theta!r}, {eta!r}, {lam!r})")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_theta=st.floats(min_value=-300.0, max_value=300.0),
+        eta_kind=st.sampled_from(["zero", "any", "hyperbola"]),
+        log_eta=st.floats(min_value=-16.0, max_value=300.0),
+        log_lam=st.floats(min_value=-2.0, max_value=2.0),
+    )
+    @example(log_theta=math.log10(649806.5773688976), eta_kind="any", log_eta=math.log10(8.11366365538548e-09),
+             log_lam=math.log10(2.05577829378066))
+    def test_map_meets_the_componentwise_bound(self, log_theta, eta_kind, log_eta, log_lam):
+        # Either a finite map with |S J S^T - Omega| within 4 eps |S| |J| |S|^T, half the check's
+        # bound (measured at most 1 eps over 24,000 points), or a DomainError naming the point;
+        # never a warning. eta is 0, log-uniform, or 1 - theta*eta = 10^-|log_eta| near the hyperbola.
+        theta, lam = 10.0**log_theta, 10.0**log_lam
+        etas = {"zero": 0.0, "any": 10.0**log_eta, "hyperbola": (1.0 - 10.0 ** -abs(log_eta)) / theta}
+        eta = etas[eta_kind]
+        if not theta * eta < 1.0:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                dmap = build_darboux_map(NCParams(theta, eta), lam)
+            except DomainError as exc:
+                assert str(exc.value).endswith(f"at (theta, eta, lambda) = ({theta!r}, {eta!r}, {lam!r})")
+                return
+        s_a, jay = dmap[:4, :4], np.asarray(standard_symplectic_form(2))
+        assert np.isfinite(s_a).all()
+        residual = abs(s_a @ jay @ s_a.T - build_planar_form(NCParams(theta, eta)))
+        assert (residual <= 4.0 * EPS * (abs(s_a) @ abs(jay) @ abs(s_a).T)).all()
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 3), (1, 1), (1, 2), (2, 1), (2, 2), (3, 0), (3, 3)])
+    def test_a_flipped_sign_is_caught(self, monkeypatch, entry):
+        # The residual check still catches a construction error: each nonzero entry of the block
+        # with its sign flipped.
+        build = phase_space._planar_darboux_block
+
+        def flipped(*args):
+            blk = build(*args)
+            blk[entry] = -blk[entry]
+            return blk
+
+        monkeypatch.setattr(phase_space, "_planar_darboux_block", flipped)
+        with pytest.raises(MatrixStructureError):
+            build_darboux_map(NCParams(0.25, 0.5), lambda_scale=1.3)
 
     def test_returns_readonly(self):
         with pytest.raises(ValueError):

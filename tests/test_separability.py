@@ -1,17 +1,17 @@
 """Tests for the partial-transpose machinery and state classification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncgauss import (
     DimensionError,
     MatrixStructureError,
     NCParams,
-    SingularMatrixError,
     build_covariance,
     build_darboux_map,
     build_planar_form,
@@ -24,7 +24,9 @@ from ncgauss.core import BOUNDARY, block_diag, standard_symplectic_form
 from ncgauss.phase_space import build_subsystem_form
 from ncgauss.separability import Verdict, primed_form
 from oracles import (
+    admissible_float_points,
     darboux_map,
+    generic_tolerance,
     mirror_reflection,
     partial_transpose_covariance,
     partial_transpose_map,
@@ -33,6 +35,7 @@ from oracles import (
 )
 
 FIG_M, FIG_N = np.sqrt(2.0) / 6.0, 1.0 / 6.0
+DBL_MAX = float(np.finfo(float).max)
 # Invariants for the verdict rule: the threshold, its neighbours, NaN and any float.
 INVARIANTS = st.one_of(
     st.sampled_from([1.0 - BOUNDARY, np.nextafter(1.0 - BOUNDARY, 0.0), 1.0, 0.0, math.nan, math.inf]),
@@ -115,7 +118,7 @@ class TestPartialTransposeMap:
         np.testing.assert_array_equal(pt.mat[:4, 4:], np.zeros((4, 4)))
 
     def test_rejects_singular_bob_block(self):
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(np.linalg.LinAlgError):
             partial_transpose_map(block_diag(np.eye(4), np.zeros((4, 4))), 2, 2)
 
     def test_rejects_mismatched_modes(self):
@@ -235,6 +238,40 @@ class TestClassify:
             sigma = build_covariance(radius * np.cos(angle), radius * np.sin(angle))
             result = classify(sigma, part, part)
             assert result.verdict is Verdict.SEPARABLE_QUANTUM
+
+
+class TestGenericRoute:
+    @pytest.mark.parametrize("m,n", [(0.0, 0.0), (0.3, -0.2)])
+    def test_answers_at_the_largest_float(self, m, n):
+        part = build_planar_form(NCParams(DBL_MAX, 0.0))
+        result, record = classify(build_covariance(m, n), part, part), eval_point(DBL_MAX, 0.0, m, n)
+        bound = generic_tolerance(m, n)
+        for got, want in ((result.nu_minus, record.nu_minus), (result.nu_minus_prime, record.nu_minus_prime)):
+            assert abs(got - want) <= bound * want + 2.0**-1074
+        assert result.verdict is record.verdict is Verdict.NON_QUANTUM
+
+    @settings(max_examples=300, deadline=None)
+    @given(point=admissible_float_points(min_log_slack=-12.0))
+    @example(point=(1.6224516419599106e-162, math.ldexp(1.37, 536), 0.0, 0.0))  # graded for eigvalsh
+    @example(point=(1.4601686716764242e-162, 6.848523868485537e161, -0.0, 0.3))
+    @example(point=(DBL_MAX, 0.0, -0.3, 0.2))
+    @example(point=(0.5, 0.5, 0.999999999999, 0.0))
+    def test_matches_the_closed_forms_over_the_float_range(self, point):
+        # classify on the family's Sigma and planar forms gives eval_point's invariants within the
+        # generic route's bound, with no warning, and its verdict wherever both invariants lie
+        # outside that bound from 1.
+        theta, eta, m, n = point
+        part = build_planar_form(NCParams(theta, eta))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = classify(build_covariance(m, n), part, part)
+        record = eval_point(theta, eta, m, n)
+        bound = generic_tolerance(m, n)
+        pairs = ((result.nu_minus, record.nu_minus), (result.nu_minus_prime, record.nu_minus_prime))
+        for got, want in pairs:
+            assert abs(got - want) <= bound * want + 2.0**-1074
+        if all(abs(want - 1.0) > bound * want for _, want in pairs):
+            assert result.verdict is record.verdict
 
 
 def _party_form(rng, n_modes, deformed):
