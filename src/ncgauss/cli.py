@@ -4,6 +4,7 @@ The commands are one table, ``_COMMANDS``: each name with its help text, its run
 options in ``--help`` order. ``scan``, ``fig1`` and ``fig2`` write the column table of one batched
 evaluation (``scan.scan_table``, ``scan.fig1_table``) to stdout or the ``--out`` file.
 ``eval --verbose`` adds the dense route's invariants at the point (``family.dense_spectra``).
+Only these load numpy: a plain ``eval`` runs ``scan.eval_point`` on Python floats and imports none.
 
 Argument parsing refuses only malformed text and reads a negative number in any float spelling
 as a value; the library checks every number and names what fails. Exit codes: 0 on success, 2 on
@@ -23,7 +24,6 @@ import re
 import sys
 
 from .errors import DomainError, NCGaussError
-from .family import dense_spectra
 from .scan import eval_point, fig1_table, fig2_couplings, scan_table, table_to_csv, table_to_json
 
 USAGE_EXIT = 2
@@ -61,6 +61,7 @@ def _cmd_eval(args) -> None:
     record = eval_point(args.theta, args.eta, args.m, args.n)
     obj = {key: value for key, value in record._asdict().items() if value is not None}
     if args.verbose and record.nu_minus is not None:
+        from .family import dense_spectra
         spectrum, reflected = dense_spectra([args.theta], [args.eta], args.m, args.n)
         obj["nu_minus_numeric"], obj["nu_minus_prime_numeric"] = spectrum[0, 0].item(), reflected[0, 0].item()
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")

@@ -19,7 +19,7 @@ from .errors import (
     NCGaussError,
     NotPositiveDefiniteError,
 )
-from .scaling import inverse_scale
+from .kernel import _uncertainty_holds, inverse_scale
 
 # Dense O(n^3) routines only; the bundled Gaussian family needs just 2n = 8.
 MAX_DIM = 64
@@ -27,9 +27,6 @@ MAX_DIM = 64
 # Largest entrywise asymmetry (or skew defect) relative to max|A|: room for the
 # roundoff of assembled products such as S Sigma S^T, far below any modelling error.
 SYMMETRY = 1e-12
-# Band below nu = 1 that still counts as nu >= 1, so that a state on the boundary,
-# such as the vacuum (nu = 1 exactly), does not flip on roundoff in the last bits.
-BOUNDARY = 1e-12
 
 
 def _readonly(mat: np.ndarray) -> np.ndarray:
@@ -78,8 +75,10 @@ def _asymmetric(mats: np.ndarray, sign: float = 1.0):
     """Flag per matrix of a stack (..., n, n): max|A - sign A^T| > SYMMETRY * max|A|.
 
     sign = 1 tests symmetry and sign = -1 skewness. Relative to the largest entry,
-    the test reads the same at every scale; a zero matrix passes.
+    the test reads the same at every scale; a zero matrix passes. Scaled exactly below 2^200
+    (``kernel.inverse_scale``), no difference overflows up to the largest float.
     """
+    mats = mats * inverse_scale(abs(mats).max(axis=(-2, -1), keepdims=True), np)
     defect = abs(mats - sign * np.swapaxes(mats, -1, -2)).max(axis=(-2, -1))
     return defect > SYMMETRY * abs(mats).max(axis=(-2, -1))
 
@@ -152,7 +151,7 @@ def _root_spectrum(root: np.ndarray, forms: np.ndarray) -> np.ndarray:
     """Williamson invariants of Sigma^-1/2 against a form or a stack (..., 2n, 2n).
 
     Returns the invariants, ascending along the last axis of an (..., n) array, from one eigvalsh for
-    the whole stack. Each form O is divided by the power of two k of its max|entry| (``scaling``) and
+    the whole stack. Each form O is divided by the power of two k of its max|entry| (``inverse_scale``) and
     its invariants by k, exactly, so no form overflows S O S, S = Sigma^-1/2, and below 2^200 (k = 1)
     every bit is kept. Only an S beyond about 2^400, as of a covariance near 1e-310 I, still overflows.
     """
@@ -207,16 +206,11 @@ def nc_williamson_spectrum(sigma, form) -> np.ndarray:
     return _root_spectrum(*validated_root(sigma, form))
 
 
-def _uncertainty_holds(nu):
-    """nu >= 1 up to the band BOUNDARY below 1, per entry: the one test of rsup_holds and the verdict."""
-    return nu >= 1.0 - BOUNDARY
-
-
 def rsup_holds(sigma, form) -> bool:
     """Robertson-Schroedinger check: smallest invariant of (sigma, form) >= 1.
 
     Equivalent to positivity of the Hermitian matrix sigma + (i/2) form, up
-    to the band BOUNDARY below 1.
+    to the band ``kernel.BOUNDARY`` below 1.
     """
     return bool(_uncertainty_holds(nc_williamson_spectrum(sigma, form)[0]))
 

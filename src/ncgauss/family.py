@@ -4,16 +4,12 @@ The covariance matrix is b/2 * [[I4, G^T], [G, I4]] with a coupling block G
 parameterized by reals (m, n), R = sqrt(m^2 + n^2) < 1 and b = (1+R)/(1-R).
 Both parties share the same planar commutation form. Closed forms give the
 Williamson spectra before and after partial transposition, which depend on |m|
-and |n| only. They are one branch-free kernel, free of cancellation for the
-smallest invariants, and decide every quadrant: ``family_invariants`` (scan, fig2),
-``point_invariants`` (eval) and ``family_spectra`` (fig1) run it at (|m|, |n|) and take no
-root of Sigma, no inverse of a form and no eigensolve. One kernel text runs on the arrays
-and on the Python floats of ``point_invariants``, with numpy's primitives or math's, to the
-same bits. It is total: it scales theta and eta by a power of two, so every admissible
-float point, theta and eta up to the largest float, gets finite positive invariants, and no
-closed form can abort.
-Every route checks theta and eta (``phase_space.admissible_deformations``), then the couplings
-(:func:`validate_couplings`); the CLI passes its numbers on unchecked, so these are its messages.
+and |n| only. They are one branch-free kernel (``kernel._closed_forms``), free of
+cancellation for the smallest invariants, and decide every quadrant: ``family_invariants``
+(scan, fig2), ``kernel.point_invariants`` (eval) and ``family_spectra`` (fig1) run it at
+(|m|, |n|) and take no root of Sigma, no inverse of a form and no eigensolve.
+Every route checks theta and eta (``kernel.admissible_deformations``), then the couplings
+(``kernel.validate_couplings``); the CLI passes its numbers on unchecked, so these are its messages.
 The dense 8x8 route, one eigvalsh per block of points with Sigma^-1/2 in closed form,
 is only ``dense_spectra``: the cross-check of nu_- and nu'_- for ``eval --verbose`` and
 the tests.
@@ -22,25 +18,14 @@ the tests.
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
 from .core import _root_spectrum, block_diag, validate_covariance
 from .errors import DimensionError, DomainError
-from .phase_space import _BAD_DEFORMATION, NCParams, admissible_deformations, build_planar_form
-from .scaling import inverse_scale
+from .kernel import _BAD_DEFORMATION, _closed_forms, _point_name, admissible_deformations, validate_couplings
+from .phase_space import NCParams, build_planar_form
 from .separability import primed_form
-
-
-def validate_couplings(m: float, n: float) -> float:
-    """Require finite couplings with R = sqrt(m^2 + n^2) < 1; return R."""
-    if not (math.isfinite(m) and math.isfinite(n)):
-        raise DomainError(f"m and n must be finite, got ({m}, {n})")
-    r = math.hypot(m, n)
-    if r >= 1.0:
-        raise DomainError(f"R = sqrt(m^2 + n^2) = {r} must be < 1")
-    return r
 
 
 def _coupling_block(m: float, n: float) -> np.ndarray:
@@ -68,92 +53,8 @@ def build_covariance(m: float, n: float) -> np.ndarray:
     return validate_covariance(_covariance_matrix(m, n, (1.0 + r) / (1.0 - r)))
 
 
-_FLOAT_PRIMITIVES = SimpleNamespace(sqrt=math.sqrt, minimum=min, maximum=max, frexp=math.frexp, ldexp=math.ldexp)
-
-
-def _primitives(x):
-    """The kernel's few primitives: numpy's for an array, math's (and min, max) for a Python float."""
-    return np if isinstance(x, np.ndarray) else _FLOAT_PRIMITIVES
-
-
-def _high_half(x):
-    """Veltkamp's split: the high 26 bits of x, with x less them exact in 26 more."""
-    c = 134217729.0 * x
-    return c - (c - x)
-
-
-def _deficit(big, small):
-    """1 - big*small to about an ulp near the hyperbola too: 1 - fl(big*small) less Dekker's exact error.
-
-    Veltkamp's split (:func:`_high_half`) halves each factor exactly, by plain arithmetic; as a
-    function its temporaries are freed on return, and on arrays fewer live temporaries measured
-    faster. The kernel passes max(theta, eta)/k and min(theta, eta) k (``scaling.inverse_scale``):
-    the product keeps its value, and the larger stays below 2^200, so 134217729 x cannot overflow.
-    """
-    product = big * small
-    bh, sh = _high_half(big), _high_half(small)
-    bl, sl = big - bh, small - sh
-    error = ((bh * sh - product) + bh * sl + bl * sh) + bl * sl
-    return (1.0 - product) - error
-
-
-def _invariant(gap, c, r: float):
-    """b / (1 - theta*eta) times the square root of the smaller root of x^2 - 2(gap + c) x + c^2."""
-    sqrt = _primitives(gap).sqrt
-    return (1.0 + r) ** 2 / sqrt(gap + c + sqrt(gap * (gap + 2.0 * c)))
-
-
-def _closed_forms(theta, eta, m: float, n: float, r: float):
-    """nu_-, nu'_-, their pencils' gaps g = omega/2 - c over k^2, c and 1/k, at the points (theta, eta).
-
-    theta and eta are Python floats or equal-shape arrays: one text for both, whose few
-    primitives come from math or numpy (:func:`_primitives`), so a point and a grid get the
-    same bits. Each invariant is b / (1 - theta*eta) times the square root of the smaller root
-    of a pencil x^2 - omega x + c^2, c = (1-R^2)(1 - theta*eta): (1+R)^2 / sqrt(g + c + sqrt(g (g + 2c))).
-    With s = theta + eta, q = (1-R)(1+R), q_n = (1-|n|)(1+|n|) and c from :func:`_deficit`,
-
-        g_- = (|theta - eta| + n s)^2 / 2 + 2 theta eta q              (Omega, nu_-)
-        g_+ = ((q_n s + 2m)^2 / 2 + 2 n^2 q) / q_n                     (Omega', nu'_-)
-
-    The signs pick the pencil, n's for Omega and m's for Omega'. (|m|, |n|) gives
-    the smallest invariants: every term is non-negative, so nothing cancels, also
-    where a gap vanishes, near the hyperbola and as R -> 1. (-|m|, -|n|) gives the
-    second ones, where (1+n)(max - min) + 2n min of theta and eta keeps Omega's
-    difference exact at theta = 0 or eta = 0, and the lift q_n s - 2|m| of Omega', which cancels as
-    |m| -> 1, is (s - 2|m|) - n^2 s plus the rounding of s: no rounded q_n and no rounded s
-    enters the difference. The forms are symmetric in theta and eta, so the kernel runs on
-    max(theta, eta)/k, min(theta, eta)/k, 2m/k and c/k^2, k from ``scaling.inverse_scale``, and
-    divides each invariant by k: a power of two scales exactly, so nothing overflows at any
-    float point, and below 2^200, where k = 1, every bit is that of the unscaled forms. On
-    floats nothing warns or raises either: no root or quotient meets a negative or zero operand.
-    """
-    xp = _primitives(theta)
-    big, small = xp.maximum(theta, eta), xp.minimum(theta, eta)
-    q = (1.0 - r) * (1.0 + r)
-    q_n = (1.0 - abs(n)) * (1.0 + abs(n))
-    unit = inverse_scale(big, xp)
-    big = big * unit
-    c = q * _deficit(big, small / unit)
-    small, c_k = small * unit, c * unit * unit
-    split = (1.0 + n) * (big - small) + 2.0 * n * small
-    total = big + small
-    if m < 0.0:  # the second pencil; Knuth's two-sum gives the rounding of s
-        late = total - big
-        lift = ((total + 2.0 * m * unit) - n * n * total) + ((big - (total - late)) + (small - late))
-    else:
-        lift = q_n * total + 2.0 * m * unit
-    gap_minus = split * split / 2.0 + 2.0 * big * small * q
-    gap_plus = (lift * lift / 2.0 + 2.0 * n * n * q * unit * unit) / q_n
-    nu, nu_prime = _invariant(gap_minus, c_k, r) * unit, _invariant(gap_plus, c_k, r) * unit
-    return nu, nu_prime, gap_minus, gap_plus, c, unit
-
-
-def _point_name(theta: float, eta: float, m: float, n: float) -> str:
-    return f"(theta, eta, m, n) = ({float(theta)!r}, {float(eta)!r}, {float(m)!r}, {float(n)!r})"
-
-
 def _checked_points(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """The points as 1-D float arrays, each checked by ``phase_space.admissible_deformations``; also R
+    """The points as 1-D float arrays, each checked by ``kernel.admissible_deformations``; also R
     and the indices of the points in the domain theta*eta < 1."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
@@ -202,20 +103,6 @@ def family_invariants(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.
     nu, nu_prime = np.full((2, len(thetas)), np.nan)
     nu[todo], nu_prime[todo] = _closed_forms(thetas[todo], etas[todo], abs(m), abs(n), r)[:2]
     return nu, nu_prime
-
-
-def point_invariants(theta: float, eta: float, m: float, n: float) -> tuple[float, float]:
-    """:func:`family_invariants` at one point of Python floats, as floats: the same checks with the
-    same messages, and the same kernel text run on floats, so every bit is the grid's.
-
-    Floats need no ``errstate``: theta*eta beyond the float range is inf, with no warning.
-    """
-    if not admissible_deformations(theta, eta):
-        raise DomainError(f"{_BAD_DEFORMATION} at {_point_name(theta, eta, m, n)}")
-    r = validate_couplings(m, n)
-    if not theta * eta < 1.0:
-        return math.nan, math.nan
-    return _closed_forms(theta, eta, abs(m), abs(n), r)[:2]
 
 
 def _inverse_root(m: float, n: float, r: float) -> np.ndarray:

@@ -8,7 +8,7 @@ two party forms and assembles it. A Darboux map S turns standard commuting
 variables into the deformed ones, S J S^T = Omega; it is block-diagonal over the
 two parties and not unique.
 Every input theta and eta, NCParams' and each point of the family routes, meets one check,
-:func:`admissible_deformations`, with one message.
+``kernel.admissible_deformations``, with one message.
 """
 
 from __future__ import annotations
@@ -27,20 +27,10 @@ from .core import (
     validate_skew_form,
 )
 from .errors import DimensionError, DomainError, MatrixStructureError
+from .kernel import _BAD_DEFORMATION, admissible_deformations
 
 # 2x2 antisymmetric symbol with epsilon_12 = +1.
 EPSILON2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-_BAD_DEFORMATION = "theta and eta must be finite and >= 0"
-
-
-def admissible_deformations(theta, eta):
-    """True where theta and eta are finite and >= 0, a bool for floats and per point for arrays;
-    callers raise with ``_BAD_DEFORMATION`` where not. Positive, as ``~`` of a Python bool is an int.
-
-    theta*eta < 1 is a separate test: grid points beyond the hyperbola are kept
-    as invalid rows, while these inputs are errors.
-    """
-    return (0.0 <= theta) & (theta < math.inf) & (0.0 <= eta) & (eta < math.inf)
 
 
 @dataclass(frozen=True)

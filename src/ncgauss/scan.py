@@ -3,12 +3,12 @@
 A grid is evaluated in one batched call, ``family.family_invariants``: the
 closed-form kernel at (|m|, |n|), which decides every quadrant with no 8x8 algebra.
 The figure-1 spectra (``family.family_spectra``) come from the same kernel. The
-verdict column comes from one call of ``separability.verdict_from_invariants`` on
+verdict column comes from one call of ``kernel.verdict_from_invariants`` on
 the invariant arrays: each point's verdict as an integer code, NaN (theta*eta >= 1)
 giving ``invalid``. :func:`eval_point` runs the same kernel text and verdict rule on
-Python floats (``family.point_invariants``), so a point gets the bits of its grid row. Every
-grid range, the CLI's included, is checked by one function, :func:`_check_range`.
-Rows run in row-major order, theta outer and eta inner.
+Python floats (``kernel.point_invariants``), so a point gets the bits of its grid row; only table
+functions import numpy and ``family``. Every grid range, the CLI's included, is checked by one
+function, :func:`_check_range`. Rows run in row-major order, theta outer and eta inner.
 
 A grid's output is a table (:func:`scan_table`, :func:`fig1_table`): a dict of equal-length
 columns of two kinds. A float column is a float64 array, NaN where a cell is missing; a label
@@ -28,11 +28,8 @@ import sys
 from json.encoder import encode_basestring_ascii as quote
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DomainError
-from .family import family_invariants, family_spectra, point_invariants
-from .separability import Verdict, verdict_from_invariants
+from .kernel import Verdict, point_invariants, verdict_from_invariants
 
 
 class ScanRecord(NamedTuple):
@@ -84,7 +81,7 @@ def _check_range(name: str, rng: tuple[float, float, int]) -> tuple[float, float
 def eval_point(theta: float, eta: float, m: float, n: float) -> ScanRecord:
     """Classify one family point: :func:`scan_table`'s kernel text and verdict rule run on floats.
 
-    theta*eta >= 1 yields the invalid verdict. ``family.point_invariants`` runs the closed forms
+    theta*eta >= 1 yields the invalid verdict. ``kernel.point_invariants`` runs the closed forms
     on Python floats, so the record carries the bits of the grid's row at the same point.
     """
     theta, eta, m, n = float(theta), float(eta), float(m), float(n)
@@ -101,6 +98,8 @@ def scan_table(
     """The ``SCAN_FIELDS`` table of the grid, each range (min, max, number of points), from one
     batched evaluation, theta outer and eta inner; rows with theta*eta >= 1 are kept with the
     ``invalid`` verdict, invariants missing."""
+    import numpy as np
+    from .family import family_invariants
     thetas, etas = np.meshgrid(
         np.linspace(*_check_range("theta", theta_range)), np.linspace(*_check_range("eta", eta_range)),
         indexing="ij",
@@ -126,6 +125,8 @@ def fig1_table(theta_values, eta_range: tuple[float, float, int], m: float, n: f
     All points run in one batched call. Rows carry (m, n), which the eigenvalue plot leaves implicit;
     rows with theta*eta >= 1 leave the spectrum columns empty (the form is singular on the hyperbola).
     """
+    import numpy as np
+    from .family import family_spectra
     theta_values = np.asarray(theta_values, dtype=float)
     if theta_values.ndim != 1 or not theta_values.size:
         raise DomainError(f"theta values must be a non-empty 1-D sequence, got shape {theta_values.shape}")
@@ -145,6 +146,7 @@ def _words(column, floats, label, blank) -> tuple[np.ndarray, np.ndarray]:
     in them. ``label`` spells each label of a ``(codes, labels)`` column, and the codes are the
     positions. ``floats`` spells the array of all distinct bit patterns of a float column in one
     call (0.0 and -0.0 stay apart); every NaN pattern, a missing cell, is then spelled ``blank``."""
+    import numpy as np
     if isinstance(column, tuple):
         codes, labels = column
         return np.array(list(map(label, labels)), dtype=object), codes
@@ -164,6 +166,7 @@ def _blocks(columns):
 
     A column of one word is appended to the words of the column before it, so its cells are never
     gathered; the first column stays, so a table whose every column has one word still has rows."""
+    import numpy as np
     kept = columns[:1]
     for words, index in columns[1:]:
         if len(words) == 1:
@@ -213,6 +216,7 @@ def _json_floats(key: str, tail: str, values: np.ndarray) -> list[str]:
     ``1e-4`` on, and below it scientific with at least two exponent digits. So the candidates are
     a superset of the values whose spellings differ, and respelling one that agrees changes nothing.
     """
+    import numpy as np
     texts = _spell(key.replace("%", "%%") + "%.12g" + tail, values)
     size = np.abs(values)
     finite = np.where(size < 1e11, values, 0.0)  # the rest are candidates; inf - rint(inf) warns
@@ -230,6 +234,7 @@ def table_to_json(table: dict, out) -> None:
     Each word carries its cell's separator and key; the first column's words also open the row's
     object after a comma, which the first row drops, and the last column's close it.
     """
+    import numpy as np
     columns = []
     for k, (name, column) in enumerate(table.items()):
         head = "" if k else ",\n  {"

@@ -10,7 +10,7 @@ every such map. Separability is therefore read from the spectrum of
 Sigma' = D Sigma D^T is less accurate (D carries the conditioning of S) and
 lives in the tests as a reference.
 
-One rule, :func:`verdict_from_invariants`, turns the invariants into a verdict:
+One rule, ``kernel.verdict_from_invariants``, turns the invariants into a verdict:
 a ``Verdict`` for a float pair, and for arrays each point's rank, its position in
 ``tuple(Verdict)``, which the grid tables carry as integer codes.
 """
@@ -18,29 +18,16 @@ a ``Verdict`` for a float pair, and for arrays each point's rank, its position i
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .core import _readonly, _root_spectrum, _uncertainty_holds, block_diag, validate_skew_form, validated_root
+from .core import _readonly, _root_spectrum, block_diag, validate_skew_form, validated_root
+from .kernel import Verdict, verdict_from_invariants
 
 
 def primed_form(omega_a, omega_b) -> np.ndarray:
     """Partial-transpose image Omega' = Diag[Omega_A, -Omega_B] of the parties' forms, exactly."""
     return _readonly(block_diag(omega_a, -np.asarray(omega_b, dtype=float)))
-
-
-class Verdict(str, Enum):
-    """A point's verdict, in rank order; each value is the label the scan and eval outputs print."""
-
-    INVALID_DOMAIN = "invalid"
-    NON_QUANTUM = "nonquantum"
-    ENTANGLED_QUANTUM = "entangled"
-    SEPARABLE_QUANTUM = "separable"
-
-
-# Built once: tuple(Verdict) iterates the enum, about 2 us, several times the rule's own cost.
-_BY_RANK = tuple(Verdict)
 
 
 @dataclass(frozen=True)
@@ -50,20 +37,6 @@ class ClassificationResult:
     verdict: Verdict
     nu_minus: float | None
     nu_minus_prime: float | None
-
-
-def verdict_from_invariants(nu: float | np.ndarray, nu_prime: float | np.ndarray) -> Verdict | np.ndarray:
-    """Two-stage verdict: quantum iff nu_- >= 1, then separable (PPT) iff nu'_- >= 1.
-
-    A NaN in either invariant (the family's value where theta*eta >= 1) gives
-    INVALID_DOMAIN. Ties within BOUNDARY of 1 resolve toward >=. Takes a float
-    pair, giving a Verdict, or two arrays of one shape, giving an integer array of
-    that shape: each verdict's rank, its position in ``tuple(Verdict)``.
-    """
-    valid = (nu == nu) & (nu_prime == nu_prime)  # False where either is NaN
-    quantum, separable = _uncertainty_holds(nu), _uncertainty_holds(nu_prime)
-    rank = valid * (1 + quantum * (1 + separable))
-    return rank if isinstance(rank, np.ndarray) else _BY_RANK[rank]
 
 
 def classify(sigma, omega_a, omega_b) -> ClassificationResult:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from ncgauss import DimensionError, MatrixStructureError, NCGaussError
 from ncgauss.core import block_diag, standard_symplectic_form, validate_covariance
 from ncgauss.family import dense_spectra
-from ncgauss.separability import verdict_from_invariants
+from ncgauss.kernel import verdict_from_invariants
 
 # Entrywise bound on A - A^H for hermitian_min_eigenvalue.
 HERMITIAN_TOL = 1e-12
@@ -305,7 +305,7 @@ def int64_split_deficit(thetas, etas):
 
     That cut leaves a low half of 27 bits, so the last product, of the two low halves, can round:
     within a few ulps of the hyperbola the result can be an ulp off 1 - theta*eta correctly
-    rounded. The reference for the bits of ``family._deficit``, which splits by Veltkamp.
+    rounded. The reference for the bits of ``kernel._deficit``, which splits by Veltkamp.
     """
     product = thetas * etas
     th, eh = ((v.view(np.int64) & -(1 << 27)).view(np.float64) for v in (thetas, etas))

@@ -1,10 +1,13 @@
 """The top-level namespace and the README document the same API."""
 
 import contextlib
+import importlib
 import io
 import math
 import re
 from pathlib import Path
+
+import pytest
 
 import ncgauss
 
@@ -29,6 +32,22 @@ def test_readme_imports_only_exported_names():
     imported = _readme_imports()
     assert imported  # the quick start imports from ncgauss
     assert sorted(imported - set(ncgauss.__all__)) == []
+
+
+def test_every_exported_name_resolves_to_its_home_module():
+    # The namespace loads its names on first use; each is the object its module defines.
+    assert len(set(ncgauss.__all__)) == len(ncgauss.__all__)
+    for name in ncgauss.__all__:
+        home = importlib.import_module(f"ncgauss.{ncgauss._HOMES[name]}")
+        assert getattr(ncgauss, name) is getattr(home, name)
+        assert name in vars(ncgauss)  # cached after the first lookup
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ncgauss.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from ncgauss import no_such_name  # noqa: F401
 
 
 

@@ -12,8 +12,8 @@ import pytest
 
 from ncgauss import NCGaussError, eval_point, fig1_table
 from ncgauss.cli import main
+from ncgauss.kernel import Verdict
 from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS
-from ncgauss.separability import Verdict
 from oracles import (
     closed_tolerance, dense_tolerance, mp_closed_forms, mp_spectra, rows_to_csv, rows_to_json, table_rows,
 )

@@ -1,5 +1,7 @@
 """Tests for the symplectic spectrum machinery and positivity checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from ncgauss import (
     rsup_holds,
 )
 from ncgauss.core import (
-    BOUNDARY,
     _root_spectrum,
     block_diag,
     inverse_root,
@@ -26,8 +27,8 @@ from ncgauss.core import (
     validate_covariance,
     validate_skew_form,
 )
+from ncgauss.kernel import BOUNDARY, Verdict, verdict_from_invariants
 from ncgauss.phase_space import EPSILON2
-from ncgauss.separability import Verdict, verdict_from_invariants
 from oracles import (
     brute_force_spectrum,
     hermitian_min_eigenvalue,
@@ -133,6 +134,18 @@ class TestValidation:
         validate_covariance(scale * np.diag([1.0, 1e-10]))
         with pytest.raises(NotPositiveDefiniteError):
             validate_covariance(scale * np.diag([1.0, 1e-17]))
+
+    def test_structure_tests_do_not_overflow_at_the_largest_floats(self):
+        # The differences A - A^T and A + A^T of entries near DBL_MAX once overflowed, and under
+        # -W error::RuntimeWarning the overflow warning was raised in place of the structure error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(MatrixStructureError):
+                validate_skew_form(np.diag([1e308, 1e308]))
+            with pytest.raises(MatrixStructureError):
+                validate_covariance([[1e308, 1e308], [-1e308, 1e308]])
+            validate_skew_form([[0.0, 1.7e308], [-1.7e308, 0.0]])
+            validate_covariance([[1e308, 1e307], [1e307, 1e308]])
 
     def test_skew_accepts_family_composite_form_near_hyperbola(self):
         # det = (1 - theta*eta)^4 = 1e-24, yet cond_2 is only about 4e6.

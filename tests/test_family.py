@@ -16,7 +16,7 @@ from ncgauss import (
     build_planar_form,
     nc_williamson_spectrum,
 )
-from ncgauss import family
+from ncgauss import kernel
 from ncgauss.cli import main
 from ncgauss.core import block_diag, inverse_root
 from ncgauss.family import (
@@ -26,9 +26,8 @@ from ncgauss.family import (
     dense_spectra,
     family_invariants,
     family_spectra,
-    point_invariants,
 )
-from ncgauss.scaling import inverse_scale
+from ncgauss.kernel import inverse_scale, point_invariants
 from ncgauss.scan import eval_point
 from ncgauss.separability import primed_form
 from oracles import (
@@ -261,10 +260,10 @@ class TestClosedForms:
         thetas, etas = np.where(swap, etas, thetas), np.where(swap, thetas, etas)
         big, small = np.maximum(thetas, etas), np.minimum(thetas, etas)
         unit = inverse_scale(big, np)
-        new = family._deficit(big * unit, small / unit)
+        new = kernel._deficit(big * unit, small / unit)
         old = int64_split_deficit(thetas, etas)
         got = np.array(family_invariants(thetas, etas, m, n)), np.array(family_spectra(thetas, etas, m, n))
-        monkeypatch.setattr(family, "_deficit", lambda big, small: int64_split_deficit(thetas, etas))
+        monkeypatch.setattr(kernel, "_deficit", lambda big, small: int64_split_deficit(thetas, etas))
         want = np.array(family_invariants(thetas, etas, m, n)), np.array(family_spectra(thetas, etas, m, n))
         np.testing.assert_array_equal(got[0].view(np.int64), want[0].view(np.int64))
         np.testing.assert_array_equal(got[1][..., :2].view(np.int64), want[1][..., :2].view(np.int64))

@@ -26,8 +26,9 @@ from ncgauss import (
 )
 from ncgauss.cli import main
 from ncgauss.family import dense_spectra, family_invariants, family_spectra
+from ncgauss.kernel import Verdict, verdict_from_invariants
 from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS, _check_range, table_to_csv, table_to_json
-from ncgauss.separability import Verdict, primed_form, verdict_from_invariants
+from ncgauss.separability import primed_form
 from oracles import (
     PAYLOAD_NAN,
     bisect_decreasing,

@@ -20,9 +20,10 @@ from ncgauss import (
     nc_williamson_spectrum,
     verdict_from_invariants,
 )
-from ncgauss.core import BOUNDARY, block_diag, standard_symplectic_form
+from ncgauss.core import block_diag, standard_symplectic_form
+from ncgauss.kernel import BOUNDARY, Verdict
 from ncgauss.phase_space import build_subsystem_form
-from ncgauss.separability import Verdict, primed_form
+from ncgauss.separability import primed_form
 from oracles import (
     admissible_float_points,
     darboux_map,
