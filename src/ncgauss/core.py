@@ -83,16 +83,11 @@ def _asymmetric(mats: np.ndarray, sign: float = 1.0):
     return defect > SYMMETRY * abs(mats).max(axis=(-2, -1))
 
 
-def _require_symmetric(mat) -> np.ndarray:
-    arr = _require_square(mat, "covariance matrix")
-    if _asymmetric(arr):
-        raise MatrixStructureError("covariance matrix is not symmetric within tolerance")
-    return arr
+def _checked_eigh(mat) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Check a covariance matrix's symmetry and positive-definiteness; return (Sigma, k, w, v).
 
-
-def _require_positive(w: np.ndarray) -> None:
-    """Raise unless the ascending eigenvalues w of a symmetric matrix prove it positive-definite.
-
+    w (ascending) and v are the eigh of Sigma/k, for k = 1 / ``kernel.inverse_scale``: a power of two,
+    1 below 2^200, so every bit is kept there and up to the largest float no eigenvalue overflows.
     A backward-stable symmetric eigensolver returns the exact eigenvalues of A + E
     with ||E||_2 of order dim * eps * ||A||_2, so by Weyl's inequality each computed
     eigenvalue is within about dim * eps * max|w| of the true one. w[0] > dim * eps * w[-1]
@@ -100,17 +95,23 @@ def _require_positive(w: np.ndarray) -> None:
     and A -> cA changes nothing. An absolute bound cannot do this: it rejects
     1e-13 * I, and at scale 1e5 it accepts a smallest eigenvalue that is pure roundoff.
     """
+    arr = _require_square(mat, "covariance matrix")
+    if _asymmetric(arr):
+        raise MatrixStructureError("covariance matrix is not symmetric within tolerance")
+    unit = inverse_scale(abs(arr).max(), np)
+    w, v = np.linalg.eigh(arr * unit)
+    k = 1.0 / float(unit)
     if w[0] <= len(w) * np.finfo(float).eps * w[-1]:
+        low, high = (x * k for x in w[[0, -1]].tolist())  # Python floats: an overflow is inf, not a warning
         raise NotPositiveDefiniteError(
-            f"covariance matrix is not positive-definite (eigenvalues {w[0]:.3e} to {w[-1]:.3e})"
+            f"covariance matrix is not positive-definite (eigenvalues {low:.3e} to {high:.3e})"
         )
+    return arr, k, w, v
 
 
 def validate_covariance(mat) -> np.ndarray:
     """Check symmetry and positive-definiteness; return a read-only copy."""
-    arr = _require_symmetric(mat)
-    _require_positive(np.linalg.eigvalsh(arr))
-    return _readonly(arr)
+    return _readonly(_checked_eigh(mat)[0])
 
 
 def validate_skew_form(mat) -> np.ndarray:
@@ -124,36 +125,37 @@ def validate_skew_form(mat) -> np.ndarray:
     return _readonly(arr)
 
 
-def inverse_root(sigma) -> np.ndarray:
-    """Validate a covariance matrix and return its symmetric inverse square root Sigma^-1/2.
+def inverse_root(sigma) -> tuple[np.ndarray, float]:
+    """Validate a covariance matrix; return (S, k), S = (Sigma/k)^-1/2 the symmetric inverse square root.
 
-    The root comes from the eigendecomposition that proves positive-definiteness.
-    Spectra of one covariance against many forms share it through :func:`_root_spectrum`.
+    k is :func:`_checked_eigh`'s power of two, 1 below 2^200, and S comes from the eigendecomposition
+    that proves positive-definiteness. Invariants scale with the covariance, so those of Sigma are
+    :func:`_root_spectrum` of (S, forms, k); spectra of one covariance against many forms share S.
     """
-    arr = _require_symmetric(sigma)
-    w, v = np.linalg.eigh(arr)
-    _require_positive(w)
-    return (v / np.sqrt(w)) @ v.T
+    _, k, w, v = _checked_eigh(sigma)
+    return (v / np.sqrt(w)) @ v.T, k
 
 
-def validated_root(sigma, form) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a (covariance, skew form) pair; return (Sigma^-1/2, read-only form)."""
-    root = inverse_root(sigma)
+def validated_root(sigma, form) -> tuple[np.ndarray, np.ndarray, float]:
+    """Validate a (covariance, skew form) pair; return (S, read-only form, k), S and k of :func:`inverse_root`."""
+    root, k = inverse_root(sigma)
     frm = validate_skew_form(form)
     if root.shape != frm.shape:
         raise DimensionError(
             f"covariance is {root.shape[0]}-dimensional but form is {frm.shape[0]}-dimensional"
         )
-    return root, frm
+    return root, frm, k
 
 
-def _root_spectrum(root: np.ndarray, forms: np.ndarray) -> np.ndarray:
-    """Williamson invariants of Sigma^-1/2 against a form or a stack (..., 2n, 2n).
+def _root_spectrum(root: np.ndarray, forms: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Williamson invariants of Sigma = scale S^-2, S = ``root``, against a form or a stack (..., 2n, 2n).
 
     Returns the invariants, ascending along the last axis of an (..., n) array, from one eigvalsh for
-    the whole stack. Each form O is divided by the power of two k of its max|entry| (``inverse_scale``) and
-    its invariants by k, exactly, so no form overflows S O S, S = Sigma^-1/2, and below 2^200 (k = 1)
-    every bit is kept. Only an S beyond about 2^400, as of a covariance near 1e-310 I, still overflows.
+    the whole stack: those of S^-2 times ``scale``, a power of two (:func:`inverse_root`'s k), which
+    keeps S^-2 and its eigensolve in range up to the largest float. Each form O is divided by the power
+    of two c of its max|entry| (``inverse_scale``) and its invariants by c, exactly, so no form overflows
+    S O S, and below 2^200 (c = 1) every bit is kept. Only an S beyond about 2^400, as of a covariance
+    near 1e-310 I, still overflows. An invariant beyond the largest float is inf.
     """
     unit = inverse_scale(abs(forms).max(axis=(-2, -1), keepdims=True), np)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is not finite, which the check reports
@@ -171,7 +173,7 @@ def _root_spectrum(root: np.ndarray, forms: np.ndarray) -> np.ndarray:
     # rounds to +-0, as every pair of the zero form does, or to a gap below 2/DBL_MAX gives inf.
     with np.errstate(divide="ignore", over="ignore"):
         invariants = 2.0 / (vals[..., ::-1] - vals)[..., : vals.shape[-1] // 2]
-    return invariants * unit[..., 0]
+        return invariants * (unit[..., 0] * scale)
 
 
 def nc_williamson_spectrum(sigma, form) -> np.ndarray:
@@ -184,6 +186,8 @@ def nc_williamson_spectrum(sigma, form) -> np.ndarray:
     spectrum; with a deformed commutation form it is its noncommutative generalization.
     sigma + (i/2) form >= 0 holds iff the smallest invariant is >= 1, for every skew form.
     A singular form's null pairs give nu = inf (no constraint), so the zero form gives all inf.
+    Sigma is checked and rooted as Sigma/k, k a power of two (:func:`inverse_root`), so every
+    covariance up to the largest float answers; an invariant beyond the largest float is inf.
 
     Accuracy. eigh's Sigma^-1/2 is that of a Sigma + E, ||E|| about 2n eps ||Sigma||: a congruence by
     (I + F)^-1/2, ||F|| <= ||Sigma^-1|| ||E||, which moves each 1/nu by at most ||F|| relative

@@ -52,9 +52,9 @@ def classify(sigma, omega_a, omega_b) -> ClassificationResult:
     such as the bundled family it is not proven sufficient.
     """
     omega_a, omega_b = validate_skew_form(omega_a), validate_skew_form(omega_b)
-    root, form = validated_root(sigma, block_diag(omega_a, omega_b))
+    root, form, k = validated_root(sigma, block_diag(omega_a, omega_b))
     # Both spectra from one Sigma^-1/2 and one eigvalsh; each row is ascending.
-    nu, nu_prime = _root_spectrum(root, np.stack([form, primed_form(omega_a, omega_b)]))[:, 0].tolist()
+    nu, nu_prime = _root_spectrum(root, np.stack([form, primed_form(omega_a, omega_b)]), k)[:, 0].tolist()
     return ClassificationResult(
         verdict=verdict_from_invariants(nu, nu_prime), nu_minus=nu, nu_minus_prime=nu_prime
     )

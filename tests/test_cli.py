@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import sys
 import warnings
 from types import SimpleNamespace
@@ -98,16 +99,27 @@ class TestEval:
     (("0.25", "0.5", "0.2357", "0.1667"), Verdict.ENTANGLED_QUANTUM),
     (("1.2", "0.8", "0.3", "0.2"), Verdict.NON_QUANTUM),
     (("2", "0.5", "0.3", "0.2"), Verdict.INVALID_DOMAIN),
+    (("1", "0.9999999999999999", "-0.3", "0.2"), Verdict.NON_QUANTUM),
+    (("1e300", "1e-301", "-0.3", "0.2"), Verdict.NON_QUANTUM),
+    (("1.7e308", "0", "-0.3", "0.2"), Verdict.NON_QUANTUM),
+    (("1e80", "0", "0.3", "0.2"), Verdict.NON_QUANTUM),
+    (("1e80", "0", "-0.3", "0.2"), Verdict.NON_QUANTUM),
 ])
 def test_printed_labels_are_verdict_values(capsys, point, verdict):
+    # eval runs the kernel on Python floats, scan on arrays: across the float range, eval's
+    # invariants rounded as '%.12g' are the numbers a one-point scan writes.
     theta, eta, m, n = point
     assert main(["eval", "--theta", theta, "--eta", eta, "--m", m, "--n", n]) == 0
-    assert json.loads(capsys.readouterr().out)["verdict"] == verdict.value
+    one = json.loads(capsys.readouterr().out)
+    assert one["verdict"] == verdict.value
     grid = ["--theta-range", f"{theta}:{theta}:1", "--eta-range", f"{eta}:{eta}:1", "--m", m, "--n", n]
     assert main(["scan", *grid]) == 0
     assert capsys.readouterr().out.split("\n")[1].split(",")[-1] == verdict.value
     assert main(["scan", *grid, "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)[0]["verdict"] == verdict.value
+    row = json.loads(capsys.readouterr().out)[0]
+    assert row["verdict"] == verdict.value
+    keys = ("nu_minus", "nu_minus_prime")
+    assert [row.get(key) for key in keys] == [float("%.12g" % one[key]) if key in one else None for key in keys]
 
 
 class TestScan:
@@ -200,6 +212,12 @@ class TestFigures:
 
     def test_fig2_label_out_of_range_exits_2(self, capsys):
         assert main(["fig2", "--r", "1.5"]) == 2
+
+    @pytest.mark.parametrize("command", ["eval", "scan", "fig1", "fig2"])
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: ")
 
 
 def test_repeated_calls_share_one_parser_and_keep_their_own_output(capsys):
@@ -353,6 +371,9 @@ class TestErrorMessages:
             (["fig1", "--thetas", "-0.5,1"],
              "theta and eta must be finite and >= 0 at (theta, eta, m, n) = "
              "(-0.5, 0.0, 0.23570226039551587, 0.16666666666666666)"),
+            (["eval", "--theta", "nan", "--eta", "0.5", "--m", "0.3", "--n", "0.2"],
+             "theta and eta must be finite and >= 0 at (theta, eta, m, n) = (nan, 0.5, 0.3, 0.2)"),
+            (["scan", "--m", "inf", "--n", "0.2"], "m and n must be finite, got (inf, 0.2)"),
         ],
     )
     def test_bad_values_are_usage_errors(self, capsys, argv, message):
@@ -424,3 +445,31 @@ class TestOutputBytes:
         table = fig1_table((0.0, 0.25, 1.25), (0.0, 2.0, 21), math.sqrt(2.0) / 6.0, 1.0 / 6.0)
         expected = writer(table_rows(table), FIG1_FIELDS)
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--m", "0.3", "--n", "0.2", "--theta-range", "0:2:5", "--eta-range", "0:2:5"],
+        ["fig1", "--thetas", "0,0.5", "--eta-range", "0:2:5", "--format", "json"],
+        ["fig1", "--thetas", "0,0.98", "--eta-range", "0:2:5", "--m", "-0.3", "--n", "0.2"],
+        ["fig1", "--thetas", "0.5", "--eta-range", "0:1:3", "--m", "0.999999999999999", "--n", "0"],
+        ["fig2", "--r", "0.5", "--swap", "--theta-range", "0:2:5", "--eta-range", "0:2:5"],
+        ["scan", "--theta-range", "0:1e300:3", "--eta-range", "0:1e-301:2", "--m", "-0.3", "--n", "0.2"],
+        # Every invariant cell missing.
+        ["scan", "--theta-range", "2:2:1", "--eta-range", "1:1:1", "--m", "0.1", "--n", "0.1"],
+        ["fig1", "--thetas", "2", "--eta-range", "1:1:1", "--format", "json"],
+        # More than one block (1,024 rows) of the table writers: a 61x61 scan, a four-theta fig1
+        # (1,204 rows, whose one-word m and n join the eta column) and a one-theta scan (1,500
+        # rows, whose one-word first column keeps every row across the block edges).
+        *([*grid.split(), "--format", fmt] for grid in (
+            "scan --m 0.3 --n 0.2 --theta-range 0:2:61 --eta-range 0:2:61",
+            "fig1 --thetas 0,0.5,1.25,2 --eta-range 0:2:301",
+            "scan --m 0.3 --n 0.2 --theta-range 1:1:1 --eta-range 0:2:1500",
+        ) for fmt in ("csv", "json")),
+    ])
+    def test_stdout_and_out_file_agree_and_hold_no_nan_word(self, capsys, tmp_path, argv):
+        # A missing cell is written empty: no output holds the word nan or NaN.
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"\b(nan|NaN)\b", out) is None
+        path = tmp_path / "out"
+        assert main([*argv, "--out", str(path)]) == 0
+        assert path.read_bytes() == out.encode()

@@ -1,5 +1,6 @@
 """Tests for the symplectic spectrum machinery and positivity checks."""
 
+import math
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from ncgauss import (
     build_covariance,
     build_darboux_map,
     build_planar_form,
+    classify,
     nc_williamson_spectrum,
     rsup_holds,
 )
@@ -147,6 +149,22 @@ class TestValidation:
             validate_skew_form([[0.0, 1.7e308], [-1.7e308, 0.0]])
             validate_covariance([[1e308, 1e307], [1e307, 1e308]])
 
+    def test_positive_definite_with_an_eigenvalue_beyond_the_largest_float(self):
+        # Eigenvalues 7e307 and 2.7e308: the eigensolve of the unscaled matrix overflowed, and
+        # the positivity test refused it. nu = 2 sqrt(det) = 2.75e308 against J is beyond the
+        # largest float, so it reads inf; against 2J it is sqrt(det), within the docstring's
+        # 2 (2n) eps cond(Sigma) of the exact integer root.
+        a, b = 1.7e308, 1e308
+        big, jay = np.array([[a, b], [b, a]]), np.asarray(standard_symplectic_form(1))
+        want = float(math.isqrt(int(a) ** 2 - int(b) ** 2))
+        bound = 2 * 2 * np.finfo(float).eps * (a + b) / (a - b)
+        np.testing.assert_array_equal(validate_covariance(big), big)
+        assert nc_williamson_spectrum(big, jay).tolist() == [np.inf]
+        assert nc_williamson_spectrum(big, 2.0 * jay)[0] == pytest.approx(want, rel=bound)
+        result = classify(block_diag(big, big), 2.0 * jay, 2.0 * jay)
+        assert result.verdict is Verdict.SEPARABLE_QUANTUM
+        assert result.nu_minus == result.nu_minus_prime == pytest.approx(want, rel=bound)
+
     def test_skew_accepts_family_composite_form_near_hyperbola(self):
         # det = (1 - theta*eta)^4 = 1e-24, yet cond_2 is only about 4e6.
         _, form = _family_pair(1.0, 1.0 - 1e-6)
@@ -163,7 +181,7 @@ class TestStackedKernel:
         rng = np.random.default_rng(17)
         sigma = random_spd(rng, 8)
         forms = np.stack([random_skew_nonsingular(rng, 8) for _ in range(6)]).reshape(3, 2, 8, 8)
-        stacked = _root_spectrum(inverse_root(sigma), forms)
+        stacked = _root_spectrum(inverse_root(sigma)[0], forms)
         assert stacked.shape == (3, 2, 4)
         for form, row in zip(forms.reshape(6, 8, 8), stacked.reshape(6, 4)):
             np.testing.assert_array_equal(row, nc_williamson_spectrum(sigma, form))
@@ -213,7 +231,7 @@ class TestSpectrum:
         # Against the vacuum, S J S = 2 DBL_MAX J overflows unless the form is scaled first; a form
         # of order 1 in the same stack keeps its own scale and bits. nu = 1/DBL_MAX is subnormal.
         jay, big = np.asarray(standard_symplectic_form(1)), float(np.finfo(float).max)
-        root = inverse_root(0.5 * np.eye(2))
+        root = inverse_root(0.5 * np.eye(2))[0]
         stacked = _root_spectrum(root, np.stack([big * jay, jay]))
         assert stacked.tolist() == [_root_spectrum(root, big * jay).tolist(), _root_spectrum(root, jay).tolist()]
         assert abs(stacked[0, 0] - 1.0 / big) <= 2.0**-1074 and stacked[1, 0] == pytest.approx(1.0, rel=1e-15)

@@ -119,7 +119,7 @@ class TestInverseRoot:
         unit = EPS * (1.0 + b)
         assert np.array_equal(root, root.T)
         assert abs(root @ sigma @ root - np.eye(8)).max() <= 32.0 * unit
-        assert abs(root - inverse_root(sigma)).max() <= 16.0 * unit * abs(root).max()
+        assert abs(root - inverse_root(sigma)[0]).max() <= 16.0 * unit * abs(root).max()
 
     def test_uncoupled_root_is_exactly_sqrt2_identity(self):
         for m, n in [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)]:
@@ -309,6 +309,8 @@ class TestClosedForms:
     @example(points=[(0.25, 0.5), (2.0, 2.0)], radius=0.0, angle=0.0, signs=SIGNS[2])  # m = n = -0.0
     @example(points=[(1.0, 0.9999999999999999)], radius=0.36055512754639896, angle=0.5880026035475675,
              signs=SIGNS[1])
+    # eval --theta 1e80 --eta 0 --m +-0.3 --n 0.2: this radius and angle give m, n = 0.3, 0.2 exactly.
+    @example(points=[(1e80, 0.0)], radius=0.36055512754639896, angle=0.5880026035475676, signs=SIGNS[1])
     def test_signs_of_the_couplings_change_no_bit(self, points, radius, angle, signs):
         # family_invariants runs the kernel at (|m|, |n|) in every quadrant: on arrays and on
         # one point's floats (point_invariants), each sign pattern gives the bits of (|m|, |n|).

@@ -27,15 +27,20 @@ SCAN = ("scan", "--m", "0.3", "--n", "0.2")
 CLI = "import sys\nfrom ncgauss.cli import main\nassert main(sys.argv[1:]) == 0"
 
 
-def _fresh(code: str, *args: str) -> tuple[str, bool]:
-    """Run ``code`` with ``args`` in a fresh interpreter importing ncgauss from src/; return its stdout
-    and whether numpy was loaded when it ended."""
-    probe = "\nimport sys\nsys.stderr.write('\\nnumpy loaded: %s' % ('numpy' in sys.modules))"
+def _run(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with ``args``, importing ncgauss from src/, RuntimeWarnings as errors."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code + probe, *args], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"},
     )
+
+
+def _fresh(code: str, *args: str) -> tuple[str, bool]:
+    """Run ``code`` with ``args`` in a fresh interpreter (:func:`_run`); return its stdout and whether
+    numpy was loaded when it ended."""
+    probe = "\nimport sys\nsys.stderr.write('\\nnumpy loaded: %s' % ('numpy' in sys.modules))"
+    proc = _run("-c", code + probe, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout, proc.stderr.rsplit("\n", 1)[-1] == "numpy loaded: True"
 
@@ -61,6 +66,13 @@ def test_eval_verbose_loads_numpy(capsys):
     out, numpy_loaded = _fresh(CLI, *EVAL, "--verbose")
     assert numpy_loaded and out == capsys.readouterr().out
     assert "nu_minus_numeric" in out
+
+
+def test_module_run_exits_2_with_the_library_message_alone():
+    # python -m ncgauss.cli passes main's exit code to the process.
+    proc = _run("-m", "ncgauss.cli", "scan", "--m", "0.3", "--n", "0.2", "--eta-range", "2:0:3")
+    message = "ncgauss: eta range must satisfy finite min <= max, got (2.0, 0.0, 3)\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
