@@ -6,8 +6,9 @@ position-position and momentum-momentum deformations, and maps the resulting
 quantum / separable / entangled regions for an explicit two-mode-per-party
 Gaussian family.
 
-This namespace holds the API the README documents and the error classes;
-everything else is imported by module path (``ncgauss.core``, ``ncgauss.family``, ...).
+This namespace holds the API the README documents and the error classes; everything else is
+imported by module path: the generalized criteria (forms, Darboux maps, spectra, ``classify``) from
+``ncgauss.core``, the family from ``ncgauss.family``, the numpy-free kernel from ``ncgauss.kernel``.
 ``_HOMES`` names each one's module. The error classes load with the package and every other
 name on first use (PEP 562), so ``eval_point`` and ``verdict_from_invariants`` load no numpy.
 """
@@ -23,9 +24,9 @@ _HOMES = {
     **dict.fromkeys(("MAX_DIM", "nc_williamson_spectrum", "rsup_holds"), "core"),
     **dict.fromkeys(("NCGaussError", "DimensionError", "MatrixStructureError", "NotPositiveDefiniteError",
                      "DomainError", "FormulaDomainError"), "errors"),
-    **dict.fromkeys(("NCParams", "build_planar_form", "build_darboux_map", "transform_covariance"),
-                    "phase_space"),
-    "classify": "separability", "verdict_from_invariants": "kernel", "build_covariance": "family",
+    **dict.fromkeys(("NCParams", "build_planar_form", "build_darboux_map", "transform_covariance", "classify"),
+                    "core"),
+    "verdict_from_invariants": "kernel", "build_covariance": "family",
     **dict.fromkeys(("scan_table", "fig1_table", "fig2_couplings", "eval_point"), "scan"),
 }
 __all__ = list(_HOMES)

@@ -2,7 +2,7 @@
 
 The covariance matrix is b/2 * [[I4, G^T], [G, I4]] with a coupling block G
 parameterized by reals (m, n), R = sqrt(m^2 + n^2) < 1 and b = (1+R)/(1-R).
-Both parties share the same planar commutation form. Closed forms give the
+Both parties share the same planar commutation form, ``core.build_planar_form``. Closed forms give the
 Williamson spectra before and after partial transposition, which depend on |m|
 and |n| only. They are one branch-free kernel (``kernel._closed_forms``), free of
 cancellation for the smallest invariants, and decide every quadrant: ``family_invariants``
@@ -10,8 +10,8 @@ cancellation for the smallest invariants, and decide every quadrant: ``family_in
 (|m|, |n|) and take no root of Sigma, no inverse of a form and no eigensolve.
 Every route checks theta and eta (``kernel.admissible_deformations``), then the couplings
 (``kernel.validate_couplings``); the CLI passes its numbers on unchecked, so these are its messages.
-The dense 8x8 route, one eigvalsh per block of points with Sigma^-1/2 in closed form,
-is only ``dense_spectra``: the cross-check of nu_- and nu'_- for ``eval --verbose`` and
+The dense 8x8 route, ``core._root_spectrum``'s one eigvalsh per block of points with Sigma^-1/2
+in closed form, is only ``dense_spectra``: the cross-check of nu_- and nu'_- for ``eval --verbose`` and
 the tests.
 """
 
@@ -21,11 +21,9 @@ import math
 
 import numpy as np
 
-from .core import _root_spectrum, block_diag, validate_covariance
+from .core import NCParams, _root_spectrum, block_diag, build_planar_form, primed_form, validate_covariance
 from .errors import DimensionError, DomainError
 from .kernel import _BAD_DEFORMATION, _closed_forms, _point_name, admissible_deformations, validate_couplings
-from .phase_space import NCParams, build_planar_form
-from .separability import primed_form
 
 
 def _coupling_block(m: float, n: float) -> np.ndarray:
@@ -48,7 +46,11 @@ def _covariance_matrix(m: float, n: float, b: float) -> np.ndarray:
 
 
 def build_covariance(m: float, n: float) -> np.ndarray:
-    """The validated, read-only family covariance matrix Sigma for couplings (m, n), R < 1."""
+    """The validated, read-only family covariance matrix Sigma for couplings (m, n), R < 1.
+
+    cond(Sigma) = (1+R)/(1-R) must stay within ``core``'s reach, 1/(8 eps): for 1 - R below about
+    3.5e-15 Sigma cannot be certified positive-definite, and a NotPositiveDefiniteError says so.
+    """
     r = validate_couplings(m, n)
     return validate_covariance(_covariance_matrix(m, n, (1.0 + r) / (1.0 - r)))
 

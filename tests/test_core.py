@@ -20,17 +20,20 @@ from ncgauss import (
     classify,
     nc_williamson_spectrum,
     rsup_holds,
+    transform_covariance,
 )
 from ncgauss.core import (
+    EPSILON2,
     _root_spectrum,
     block_diag,
+    build_subsystem_form,
     inverse_root,
+    primed_form,
     standard_symplectic_form,
     validate_covariance,
     validate_skew_form,
 )
 from ncgauss.kernel import BOUNDARY, Verdict, verdict_from_invariants
-from ncgauss.phase_space import EPSILON2
 from oracles import (
     brute_force_spectrum,
     hermitian_min_eigenvalue,
@@ -164,6 +167,36 @@ class TestValidation:
         result = classify(block_diag(big, big), 2.0 * jay, 2.0 * jay)
         assert result.verdict is Verdict.SEPARABLE_QUANTUM
         assert result.nu_minus == result.nu_minus_prime == pytest.approx(want, rel=bound)
+
+    def test_refusal_says_whether_sigma_is_indefinite_or_uncertified(self):
+        # Within dim * eps * max|w| of zero the smallest eigenvalue's sign is roundoff: such a
+        # Sigma, positive-definite or not, cannot be certified, and the message says so.
+        with pytest.raises(NotPositiveDefiniteError, match="is not positive-definite"):
+            validate_covariance(np.diag([1.0, -1e-3]))
+        for low in (1e-17, 0.0, -1e-17):
+            with pytest.raises(NotPositiveDefiniteError, match="cannot be certified positive-definite"):
+                validate_covariance(np.diag([1.0, low]))
+
+    @pytest.mark.parametrize("what,call", [
+        ("covariance matrix", lambda: validate_covariance(np.eye(2) * (1 + 1j))),
+        ("covariance matrix", lambda: nc_williamson_spectrum([[1, 0.5j], [-0.5j, 1]], standard_symplectic_form(1))),
+        ("skew form", lambda: validate_skew_form(np.array([[0, 1j], [-1j, 0]]))),
+        ("skew form", lambda: nc_williamson_spectrum(np.eye(2), EPSILON2 + 0j)),
+        ("position deformation block", lambda: build_subsystem_form(1j * EPSILON2, EPSILON2)),
+        ("momentum deformation block", lambda: build_subsystem_form(EPSILON2, 1j * EPSILON2)),
+        ("Darboux map", lambda: transform_covariance(np.eye(4) + 0j, np.eye(4))),
+        ("skew form", lambda: primed_form(EPSILON2, 1j * EPSILON2)),
+        ("skew form", lambda: classify(np.eye(4), 1j * EPSILON2, EPSILON2)),
+    ], ids=["covariance", "spectrum-covariance", "skew-form", "spectrum-form", "theta-block", "upsilon-block",
+            "map", "primed-party", "classify-party"])
+    def test_complex_input_is_refused_by_name(self, what, call):
+        # numpy casts complex to float with only a ComplexWarning and drops the imaginary part: the
+        # covariance (1 + 1j) I read as I, and the non-Hermitian [[1, 0.5j], [-0.5j, 1]] got nu = 2.
+        # A zero imaginary part is refused as well: the dtype decides.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MatrixStructureError, match=f"^{what} must be real"):
+                call()
 
     def test_skew_accepts_family_composite_form_near_hyperbola(self):
         # det = (1 - theta*eta)^4 = 1e-24, yet cond_2 is only about 4e6.

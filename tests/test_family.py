@@ -18,7 +18,7 @@ from ncgauss import (
 )
 from ncgauss import kernel
 from ncgauss.cli import main
-from ncgauss.core import block_diag, inverse_root
+from ncgauss.core import block_diag, inverse_root, primed_form
 from ncgauss.family import (
     _covariance_matrix,
     _inverse_root,
@@ -29,7 +29,6 @@ from ncgauss.family import (
 )
 from ncgauss.kernel import inverse_scale, point_invariants
 from ncgauss.scan import eval_point
-from ncgauss.separability import primed_form
 from oracles import (
     admissible_float_points,
     closed_tolerance,

@@ -18,9 +18,8 @@ from ncgauss import (
     rsup_holds,
     transform_covariance,
 )
-from ncgauss import phase_space
-from ncgauss.core import block_diag, standard_symplectic_form
-from ncgauss.phase_space import EPSILON2, build_planar_form, build_subsystem_form
+from ncgauss import core
+from ncgauss.core import EPSILON2, block_diag, build_planar_form, build_subsystem_form, standard_symplectic_form
 from oracles import PAYLOAD_NAN, brute_force_spectrum, hermitian_min_eigenvalue, random_spd, validate_darboux
 
 EPS = float(np.finfo(float).eps)
@@ -220,14 +219,14 @@ class TestDarbouxMap:
     def test_a_flipped_sign_is_caught(self, monkeypatch, entry):
         # The residual check still catches a construction error: each nonzero entry of the block
         # with its sign flipped.
-        build = phase_space._planar_darboux_block
+        build = core._planar_darboux_block
 
         def flipped(*args):
             blk = build(*args)
             blk[entry] = -blk[entry]
             return blk
 
-        monkeypatch.setattr(phase_space, "_planar_darboux_block", flipped)
+        monkeypatch.setattr(core, "_planar_darboux_block", flipped)
         with pytest.raises(MatrixStructureError):
             build_darboux_map(NCParams(0.25, 0.5), lambda_scale=1.3)
 
@@ -273,6 +272,16 @@ class TestTransformCovariance:
     def test_rejects_a_map_of_another_shape(self, shape):
         with pytest.raises(DimensionError):
             transform_covariance(np.ones(shape), np.eye(8))
+
+    def test_answers_to_the_largest_float_and_refuses_beyond(self):
+        # S Sigma~ S^T past the largest float emitted an overflow RuntimeWarning, then met the generic
+        # non-finite message; and 0.5 (A + A^T) overflowed on a finite A above half the largest float.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = transform_covariance(2.0**512 * np.eye(8), 0.75 * np.eye(8))
+            np.testing.assert_array_equal(big, math.ldexp(0.75, 1024) * np.eye(8))
+            with pytest.raises(DomainError, match="transported covariance .* leaves the float range"):
+                transform_covariance(1e200 * np.eye(8), np.eye(8))
 
     def test_round_trip_through_inverse(self):
         rng = np.random.default_rng(6)

@@ -12,6 +12,7 @@ from ncgauss import (
     DimensionError,
     MatrixStructureError,
     NCParams,
+    NotPositiveDefiniteError,
     build_covariance,
     build_darboux_map,
     build_planar_form,
@@ -20,10 +21,8 @@ from ncgauss import (
     nc_williamson_spectrum,
     verdict_from_invariants,
 )
-from ncgauss.core import block_diag, standard_symplectic_form
+from ncgauss.core import block_diag, build_subsystem_form, primed_form, standard_symplectic_form
 from ncgauss.kernel import BOUNDARY, Verdict
-from ncgauss.phase_space import build_subsystem_form
-from ncgauss.separability import primed_form
 from oracles import (
     admissible_float_points,
     darboux_map,
@@ -251,6 +250,21 @@ class TestGenericRoute:
             assert abs(got - want) <= bound * want + 2.0**-1074
         assert result.verdict is record.verdict is Verdict.NON_QUANTUM
 
+    def test_reach_ends_where_sigma_cannot_be_certified(self):
+        # cond(Sigma) = (1+R)/(1-R) meets 1/(8 eps) = 5.6e14 near 1 - R = 3.55e-15, the reach of the
+        # positivity test: beyond it build_covariance says Sigma cannot be certified positive-definite,
+        # not that it is indefinite. eval_point answers on both sides.
+        part = build_planar_form(NCParams(0.25, 0.5))
+        with pytest.raises(NotPositiveDefiniteError, match="cannot be certified positive-definite"):
+            build_covariance(1.0 - 3e-15, 0.0)
+        assert eval_point(0.25, 0.5, 1.0 - 3e-15, 0.0).verdict is Verdict.SEPARABLE_QUANTUM
+        m = 1.0 - 4e-15
+        result, record = classify(build_covariance(m, 0.0), part, part), eval_point(0.25, 0.5, m, 0.0)
+        bound = generic_tolerance(m, 0.0)
+        for got, want in ((result.nu_minus, record.nu_minus), (result.nu_minus_prime, record.nu_minus_prime)):
+            assert abs(got - want) <= bound * want
+        assert result.verdict is record.verdict is Verdict.SEPARABLE_QUANTUM
+
     @settings(max_examples=300, deadline=None)
     @given(point=admissible_float_points(min_log_slack=-12.0))
     @example(point=(1.6224516419599106e-162, math.ldexp(1.37, 536), 0.0, 0.0))  # graded for eigvalsh
@@ -322,13 +336,17 @@ class TestUnequalBipartitions:
         (np.zeros((2, 3)), DimensionError),  # non-square
         (np.zeros((3, 3)), DimensionError),  # odd dimension
         (np.eye(2), MatrixStructureError),  # not skew
+        (np.ones(2), DimensionError),  # 1-D
     ])
     @pytest.mark.parametrize("slot", [0, 1])
     def test_malformed_party_form_raises(self, bad, error, slot):
+        # primed_form checks each party as classify does: it once turned a 1-D party into a
+        # block of -1s and passed a non-skew one.
         parts = [standard_symplectic_form(1), standard_symplectic_form(1)]
         parts[slot] = bad
-        with pytest.raises(error):
-            classify(np.eye(4), *parts)
+        for call in (lambda: classify(np.eye(4), *parts), lambda: primed_form(*parts)):
+            with pytest.raises(error):
+                call()
 
     def test_parties_must_match_the_covariance(self):
         with pytest.raises(DimensionError):
