@@ -7,8 +7,9 @@ quantum / separable / entangled regions for an explicit two-mode-per-party
 Gaussian family.
 
 This namespace holds the API the README documents and the error classes; everything else is
-imported by module path: the generalized criteria (forms, Darboux maps, spectra, ``classify``) from
-``ncgauss.core``, the family from ``ncgauss.family``, the numpy-free kernel from ``ncgauss.kernel``.
+imported by module path: the generalized criteria (forms, Darboux maps, spectra, ``classify``) and the
+family's covariance and dense cross-check from ``ncgauss.core``, the numpy-free kernel and the family's
+closed-form grid routes from ``ncgauss.kernel``.
 ``_HOMES`` names each one's module. The error classes load with the package and every other
 name on first use (PEP 562), so ``eval_point`` and ``verdict_from_invariants`` load no numpy.
 """
@@ -26,7 +27,7 @@ _HOMES = {
                      "DomainError", "FormulaDomainError"), "errors"),
     **dict.fromkeys(("NCParams", "build_planar_form", "build_darboux_map", "transform_covariance", "classify"),
                     "core"),
-    "verdict_from_invariants": "kernel", "build_covariance": "family",
+    "verdict_from_invariants": "kernel", "build_covariance": "core",
     **dict.fromkeys(("scan_table", "fig1_table", "fig2_couplings", "eval_point"), "scan"),
 }
 __all__ = list(_HOMES)

@@ -3,15 +3,16 @@
 The commands are one table, ``_COMMANDS``: each name with its help text, its runner and its
 options in ``--help`` order. ``scan``, ``fig1`` and ``fig2`` write the column table of one batched
 evaluation (``scan.scan_table``, ``scan.fig1_table``) to stdout or the ``--out`` file.
-``eval --verbose`` adds the dense route's invariants at the point (``family.dense_spectra``).
+``eval --verbose`` adds the dense route's invariants at the point (``core.dense_spectra``).
 Only these load numpy: a plain ``eval`` runs ``scan.eval_point`` on Python floats and imports none.
 
 Argument parsing refuses only malformed text and reads a negative number in any float spelling
 as a value; the library checks every number and names what fails. Exit codes: 0 on success, 2 on
 usage errors (malformed text, a non-finite or negative deformation, non-finite couplings or R >= 1,
-a grid range with MIN > MAX, a non-finite bound, STEPS < 1 or too large to index, unwritable
-output, a closed pipe), 3 on any other NCGaussError. No input reaches exit 3: the library raises
-only DomainError for what the commands pass it, so ``NUMERIC_EXIT`` guards against a library bug.
+a grid range with MIN > MAX, a non-finite bound, STEPS < 1 or too large to index, a grid too large
+for memory, unwritable output, a closed pipe), 3 on any other NCGaussError. No input reaches exit 3:
+the library raises only DomainError for what the commands pass it, so ``NUMERIC_EXIT`` guards
+against a library bug.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def _cmd_eval(args) -> None:
     record = eval_point(args.theta, args.eta, args.m, args.n)
     obj = {key: value for key, value in record._asdict().items() if value is not None}
     if args.verbose and record.nu_minus is not None:
-        from .family import dense_spectra
+        from .core import dense_spectra
         spectrum, reflected = dense_spectra([args.theta], [args.eta], args.m, args.n)
         obj["nu_minus_numeric"], obj["nu_minus_prime_numeric"] = spectrum[0, 0].item(), reflected[0, 0].item()
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
@@ -133,6 +134,9 @@ def main(argv=None) -> int:
         return NUMERIC_EXIT
     except OSError as exc:
         print(f"ncgauss: cannot write output: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    except MemoryError:  # numpy's allocation of a grid's columns, such as 10^6 x 10^6 points
+        print("ncgauss: the grid does not fit in memory", file=sys.stderr)
         return USAGE_EXIT
     return 0
 

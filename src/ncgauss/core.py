@@ -1,7 +1,8 @@
 """The generalized criteria: skew forms, Darboux maps, Williamson spectra, uncertainty and PPT.
 
 All phase-space matrices are real float64 arrays of even dimension 2n with hbar = 1, checked for
-shape, finiteness and (skew-)symmetry and returned read-only; complex input is refused, not cast.
+shape, finiteness and (skew-)symmetry and returned read-only; complex or non-numeric input is
+refused, not cast.
 Variables are ordered (x_1..x_n, p_1..p_n) inside each party, so a party's
 form takes the block layout [[Theta, I], [-I, Upsilon]] with skew
 deformation blocks Theta (position-position) and Upsilon (momentum-momentum).
@@ -29,6 +30,13 @@ lives in the tests as a reference.
 One rule, ``kernel.verdict_from_invariants``, turns the invariants into a verdict:
 a ``Verdict`` for a float pair, and for arrays each point's rank, its position in
 ``tuple(Verdict)``, which the grid tables carry as integer codes.
+
+The bundled family lives here too: the covariance b/2 * [[I4, G^T], [G, I4]] (:func:`build_covariance`)
+with a coupling block G parameterized by reals (m, n), R = sqrt(m^2 + n^2) < 1 and b = (1+R)/(1-R),
+whose two parties share one planar form, :func:`build_planar_form`. Its spectra depend on |m| and |n|
+only, and the closed forms at (|m|, |n|) (``kernel.family_invariants``) decide every point. The dense
+8x8 route, :func:`_root_spectrum`'s one eigvalsh per block of points with Sigma^-1/2 in closed form,
+is only :func:`dense_spectra`: the cross-check of nu_- and nu'_- for ``eval --verbose`` and the tests.
 """
 
 from __future__ import annotations
@@ -39,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, MatrixStructureError, NCGaussError, NotPositiveDefiniteError
-from .kernel import (_BAD_DEFORMATION, Verdict, _uncertainty_holds, admissible_deformations, inverse_scale,
-                     verdict_from_invariants)
+from .kernel import (_BAD_DEFORMATION, Verdict, _checked_points, _uncertainty_holds, admissible_deformations,
+                     inverse_scale, validate_couplings, verdict_from_invariants)
 
 # Dense O(n^3) routines only; the bundled Gaussian family needs just 2n = 8.
 MAX_DIM = 64
@@ -55,11 +63,15 @@ EPSILON2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 def _real(mat, what: str) -> np.ndarray:
     """``mat`` as a float64 array. The one cast of every matrix input: a complex one is refused,
-    where numpy would drop its imaginary part with only a ComplexWarning."""
+    where numpy would drop its imaginary part with only a ComplexWarning, and so is one whose
+    entries are no numbers, such as strings or complex objects, where the cast raises."""
     arr = np.asarray(mat)
     if np.iscomplexobj(arr):
         raise MatrixStructureError(f"{what} must be real, got complex entries")
-    return arr.astype(float, copy=False)
+    try:
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise MatrixStructureError(f"{what} must be real numbers: {exc}") from exc
 
 
 def _readonly(mat: np.ndarray) -> np.ndarray:
@@ -403,3 +415,76 @@ def classify(sigma, omega_a, omega_b) -> ClassificationResult:
     return ClassificationResult(
         verdict=verdict_from_invariants(nu, nu_prime), nu_minus=nu, nu_minus_prime=nu_prime
     )
+
+
+def _coupling_block(m: float, n: float) -> np.ndarray:
+    return np.array(
+        [
+            [n, 0.0, m, 0.0],
+            [0.0, n, 0.0, -m],
+            [m, 0.0, -n, 0.0],
+            [0.0, -m, 0.0, -n],
+        ]
+    )
+
+
+def _covariance_matrix(m: float, n: float, b: float) -> np.ndarray:
+    """b/2 * [[I4, G^T], [G, I4]]."""
+    unit = np.eye(8)
+    unit[4:, :4] = _coupling_block(m, n)
+    unit[:4, 4:] = unit[4:, :4].T
+    return b / 2.0 * unit
+
+
+def build_covariance(m: float, n: float) -> np.ndarray:
+    """The validated, read-only family covariance matrix Sigma for couplings (m, n), R < 1.
+
+    cond(Sigma) = (1+R)/(1-R) must stay within :func:`_checked_eigh`'s reach, 1/(8 eps): for 1 - R
+    below about 3.5e-15 Sigma cannot be certified positive-definite, and a NotPositiveDefiniteError says so.
+    """
+    r = validate_couplings(m, n)
+    return validate_covariance(_covariance_matrix(m, n, (1.0 + r) / (1.0 - r)))
+
+
+def _family_inverse_root(m: float, n: float, r: float) -> np.ndarray:
+    """Sigma^-1/2 = a+ P+ + a- P- of Sigma = b/2 (I + K), K = [[0, G], [G, 0]], G^2 = R^2 I.
+
+    P+- = (I +- K/R)/2, a+ = sqrt(2(1-R))/(1+R), a- = sqrt(2/(1+R)): d I + k K with d = (a+ + a-)/2
+    and k = (a+ - a-)/(2R) = -sqrt(2) / ((1+R)(sqrt(1+R) + sqrt(1-R))), so nothing cancels and
+    R = 0 gives sqrt(2) I exactly. The rounded R moves it by up to eps/(1-R) relative, as eigh's.
+    """
+    a_plus, a_minus = math.sqrt(2.0 * (1.0 - r)) / (1.0 + r), math.sqrt(2.0 / (1.0 + r))
+    k = -math.sqrt(2.0) / ((1.0 + r) * (math.sqrt(1.0 + r) + math.sqrt(1.0 - r)))
+    root = np.diag(np.full(8, (a_plus + a_minus) / 2.0))
+    root[4:, :4] = root[:4, 4:] = k * _coupling_block(m, n)
+    return root
+
+
+# (Omega, Omega') = (Diag[P, P], Diag[P, -P]) = theta _THETA + eta _ETA + _UNIT, one nonzero term per entry.
+_UNIT, _THETA, _ETA = (np.stack([block_diag(part, part), primed_form(part, part)]) for part in
+                       map(build_planar_form, map(NCParams, (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))))
+_THETA, _ETA = _THETA - _UNIT, _ETA - _UNIT
+
+# Points per stacked product and eigvalsh call. The stacks and work arrays of a block
+# take up to about 5 kB per point, so a large grid needs no more memory than a small one.
+_BLOCK = 512
+
+
+def dense_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:
+    """``kernel.family_spectra`` by the dense 8x8 route, with the same checks: the cross-check of nu_- and nu'_-.
+
+    One eigvalsh per block of points. Sigma^-1/2 is in closed form and no form is inverted, so
+    neither is checked. nu_- and nu'_- are good to a few eps (1 + 1/(1-R)), the 1/(1-R) from the
+    rounded R. The larger nu_k are good only to about 8 eps nu_k / nu_min, so they check nothing
+    at ill-conditioned points: at (1e13, 0, -0.3, 0.2) nu_4 comes out near 5e4, not 2.55e13.
+    :func:`_root_spectrum` scales each form by the closed forms' power of two, so nothing overflows
+    up to the largest float: Sigma^-1/2's entries are at most sqrt 2, and a scaled form's below 2^200.
+    """
+    thetas, etas, r, todo = _checked_points(thetas, etas, m, n)
+    out = np.full((len(thetas), 2, 4), np.nan)
+    root = _family_inverse_root(m, n, r)
+    for start in range(0, todo.size, _BLOCK):
+        block = todo[start : start + _BLOCK]
+        ts, es = thetas[block, None, None, None], etas[block, None, None, None]
+        out[block] = _root_spectrum(root, ts * _THETA + es * _ETA + _UNIT)
+    return out[:, 0], out[:, 1]

@@ -1,10 +1,19 @@
-"""The numpy-free point path: the closed-form kernel, the input rules and the verdict rule.
+"""The numpy-free point path and the family's grid routes: the closed-form kernel, the input rules
+and the verdict rule.
 
 Each is one text for Python floats and numpy arrays: a number, a numpy scalar included, runs on
 math's primitives and an array on numpy's (:func:`_primitives`), imported only then. So ``eval``
-loads no numpy, and a grid (``family``) gets the bits of its points. The kernel is total: scaled by
+loads no numpy, and a grid gets the bits of its points. The kernel is total: scaled by
 a power of two (:func:`inverse_scale`), every admissible float point, theta and eta up to the
 largest float, gets finite positive invariants, and no closed form can abort.
+
+The family's Williamson spectra (``core.build_covariance``) before and after partial transposition
+depend on |m| and |n| only. So one branch-free kernel (:func:`_closed_forms`), free of cancellation
+for the smallest invariants, decides every quadrant: :func:`family_invariants` (scan, fig2),
+:func:`point_invariants` (eval) and :func:`family_spectra` (fig1) run it at (|m|, |n|) and take no
+root of Sigma, no inverse of a form and no eigensolve; the grid routes import numpy inside.
+Every route checks theta and eta (:func:`admissible_deformations`), then the couplings
+(:func:`validate_couplings`); the CLI passes its numbers on unchecked, so these are its messages.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import math
 from enum import Enum
 from types import SimpleNamespace
 
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 
 _BAD_DEFORMATION = "theta and eta must be finite and >= 0"
 # Band below nu = 1 that still counts as nu >= 1, so that a state on the boundary,
@@ -135,8 +144,63 @@ def _point_name(theta: float, eta: float, m: float, n: float) -> str:
     return f"(theta, eta, m, n) = ({float(theta)!r}, {float(eta)!r}, {float(m)!r}, {float(n)!r})"
 
 
+def _checked_points(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """The points as 1-D float arrays, each checked by :func:`admissible_deformations`; also R
+    and the indices of the points in the domain theta*eta < 1."""
+    import numpy as np
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    etas = np.atleast_1d(np.asarray(etas, dtype=float))
+    if thetas.ndim != 1 or thetas.shape != etas.shape:
+        raise DimensionError(f"theta and eta must be 1-D of one length, got {thetas.shape}, {etas.shape}")
+    bad = np.flatnonzero(~admissible_deformations(thetas, etas))
+    if bad.size:  # name the first failing point, in row-major order
+        raise DomainError(f"{_BAD_DEFORMATION} at {_point_name(thetas[bad[0]], etas[bad[0]], m, n)}")
+    with np.errstate(over="ignore"):  # theta*eta beyond the float range is inf, off the domain
+        todo = np.flatnonzero(thetas * etas < 1.0)
+    return thetas, etas, validate_couplings(m, n), todo
+
+
+def family_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:
+    """Williamson spectra of (Sigma, Omega) and (Sigma, Omega') at the points (thetas[k], etas[k]).
+
+    Returns two (N, 4) arrays, ascending along each row, with NaN rows where
+    theta*eta >= 1. Closed form in every quadrant: each form has two pencils x^2 - omega x + c^2
+    (:func:`_closed_forms`) with roots nu_k and b(1+R)^2 / ((1 - theta*eta) nu_k). No root of Sigma
+    or inverse of a form is taken; the inputs are checked, naming the first failing point.
+    nu_3 and nu_4 are inf only where they exceed the float range.
+    """
+    import numpy as np
+    thetas, etas, r, todo = _checked_points(thetas, etas, m, n)
+    out = np.full((2, len(thetas), 4), np.nan)
+    ts, es = thetas[todo], etas[todo]
+    nu_1, nup_1, *_, c, _ = _closed_forms(ts, es, abs(m), abs(n), r)
+    nu_2, nup_2 = _closed_forms(ts, es, -abs(m), -abs(n), r)[:2]
+    smallest, second = np.array([nu_1, nup_1]), np.array([nu_2, nup_2])
+    product = (1.0 + r) ** 4 / c  # nu_1 nu_4 = nu_2 nu_3 = b (1+R)^2 / (1 - theta*eta)
+    with np.errstate(over="ignore"):  # nu_3 and nu_4 beyond the float range are inf
+        rows = np.stack([smallest, second, product / second, product / smallest], axis=-1)
+    out[:, todo] = np.maximum.accumulate(rows, axis=-1)  # roundoff can swap equal roots
+    return out[0], out[1]
+
+
+def family_invariants(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest invariants nu_- and nu'_- at the points (thetas[k], etas[k]).
+
+    Returns two float arrays, NaN where theta*eta >= 1. The closed forms decide every
+    point in every quadrant: they depend on |m| and |n| only, so the kernel runs at
+    (|m|, |n|) (see :func:`_closed_forms`), and answer at every admissible
+    float point. A failing input check raises for the first failing point, naming its
+    (theta, eta, m, n) with the couplings as given.
+    """
+    import numpy as np
+    thetas, etas, r, todo = _checked_points(thetas, etas, m, n)
+    nu, nu_prime = np.full((2, len(thetas)), np.nan)
+    nu[todo], nu_prime[todo] = _closed_forms(thetas[todo], etas[todo], abs(m), abs(n), r)[:2]
+    return nu, nu_prime
+
+
 def point_invariants(theta: float, eta: float, m: float, n: float) -> tuple[float, float]:
-    """``family.family_invariants`` at one point of Python floats, as floats: the same checks with the
+    """:func:`family_invariants` at one point of Python floats, as floats: the same checks with the
     same messages, and the same kernel text run on floats, so every bit is the grid's.
 
     Floats need no ``errstate``: theta*eta beyond the float range is inf, with no warning.

@@ -1,13 +1,13 @@
 """Parameter-plane scans: point evaluation, the grid tables and their writers.
 
-A grid is evaluated in one batched call, ``family.family_invariants``: the
+A grid is evaluated in one batched call, ``kernel.family_invariants``: the
 closed-form kernel at (|m|, |n|), which decides every quadrant with no 8x8 algebra.
-The figure-1 spectra (``family.family_spectra``) come from the same kernel. The
+The figure-1 spectra (``kernel.family_spectra``) come from the same kernel. The
 verdict column comes from one call of ``kernel.verdict_from_invariants`` on
 the invariant arrays: each point's verdict as an integer code, NaN (theta*eta >= 1)
 giving ``invalid``. :func:`eval_point` runs the same kernel text and verdict rule on
 Python floats (``kernel.point_invariants``), so a point gets the bits of its grid row; only table
-functions import numpy and ``family``. Every grid range, the CLI's included, is checked by one
+functions import numpy. Every grid range, the CLI's included, is checked by one
 function, :func:`_check_range`. Rows run in row-major order, theta outer and eta inner.
 
 A grid's output is a table (:func:`scan_table`, :func:`fig1_table`): a dict of equal-length
@@ -29,7 +29,7 @@ from json.encoder import encode_basestring_ascii as quote
 from typing import NamedTuple
 
 from .errors import DomainError
-from .kernel import Verdict, point_invariants, verdict_from_invariants
+from .kernel import Verdict, family_invariants, family_spectra, point_invariants, verdict_from_invariants
 
 
 class ScanRecord(NamedTuple):
@@ -99,16 +99,14 @@ def scan_table(
     batched evaluation, theta outer and eta inner; rows with theta*eta >= 1 are kept with the
     ``invalid`` verdict, invariants missing."""
     import numpy as np
-    from .family import family_invariants
-    thetas, etas = np.meshgrid(
-        np.linspace(*_check_range("theta", theta_range)), np.linspace(*_check_range("eta", eta_range)),
-        indexing="ij",
-    )
+    thetas = np.linspace(*_check_range("theta", theta_range))
+    etas = np.linspace(*_check_range("eta", eta_range))
+    thetas, etas = np.repeat(thetas, len(etas)), np.tile(etas, len(thetas))
     m, n = float(m), float(n)
-    nu, nu_prime = family_invariants(thetas.ravel(), etas.ravel(), m, n)
+    nu, nu_prime = family_invariants(thetas, etas, m, n)
     couplings = np.full((3, len(nu)), [[m], [n], [math.hypot(m, n)]])
     verdicts = (verdict_from_invariants(nu, nu_prime), tuple(Verdict))
-    return dict(zip(SCAN_FIELDS, [thetas.ravel(), etas.ravel(), *couplings, nu, nu_prime, verdicts]))
+    return dict(zip(SCAN_FIELDS, [thetas, etas, *couplings, nu, nu_prime, verdicts]))
 
 
 def fig2_couplings(r: float, swap: bool = False) -> tuple[float, float]:
@@ -126,13 +124,11 @@ def fig1_table(theta_values, eta_range: tuple[float, float, int], m: float, n: f
     rows with theta*eta >= 1 leave the spectrum columns empty (the form is singular on the hyperbola).
     """
     import numpy as np
-    from .family import family_spectra
     theta_values = np.asarray(theta_values, dtype=float)
     if theta_values.ndim != 1 or not theta_values.size:
         raise DomainError(f"theta values must be a non-empty 1-D sequence, got shape {theta_values.shape}")
     etas = np.linspace(*_check_range("eta", eta_range))
-    thetas = np.repeat(theta_values, len(etas))
-    etas = np.tile(etas, len(theta_values))
+    thetas, etas = np.repeat(theta_values, len(etas)), np.tile(etas, len(theta_values))
     spectrum, reflected = family_spectra(thetas, etas, m, n)
     couplings = np.full((2, len(thetas)), [[m], [n]], dtype=float)
     return dict(zip(FIG1_FIELDS, [thetas, etas, *couplings, *np.hstack([spectrum, reflected]).T]))

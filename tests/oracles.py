@@ -16,8 +16,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from ncgauss import DimensionError, MatrixStructureError, NCGaussError
-from ncgauss.core import block_diag, standard_symplectic_form, validate_covariance
-from ncgauss.family import dense_spectra
+from ncgauss.core import block_diag, dense_spectra, standard_symplectic_form, validate_covariance
 from ncgauss.kernel import verdict_from_invariants
 
 # Entrywise bound on A - A^H for hermitian_min_eigenvalue.
@@ -143,7 +142,7 @@ def dense_tolerance(theta, eta, m, n, nu):
     The kernel's eigenvalues +-1/nu of H = (i/2) S Omega S come from one eigvalsh, good to a
     few eps of ||H|| = 1/nu_min, so nu_min is good to a few eps once H is. Each entry of the
     product S Omega S, sums over 8 x 8 matrices, carries about 16 eps of |S| |Omega| |S|. With
-    S = Sigma^-1/2 = d I + k K (``family._inverse_root``), |S| = |d| I + |k| |K| has norm
+    S = Sigma^-1/2 = d I + k K (``core._family_inverse_root``), |S| = |d| I + |k| |K| has norm
     a- = sqrt(2/(1+R)) <= sqrt(2), and |Omega| has norm at most 1 + max(theta, eta), so relative
     to 1/nu_min that is 16 eps 2 (1 + max(theta, eta)) nu_min. It grows where S's eigenvalues
     a+ << a- make H much smaller than |S| |Omega| |S|: at (0.5, 0.5, -0.999999999999999, 0),

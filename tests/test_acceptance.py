@@ -24,8 +24,7 @@ from ncgauss import (
 )
 from ncgauss.cli import main
 from ncgauss.core import block_diag, standard_symplectic_form
-from ncgauss.family import family_invariants
-from ncgauss.kernel import Verdict
+from ncgauss.kernel import Verdict, family_invariants
 from oracles import (
     bisect_decreasing,
     hermitian_min_eigenvalue,

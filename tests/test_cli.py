@@ -404,6 +404,21 @@ class TestErrorMapping:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--m", "0.3", "--n", "0.2", "--theta-range", "0:2:1000000", "--eta-range", "0:2:1000000"],
+        ["fig1", "--thetas", "0,0.5", "--eta-range", "0:2:1000000"],
+    ], ids=["scan", "fig1"])
+    def test_grid_too_large_for_memory_exits_2(self, capsys, monkeypatch, argv):
+        # 10^12 points took 7.28 TiB in numpy's allocation and escaped as a traceback. No table is
+        # built: a real allocation can get the process killed on a host that overcommits memory.
+        def boom(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr("ncgauss.cli.scan_table", boom)
+        monkeypatch.setattr("ncgauss.cli.fig1_table", boom)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "ncgauss: the grid does not fit in memory\n")
+
 
 class TestOutputBytes:
     @pytest.mark.parametrize("fmt", ["csv", "json"])

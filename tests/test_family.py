@@ -18,16 +18,16 @@ from ncgauss import (
 )
 from ncgauss import kernel
 from ncgauss.cli import main
-from ncgauss.core import block_diag, inverse_root, primed_form
-from ncgauss.family import (
+from ncgauss.core import (
     _covariance_matrix,
-    _inverse_root,
+    _family_inverse_root,
     _root_spectrum,
+    block_diag,
     dense_spectra,
-    family_invariants,
-    family_spectra,
+    inverse_root,
+    primed_form,
 )
-from ncgauss.kernel import inverse_scale, point_invariants
+from ncgauss.kernel import family_invariants, family_spectra, inverse_scale, point_invariants
 from ncgauss.scan import eval_point
 from oracles import (
     admissible_float_points,
@@ -114,7 +114,7 @@ class TestInverseRoot:
         r = math.hypot(m, n)
         b = (1.0 + r) / (1.0 - r)
         sigma = _covariance_matrix(m, n, b)
-        root = _inverse_root(m, n, r)
+        root = _family_inverse_root(m, n, r)
         unit = EPS * (1.0 + b)
         assert np.array_equal(root, root.T)
         assert abs(root @ sigma @ root - np.eye(8)).max() <= 32.0 * unit
@@ -122,7 +122,7 @@ class TestInverseRoot:
 
     def test_uncoupled_root_is_exactly_sqrt2_identity(self):
         for m, n in [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)]:
-            assert np.array_equal(_inverse_root(m, n, math.hypot(m, n)), math.sqrt(2.0) * np.eye(8))
+            assert np.array_equal(_family_inverse_root(m, n, math.hypot(m, n)), math.sqrt(2.0) * np.eye(8))
 
     def test_dense_route_takes_no_eigh(self, monkeypatch):
         # Sigma^-1/2 is in closed form: dense_spectra, also at one point as eval --verbose calls
@@ -583,10 +583,10 @@ class TestFamilySpectra:
         assert result == (4.3167372032318083e-60, 1.8816221234709863e-59)
 
     def test_fig1_makes_no_dense_solve(self, monkeypatch, capsys):
-        # fig1 never reaches the dense route (core._root_spectrum, called through family) nor any
+        # fig1 never reaches the dense route (core._root_spectrum, called by dense_spectra) nor any
         # dense solve or eigensolver; dense_spectra, the eval --verbose cross-check, does.
         calls = []
-        monkeypatch.setattr("ncgauss.family._root_spectrum", lambda *a: calls.append(1) or _root_spectrum(*a))
+        monkeypatch.setattr("ncgauss.core._root_spectrum", lambda *a: calls.append(1) or _root_spectrum(*a))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("dense linear algebra on the fig1 path")

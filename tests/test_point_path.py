@@ -1,8 +1,9 @@
 """The one-point path imports no numpy, and its array tests touch none.
 
 ``ncgauss``, ``scan.eval_point`` and a plain ``eval`` run on Python floats through
-``ncgauss.kernel``; only ``eval --verbose`` and the grid commands load numpy. Each import check
-runs in a fresh interpreter, since this one has numpy loaded already.
+``ncgauss.kernel``; only ``eval --verbose`` and the grid commands load numpy, and only
+``eval --verbose``, the dense cross-check, loads ``ncgauss.core``. Each import check runs in a
+fresh interpreter, since this one has both loaded already.
 """
 
 import hashlib
@@ -23,7 +24,8 @@ from test_cli import GOLDEN
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 POINT = (0.25, 0.5, -0.2357, 0.1667)
 EVAL = ["eval", "--theta", "0.25", "--eta", "0.5", "--m", "-0.2357", "--n", "0.1667"]
-SCAN = ("scan", "--m", "0.3", "--n", "0.2")
+MAPS = (("scan", "--m", "0.3", "--n", "0.2"), ("fig1",), ("fig2", "--r", "0.5"))
+PROBED = ("numpy", "ncgauss.core")
 CLI = "import sys\nfrom ncgauss.cli import main\nassert main(sys.argv[1:]) == 0"
 
 
@@ -36,35 +38,35 @@ def _run(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def _fresh(code: str, *args: str) -> tuple[str, bool]:
-    """Run ``code`` with ``args`` in a fresh interpreter (:func:`_run`); return its stdout and whether
-    numpy was loaded when it ended."""
-    probe = "\nimport sys\nsys.stderr.write('\\nnumpy loaded: %s' % ('numpy' in sys.modules))"
+def _fresh(code: str, *args: str) -> tuple[str, set[str]]:
+    """Run ``code`` with ``args`` in a fresh interpreter (:func:`_run`); return its stdout and which
+    of the ``PROBED`` modules were loaded when it ended."""
+    probe = f"\nimport sys\nsys.stderr.write('\\nloaded: ' + ' '.join(m for m in {PROBED!r} if m in sys.modules))"
     proc = _run("-c", code + probe, *args)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout, proc.stderr.rsplit("\n", 1)[-1] == "numpy loaded: True"
+    return proc.stdout, set(proc.stderr.rsplit("\nloaded: ", 1)[-1].split())
 
 
 def test_the_namespace_loads_no_numpy():
     code = ("import ncgauss\nassert set(ncgauss.__all__) <= set(dir(ncgauss))\n"
             "from ncgauss import eval_point, verdict_from_invariants, DomainError")
-    assert _fresh(code) == ("", False)
+    assert _fresh(code) == ("", set())
 
 
 def test_eval_point_loads_no_numpy():
     code = "from ncgauss.scan import eval_point\nprint(repr(eval_point(0.25, 0.5, -0.2357, 0.1667)))"
-    assert _fresh(code) == (repr(eval_point(*POINT)) + "\n", False)
+    assert _fresh(code) == (repr(eval_point(*POINT)) + "\n", set())
 
 
 def test_eval_loads_no_numpy(capsys):
     assert main(EVAL) == 0
-    assert _fresh(CLI, *EVAL) == (capsys.readouterr().out, False)
+    assert _fresh(CLI, *EVAL) == (capsys.readouterr().out, set())
 
 
 def test_eval_verbose_loads_numpy(capsys):
     assert main([*EVAL, "--verbose"]) == 0
-    out, numpy_loaded = _fresh(CLI, *EVAL, "--verbose")
-    assert numpy_loaded and out == capsys.readouterr().out
+    out, loaded = _fresh(CLI, *EVAL, "--verbose")
+    assert loaded == {"numpy", "ncgauss.core"} and out == capsys.readouterr().out
     assert "nu_minus_numeric" in out
 
 
@@ -77,9 +79,11 @@ def test_module_run_exits_2_with_the_library_message_alone():
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_scan_loads_numpy_and_prints_its_recorded_bytes(fmt):
-    out, numpy_loaded = _fresh(CLI, *SCAN, "--format", fmt)
-    assert numpy_loaded
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[SCAN][fmt == "json"]
+    # The maps run the closed forms in ``kernel`` alone: none loads ``core``, the dense route's module.
+    for argv in MAPS:
+        out, loaded = _fresh(CLI, *argv, "--format", fmt)
+        assert loaded == {"numpy"}, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv][fmt == "json"], argv
 
 
 @pytest.mark.parametrize(

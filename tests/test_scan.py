@@ -25,9 +25,8 @@ from ncgauss import (
     scan_table,
 )
 from ncgauss.cli import main
-from ncgauss.core import primed_form
-from ncgauss.family import dense_spectra, family_invariants, family_spectra
-from ncgauss.kernel import Verdict, verdict_from_invariants
+from ncgauss.core import dense_spectra, primed_form
+from ncgauss.kernel import Verdict, family_invariants, family_spectra, verdict_from_invariants
 from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS, _check_range, table_to_csv, table_to_json
 from oracles import (
     PAYLOAD_NAN,
