@@ -64,14 +64,15 @@ EPSILON2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 def _real(mat, what: str) -> np.ndarray:
     """``mat`` as a float64 array. The one cast of every matrix input: a complex one is refused,
     where numpy would drop its imaginary part with only a ComplexWarning, and so is one whose
-    entries are no numbers, such as strings or complex objects, where the cast raises."""
-    arr = np.asarray(mat)
-    if np.iscomplexobj(arr):
-        raise MatrixStructureError(f"{what} must be real, got complex entries")
+    entries are no numbers, such as strings or complex objects, or whose rows are ragged."""
     try:
-        return arr.astype(float, copy=False)
+        arr = np.asarray(mat)
+        real = None if np.iscomplexobj(arr) else arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise MatrixStructureError(f"{what} must be real numbers: {exc}") from exc
+    if real is None:
+        raise MatrixStructureError(f"{what} must be real, got complex entries")
+    return real
 
 
 def _readonly(mat: np.ndarray) -> np.ndarray:

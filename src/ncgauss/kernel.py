@@ -11,7 +11,8 @@ The family's Williamson spectra (``core.build_covariance``) before and after par
 depend on |m| and |n| only. So one branch-free kernel (:func:`_closed_forms`), free of cancellation
 for the smallest invariants, decides every quadrant: :func:`family_invariants` (scan, fig2),
 :func:`point_invariants` (eval) and :func:`family_spectra` (fig1) run it at (|m|, |n|) and take no
-root of Sigma, no inverse of a form and no eigensolve; the grid routes import numpy inside.
+root of Sigma, no inverse of a form and no eigensolve. The grid routes (:func:`_grid_columns`)
+import numpy inside; :func:`_list_columns` runs them point by point on lists, for a small map.
 Every route checks theta and eta (:func:`admissible_deformations`), then the couplings
 (:func:`validate_couplings`); the CLI passes its numbers on unchecked, so these are its messages.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import accumulate
 from types import SimpleNamespace
 
 from .errors import DimensionError, DomainError
@@ -160,27 +162,56 @@ def _checked_points(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.nd
     return thetas, etas, validate_couplings(m, n), todo
 
 
+def _invariants(theta, eta, m: float, n: float, r: float):
+    """nu_- and nu'_- at points with theta*eta < 1, floats or arrays: the kernel at (|m|, |n|)."""
+    return _closed_forms(theta, eta, abs(m), abs(n), r)[:2]
+
+
+def _spectra(theta, eta, m: float, n: float, r: float) -> list:
+    """The spectra of (Sigma, Omega) and (Sigma, Omega'), ascending, as eight floats or arrays at points
+    with theta*eta < 1: one text for both, as :func:`_closed_forms`. Each form has two pencils
+    x^2 - omega x + c^2 with roots nu_k and b(1+R)^2 / ((1 - theta*eta) nu_k)."""
+    nu_1, nup_1, *_, c, _ = _closed_forms(theta, eta, abs(m), abs(n), r)
+    nu_2, nup_2 = _closed_forms(theta, eta, -abs(m), -abs(n), r)[:2]
+    product = (1.0 + r) ** 4 / c  # nu_1 nu_4 = nu_2 nu_3 = b (1+R)^2 / (1 - theta*eta)
+    maximum = _primitives(theta).maximum  # a running maximum: roundoff can swap equal roots
+    return [nu for low, high in ((nu_1, nu_2), (nup_1, nup_2))
+            for nu in accumulate((low, high, product / high, product / low), maximum)]
+
+
+def _grid_columns(thetas, etas, m: float, n: float, kernel, width: int) -> np.ndarray:
+    """The ``width`` columns of ``kernel`` (:func:`_invariants`, :func:`_spectra`) at the points, as the
+    rows of one array, NaN where theta*eta >= 1; the inputs are checked, naming the first failing point."""
+    import numpy as np
+    thetas, etas, r, todo = _checked_points(thetas, etas, m, n)
+    out = np.full((width, len(thetas)), np.nan)
+    with np.errstate(over="ignore"):  # nu_3 and nu_4 beyond the float range are inf
+        for row, values in zip(out, kernel(thetas[todo], etas[todo], m, n, r)):
+            row[todo] = values
+    return out
+
+
+def _list_columns(thetas, etas, m: float, n: float, kernel, width: int) -> list[list[float]]:
+    """:func:`_grid_columns` on lists of floats, as lists: the same checks in the same order, every
+    point before the couplings, and ``kernel`` run point by point, so every bit is the array's."""
+    for theta, eta in zip(thetas, etas):
+        if not admissible_deformations(theta, eta):
+            raise DomainError(f"{_BAD_DEFORMATION} at {_point_name(theta, eta, m, n)}")
+    r, missing = validate_couplings(m, n), (math.nan,) * width
+    rows = [kernel(theta, eta, m, n, r) if theta * eta < 1.0 else missing for theta, eta in zip(thetas, etas)]
+    return [list(column) for column in zip(*rows)]
+
+
 def family_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:
     """Williamson spectra of (Sigma, Omega) and (Sigma, Omega') at the points (thetas[k], etas[k]).
 
-    Returns two (N, 4) arrays, ascending along each row, with NaN rows where
-    theta*eta >= 1. Closed form in every quadrant: each form has two pencils x^2 - omega x + c^2
-    (:func:`_closed_forms`) with roots nu_k and b(1+R)^2 / ((1 - theta*eta) nu_k). No root of Sigma
-    or inverse of a form is taken; the inputs are checked, naming the first failing point.
-    nu_3 and nu_4 are inf only where they exceed the float range.
+    Returns two (N, 4) arrays, ascending along each row, with NaN rows where theta*eta >= 1: the
+    closed forms of :func:`_spectra` in every quadrant. No root of Sigma or inverse of a form is
+    taken; the inputs are checked, naming the first failing point. nu_3 and nu_4 are inf only
+    where they exceed the float range.
     """
-    import numpy as np
-    thetas, etas, r, todo = _checked_points(thetas, etas, m, n)
-    out = np.full((2, len(thetas), 4), np.nan)
-    ts, es = thetas[todo], etas[todo]
-    nu_1, nup_1, *_, c, _ = _closed_forms(ts, es, abs(m), abs(n), r)
-    nu_2, nup_2 = _closed_forms(ts, es, -abs(m), -abs(n), r)[:2]
-    smallest, second = np.array([nu_1, nup_1]), np.array([nu_2, nup_2])
-    product = (1.0 + r) ** 4 / c  # nu_1 nu_4 = nu_2 nu_3 = b (1+R)^2 / (1 - theta*eta)
-    with np.errstate(over="ignore"):  # nu_3 and nu_4 beyond the float range are inf
-        rows = np.stack([smallest, second, product / second, product / smallest], axis=-1)
-    out[:, todo] = np.maximum.accumulate(rows, axis=-1)  # roundoff can swap equal roots
-    return out[0], out[1]
+    spectra = _grid_columns(thetas, etas, m, n, _spectra, 8)
+    return spectra[:4].T, spectra[4:].T
 
 
 def family_invariants(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:
@@ -192,10 +223,7 @@ def family_invariants(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.
     float point. A failing input check raises for the first failing point, naming its
     (theta, eta, m, n) with the couplings as given.
     """
-    import numpy as np
-    thetas, etas, r, todo = _checked_points(thetas, etas, m, n)
-    nu, nu_prime = np.full((2, len(thetas)), np.nan)
-    nu[todo], nu_prime[todo] = _closed_forms(thetas[todo], etas[todo], abs(m), abs(n), r)[:2]
+    nu, nu_prime = _grid_columns(thetas, etas, m, n, _invariants, 2)
     return nu, nu_prime
 
 
@@ -210,7 +238,7 @@ def point_invariants(theta: float, eta: float, m: float, n: float) -> tuple[floa
     r = validate_couplings(m, n)
     if not theta * eta < 1.0:
         return math.nan, math.nan
-    return _closed_forms(theta, eta, abs(m), abs(n), r)[:2]
+    return _invariants(theta, eta, m, n, r)
 
 
 class Verdict(str, Enum):

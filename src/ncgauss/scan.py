@@ -6,9 +6,9 @@ The figure-1 spectra (``kernel.family_spectra``) come from the same kernel. The
 verdict column comes from one call of ``kernel.verdict_from_invariants`` on
 the invariant arrays: each point's verdict as an integer code, NaN (theta*eta >= 1)
 giving ``invalid``. :func:`eval_point` runs the same kernel text and verdict rule on
-Python floats (``kernel.point_invariants``), so a point gets the bits of its grid row; only table
-functions import numpy. Every grid range, the CLI's included, is checked by one
-function, :func:`_check_range`. Rows run in row-major order, theta outer and eta inner.
+Python floats (``kernel.point_invariants``), so a point gets the bits of its grid row. Every
+grid range, the CLI's included, is checked by one function, :func:`_check_range`. Rows run in
+row-major order, theta outer and eta inner.
 
 A grid's output is a table (:func:`scan_table`, :func:`fig1_table`): a dict of equal-length
 columns of two kinds. A float column is a float64 array, NaN where a cell is missing; a label
@@ -18,18 +18,28 @@ per write: a column's distinct floats (per bit pattern) are spelled in one C-lev
 with its separator, and indexed by row, so no whole-output text exists. A column of one word joins
 the words of the column before it. Floats are rounded to 12 significant digits, so identical
 configurations produce byte-identical files.
+
+Each table has one body (:func:`_scan_table`, :func:`_fig1_table`) over numpy's primitives
+(:func:`_arrays`) or ``_LISTS``, the same steps on lists of floats; the writers take either column.
+The public tables are arrays. The CLI's maps take lists (``cli._map_primitives``) while numpy is not
+yet loaded and the map has at most ``cli._COLD_ROWS`` points, so a fresh default map imports no numpy.
+Both routes write the same bytes: the route shows only in the timing and in ``sys.modules``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as quote
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import DomainError
-from .kernel import Verdict, family_invariants, family_spectra, point_invariants, verdict_from_invariants
+from .kernel import (Verdict, _grid_columns, _invariants, _list_columns, _spectra, point_invariants,
+                     verdict_from_invariants)
 
 
 class ScanRecord(NamedTuple):
@@ -98,14 +108,18 @@ def scan_table(
     """The ``SCAN_FIELDS`` table of the grid, each range (min, max, number of points), from one
     batched evaluation, theta outer and eta inner; rows with theta*eta >= 1 are kept with the
     ``invalid`` verdict, invariants missing."""
-    import numpy as np
-    thetas = np.linspace(*_check_range("theta", theta_range))
-    etas = np.linspace(*_check_range("eta", eta_range))
-    thetas, etas = np.repeat(thetas, len(etas)), np.tile(etas, len(thetas))
+    return _scan_table(theta_range, eta_range, m, n, _arrays())
+
+
+def _scan_table(theta_range, eta_range, m, n, xp) -> dict:
+    """:func:`scan_table` on the primitives ``xp``: numpy's (:func:`_arrays`) or the lists' (``_LISTS``)."""
+    thetas = xp.linspace(*_check_range("theta", theta_range))
+    etas = xp.linspace(*_check_range("eta", eta_range))
+    thetas, etas = xp.repeat(thetas, len(etas)), xp.tile(etas, len(thetas))
     m, n = float(m), float(n)
-    nu, nu_prime = family_invariants(thetas, etas, m, n)
-    couplings = np.full((3, len(nu)), [[m], [n], [math.hypot(m, n)]])
-    verdicts = (verdict_from_invariants(nu, nu_prime), tuple(Verdict))
+    nu, nu_prime = xp.columns(thetas, etas, m, n, _invariants, 2)
+    couplings = [xp.full(len(nu), value) for value in (m, n, math.hypot(m, n))]
+    verdicts = (xp.verdicts(nu, nu_prime), tuple(Verdict))
     return dict(zip(SCAN_FIELDS, [thetas, etas, *couplings, nu, nu_prime, verdicts]))
 
 
@@ -123,37 +137,65 @@ def fig1_table(theta_values, eta_range: tuple[float, float, int], m: float, n: f
     All points run in one batched call. Rows carry (m, n), which the eigenvalue plot leaves implicit;
     rows with theta*eta >= 1 leave the spectrum columns empty (the form is singular on the hyperbola).
     """
-    import numpy as np
-    theta_values = np.asarray(theta_values, dtype=float)
-    if theta_values.ndim != 1 or not theta_values.size:
-        raise DomainError(f"theta values must be a non-empty 1-D sequence, got shape {theta_values.shape}")
-    etas = np.linspace(*_check_range("eta", eta_range))
-    thetas, etas = np.repeat(theta_values, len(etas)), np.tile(etas, len(theta_values))
-    spectrum, reflected = family_spectra(thetas, etas, m, n)
-    couplings = np.full((2, len(thetas)), [[m], [n]], dtype=float)
-    return dict(zip(FIG1_FIELDS, [thetas, etas, *couplings, *np.hstack([spectrum, reflected]).T]))
+    return _fig1_table(theta_values, eta_range, m, n, _arrays())
+
+
+def _fig1_table(theta_values, eta_range, m, n, xp) -> dict:
+    """:func:`fig1_table` on the primitives ``xp``, as :func:`_scan_table`; the theta values must be a
+    non-empty 1-D sequence of real numbers, checked alike on both routes."""
+    import numbers
+    # A number has no __iter__, and a 0-d array one that raises.
+    values = list(theta_values) if hasattr(theta_values, "__iter__") and getattr(theta_values, "ndim", 1) else []
+    if not values or not all(isinstance(value, numbers.Real) for value in values):
+        raise DomainError(f"theta values must be a non-empty 1-D sequence of real numbers, got {theta_values!r}")
+    values = [float(value) for value in values]
+    etas = xp.linspace(*_check_range("eta", eta_range))
+    thetas, etas = xp.repeat(values, len(etas)), xp.tile(etas, len(values))
+    m, n = float(m), float(n)
+    couplings = [xp.full(len(thetas), value) for value in (m, n)]
+    return dict(zip(FIG1_FIELDS, [thetas, etas, *couplings, *xp.columns(thetas, etas, m, n, _spectra, 8)]))
+
+
+def _linspace(lo: float, hi: float, num: int) -> list[float]:
+    """``numpy.linspace(lo, hi, num)`` as a list, bit for bit: k*step + lo, (k/div)*delta where the step
+    underflows to 0, 0*delta + lo for one point, and hi at the end."""
+    lo, hi, div = float(lo), float(hi), num - 1
+    delta = hi - lo
+    if not div:
+        return [0.0 * delta + lo]
+    step = delta / div
+    return [(k / div * delta if step == 0.0 else k * step) + lo for k in range(div)] + [hi]
 
 
 _BLOCK = 1024  # rows per write of the table writers; from 512 to 4096 a default map writes alike
 
 
-def _words(column, floats, label, blank) -> tuple[np.ndarray, np.ndarray]:
+def _words(column, floats, label, blank) -> tuple[list[str], object]:
     """A column as its distinct words, each carrying the cell's separators, and each row's position
     in them. ``label`` spells each label of a ``(codes, labels)`` column, and the codes are the
-    positions. ``floats`` spells the array of all distinct bit patterns of a float column in one
-    call (0.0 and -0.0 stay apart); every NaN pattern, a missing cell, is then spelled ``blank``."""
-    import numpy as np
+    positions. ``floats`` spells all distinct bit patterns of a float column, an array or a list, in
+    one call (0.0 and -0.0 stay apart); every NaN pattern, a missing cell, is then spelled ``blank``."""
     if isinstance(column, tuple):
         codes, labels = column
-        return np.array(list(map(label, labels)), dtype=object), codes
-    bits = column.view(np.int64)
-    if len(bits) and (bits == bits[0]).all():  # one value, such as a map's m, n and r: no sort
-        bits, index = bits[:1], np.zeros(len(bits), np.intp)
-    else:
-        bits, index = np.unique(bits, return_inverse=True)
-    values = bits.view(np.float64)
-    words = np.array(floats(values), dtype=object)
-    words[values != values] = blank
+        return list(map(label, labels)), codes
+    if hasattr(column, "__array_function__"):  # the test of kernel._primitives
+        import numpy as np
+        bits = column.view(np.int64)
+        if len(bits) and (bits == bits[0]).all():  # one value, such as a map's m, n and r: no sort
+            bits, index = bits[:1], np.zeros(len(bits), np.intp)
+        else:
+            bits, index = np.unique(bits, return_inverse=True)
+        values = bits.view(np.float64)
+        nans = np.flatnonzero(values != values).tolist()
+    else:  # array('d') read as 'q' keeps 0.0 and -0.0 apart, as .view(np.int64) does
+        from array import array
+        bits = array("q", array("d", column).tobytes())
+        position = {pattern: k for k, pattern in enumerate(dict.fromkeys(bits))}
+        values, index = array("d", array("q", position).tobytes()), list(map(position.__getitem__, bits))
+        nans = [k for k, value in enumerate(values) if value != value]
+    words = floats(values)
+    for k in nans:
+        words[k] = blank
     return words, index
 
 
@@ -161,23 +203,27 @@ def _blocks(columns):
     """The text of each block of up to ``_BLOCK`` rows: all its cells, row by row, in one join.
 
     A column of one word is appended to the words of the column before it, so its cells are never
-    gathered; the first column stays, so a table whose every column has one word still has rows."""
-    import numpy as np
+    gathered; the first column stays, so a table whose every column has one word still has rows.
+    numpy gathers the cells of array columns, and ``map`` those of list columns."""
     kept = columns[:1]
     for words, index in columns[1:]:
         if len(words) == 1:
-            kept[-1] = (kept[-1][0] + words[0], kept[-1][1])
+            kept[-1] = ([word + words[0] for word in kept[-1][0]], kept[-1][1])
         else:
             kept.append((words, index))
     rows = len(kept[0][1]) if kept else 0
+    arrays = rows and hasattr(kept[0][1], "__array_function__")  # then numpy gathers the cells
+    if arrays:
+        import numpy as np
+        kept = [(np.array(words, dtype=object), index) for words, index in kept]
     for start in range(0, rows, _BLOCK):
-        cells = np.empty((min(rows - start, _BLOCK), len(kept)), dtype=object)
-        for k, (words, index) in enumerate(kept):
-            cells[:, k] = words[index[start : start + _BLOCK]]
-        yield "".join(cells.ravel().tolist())
+        stop = start + _BLOCK
+        cells = [words[index[start:stop]] if arrays else map(words.__getitem__, index[start:stop])
+                 for words, index in kept]
+        yield "".join(np.column_stack(cells).ravel().tolist() if arrays else chain.from_iterable(zip(*cells)))
 
 
-def _spell(form: str, values: np.ndarray) -> list[str]:
+def _spell(form: str, values) -> list[str]:
     """``form % v`` for every value, all in one C-level format; ``form`` holds no NUL."""
     return ((form + "\0") * len(values) % tuple(values.tolist())).split("\0")[:-1]
 
@@ -198,7 +244,7 @@ def table_to_csv(table: dict, out) -> None:
         out.write(text)
 
 
-def _json_floats(key: str, tail: str, values: np.ndarray) -> list[str]:
+def _json_floats(key: str, tail: str, values) -> list[str]:
     """``key + json.dumps(float("%.12g" % v)) + tail`` for every value, from one spelling of
     ``key + "%.12g" + tail``; only the candidates below are respelled, one by one.
 
@@ -212,12 +258,17 @@ def _json_floats(key: str, tail: str, values: np.ndarray) -> list[str]:
     ``1e-4`` on, and below it scientific with at least two exponent digits. So the candidates are
     a superset of the values whose spellings differ, and respelling one that agrees changes nothing.
     """
-    import numpy as np
     texts = _spell(key.replace("%", "%%") + "%.12g" + tail, values)
-    size = np.abs(values)
-    finite = np.where(size < 1e11, values, 0.0)  # the rest are candidates; inf - rint(inf) warns
-    odd = ~(size < 1e11) | (size < 1e-299) | (np.abs(finite - np.rint(finite)) <= 1e-11 * size)
-    for k in np.flatnonzero(odd).tolist():
+    if hasattr(values, "__array_function__"):
+        import numpy as np
+        size = np.abs(values)
+        finite = np.where(size < 1e11, values, 0.0)  # the rest are candidates; inf - rint(inf) warns
+        odd = ~(size < 1e11) | (size < 1e-299) | (np.abs(finite - np.rint(finite)) <= 1e-11 * size)
+        odd = np.flatnonzero(odd).tolist()
+    else:  # the same test on floats, round() for rint: both round half to even
+        odd = [k for k, v in enumerate(values)
+               if not abs(v) < 1e11 or abs(v) < 1e-299 or abs(v - round(v)) <= 1e-11 * abs(v)]
+    for k in odd:
         texts[k] = key + json.dumps(float("%.12g" % values[k])) + tail
     return texts
 
@@ -230,7 +281,6 @@ def table_to_json(table: dict, out) -> None:
     Each word carries its cell's separator and key; the first column's words also open the row's
     object after a comma, which the first row drops, and the last column's close it.
     """
-    import numpy as np
     columns = []
     for k, (name, column) in enumerate(table.items()):
         head = "" if k else ",\n  {"
@@ -239,8 +289,8 @@ def table_to_json(table: dict, out) -> None:
         columns.append(_words(
             column, lambda vs: _json_floats(key, tail, vs), lambda v: key + quote(v) + tail, head + tail
         ))
-    first = next(iter(table.values()), None)
-    fix = isinstance(first, np.ndarray) and bool(np.isnan(first).any())  # a row misses its first cell
+    # Some row misses its first cell where the first column has the blank word.
+    fix = bool(columns) and ",\n  {" + "\n  }" * (len(table) == 1) in columns[0][0]
     opening = "["
     for text in _blocks(columns):
         # No JSON string holds a raw newline: these match a row missing its first cell, or all.
@@ -248,3 +298,23 @@ def table_to_json(table: dict, out) -> None:
         out.write(opening + text[1:] if opening else text)
         opening = ""
     out.write("[]\n" if opening else "\n]\n")
+
+
+@functools.cache
+def _arrays() -> SimpleNamespace:
+    """The tables' primitives on numpy arrays; ``_LISTS`` has them on lists."""
+    import numpy as np
+    # A range wider than the float range gives NaN and inf points silently, as on lists; the checks refuse them.
+    return SimpleNamespace(linspace=np.errstate(over="ignore", invalid="ignore")(np.linspace),
+                           repeat=np.repeat, tile=np.tile, full=np.full, columns=_grid_columns,
+                           verdicts=verdict_from_invariants)
+
+
+_LISTS = SimpleNamespace(
+    linspace=_linspace,
+    repeat=lambda values, times: [value for value in values for _ in range(times)],
+    tile=lambda values, times: values * times,
+    full=lambda size, value: [value] * size,
+    columns=_list_columns,
+    verdicts=lambda nu, nu_prime: list(map(tuple(Verdict).index, map(verdict_from_invariants, nu, nu_prime))),
+)

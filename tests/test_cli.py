@@ -398,7 +398,7 @@ class TestErrorMapping:
         def boom(*args, **kwargs):
             raise NCGaussError("synthetic spectral failure")
 
-        monkeypatch.setattr("ncgauss.cli.scan_table", boom)
+        monkeypatch.setattr("ncgauss.cli._scan_table", boom)
         code = main(
             ["scan", "--theta-range", "0:1:2", "--eta-range", "0:1:2", "--m", "0.1", "--n", "0.1"]
         )
@@ -414,8 +414,8 @@ class TestErrorMapping:
         def boom(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.28 TiB")
 
-        monkeypatch.setattr("ncgauss.cli.scan_table", boom)
-        monkeypatch.setattr("ncgauss.cli.fig1_table", boom)
+        monkeypatch.setattr("ncgauss.cli._scan_table", boom)
+        monkeypatch.setattr("ncgauss.cli._fig1_table", boom)
         assert main(argv) == 2
         assert capsys.readouterr() == ("", "ncgauss: the grid does not fit in memory\n")
 

@@ -189,13 +189,15 @@ class TestValidation:
         ("skew form", lambda: classify(np.eye(4), 1j * EPSILON2, EPSILON2)),
         ("covariance matrix", lambda: validate_covariance(np.array([[1, 0], [0, 1j]], dtype=object))),
         ("skew form", lambda: validate_skew_form([["a", "b"], ["c", "d"]])),
+        ("covariance matrix", lambda: validate_covariance([[1, 0], [0]])),
     ], ids=["covariance", "spectrum-covariance", "skew-form", "spectrum-form", "theta-block", "upsilon-block",
-            "map", "primed-party", "classify-party", "object-covariance", "string-form"])
+            "map", "primed-party", "classify-party", "object-covariance", "string-form", "ragged-covariance"])
     def test_complex_input_is_refused_by_name(self, what, call):
         # numpy casts complex to float with only a ComplexWarning and drops the imaginary part: the
         # covariance (1 + 1j) I read as I, and the non-Hermitian [[1, 0.5j], [-0.5j, 1]] got nu = 2.
         # A zero imaginary part is refused as well: the dtype decides. Entries that are no numbers,
-        # a complex object or a string, made the cast raise a bare TypeError or ValueError.
+        # a complex object or a string, made the cast raise a bare TypeError or ValueError, and
+        # ragged rows made numpy's asarray raise one.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(MatrixStructureError, match=f"^{what} must be real"):

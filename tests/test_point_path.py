@@ -1,9 +1,11 @@
-"""The one-point path imports no numpy, and its array tests touch none.
+"""The one-point path and the cold maps import no numpy, and the array tests touch none.
 
 ``ncgauss``, ``scan.eval_point`` and a plain ``eval`` run on Python floats through
-``ncgauss.kernel``; only ``eval --verbose`` and the grid commands load numpy, and only
-``eval --verbose``, the dense cross-check, loads ``ncgauss.core``. Each import check runs in a
-fresh interpreter, since this one has both loaded already.
+``ncgauss.kernel``. A map of at most ``cli._COLD_ROWS`` points (a fig1 point counts thrice), run
+in a process that has not loaded numpy, takes the tables' list route and loads none either. Only
+``eval --verbose`` and larger maps load numpy, and only ``eval --verbose``, the dense cross-check,
+loads ``ncgauss.core``. Each import check runs in a fresh interpreter, since this one has both
+loaded already.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncgauss.cli import main
+from ncgauss.cli import _COLD_ROWS, main
 from ncgauss.kernel import _FLOAT_PRIMITIVES, Verdict, _closed_forms, _primitives, verdict_from_invariants
 from ncgauss.scan import eval_point
 from test_cli import GOLDEN
@@ -78,12 +80,26 @@ def test_module_run_exits_2_with_the_library_message_alone():
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_scan_loads_numpy_and_prints_its_recorded_bytes(fmt):
-    # The maps run the closed forms in ``kernel`` alone: none loads ``core``, the dense route's module.
+def test_cold_maps_load_no_numpy_and_print_their_recorded_bytes(fmt):
+    # A fresh default map runs on lists: it loads neither numpy nor ``core``, the dense route's module.
     for argv in MAPS:
         out, loaded = _fresh(CLI, *argv, "--format", fmt)
-        assert loaded == {"numpy"}, argv
+        assert loaded == set(), argv
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv][fmt == "json"], argv
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (("scan", "--m", "-0.3", "--n", "0.2", "--theta-range", "0:2:113", "--eta-range", "0:2:145"), 113 * 145),
+    (("fig1", "--thetas", "0.5", "--eta-range", f"0:2:{_COLD_ROWS // 3}"), 3 * (_COLD_ROWS // 3)),
+    (("fig1", "--thetas", "0.5", "--eta-range", f"0:2:{_COLD_ROWS // 3 + 1}"), 3 * (_COLD_ROWS // 3 + 1)),
+], ids=["scan-above", "fig1-below", "fig1-above"])
+def test_maps_load_numpy_only_above_the_cold_rows(capsys, argv, rows):
+    # Just above _COLD_ROWS (a fig1 point counts thrice) a fresh map takes numpy's arrays, just below
+    # it the lists; each prints the bytes that this process, which has loaded numpy, prints.
+    assert rows - _COLD_ROWS in (-1, 1, 2)
+    assert main(list(argv)) == 0
+    out, loaded = _fresh(CLI, *argv)
+    assert loaded == ({"numpy"} if rows > _COLD_ROWS else set()) and out == capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 """Tests for grid scans, figure datasets, and deterministic emission."""
 
+import hashlib
 import io
 import json
 import math
+import re
 import sys
 import warnings
 from types import SimpleNamespace
@@ -24,10 +26,11 @@ from ncgauss import (
     fig2_couplings,
     scan_table,
 )
-from ncgauss.cli import main
+from ncgauss.cli import _COLD_ROWS, main
 from ncgauss.core import dense_spectra, primed_form
 from ncgauss.kernel import Verdict, family_invariants, family_spectra, verdict_from_invariants
-from ncgauss.scan import FIG1_FIELDS, SCAN_FIELDS, _check_range, table_to_csv, table_to_json
+from ncgauss.scan import (_BLOCK, FIG1_FIELDS, SCAN_FIELDS, _LISTS, _arrays, _check_range, _fig1_table, _linspace,
+                          _scan_table, table_to_csv, table_to_json)
 from oracles import (
     PAYLOAD_NAN,
     bisect_decreasing,
@@ -42,6 +45,7 @@ from oracles import (
     rows_to_json,
     table_rows,
 )
+from test_cli import GOLDEN
 
 FIG_M, FIG_N = math.sqrt(2.0) / 6.0, 1.0 / 6.0
 EPS = float(np.finfo(float).eps)
@@ -117,6 +121,12 @@ def _written(writer, table):
     out = io.StringIO()
     writer(table, out)
     return out.getvalue()
+
+
+def _listed(table):
+    """``table`` with every column a Python list, as the tables' list route builds it."""
+    return {name: (column[0].tolist(), column[1]) if isinstance(column, tuple) else column.tolist()
+            for name, column in table.items()}
 
 
 def _fig1_rows(theta_values, eta_range, m=FIG_M, n=FIG_N):
@@ -574,11 +584,13 @@ class TestOutputFormats:
         # of 1, 2 and 5 rows, where a table of at most 12 rows crosses a block's edge. The examples
         # place one-word columns, which join the column before them, first, in the middle, last
         # and everywhere.
+        # The same table as lists takes the writers' list route, with the same text.
         rows, fields = table_rows(table), tuple(table)
         for block in (1, 2, 5, ncgauss.scan._BLOCK):
             with mock.patch("ncgauss.scan._BLOCK", block):
-                assert _written(table_to_csv, table) == rows_to_csv(rows, fields)
-                assert _written(table_to_json, table) == rows_to_json(rows, fields)
+                for written in (table, _listed(table)):
+                    assert _written(table_to_csv, written) == rows_to_csv(rows, fields)
+                    assert _written(table_to_json, written) == rows_to_json(rows, fields)
 
     @settings(max_examples=300, deadline=None)
     @given(value=st.one_of(st.floats(), st.floats(1e11, 1e17), st.floats(-1e17, -1e11)))
@@ -599,8 +611,10 @@ class TestOutputFormats:
     def test_json_number_is_json_dumps_of_its_12_digit_rounding(self, value):
         # The one-pass spelling respells only its candidates (not finite, |v| >= 1e11, |v| < 1e-299
         # or within 1e-11 |v| of an integer); every other text must already be the JSON number.
+        # The lists' candidate test picks the same values.
         obj = {} if math.isnan(value) else {"x": float("%.12g" % value)}
-        assert _written(table_to_json, {"x": np.array([value])}) == json.dumps([obj], indent=2) + "\n"
+        for column in (np.array([value]), [value]):
+            assert _written(table_to_json, {"x": column}) == json.dumps([obj], indent=2) + "\n"
 
     @pytest.mark.parametrize("block", [2, 3])
     def test_rows_missing_cells_at_block_edges(self, monkeypatch, block):
@@ -613,8 +627,9 @@ class TestOutputFormats:
         }
         monkeypatch.setattr("ncgauss.scan._BLOCK", block)
         rows, fields = table_rows(table), tuple(table)
-        assert _written(table_to_csv, table) == rows_to_csv(rows, fields)
-        assert _written(table_to_json, table) == rows_to_json(rows, fields)
+        for written in (table, _listed(table)):
+            assert _written(table_to_csv, written) == rows_to_csv(rows, fields)
+            assert _written(table_to_json, written) == rows_to_json(rows, fields)
 
     @pytest.mark.parametrize("writer, reference", [(table_to_csv, rows_to_csv), (table_to_json, rows_to_json)])
     def test_no_write_is_longer_than_one_block(self, writer, reference):
@@ -688,9 +703,122 @@ class TestMissingCells:
             "b": np.array([nans[2], nans[1], 3.0, nans[0], nans[1], 0.5]),
         }
         monkeypatch.setattr("ncgauss.scan._BLOCK", block)
-        assert _written(table_to_csv, table) == "a,b\n,\n1,\n,3\n,\n2,\n,0.5\n"
         objects = [{}, {"a": 1.0}, {"b": 3.0}, {}, {"a": 2.0}, {"b": 0.5}]
-        assert _written(table_to_json, table) == json.dumps(objects, indent=2) + "\n"
+        for written in (table, _listed(table)):
+            assert _written(table_to_csv, written) == "a,b\n,\n1,\n,3\n,\n2,\n,0.5\n"
+            assert _written(table_to_json, written) == json.dumps(objects, indent=2) + "\n"
+
+
+def _route_outputs(body, *args):
+    """The CSV and JSON text of ``body(*args, xp)`` on the list route and on numpy's, or the
+    DomainError text that each raised; the list route's columns must be lists."""
+    outputs = []
+    for xp in (_LISTS, _arrays()):
+        try:
+            table = body(*args, xp)
+        except DomainError as exc:
+            outputs.append(str(exc))
+            continue
+        floats = [column for column in table.values() if not isinstance(column, tuple)]
+        assert all(isinstance(column, list) for column in floats) == (xp is _LISTS)
+        outputs.append((_written(table_to_csv, table), _written(table_to_json, table)))
+    return outputs
+
+
+# Range bounds: signed zeros, subnormals, the hyperbola's neighbourhood, the float range's ends,
+# negative minima and widths that overflow, which both routes refuse alike.
+_BOUNDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, 1e300, DBL_MAX, -1.0, -DBL_MAX]),
+    st.floats(0.0, 4.0),
+    _DEFORMATIONS,
+)
+# Couplings: signed zeros, R -> 1, R >= 1 and NaN, which both routes refuse alike.
+_COUPLINGS = st.sampled_from([0.0, -0.0, 0.3, -0.3, 0.7, 0.9999999999999999, -0.9999999999999999, math.nan])
+
+
+@st.composite
+def _route_ranges(draw):
+    """A (min, max, steps) range with both ends from ``_BOUNDS`` and 1 to 4 steps."""
+    lo, hi = sorted(draw(st.lists(_BOUNDS, min_size=2, max_size=2)))
+    return lo, hi, draw(st.integers(min_value=1, max_value=4))
+
+
+class TestRoutes:
+    """The CLI's maps run on lists or on numpy's arrays (``cli._map_primitives``); both write the same bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=_BOUNDS, hi=_BOUNDS, num=st.integers(min_value=1, max_value=6))
+    @example(lo=0.0, hi=5e-324, num=3)  # the step underflows to 0: numpy's (k/div)*delta branch
+    @example(lo=0.0, hi=-0.0, num=3)  # lo <= hi with delta = -0.0
+    @example(lo=-0.0, hi=-0.0, num=1)  # 0*delta + lo is 0.0, not -0.0
+    @example(lo=-DBL_MAX, hi=DBL_MAX, num=3)  # delta overflows: 0*inf is NaN
+    @example(lo=-DBL_MAX, hi=DBL_MAX, num=1)
+    def test_linspace_is_numpys_bit_for_bit(self, lo, hi, num):
+        lo, hi = min(lo, hi), max(lo, hi)
+        with np.errstate(all="ignore"):
+            want = np.linspace(lo, hi, num)
+        assert np.array(_linspace(lo, hi, num)).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(theta_range=_route_ranges(), eta_range=_route_ranges(), m=_COUPLINGS, n=_COUPLINGS)
+    @example(theta_range=(1.0, 1.0, 1), eta_range=(-0.0, -0.0, 1), m=0.0, n=-0.0)  # one step, lo == hi
+    @example(theta_range=(0.0, 2.0, 4), eta_range=(0.0, 2.0, 4), m=-0.3, n=0.7)  # across theta*eta = 1
+    @example(theta_range=(-1.0, 2.0, 3), eta_range=(0.0, 2.0, 3), m=0.3, n=0.3)  # a negative minimum
+    @example(theta_range=(0.0, 2.0, 3), eta_range=(0.0, 2.0, 3), m=0.7, n=0.9999999999999999)  # R >= 1
+    @example(theta_range=(0.0, 2.0, 3), eta_range=(0.0, 2.0, 3), m=math.nan, n=0.3)
+    @example(theta_range=(-DBL_MAX, DBL_MAX, 3), eta_range=(0.0, 2.0, 3), m=0.3, n=0.3)  # overflowing width
+    def test_scan_routes_write_the_same_bytes(self, theta_range, eta_range, m, n):
+        lists, arrays = _route_outputs(_scan_table, theta_range, eta_range, m, n)
+        assert lists == arrays
+
+    @settings(max_examples=100, deadline=None)
+    @given(thetas=st.lists(_BOUNDS, min_size=1, max_size=3), eta_range=_route_ranges(),
+           m=_COUPLINGS, n=_COUPLINGS)
+    @example(thetas=[DBL_MAX, 1e300, 0.0], eta_range=(0.0, 1e-300, 3), m=0.3, n=0.2)  # nu_3, nu_4 = inf
+    @example(thetas=[0.5, 2.0], eta_range=(0.0, 2.0, 5), m=-0.0, n=0.9999999999999999)  # across theta*eta = 1
+    def test_fig1_routes_write_the_same_bytes(self, thetas, eta_range, m, n):
+        lists, arrays = _route_outputs(_fig1_table, thetas, eta_range, m, n)
+        assert lists == arrays
+
+    @pytest.mark.parametrize("rows, shape", [
+        (_BLOCK - 1, (31, 33)), (_BLOCK, (32, 32)), (_BLOCK + 1, (25, 41)),
+        (_COLD_ROWS - 1, (127, 129)), (_COLD_ROWS, (128, 128)), (_COLD_ROWS + 1, (113, 145)),
+    ], ids=["block-1", "block", "block+1", "cold-1", "cold", "cold+1"])
+    def test_routes_agree_at_block_and_route_edges(self, rows, shape):
+        # Rows one below, at and above a block of the writers and the CLI's route switch.
+        assert shape[0] * shape[1] == rows
+        lists, arrays = _route_outputs(_scan_table, (0.0, 2.0, shape[0]), (0.0, 2.0, shape[1]), -0.3, 0.2)
+        assert lists == arrays
+
+    @pytest.mark.parametrize("argv", list(GOLDEN))
+    def test_recorded_digests_on_the_list_route(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr("ncgauss.cli._map_primitives", lambda rows: _LISTS)
+        for k, fmt in enumerate(("csv", "json")):
+            assert main([*argv, "--format", fmt]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN[argv][k]
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--theta-range=-1:2:3", "--m", "0.3", "--n", "0.2"],
+        ["scan", "--m", "0.8", "--n", "0.8"],
+        ["fig2", "--r", "0.5", "--eta-range=-1.7e308:1.7e308:3"],
+        ["scan", "--m", "nan", "--n", "0.2"],
+        ["scan", "--theta-range=-1.7e308:1.7e308:3", "--m", "0.3", "--n", "0.2"],
+        ["scan", "--m", "0.3", "--n", "0.2", "--eta-range", "0:2:0"],
+        ["fig1", "--thetas=-1,0.5"],
+        ["fig1", "--n", "1"],
+        ["fig1", "--m", "nan"],
+        ["fig1", "--eta-range=-1.7e308:1.7e308:3"],
+    ])
+    def test_refused_inputs_print_the_same_stderr(self, monkeypatch, capsys, argv):
+        results = []
+        for xp in (_LISTS, _arrays()):
+            monkeypatch.setattr("ncgauss.cli._map_primitives", lambda rows, xp=xp: xp)
+            results.append((main(argv), *capsys.readouterr()))
+        assert results[0] == results[1] and results[0][:2] == (2, "")
+
+    def test_maps_take_arrays_once_numpy_is_loaded(self):
+        # This interpreter has loaded numpy, so every map takes numpy's arrays, a default one included.
+        assert all(ncgauss.cli._map_primitives(rows).repeat is np.repeat for rows in (1, 101 * 101))
 
 
 class TestFig1:
@@ -762,10 +890,16 @@ class TestFig1:
         assert _written(table_to_csv, table) == _written(table_to_csv, listed)
         assert len(table_rows(table)) == 3 * len(thetas)
 
-    @pytest.mark.parametrize("thetas", [(), np.array([]), np.array([[0.5]]), np.array(0.5)])
+    @pytest.mark.parametrize(
+        "thetas", [(), np.array([]), np.array([[0.5]]), np.array(0.5), [[1.0], [2.0, 3.0]], ["a"], "0.5", None]
+    )
     def test_rejects_empty_or_not_1d_thetas(self, thetas):
-        with pytest.raises(DomainError, match="theta values must be a non-empty 1-D sequence"):
+        # Ragged or non-numeric values raised numpy's bare ValueError. Both routes name the values.
+        message = f"theta values must be a non-empty 1-D sequence of real numbers, got {thetas!r}"
+        with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
             fig1_table(thetas, (0.0, 1.0, 3), FIG_M, FIG_N)
+        with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+            _fig1_table(thetas, (0.0, 1.0, 3), FIG_M, FIG_N, _LISTS)
 
     @pytest.mark.parametrize("eta_range", [(2.0, 0.0, 3), (0.0, 2.0, 0), (0.0, 2.0, math.nan), (0.0, 2.0, 2.7)])
     def test_rejects_what_scan_table_rejects(self, eta_range):
