@@ -2,17 +2,18 @@
 and the verdict rule.
 
 Each is one text for Python floats and numpy arrays: a number, a numpy scalar included, runs on
-math's primitives and an array on numpy's (:func:`_primitives`), imported only then. So ``eval``
-loads no numpy, and a grid gets the bits of its points. The kernel is total: scaled by
-a power of two (:func:`inverse_scale`), every admissible float point, theta and eta up to the
-largest float, gets finite positive invariants, and no closed form can abort.
+math's primitives and an array on numpy's (:func:`_primitives`), imported only then, and picked
+once per kernel call. So ``eval`` loads no numpy, and a grid gets the bits of its points. The
+kernel is total: scaled by a power of two (:func:`inverse_scale`), every admissible float point,
+theta and eta up to the largest float, gets finite positive invariants, and no closed form can abort.
 
 The family's Williamson spectra (``core.build_covariance``) before and after partial transposition
 depend on |m| and |n| only. So one branch-free kernel (:func:`_closed_forms`), free of cancellation
 for the smallest invariants, decides every quadrant: :func:`family_invariants` (scan, fig2),
 :func:`point_invariants` (eval) and :func:`family_spectra` (fig1) run it at (|m|, |n|) and take no
 root of Sigma, no inverse of a form and no eigensolve. The grid routes (:func:`_grid_columns`)
-import numpy inside; :func:`_list_columns` runs them point by point on lists, for a small map.
+import numpy inside; :func:`_list_columns` runs them on lists, for a small map, once per unordered
+pair (theta, eta), since the closed forms read only max(theta, eta) and min(theta, eta).
 Every route checks theta and eta (:func:`admissible_deformations`), then the couplings
 (:func:`validate_couplings`); the CLI passes its numbers on unchecked, so these are its messages.
 """
@@ -52,7 +53,10 @@ def validate_couplings(m: float, n: float) -> float:
     return r
 
 
-_FLOAT_PRIMITIVES = SimpleNamespace(sqrt=math.sqrt, minimum=min, maximum=max, frexp=math.frexp, ldexp=math.ldexp)
+# Two-argument min and max as conditionals: the builtins' very results, the first argument on a tie and
+# NaN where they put it, at about half the cost of a call of either.
+_FLOAT_PRIMITIVES = SimpleNamespace(sqrt=math.sqrt, minimum=lambda a, b: b if b < a else a,
+                                    maximum=lambda a, b: b if b > a else a, frexp=math.frexp, ldexp=math.ldexp)
 
 
 def _primitives(x):
@@ -91,9 +95,9 @@ def _deficit(big, small):
     return (1.0 - product) - error
 
 
-def _invariant(gap, c, r: float):
-    """b / (1 - theta*eta) times the square root of the smaller root of x^2 - 2(gap + c) x + c^2."""
-    sqrt = _primitives(gap).sqrt
+def _invariant(gap, c, r: float, sqrt):
+    """b / (1 - theta*eta) times the square root of the smaller root of x^2 - 2(gap + c) x + c^2,
+    with the kernel's ``sqrt``."""
     return (1.0 + r) ** 2 / sqrt(gap + c + sqrt(gap * (gap + 2.0 * c)))
 
 
@@ -138,7 +142,7 @@ def _closed_forms(theta, eta, m: float, n: float, r: float):
         lift = q_n * total + 2.0 * m * unit
     gap_minus = split * split / 2.0 + 2.0 * big * small * q
     gap_plus = (lift * lift / 2.0 + 2.0 * n * n * q * unit * unit) / q_n
-    nu, nu_prime = _invariant(gap_minus, c_k, r) * unit, _invariant(gap_plus, c_k, r) * unit
+    nu, nu_prime = _invariant(gap_minus, c_k, r, xp.sqrt) * unit, _invariant(gap_plus, c_k, r, xp.sqrt) * unit
     return nu, nu_prime, gap_minus, gap_plus, c, unit
 
 
@@ -193,13 +197,20 @@ def _grid_columns(thetas, etas, m: float, n: float, kernel, width: int) -> np.nd
 
 def _list_columns(thetas, etas, m: float, n: float, kernel, width: int) -> list[list[float]]:
     """:func:`_grid_columns` on lists of floats, as lists: the same checks in the same order, every
-    point before the couplings, and ``kernel`` run point by point, so every bit is the array's."""
+    point before the couplings, and ``kernel`` run on floats, so every bit is the array's.
+
+    ``kernel`` runs once per unordered pair, at (max, min) of theta and eta: :func:`_closed_forms`
+    reads the point only as max(theta, eta) and min(theta, eta), so a square grid's mirror points
+    share their row. The keys merge 0.0 and -0.0, which is exact too: a zero enters the closed forms
+    only through products, squares and sums with a nonzero term, so its sign reaches no output.
+    """
     for theta, eta in zip(thetas, etas):
         if not admissible_deformations(theta, eta):
             raise DomainError(f"{_BAD_DEFORMATION} at {_point_name(theta, eta, m, n)}")
     r, missing = validate_couplings(m, n), (math.nan,) * width
-    rows = [kernel(theta, eta, m, n, r) if theta * eta < 1.0 else missing for theta, eta in zip(thetas, etas)]
-    return [list(column) for column in zip(*rows)]
+    pairs = [(eta, theta) if theta < eta else (theta, eta) for theta, eta in zip(thetas, etas)]
+    rows = {pair: kernel(*pair, m, n, r) if pair[0] * pair[1] < 1.0 else missing for pair in dict.fromkeys(pairs)}
+    return [list(column) for column in zip(*map(rows.__getitem__, pairs))]
 
 
 def family_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:

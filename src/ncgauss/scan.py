@@ -73,11 +73,14 @@ FIG1_FIELDS = (
 
 
 def _check_range(name: str, rng: tuple[float, float, int]) -> tuple[float, float, int]:
-    """Return (min, max, steps) with an int steps; require finite min <= max and whole steps from 1
-    to ``sys.maxsize``, the most numpy can index."""
+    """Return (min, max, steps) with an int steps; require finite min <= max, a width max - min within
+    the float range, so that no point of the grid is NaN or inf, and whole steps from 1 to
+    ``sys.maxsize``, the most numpy can index."""
     lo, hi, steps = rng
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise DomainError(f"{name} range must satisfy finite min <= max, got {rng}")
+    if math.isinf(float(hi) - float(lo)):
+        raise DomainError(f"{name} range width max - min must not exceed the float range, got {rng}")
     # An int is whole, and float() of a huge one raises: only other types are read as floats.
     if not (isinstance(steps, int) or float(steps).is_integer()):  # NaN, infinite or fractional
         raise DomainError(f"{name} range needs a whole number of steps, got {steps}")
@@ -99,7 +102,8 @@ def eval_point(theta: float, eta: float, m: float, n: float) -> ScanRecord:
     verdict = verdict_from_invariants(nu, nu_prime)
     if verdict is Verdict.INVALID_DOMAIN:
         nu = nu_prime = None
-    return ScanRecord(theta, eta, m, n, math.hypot(m, n), nu, nu_prime, verdict)
+    # As ScanRecord._make does: no argument binding of the generated __new__, 0.1 us of a 3.5 us call.
+    return tuple.__new__(ScanRecord, (theta, eta, m, n, math.hypot(m, n), nu, nu_prime, verdict))
 
 
 def scan_table(
@@ -187,11 +191,16 @@ def _words(column, floats, label, blank) -> tuple[list[str], object]:
             bits, index = np.unique(bits, return_inverse=True)
         values = bits.view(np.float64)
         nans = np.flatnonzero(values != values).tolist()
-    else:  # array('d') read as 'q' keeps 0.0 and -0.0 apart, as .view(np.int64) does
+    else:
         from array import array
-        bits = array("q", array("d", column).tobytes())
-        position = {pattern: k for k, pattern in enumerate(dict.fromkeys(bits))}
-        values, index = array("d", array("q", position).tobytes()), list(map(position.__getitem__, bits))
+        # One value, such as a map's m, n and r: cells equal to a nonzero first cell share its bits
+        # (0.0 == -0.0 is the one equality of distinct bits), and a NaN counts only as that very object.
+        if column and column[0] and column.count(column[0]) == len(column):
+            values, index = array("d", column[:1]), [0] * len(column)
+        else:  # array('d') read as 'q' keeps 0.0 and -0.0 apart, as .view(np.int64) does
+            bits = array("q", array("d", column).tobytes())
+            position = {pattern: k for k, pattern in enumerate(dict.fromkeys(bits))}
+            values, index = array("d", array("q", position).tobytes()), list(map(position.__getitem__, bits))
         nans = [k for k, value in enumerate(values) if value != value]
     words = floats(values)
     for k in nans:
@@ -304,8 +313,9 @@ def table_to_json(table: dict, out) -> None:
 def _arrays() -> SimpleNamespace:
     """The tables' primitives on numpy arrays; ``_LISTS`` has them on lists."""
     import numpy as np
-    # A range wider than the float range gives NaN and inf points silently, as on lists; the checks refuse them.
-    return SimpleNamespace(linspace=np.errstate(over="ignore", invalid="ignore")(np.linspace),
+    # numpy computes the last point as k*step too, before it writes max there: near the float range's end
+    # k*step overflows. The checks leave no other overflow and no NaN, so only ``over`` is silenced.
+    return SimpleNamespace(linspace=np.errstate(over="ignore")(np.linspace),
                            repeat=np.repeat, tile=np.tile, full=np.full, columns=_grid_columns,
                            verdicts=verdict_from_invariants)
 

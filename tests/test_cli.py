@@ -374,6 +374,9 @@ class TestErrorMessages:
             (["eval", "--theta", "nan", "--eta", "0.5", "--m", "0.3", "--n", "0.2"],
              "theta and eta must be finite and >= 0 at (theta, eta, m, n) = (nan, 0.5, 0.3, 0.2)"),
             (["scan", "--m", "inf", "--n", "0.2"], "m and n must be finite, got (inf, 0.2)"),
+            # A width beyond the float range is refused by name, before linspace would build NaN and inf points.
+            (["scan", "--m", "0.3", "--n", "0.2", "--theta-range=-1.7e308:1.7e308:3"],
+             "theta range width max - min must not exceed the float range, got (-1.7e+308, 1.7e+308, 3)"),
         ],
     )
     def test_bad_values_are_usage_errors(self, capsys, argv, message):

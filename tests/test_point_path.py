@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncgauss.cli import _COLD_ROWS, main
 from ncgauss.kernel import _FLOAT_PRIMITIVES, Verdict, _closed_forms, _primitives, verdict_from_invariants
@@ -121,3 +123,24 @@ def test_numbers_take_math_and_arrays_numpy(value):
     nu, nu_prime = _closed_forms(value, value / 3.0, 0.3, 0.2, math.hypot(0.3, 0.2))[:2]
     want = _closed_forms(1.5, 0.5, 0.3, 0.2, math.hypot(0.3, 0.2))[:2]
     assert (np.ravel(nu)[0], np.ravel(nu_prime)[0]) == want
+
+
+# Distinct objects, so that ``is`` tells which argument came back.
+_NAN, _OTHER_NAN, _HALF, _OTHER_HALF = float("nan"), float("nan"), float("0.5"), float("0.5")
+
+
+@pytest.mark.parametrize("a, b", [
+    (0.0, -0.0), (-0.0, 0.0), (_HALF, _OTHER_HALF), (_NAN, 1.0), (1.0, _NAN), (_NAN, _OTHER_NAN),
+    (-math.inf, math.inf),
+], ids=["zero, -zero", "-zero, zero", "equal", "nan first", "nan second", "two nans", "infinities"])
+def test_float_minimum_and_maximum_return_the_builtins_object(a, b):
+    # The float kernel's conditionals stand in for the builtin min and max: on a tie, a signed zero
+    # or a NaN, each must return the very argument that the builtin returns.
+    assert _FLOAT_PRIMITIVES.minimum(a, b) is min(a, b)
+    assert _FLOAT_PRIMITIVES.maximum(a, b) is max(a, b)
+
+
+@given(a=st.floats(), b=st.floats())
+def test_float_minimum_and_maximum_are_the_builtins_on_every_float_pair(a, b):
+    assert _FLOAT_PRIMITIVES.minimum(a, b) is min(a, b)
+    assert _FLOAT_PRIMITIVES.maximum(a, b) is max(a, b)

@@ -28,9 +28,10 @@ from ncgauss import (
 )
 from ncgauss.cli import _COLD_ROWS, main
 from ncgauss.core import dense_spectra, primed_form
-from ncgauss.kernel import Verdict, family_invariants, family_spectra, verdict_from_invariants
+from ncgauss.kernel import (Verdict, _invariants, _list_columns, family_invariants, family_spectra,
+                            verdict_from_invariants)
 from ncgauss.scan import (_BLOCK, FIG1_FIELDS, SCAN_FIELDS, _LISTS, _arrays, _check_range, _fig1_table, _linspace,
-                          _scan_table, table_to_csv, table_to_json)
+                          _scan_table, _spell, _words, table_to_csv, table_to_json)
 from oracles import (
     PAYLOAD_NAN,
     bisect_decreasing,
@@ -412,6 +413,15 @@ class TestScanGrid:
         with pytest.raises(DomainError, match=message.replace("theta", "eta")):
             fig1_table((0.0, 0.5), (0.0, 1.0, steps), 0.1, 0.1)
 
+    @pytest.mark.parametrize("rng", [(-DBL_MAX, DBL_MAX, 3), (-1e308, 1e308, 1), (-(10**308), 10**308, 2)])
+    def test_widths_beyond_the_float_range_rejected(self, rng):
+        # Refused before linspace would build NaN and inf points from such a range.
+        # Both routes name the range, whose ends are read as floats, as linspace reads them.
+        message = f"theta range width max - min must not exceed the float range, got {rng}"
+        for xp in (_LISTS, _arrays()):
+            with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+                _scan_table(rng, (0.0, 1.0, 2), 0.1, 0.1, xp)
+
     def test_whole_steps_keep_their_value(self):
         # Whole counts of every type become that int; an int is never read as a float.
         for steps in (3, 3.0, np.int64(3), np.float64(3.0), True):
@@ -767,6 +777,7 @@ class TestRoutes:
     @example(theta_range=(0.0, 2.0, 3), eta_range=(0.0, 2.0, 3), m=0.7, n=0.9999999999999999)  # R >= 1
     @example(theta_range=(0.0, 2.0, 3), eta_range=(0.0, 2.0, 3), m=math.nan, n=0.3)
     @example(theta_range=(-DBL_MAX, DBL_MAX, 3), eta_range=(0.0, 2.0, 3), m=0.3, n=0.3)  # overflowing width
+    @example(theta_range=(0.0, 0.0, 1), eta_range=(0.0, DBL_MAX, 4), m=0.0, n=0.0)  # numpy's 3*step overflows
     def test_scan_routes_write_the_same_bytes(self, theta_range, eta_range, m, n):
         lists, arrays = _route_outputs(_scan_table, theta_range, eta_range, m, n)
         assert lists == arrays
@@ -789,6 +800,54 @@ class TestRoutes:
         assert shape[0] * shape[1] == rows
         lists, arrays = _route_outputs(_scan_table, (0.0, 2.0, shape[0]), (0.0, 2.0, shape[1]), -0.3, 0.2)
         assert lists == arrays
+
+    def test_list_route_runs_the_kernel_once_per_unordered_pair(self):
+        # A square grid's mirror points, and points that differ only in the sign of a zero, share a run.
+        calls = []
+        def kernel(theta, eta, m, n, r):
+            calls.append((theta, eta))
+            return _invariants(theta, eta, m, n, r)
+        thetas, etas = [0.0, -0.0, 0.5, 0.0, 0.5, -0.0, 2.0], [0.5, 0.5, 0.0, -0.0, -0.0, 0.0, 0.5]
+        columns = _list_columns(thetas, etas, 0.3, 0.2, kernel, 2)
+        assert calls == [(0.5, 0.0), (0.0, 0.0)]
+        assert columns == _list_columns(thetas, etas, 0.3, 0.2, _invariants, 2)
+        assert columns == [[_invariants(theta, eta, 0.3, 0.2, math.hypot(0.3, 0.2))[k] if theta * eta < 1.0
+                             else math.nan for theta, eta in zip(thetas, etas)] for k in (0, 1)]
+
+    @pytest.mark.parametrize("column", [
+        [0.3] * 4, [math.nan] * 3, [math.nan, float("nan")], [-0.0] * 3, [0.0, -0.0, 0.0], [0.0] * 2,
+        [0.5, math.nextafter(0.5, 1.0), 0.5], [0.5, 0.5, -0.5], [],
+    ], ids=["one value", "one nan", "two nans", "-zeros", "signed zeros", "zeros", "ulp apart", "signs", "empty"])
+    def test_list_words_spell_the_arrays_cells(self, column):
+        # The list branch's one-value shortcut and its general case spell every cell as the array branch does.
+        cells = []
+        for values in (column, np.array(column, dtype=float)):
+            words, index = _words(values, lambda vs: _spell("%.12g,", vs), str, "")
+            cells.append([words[k] for k in np.asarray(index, dtype=np.intp).tolist()])
+        assert cells[0] == cells[1]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        # Square grids: a minimum of -0 gives the point 0*step + -0.0, which is 0.0.
+        ["scan", "--m", "0.3", "--n", "0.2", "--theta-range=-0:1:5", "--eta-range", "0:1:5"],
+        ["scan", "--m", "-0.3", "--n", "0.2", "--theta-range", "0:1:5", "--eta-range=-0:1:5"],
+        ["fig2", "--r", "0.5", "--theta-range=-0:1:5", "--eta-range", "0:1:5"],
+        ["fig2", "--r", "0.5", "--swap", "--theta-range", "0:1:5", "--eta-range=-0:1:5"],
+        # A maximum of -0 is the last point: these axes hold zeros of both signs.
+        ["scan", "--m", "-0.3", "--n", "-0", "--theta-range", "0:-0:3", "--eta-range", "0:-0:3"],
+        ["fig2", "--r", "0.9", "--theta-range", "0:-0:3", "--eta-range", "0:1:5"],
+        ["fig1", "--thetas=-0,0,0.25,0.5,1", "--eta-range", "0:1:5"],
+        ["fig1", "--m", "-0.3", "--n", "-0.2", "--thetas=1,0.5,0,-0", "--eta-range", "0:-0:2"],
+    ])
+    def test_pair_reuse_prints_the_array_routes_bytes(self, monkeypatch, capsys, argv, fmt):
+        # The list route keys its kernel runs by (max, min) of theta and eta, which merges mirror
+        # points and 0.0 with -0.0; the array route runs every point.
+        outputs = []
+        for xp in (_LISTS, _arrays()):
+            monkeypatch.setattr("ncgauss.cli._map_primitives", lambda rows, xp=xp: xp)
+            assert main([*argv, "--format", fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("argv", list(GOLDEN))
     def test_recorded_digests_on_the_list_route(self, monkeypatch, capsys, argv):
