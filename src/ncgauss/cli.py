@@ -1,7 +1,7 @@
 """Command-line front end: single-point evaluation and parameter-plane scans.
 
 The commands are one table, ``_COMMANDS``: each name with its help text, its runner and its
-options in ``--help`` order. ``scan``, ``fig1`` and ``fig2`` write the column table of one batched
+options in ``--help`` order. ``scan``, ``fig1`` and ``fig2`` write the keyed table of one batched
 evaluation (``scan._scan_table``, ``scan._fig1_table``) to stdout or the ``--out`` file, on the route
 that :func:`_map_primitives` picks. ``eval --verbose`` adds the dense route's invariants at the point
 (``core.dense_spectra``). Only these load numpy: ``eval --verbose``, and a map of more than
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
@@ -62,9 +61,11 @@ def _write_table(table, args) -> None:
             write(table, handle)
 
 
-# The most points a map runs on lists. On 2 shared cores (Python 3.11, numpy 2.4) a scan point costs
-# the lists about 3.3 us more than numpy's arrays, and numpy's import about 70 ms: even at about 21k
-# points. A fig1 point costs the lists about 3.3 times a scan point's extra, so fig1 counts it thrice.
+# The most points a map runs on lists. On 2 shared cores (Python 3.11, numpy 2.4) a scan point that
+# is its own pair's key, the lists' dearest, costs them about 2.6 us more than numpy's arrays, a
+# fig1 point about 9 us: in fresh processes a scan whose axes share no value breaks even with
+# numpy's import and arrays near 2^15 points, a square one above it, and a fig1 near 11k points, so
+# fig1 counts a point thrice. 2^14 leaves a margin.
 _COLD_ROWS = 1 << 14
 
 
@@ -74,6 +75,7 @@ def _map_primitives(rows: int):
 
 
 def _cmd_eval(args) -> None:
+    import json
     record = eval_point(args.theta, args.eta, args.m, args.n)
     obj = {key: value for key, value in record._asdict().items() if value is not None}
     if args.verbose and record.nu_minus is not None:

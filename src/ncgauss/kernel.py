@@ -11,10 +11,11 @@ The family's Williamson spectra (``core.build_covariance``) before and after par
 depend on |m| and |n| only. So one branch-free kernel (:func:`_closed_forms`), free of cancellation
 for the smallest invariants, decides every quadrant: :func:`family_invariants` (scan, fig2),
 :func:`point_invariants` (eval) and :func:`family_spectra` (fig1) run it at (|m|, |n|) and take no
-root of Sigma, no inverse of a form and no eigensolve. The grid routes (:func:`_grid_columns`)
-import numpy inside; :func:`_list_columns` runs them on lists, for a small map, once per unordered
-pair (theta, eta), since the closed forms read only max(theta, eta) and min(theta, eta).
-Every route checks theta and eta (:func:`admissible_deformations`), then the couplings
+root of Sigma, no inverse of a form and no eigensolve. The grid routes import numpy inside: the
+points' (:func:`_grid_columns`) and the maps' (:func:`_grid_keys`, on lists :func:`_list_keys`),
+which run the kernel once per unordered pair (theta, eta) of a grid's axes, since the closed forms
+read only max(theta, eta) and min(theta, eta). Every route checks theta and eta
+(:func:`admissible_deformations`), a grid's once per axis value, then the couplings
 (:func:`validate_couplings`); the CLI passes its numbers on unchecked, so these are its messages.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from types import SimpleNamespace
 
 from .errors import DimensionError, DomainError
@@ -195,22 +196,67 @@ def _grid_columns(thetas, etas, m: float, n: float, kernel, width: int) -> np.nd
     return out
 
 
-def _list_columns(thetas, etas, m: float, n: float, kernel, width: int) -> list[list[float]]:
-    """:func:`_grid_columns` on lists of floats, as lists: the same checks in the same order, every
-    point before the couplings, and ``kernel`` run on floats, so every bit is the array's.
-
-    ``kernel`` runs once per unordered pair, at (max, min) of theta and eta: :func:`_closed_forms`
-    reads the point only as max(theta, eta) and min(theta, eta), so a square grid's mirror points
-    share their row. The keys merge 0.0 and -0.0, which is exact too: a zero enters the closed forms
-    only through products, squares and sums with a nonzero term, so its sign reaches no output.
-    """
-    for theta, eta in zip(thetas, etas):
+def _checked_axes(thetas: list, etas: list, m: float, n: float) -> float:
+    """Check each value of a grid's axes, lists of floats, once (:func:`admissible_deformations`), then
+    the couplings; return R. Row 0 and then column 0 hold every axis value, so their first failing
+    point is the grid's first in row-major order, which is named, as :func:`_checked_points` names it."""
+    for theta, eta in chain(zip(repeat(thetas[0]), etas), zip(thetas, repeat(etas[0]))):
         if not admissible_deformations(theta, eta):
             raise DomainError(f"{_BAD_DEFORMATION} at {_point_name(theta, eta, m, n)}")
-    r, missing = validate_couplings(m, n), (math.nan,) * width
-    pairs = [(eta, theta) if theta < eta else (theta, eta) for theta, eta in zip(thetas, etas)]
-    rows = {pair: kernel(*pair, m, n, r) if pair[0] * pair[1] < 1.0 else missing for pair in dict.fromkeys(pairs)}
-    return [list(column) for column in zip(*map(rows.__getitem__, pairs))]
+    return validate_couplings(m, n)
+
+
+def _grid_keys(thetas, etas, m: float, n: float, kernel, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``width`` columns of ``kernel`` on the grid of the axes ``thetas`` (outer) and ``etas``
+    (inner), float arrays, keyed by the points' unordered pairs: each row's key, and the rows of one
+    array of a value per key. Every point with theta*eta >= 1 shares the last key, NaN.
+
+    :func:`_closed_forms` reads a point only as max(theta, eta) and min(theta, eta), so ``kernel`` runs
+    once per key. A pair's key is its first row in row-major order: that of the first theta and eta
+    holding the point's values, or of the mirror point where both values lie on the other axis too.
+    So keys are row numbers, compacted with no sort. The positions merge 0.0 with -0.0, which is
+    exact too: a zero enters the closed forms only through products, squares and sums with a nonzero
+    term, so its sign reaches no output. The axes are checked by :func:`_checked_axes`.
+    """
+    import numpy as np
+    theta_list, eta_list = thetas.tolist(), etas.tolist()
+    r = _checked_axes(theta_list, eta_list, m, n)
+    inner, size = len(eta_list), len(theta_list) * len(eta_list)
+    theta_at, eta_at = (dict(zip(reversed(values), reversed(range(len(values))))) for values in (theta_list, eta_list))
+
+    def first(values, at, absent=0):  # each value's first position on an axis, else ``absent``
+        return np.array([at.get(value, absent) for value in values])
+
+    direct = np.add.outer(first(theta_list, theta_at) * inner, first(eta_list, eta_at))
+    # A value absent from the other axis puts the mirror point past the grid.
+    mirror = np.add.outer(first(theta_list, eta_at, size), first(eta_list, theta_at, len(theta_list)) * inner)
+    rows = np.minimum(direct, mirror).ravel()
+    keys = np.flatnonzero(rows == np.arange(size))  # a pair's first row is its own
+    outer = keys // inner
+    thetas, etas = thetas[outer], etas[keys - outer * inner]
+    with np.errstate(over="ignore"):  # theta*eta beyond the float range is inf, off the domain
+        inside = thetas * etas < 1.0
+    count = np.count_nonzero(inside)
+    slot = np.full(size, count)  # the missing key, but at the keys in the domain
+    slot[keys[inside]] = np.arange(count)
+    out = np.full((width, count + (count < keys.size)), np.nan)
+    with np.errstate(over="ignore"):  # nu_3 and nu_4 beyond the float range are inf
+        for row, values in zip(out, kernel(thetas[inside], etas[inside], m, n, r)):
+            row[:count] = values
+    return slot[rows], out
+
+
+def _list_keys(thetas: list, etas: list, m: float, n: float, kernel, width: int) -> tuple[list, list]:
+    """:func:`_grid_keys` on lists of floats, as lists: the same checks, and ``kernel`` run on floats,
+    so every bit is the array's. The keys are the pairs (max, min) of theta and eta, merged by a dict,
+    which merges 0.0 with -0.0 as :func:`_grid_keys` does."""
+    r = _checked_axes(thetas, etas, m, n)
+    pairs = [(eta, theta) if theta < eta else (theta, eta) for theta in thetas for eta in etas]
+    distinct = dict.fromkeys(pairs)
+    inside = [pair for pair in distinct if pair[0] * pair[1] < 1.0]
+    position = dict(zip(inside, range(len(inside))))
+    keys = [kernel(*pair, m, n, r) for pair in inside] + [(math.nan,) * width] * (len(inside) < len(distinct))
+    return list(map(position.get, pairs, repeat(len(inside), len(pairs)))), [list(column) for column in zip(*keys)]
 
 
 def family_spectra(thetas, etas, m: float, n: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,22 +1,22 @@
 """Parameter-plane scans: point evaluation, the grid tables and their writers.
 
-A grid is evaluated in one batched call, ``kernel.family_invariants``: the
-closed-form kernel at (|m|, |n|), which decides every quadrant with no 8x8 algebra.
-The figure-1 spectra (``kernel.family_spectra``) come from the same kernel. The
-verdict column comes from one call of ``kernel.verdict_from_invariants`` on
-the invariant arrays: each point's verdict as an integer code, NaN (theta*eta >= 1)
-giving ``invalid``. :func:`eval_point` runs the same kernel text and verdict rule on
-Python floats (``kernel.point_invariants``), so a point gets the bits of its grid row. Every
-grid range, the CLI's included, is checked by one function, :func:`_check_range`. Rows run in
-row-major order, theta outer and eta inner.
+A grid is evaluated in one batched call of the closed-form kernel at (|m|, |n|), which decides
+every quadrant with no 8x8 algebra; the figure-1 spectra come from the same kernel. The kernel
+and the verdict rule (``kernel.verdict_from_invariants``, NaN giving ``invalid``) run once per
+unordered pair (theta, eta) of the grid (``kernel._grid_keys``). :func:`eval_point` runs the same
+kernel text and verdict rule on Python floats (``kernel.point_invariants``), so a point gets the
+bits of its grid row. Every grid range, the CLI's included, is checked by one function,
+:func:`_check_range`. Rows run in row-major order, theta outer and eta inner.
 
-A grid's output is a table (:func:`scan_table`, :func:`fig1_table`): a dict of equal-length
-columns of two kinds. A float column is a float64 array, NaN where a cell is missing; a label
-column is a pair ``(codes, labels)``, each row's integer position in the tuple ``labels``.
-:func:`table_to_csv` and :func:`table_to_json` write it to a text handle, a block of rows
-per write: a column's distinct floats (per bit pattern) are spelled in one C-level format, each word
-with its separator, and indexed by row, so no whole-output text exists. A column of one word joins
-the words of the column before it. Floats are rounded to 12 significant digits, so identical
+A grid's output is a table (:func:`scan_table`, :func:`fig1_table`): a dict of columns of one kind,
+each a pair ``(index, values)``, each row's position in the values of its key. theta and eta are
+keyed by their axis positions, and m, n and r ride on eta's index; the kernel's columns and the
+verdict are keyed by the point's unordered pair, and every point with theta*eta >= 1 shares one
+key, NaN and ``invalid``. Float values are an array or a list; label values, a tuple of strings.
+:func:`table_to_csv` and :func:`table_to_json` write a table to a text handle, a block of rows per
+write: each key's values are spelled once, a column's floats in one C-level format, each word with
+its separator; adjacent columns on one index object are joined key by key, and the words gathered
+by row, so no whole-output text exists. Floats are rounded to 12 significant digits, so identical
 configurations produce byte-identical files.
 
 Each table has one body (:func:`_scan_table`, :func:`_fig1_table`) over numpy's primitives
@@ -29,16 +29,14 @@ Both routes write the same bytes: the route shows only in the timing and in ``sy
 from __future__ import annotations
 
 import functools
-import json
 import math
 import sys
 from itertools import chain
-from json.encoder import encode_basestring_ascii as quote
 from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import DomainError
-from .kernel import (Verdict, _grid_columns, _invariants, _list_columns, _spectra, point_invariants,
+from .kernel import (_BY_RANK, Verdict, _grid_keys, _invariants, _list_keys, _spectra, point_invariants,
                      verdict_from_invariants)
 
 
@@ -70,6 +68,8 @@ FIG1_FIELDS = (
     "nup_3",
     "nup_4",
 )
+# Each verdict's label by rank, as plain strings: the writers hash them, and a member hashes in Python.
+_LABELS = tuple(verdict.value for verdict in Verdict)
 
 
 def _check_range(name: str, rng: tuple[float, float, int]) -> tuple[float, float, int]:
@@ -109,7 +109,7 @@ def eval_point(theta: float, eta: float, m: float, n: float) -> ScanRecord:
 def scan_table(
     theta_range: tuple[float, float, int], eta_range: tuple[float, float, int], m: float, n: float
 ) -> dict:
-    """The ``SCAN_FIELDS`` table of the grid, each range (min, max, number of points), from one
+    """The keyed ``SCAN_FIELDS`` table of the grid, each range (min, max, number of points), from one
     batched evaluation, theta outer and eta inner; rows with theta*eta >= 1 are kept with the
     ``invalid`` verdict, invariants missing."""
     return _scan_table(theta_range, eta_range, m, n, _arrays())
@@ -119,12 +119,20 @@ def _scan_table(theta_range, eta_range, m, n, xp) -> dict:
     """:func:`scan_table` on the primitives ``xp``: numpy's (:func:`_arrays`) or the lists' (``_LISTS``)."""
     thetas = xp.linspace(*_check_range("theta", theta_range))
     etas = xp.linspace(*_check_range("eta", eta_range))
-    thetas, etas = xp.repeat(thetas, len(etas)), xp.tile(etas, len(thetas))
     m, n = float(m), float(n)
-    nu, nu_prime = xp.columns(thetas, etas, m, n, _invariants, 2)
-    couplings = [xp.full(len(nu), value) for value in (m, n, math.hypot(m, n))]
-    verdicts = (xp.verdicts(nu, nu_prime), tuple(Verdict))
-    return dict(zip(SCAN_FIELDS, [thetas, etas, *couplings, nu, nu_prime, verdicts]))
+    columns = _grid(thetas, etas, (m, n, math.hypot(m, n)), _invariants, 2, xp)
+    (pairs, nu), (_, nu_prime) = columns[-2:]
+    return dict(zip(SCAN_FIELDS, [*columns, (pairs, tuple(map(_LABELS.__getitem__, xp.ranks(nu, nu_prime))))]))
+
+
+def _grid(thetas, etas, couplings: tuple, kernel, width: int, xp) -> list:
+    """The keyed columns of the grid of the axes ``thetas`` (outer) and ``etas`` (inner): theta and eta
+    keyed by their axis positions, the ``couplings`` (m and n first) riding on eta's, and the ``width``
+    columns of ``kernel`` keyed by the points' unordered pairs (``kernel._grid_keys``)."""
+    pairs, values = xp.keys(thetas, etas, *couplings[:2], kernel, width)
+    rows, cols = xp.repeat(range(len(thetas)), len(etas)), xp.tile(range(len(etas)), len(thetas))
+    return [(rows, thetas), (cols, etas), *((cols, xp.full(len(etas), value)) for value in couplings),
+            *((pairs, column) for column in values)]
 
 
 def fig2_couplings(r: float, swap: bool = False) -> tuple[float, float]:
@@ -136,7 +144,7 @@ def fig2_couplings(r: float, swap: bool = False) -> tuple[float, float]:
 
 
 def fig1_table(theta_values, eta_range: tuple[float, float, int], m: float, n: float) -> dict:
-    """The ``FIG1_FIELDS`` table: full spectra of (Sigma, Omega) and (Sigma, Omega') along eta per theta.
+    """The keyed ``FIG1_FIELDS`` table: full spectra of (Sigma, Omega) and (Sigma, Omega') along eta per theta.
 
     All points run in one batched call. Rows carry (m, n), which the eigenvalue plot leaves implicit;
     rows with theta*eta >= 1 leave the spectrum columns empty (the form is singular on the hyperbola).
@@ -152,12 +160,9 @@ def _fig1_table(theta_values, eta_range, m, n, xp) -> dict:
     values = list(theta_values) if hasattr(theta_values, "__iter__") and getattr(theta_values, "ndim", 1) else []
     if not values or not all(isinstance(value, numbers.Real) for value in values):
         raise DomainError(f"theta values must be a non-empty 1-D sequence of real numbers, got {theta_values!r}")
-    values = [float(value) for value in values]
+    thetas = xp.array([float(value) for value in values])
     etas = xp.linspace(*_check_range("eta", eta_range))
-    thetas, etas = xp.repeat(values, len(etas)), xp.tile(etas, len(values))
-    m, n = float(m), float(n)
-    couplings = [xp.full(len(thetas), value) for value in (m, n)]
-    return dict(zip(FIG1_FIELDS, [thetas, etas, *couplings, *xp.columns(thetas, etas, m, n, _spectra, 8)]))
+    return dict(zip(FIG1_FIELDS, _grid(thetas, etas, (float(m), float(n)), _spectra, 8, xp)))
 
 
 def _linspace(lo: float, hi: float, num: int) -> list[float]:
@@ -175,34 +180,20 @@ _BLOCK = 1024  # rows per write of the table writers; from 512 to 4096 a default
 
 
 def _words(column, floats, label, blank) -> tuple[list[str], object]:
-    """A column as its distinct words, each carrying the cell's separators, and each row's position
-    in them. ``label`` spells each label of a ``(codes, labels)`` column, and the codes are the
-    positions. ``floats`` spells all distinct bit patterns of a float column, an array or a list, in
-    one call (0.0 and -0.0 stay apart); every NaN pattern, a missing cell, is then spelled ``blank``."""
-    if isinstance(column, tuple):
-        codes, labels = column
-        return list(map(label, labels)), codes
-    if hasattr(column, "__array_function__"):  # the test of kernel._primitives
-        import numpy as np
-        bits = column.view(np.int64)
-        if len(bits) and (bits == bits[0]).all():  # one value, such as a map's m, n and r: no sort
-            bits, index = bits[:1], np.zeros(len(bits), np.intp)
-        else:
-            bits, index = np.unique(bits, return_inverse=True)
-        values = bits.view(np.float64)
-        nans = np.flatnonzero(values != values).tolist()
-    else:
-        from array import array
-        # One value, such as a map's m, n and r: cells equal to a nonzero first cell share its bits
-        # (0.0 == -0.0 is the one equality of distinct bits), and a NaN counts only as that very object.
-        if column and column[0] and column.count(column[0]) == len(column):
-            values, index = array("d", column[:1]), [0] * len(column)
-        else:  # array('d') read as 'q' keeps 0.0 and -0.0 apart, as .view(np.int64) does
-            bits = array("q", array("d", column).tobytes())
-            position = {pattern: k for k, pattern in enumerate(dict.fromkeys(bits))}
-            values, index = array("d", array("q", position).tobytes()), list(map(position.__getitem__, bits))
-        nans = [k for k, value in enumerate(values) if value != value]
+    """A column as one word per key, each carrying the cell's separators, and each row's key. A
+    column is a pair ``(index, values)``: each row's position in ``values``, one per key. A tuple of
+    ``values`` holds labels, each distinct label spelled once by ``label``; other values are floats,
+    an array or a list, all spelled in one call of ``floats``, and each NaN, a missing cell, as
+    ``blank``. A plain column of floats is keyed on its rows."""
+    index, values = column if isinstance(column, tuple) else (range(len(column)), column)
+    if isinstance(values, tuple):
+        spelled = {value: label(value) for value in set(values)}
+        return list(map(spelled.__getitem__, values)), index
     words = floats(values)
+    if hasattr(values, "__array_function__"):  # the test of kernel._primitives
+        nans = (values != values).nonzero()[0].tolist()
+    else:
+        nans = [k for k, value in enumerate(values) if value != value]
     for k in nans:
         words[k] = blank
     return words, index
@@ -211,15 +202,16 @@ def _words(column, floats, label, blank) -> tuple[list[str], object]:
 def _blocks(columns):
     """The text of each block of up to ``_BLOCK`` rows: all its cells, row by row, in one join.
 
-    A column of one word is appended to the words of the column before it, so its cells are never
-    gathered; the first column stays, so a table whose every column has one word still has rows.
-    numpy gathers the cells of array columns, and ``map`` those of list columns."""
-    kept = columns[:1]
-    for words, index in columns[1:]:
-        if len(words) == 1:
-            kept[-1] = ([word + words[0] for word in kept[-1][0]], kept[-1][1])
+    Adjacent columns that share an index object are joined key by key before the gather, so a map
+    row gathers one cell per key: theta's, eta's (with m, n and r), and its pair's. numpy gathers
+    the cells of array indexes, and ``map`` those of list indexes."""
+    groups = []
+    for words, index in columns:
+        if groups and groups[-1][1] is index:
+            groups[-1][0].append(words)
         else:
-            kept.append((words, index))
+            groups.append(([words], index))
+    kept = [(words[0] if len(words) == 1 else list(map("".join, zip(*words))), index) for words, index in groups]
     rows = len(kept[0][1]) if kept else 0
     arrays = rows and hasattr(kept[0][1], "__array_function__")  # then numpy gathers the cells
     if arrays:
@@ -233,8 +225,9 @@ def _blocks(columns):
 
 
 def _spell(form: str, values) -> list[str]:
-    """``form % v`` for every value, all in one C-level format; ``form`` holds no NUL."""
-    return ((form + "\0") * len(values) % tuple(values.tolist())).split("\0")[:-1]
+    """``form % v`` for every value, an array or a list, all in one C-level format; ``form`` holds no NUL."""
+    values = values.tolist() if hasattr(values, "tolist") else values
+    return ((form + "\0") * len(values) % tuple(values)).split("\0")[:-1]
 
 
 def table_to_csv(table: dict, out) -> None:
@@ -267,6 +260,7 @@ def _json_floats(key: str, tail: str, values) -> list[str]:
     ``1e-4`` on, and below it scientific with at least two exponent digits. So the candidates are
     a superset of the values whose spellings differ, and respelling one that agrees changes nothing.
     """
+    from json import dumps
     texts = _spell(key.replace("%", "%%") + "%.12g" + tail, values)
     if hasattr(values, "__array_function__"):
         import numpy as np
@@ -278,7 +272,7 @@ def _json_floats(key: str, tail: str, values) -> list[str]:
         odd = [k for k, v in enumerate(values)
                if not abs(v) < 1e11 or abs(v) < 1e-299 or abs(v - round(v)) <= 1e-11 * abs(v)]
     for k in odd:
-        texts[k] = key + json.dumps(float("%.12g" % values[k])) + tail
+        texts[k] = key + dumps(float("%.12g" % values[k])) + tail
     return texts
 
 
@@ -290,6 +284,7 @@ def table_to_json(table: dict, out) -> None:
     Each word carries its cell's separator and key; the first column's words also open the row's
     object after a comma, which the first row drops, and the last column's close it.
     """
+    from json.encoder import encode_basestring_ascii as quote
     columns = []
     for k, (name, column) in enumerate(table.items()):
         head = "" if k else ",\n  {"
@@ -315,16 +310,17 @@ def _arrays() -> SimpleNamespace:
     import numpy as np
     # numpy computes the last point as k*step too, before it writes max there: near the float range's end
     # k*step overflows. The checks leave no other overflow and no NaN, so only ``over`` is silenced.
-    return SimpleNamespace(linspace=np.errstate(over="ignore")(np.linspace),
-                           repeat=np.repeat, tile=np.tile, full=np.full, columns=_grid_columns,
-                           verdicts=verdict_from_invariants)
+    return SimpleNamespace(linspace=np.errstate(over="ignore")(np.linspace), array=np.array,
+                           repeat=np.repeat, tile=np.tile, full=np.full, keys=_grid_keys,
+                           ranks=lambda nu, nu_prime: verdict_from_invariants(nu, nu_prime).tolist())
 
 
 _LISTS = SimpleNamespace(
     linspace=_linspace,
+    array=list,
     repeat=lambda values, times: [value for value in values for _ in range(times)],
-    tile=lambda values, times: values * times,
+    tile=lambda values, times: list(values) * times,
     full=lambda size, value: [value] * size,
-    columns=_list_columns,
-    verdicts=lambda nu, nu_prime: list(map(tuple(Verdict).index, map(verdict_from_invariants, nu, nu_prime))),
+    keys=_list_keys,
+    ranks=lambda nu, nu_prime: map(_BY_RANK.index, map(verdict_from_invariants, nu, nu_prime)),
 )

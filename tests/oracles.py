@@ -331,18 +331,21 @@ def records_self_consistent(rows):
     return True
 
 
-def _cell_values(column):
-    """The cells of a table column as Python values: a ``(codes, labels)`` column's labels, and a
-    float column's values with None for NaN, a missing cell."""
-    if isinstance(column, tuple):
-        codes, labels = column
-        return [labels[code] for code in codes.tolist()]
-    return [None if v != v else v for v in column.tolist()]
+def _as_list(values):
+    return values.tolist() if hasattr(values, "tolist") else list(values)
+
+
+def expand(column):
+    """The cells of a table column as Python values, row by row: a keyed column ``(index, values)``
+    gives each row's value, a plain column its own; None stands for NaN, a missing cell."""
+    index, values = column if isinstance(column, tuple) else (range(len(column)), column)
+    values = _as_list(values)
+    return [None if value != value else value for value in map(values.__getitem__, _as_list(index))]
 
 
 def table_rows(table):
     """One dict per row of a column table, keys in column order, None in missing cells."""
-    return [dict(zip(table, row)) for row in zip(*map(_cell_values, table.values()))]
+    return [dict(zip(table, row)) for row in zip(*map(expand, table.values()))]
 
 
 def rows_to_csv(rows, fields):

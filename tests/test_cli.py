@@ -445,8 +445,8 @@ class TestOutputBytes:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_one_word_columns_match_per_row_writer(self, capsys, fmt):
-        # At one theta the first column has one word and stays a column; the scan's m, n and r
-        # and fig1's m and n join the eta column. Both write what the per-row writers write.
+        # At one theta the first column has one key; the scan's m, n and r and fig1's m and n
+        # ride on the eta column's key. Both write what the per-row writers write.
         writer = rows_to_csv if fmt == "csv" else rows_to_json
         argv = ["scan", "--theta-range", "1:1:1", "--eta-range", "0:2:5", "--m", "0.3", "--n", "0.2"]
         assert main([*argv, "--format", fmt]) == 0
@@ -475,8 +475,8 @@ class TestOutputBytes:
         ["scan", "--theta-range", "2:2:1", "--eta-range", "1:1:1", "--m", "0.1", "--n", "0.1"],
         ["fig1", "--thetas", "2", "--eta-range", "1:1:1", "--format", "json"],
         # More than one block (1,024 rows) of the table writers: a 61x61 scan, a four-theta fig1
-        # (1,204 rows, whose one-word m and n join the eta column) and a one-theta scan (1,500
-        # rows, whose one-word first column keeps every row across the block edges).
+        # (1,204 rows, whose m and n ride on the eta column's key) and a one-theta scan (1,500
+        # rows, whose one-key first column keeps every row across the block edges).
         *([*grid.split(), "--format", fmt] for grid in (
             "scan --m 0.3 --n 0.2 --theta-range 0:2:61 --eta-range 0:2:61",
             "fig1 --thetas 0,0.5,1.25,2 --eta-range 0:2:301",

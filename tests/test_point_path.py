@@ -90,6 +90,15 @@ def test_cold_maps_load_no_numpy_and_print_their_recorded_bytes(fmt):
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv][fmt == "json"], argv
 
 
+def test_cold_csv_map_loads_no_json():
+    # json serves the JSON writer and eval's printer only, so a fresh default CSV map never imports it.
+    # -S keeps site's imports out of the count; src/ comes from PYTHONPATH.
+    code = CLI + "\nassert 'json' not in sys.modules, sorted(sys.modules)"
+    proc = _run("-S", "-c", code, "fig2", "--r", "0.5")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == GOLDEN[("fig2", "--r", "0.5")][0]
+
+
 @pytest.mark.parametrize("argv, rows", [
     (("scan", "--m", "-0.3", "--n", "0.2", "--theta-range", "0:2:113", "--eta-range", "0:2:145"), 113 * 145),
     (("fig1", "--thetas", "0.5", "--eta-range", f"0:2:{_COLD_ROWS // 3}"), 3 * (_COLD_ROWS // 3)),

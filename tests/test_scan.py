@@ -28,7 +28,7 @@ from ncgauss import (
 )
 from ncgauss.cli import _COLD_ROWS, main
 from ncgauss.core import dense_spectra, primed_form
-from ncgauss.kernel import (Verdict, _invariants, _list_columns, family_invariants, family_spectra,
+from ncgauss.kernel import (Verdict, _grid_keys, _invariants, _list_keys, family_invariants, family_spectra,
                             verdict_from_invariants)
 from ncgauss.scan import (_BLOCK, FIG1_FIELDS, SCAN_FIELDS, _LISTS, _arrays, _check_range, _fig1_table, _linspace,
                           _scan_table, _spell, _words, table_to_csv, table_to_json)
@@ -39,6 +39,7 @@ from oracles import (
     closed_tolerance,
     dense_point,
     dense_tolerance,
+    expand,
     mp_closed_forms,
     mp_spectra,
     records_self_consistent,
@@ -125,9 +126,24 @@ def _written(writer, table):
 
 
 def _listed(table):
-    """``table`` with every column a Python list, as the tables' list route builds it."""
-    return {name: (column[0].tolist(), column[1]) if isinstance(column, tuple) else column.tolist()
+    """``table`` with every index and float column a Python list, as the tables' list route builds it;
+    columns that share an index object still do."""
+    lists = {}
+
+    def listed(part):
+        return part if isinstance(part, tuple) else lists.setdefault(id(part), part.tolist())
+
+    return {name: tuple(map(listed, column)) if isinstance(column, tuple) else listed(column)
             for name, column in table.items()}
+
+
+def _map_like_table():
+    """A keyed table shaped as the list route builds a 2x3 map's: theta on its axis, eta and m on
+    eta's index, and nu and the verdict on the pairs' index, NaN and ``invalid`` on the missing key."""
+    rows, cols, pairs = [0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2], [0, 1, 2, 1, 3, 3]
+    return {"theta": (rows, [0.0, 1.5]), "eta": (cols, [0.0, 1.5, 2.0]), "m": (cols, [0.3] * 3),
+            "nu_minus": (pairs, [1.25, 2.5, 0.75, math.nan]),
+            "verdict": (pairs, ("separable", "separable", "entangled", "invalid"))}
 
 
 def _fig1_rows(theta_values, eta_range, m=FIG_M, n=FIG_N):
@@ -167,6 +183,37 @@ def _tables(draw):
         dtype = draw(st.sampled_from([float, object]))
         cells = st.one_of(st.none(), floats) if dtype is float else labels
         table[name] = _column(draw(st.lists(cells, min_size=size, max_size=size)), dtype)
+    return table
+
+
+@st.composite
+def _keyed_tables(draw):
+    """Random keyed tables for the writer property: columns ``(index, values)`` over up to three index
+    objects, each an array or a list, that adjacent and distant columns share, mixed with plain
+    columns. Values are floats (an array or a list, any of them NaN, such as a table's missing key)
+    or a tuple of labels."""
+    size = draw(st.integers(min_value=0, max_value=12))
+    floats = st.one_of(st.sampled_from([0.0, -0.0, math.nan, PAYLOAD_NAN, math.inf, 1e12, 0.5, 5e-324]), st.floats())
+    labels = st.sampled_from(['q"\u00e9\n', "invalid", "", "separable"])
+    indexes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        keys = draw(st.integers(min_value=1, max_value=4))
+        rows = draw(st.lists(st.integers(min_value=0, max_value=keys - 1), min_size=size, max_size=size))
+        indexes.append((keys, np.array(rows, dtype=np.intp) if draw(st.booleans()) else rows))
+    names = draw(st.lists(st.sampled_from(["theta", "eta", "m", "nu_minus", "verdict", 'k"\u00e9', "%s"]),
+                          min_size=1, max_size=5, unique=True))
+    table = {}
+    for name in names:
+        kind = draw(st.sampled_from(["floats", "labels", "plain"]))
+        if kind == "plain":
+            table[name] = _column(draw(st.lists(floats, min_size=size, max_size=size)), float)
+            continue
+        keys, index = draw(st.sampled_from(indexes))
+        if kind == "labels":
+            table[name] = (index, tuple(draw(st.lists(labels, min_size=keys, max_size=keys))))
+        else:
+            values = draw(st.lists(floats, min_size=keys, max_size=keys))
+            table[name] = (index, np.array(values) if draw(st.booleans()) else values)
     return table
 
 
@@ -267,10 +314,10 @@ class TestEvalPoint:
         theta, eta, m, n = point
         record = eval_point(theta, eta, m, n)
         table = scan_table((theta, theta, 1), (eta, eta, 1), m, n)
-        codes, labels = table["verdict"]
-        assert labels[codes[0]] is record.verdict
+        pairs, labels = table["verdict"]
+        assert labels[pairs[0]] == record.verdict.value
         for got, name in ((record.nu_minus, "nu_minus"), (record.nu_minus_prime, "nu_minus_prime")):
-            want = table[name][0].item()
+            want = table[name][1][pairs[0]].item()
             if math.isnan(want):
                 assert got is None
             else:
@@ -381,7 +428,7 @@ class TestScanGrid:
         for name in ("eigvalsh", "eigh", "solve", "inv", "eigvals"):
             monkeypatch.setattr(np.linalg, name, forbidden)
         grid = (0.0, 2.0, 9), (0.0, 2.0, 9), m, n
-        nu = scan_table(*grid)["nu_minus"]
+        _, nu = scan_table(*grid)["nu_minus"]
         invalid = np.isnan(nu)
         assert invalid.any() and (nu[~invalid] > 0.0).all()
         assert _scan_rows(*grid) == _point_rows(*grid)
@@ -553,28 +600,28 @@ class TestOutputFormats:
         "theta": _column([-math.nan, PAYLOAD_NAN, 1e12], float),
         "verdict": _column(["invalid", "invalid", "separable"], object),
     })
-    @example(table={  # a one-word first column stays a column of its own
+    @example(table={  # a constant first column
         "m": _column([0.25] * 7, float),
         "eta": _column([0.0, 0.5, 1.0, 1.5, 2.0, 0.5, 1e12], float),
     })
-    @example(table={  # two one-word columns in the middle, both joining the first column's words
+    @example(table={  # two constant columns in the middle
         "theta": _column([0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 0.5], float),
         "m": _column([-0.0] * 7, float),
         "n": _column([1e12] * 7, float),
         "nu_minus": _column([1.5, None, 0.25, None, 3.0, 0.75, 1e-300], float),
     })
-    @example(table={  # a one-word last column, its line end or object close carried by the fold
+    @example(table={  # a constant last column, with the line end or object close
         "theta": _column([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5], float),
         "nu_minus": _column([None] * 7, float),
     })
-    @example(table={  # every column has one word: still one row per row
+    @example(table={  # every column constant: still one row per row
         "m": _column([0.5] * 6, float),
         "n": _column([-0.0] * 6, float),
         "verdict": _column(["invalid"] * 6, object),
         "r": _column([math.inf] * 6, float),
     })
     @example(table={"theta": _column([math.nan], float)})  # one row with one missing cell
-    @example(table={  # a one-word all-NaN first column: every row misses its first cell
+    @example(table={  # an all-NaN first column: every row misses its first cell
         "theta": _column([None] * 6, float),
         "m": _column([0.25] * 6, float),
         "nu_minus": _column([1.0, None, 2.0, 3.0, None, 1e15], float),
@@ -583,17 +630,17 @@ class TestOutputFormats:
         "theta": _column([None] * 6, float),
         "nu_minus": _column([None] * 6, float),
     })
-    @example(table={  # a one-word label column, in the middle and last
+    @example(table={  # a constant label column, in the middle and last
         "theta": _column([0.0, 0.5, 1.0, 1.5, 2.0, 2.5], float),
         "label": _column(['q"\u00e9\n'] * 6, object),
         "nu_minus": _column([1.0, None, 2.0, 3.0, None, 0.5], float),
         "verdict": _column(["separable"] * 6, object),
     })
     def test_table_writers_equal_per_row_reference(self, table):
-        # Spelling each distinct value once gives the text of spelling every cell, also in blocks
-        # of 1, 2 and 5 rows, where a table of at most 12 rows crosses a block's edge. The examples
-        # place one-word columns, which join the column before them, first, in the middle, last
-        # and everywhere.
+        # Plain float columns, keyed on their rows, and label columns keyed on their distinct labels
+        # give the text of spelling every cell, also in blocks of 1, 2 and 5 rows, where a table of
+        # at most 12 rows crosses a block's edge. The examples place constant columns first, in the
+        # middle, last and everywhere.
         # The same table as lists takes the writers' list route, with the same text.
         rows, fields = table_rows(table), tuple(table)
         for block in (1, 2, 5, ncgauss.scan._BLOCK):
@@ -601,6 +648,28 @@ class TestOutputFormats:
                 for written in (table, _listed(table)):
                     assert _written(table_to_csv, written) == rows_to_csv(rows, fields)
                     assert _written(table_to_json, written) == rows_to_json(rows, fields)
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=_keyed_tables())
+    @example(table=_map_like_table())
+    @example(table={  # every row's first cell, and some rows' every cell, on a missing key
+        "theta": ([1, 0, 1, 0], [math.nan, 0.5]),
+        "nu_minus": ([1, 0, 1, 0], [math.nan, math.nan]),
+    })
+    @example(table={  # columns sharing an index object apart: only adjacent ones are joined
+        "a": ([0, 1, 1], [0.25, -0.0]),
+        "b": (np.array([1, 0, 0]), ("x", 'q"\u00e9\n')),
+        "c": ([0, 1, 1], [math.nan, 1e12]),
+    })
+    def test_keyed_table_writers_equal_per_row_reference(self, table):
+        # Each key's words are spelled once and adjacent columns on one index object are joined
+        # key by key; the text is still that of the per-row writers over the expanded rows, at
+        # blocks of 1, 2 and 5 rows too.
+        rows, fields = table_rows(table), tuple(table)
+        for block in (1, 2, 5, ncgauss.scan._BLOCK):
+            with mock.patch("ncgauss.scan._BLOCK", block):
+                assert _written(table_to_csv, table) == rows_to_csv(rows, fields)
+                assert _written(table_to_json, table) == rows_to_json(rows, fields)
 
     @settings(max_examples=300, deadline=None)
     @given(value=st.one_of(st.floats(), st.floats(1e11, 1e17), st.floats(-1e17, -1e11)))
@@ -684,24 +753,28 @@ class TestMissingCells:
     @example(grid=((0.0, DBL_MAX, 3), (0.0, 5e-324, 2), -0.3, 0.2))  # the CI's extreme ranges
     def test_scan_cell_is_nan_iff_its_row_is_off_the_domain(self, grid):
         table = scan_table(*grid)
-        codes, labels = table["verdict"]
-        assert labels == tuple(Verdict) and np.issubdtype(codes.dtype, np.integer)
-        for k, (theta, eta) in enumerate(zip(table["theta"].tolist(), table["eta"].tolist())):
-            off = theta * eta >= 1.0  # Python floats: an overflow is inf, with no warning
-            nu, nu_prime = table["nu_minus"][k].item(), table["nu_minus_prime"][k].item()
-            assert math.isnan(nu) == math.isnan(nu_prime) == off
-            assert not any(math.isnan(table[field][k]) for field in SCAN_FIELDS[:5])
-            assert tuple(Verdict)[codes[k]] is verdict_from_invariants(nu, nu_prime)
+        pairs = table["verdict"][0]
+        assert np.issubdtype(pairs.dtype, np.integer) and all(table[field][0] is pairs for field in SCAN_FIELDS[5:])
+        missing = set()
+        for k, row in enumerate(table_rows(table)):
+            off = row["theta"] * row["eta"] >= 1.0  # Python floats: an overflow is inf, with no warning
+            nu, nu_prime = row["nu_minus"], row["nu_minus_prime"]
+            assert (nu is None) == (nu_prime is None) == off
+            assert None not in [row[field] for field in SCAN_FIELDS[:5]]
+            if off:
+                missing.add(pairs[k].item())
+                nu = nu_prime = math.nan
+            assert row["verdict"] == verdict_from_invariants(nu, nu_prime).value
+        assert len(missing) <= 1  # every row off the domain shares one key
 
     @settings(max_examples=150, deadline=None)
     @given(thetas=st.lists(_DEFORMATIONS, min_size=1, max_size=3), grid=_grids())
     @example(thetas=[2.0, 0.5, DBL_MAX], grid=(None, (0.0, 2.0, 5), 0.999999999999999, 0.0))
     def test_fig1_cell_is_nan_iff_its_row_is_off_the_domain(self, thetas, grid):
         _, eta_range, m, n = grid
-        table = fig1_table(thetas, eta_range, m, n)
-        for k, (theta, eta) in enumerate(zip(table["theta"].tolist(), table["eta"].tolist())):
-            off = theta * eta >= 1.0
-            assert [math.isnan(table[field][k]) for field in FIG1_FIELDS] == [False] * 4 + [off] * 8
+        for row in table_rows(fig1_table(thetas, eta_range, m, n)):
+            off = row["theta"] * row["eta"] >= 1.0
+            assert [row[field] is None for field in FIG1_FIELDS] == [False] * 4 + [off] * 8
 
     @pytest.mark.parametrize("block", [1, 2, 5])
     def test_every_nan_is_written_as_a_missing_cell(self, monkeypatch, block):
@@ -729,8 +802,8 @@ def _route_outputs(body, *args):
         except DomainError as exc:
             outputs.append(str(exc))
             continue
-        floats = [column for column in table.values() if not isinstance(column, tuple)]
-        assert all(isinstance(column, list) for column in floats) == (xp is _LISTS)
+        parts = [part for column in table.values() for part in column if not isinstance(part, tuple)]
+        assert all(isinstance(part, list) for part in parts) == (xp is _LISTS)
         outputs.append((_written(table_to_csv, table), _written(table_to_json, table)))
     return outputs
 
@@ -802,24 +875,57 @@ class TestRoutes:
         assert lists == arrays
 
     def test_list_route_runs_the_kernel_once_per_unordered_pair(self):
-        # A square grid's mirror points, and points that differ only in the sign of a zero, share a run.
-        calls = []
-        def kernel(theta, eta, m, n, r):
-            calls.append((theta, eta))
-            return _invariants(theta, eta, m, n, r)
-        thetas, etas = [0.0, -0.0, 0.5, 0.0, 0.5, -0.0, 2.0], [0.5, 0.5, 0.0, -0.0, -0.0, 0.0, 0.5]
-        columns = _list_columns(thetas, etas, 0.3, 0.2, kernel, 2)
-        assert calls == [(0.5, 0.0), (0.0, 0.0)]
-        assert columns == _list_columns(thetas, etas, 0.3, 0.2, _invariants, 2)
-        assert columns == [[_invariants(theta, eta, 0.3, 0.2, math.hypot(0.3, 0.2))[k] if theta * eta < 1.0
-                             else math.nan for theta, eta in zip(thetas, etas)] for k in (0, 1)]
+        # On both routes a grid's mirror points, and points that differ only in the sign of a zero,
+        # share a run, and the points off the domain share one missing key; each row reads its key.
+        r = math.hypot(0.3, 0.2)
+        for keys, axis in ((_list_keys, list), (_grid_keys, np.array)):
+            calls = []
+
+            def kernel(theta, eta, m, n, r):
+                calls.extend(zip(np.atleast_1d(theta).tolist(), np.atleast_1d(eta).tolist()))
+                return _invariants(theta, eta, m, n, r)
+
+            thetas, etas = [0.0, -0.0, 0.5, 2.0], [0.5, -0.0, 0.0, 0.5]
+            pairs, columns = keys(axis(thetas), axis(etas), 0.3, 0.2, kernel, 2)
+            assert sorted((max(call), min(call)) for call in calls) == [(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (2.0, 0.0)]
+            assert [expand((pairs, column)) for column in columns] == [
+                [_invariants(theta, eta, 0.3, 0.2, r)[k] if theta * eta < 1.0 else None
+                 for theta in thetas for eta in etas] for k in (0, 1)]
+            # The default map: 3072 runs for its 6094 points in the domain, and one missing key.
+            calls.clear()
+            pairs, columns = keys(axis(_linspace(0.0, 2.0, 101)), axis(_linspace(0.0, 2.0, 101)), 0.3, 0.2, kernel, 2)
+            assert len(calls) == 3072 and len(columns[0]) == 3073 and math.isnan(columns[0][-1])
+            assert sum(np.asarray(pairs) < 3072) == 6094
+
+    @settings(max_examples=150, deadline=None)
+    @given(axes=st.lists(st.lists(st.sampled_from([0.5, 0.0, -0.0, 2.0, -1.0, -5e-324, math.nan, math.inf]),
+                                  min_size=1, max_size=4), min_size=2, max_size=2),
+           couplings=st.sampled_from([(0.3, 0.2), (0.8, 0.8), (math.nan, 0.2)]))
+    @example(axes=[[0.5, -1.0], [-1.0, 0.0, 1.0]], couplings=(0.3, 0.2))  # theta 1, eta 0: (0, 0) is first
+    @example(axes=[[0.5, 1.0], [0.0, math.nan, -1.0]], couplings=(0.3, 0.2))  # eta 1 alone: (0, 1)
+    @example(axes=[[0.5, -1.0], [0.0, 1.0]], couplings=(0.8, 0.8))  # theta 1 alone, before the couplings
+    def test_keyed_routes_name_the_points_route_first_failing_point(self, axes, couplings):
+        # The keyed routes check each axis value once, then the couplings; they raise what the
+        # points' route raises on the grid's points in row-major order, or give its values.
+        thetas, etas = axes
+        try:
+            want = family_invariants(np.repeat(thetas, len(etas)), np.tile(etas, len(thetas)), *couplings)
+        except DomainError as exc:
+            want = str(exc)
+        for keys, axis in ((_list_keys, list), (_grid_keys, np.array)):
+            try:
+                pairs, columns = keys(axis(thetas), axis(etas), *couplings, _invariants, 2)
+            except DomainError as exc:
+                assert str(exc) == want
+            else:
+                assert [expand((pairs, column)) for column in columns] == [expand(column) for column in want]
 
     @pytest.mark.parametrize("column", [
         [0.3] * 4, [math.nan] * 3, [math.nan, float("nan")], [-0.0] * 3, [0.0, -0.0, 0.0], [0.0] * 2,
         [0.5, math.nextafter(0.5, 1.0), 0.5], [0.5, 0.5, -0.5], [],
     ], ids=["one value", "one nan", "two nans", "-zeros", "signed zeros", "zeros", "ulp apart", "signs", "empty"])
     def test_list_words_spell_the_arrays_cells(self, column):
-        # The list branch's one-value shortcut and its general case spell every cell as the array branch does.
+        # A plain column, keyed on its rows, spells every cell alike as a list and as an array.
         cells = []
         for values in (column, np.array(column, dtype=float)):
             words, index = _words(values, lambda vs: _spell("%.12g,", vs), str, "")
@@ -848,6 +954,31 @@ class TestRoutes:
             assert main([*argv, "--format", fmt]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", [["scan", "--m", "-0.3", "--n", "0.2"], ["fig2", "--r", "0.9", "--swap"]])
+    @pytest.mark.parametrize("theta_range, eta_range", [
+        ((0.0, 1.0, 5), (0.5, 2.0, 7)),
+        ((1.0, 1.0000000000000002, 4), (0.0, 2.0, 5)),
+        ((0.5, 0.5000000000000001, 4), (0.5, 0.5000000000000001, 4)),
+        ((2.0, 3.0, 4), (1.0, 2.0, 3)),
+        ((0.0, -0.0, 3), (0.0, -0.0, 2)),
+    ], ids=["shared values", "repeated values", "repeated on both axes", "beyond the hyperbola", "signed zeros"])
+    def test_keyed_grids_print_their_points(self, monkeypatch, capsys, command, theta_range, eta_range, fmt):
+        # Non-square axes that share some values; an axis whose points are 1, 1, 1+2^-52, 1+2^-52,
+        # and two mirrored axes of repeated points; a grid wholly off the domain, one missing key;
+        # zeros of both signs on both axes. Both routes print the per-row writer's text over one
+        # eval_point per grid point.
+        ranges = [f"--{name}-range={lo!r}:{hi!r}:{steps}" for name, (lo, hi, steps) in
+                  (("theta", theta_range), ("eta", eta_range))]
+        m, n = (-0.3, 0.2) if command[0] == "scan" else fig2_couplings(0.9, swap=True)
+        points = [eval_point(theta, eta, m, n)._asdict()
+                  for theta in _linspace(*theta_range) for eta in _linspace(*eta_range)]
+        writer = rows_to_csv if fmt == "csv" else rows_to_json
+        for xp in (_LISTS, _arrays()):
+            monkeypatch.setattr("ncgauss.cli._map_primitives", lambda rows, xp=xp: xp)
+            assert main([*command, *ranges, "--format", fmt]) == 0
+            assert capsys.readouterr().out == writer(points, SCAN_FIELDS)
 
     @pytest.mark.parametrize("argv", list(GOLDEN))
     def test_recorded_digests_on_the_list_route(self, monkeypatch, capsys, argv):
@@ -944,7 +1075,7 @@ class TestFig1:
     def test_theta_arrays_and_tuples(self, wrap, thetas):
         # An array of two or more thetas used to raise numpy's "truth value ... is ambiguous".
         table = fig1_table(wrap(thetas), (0.0, 1.0, 3), FIG_M, FIG_N)
-        np.testing.assert_array_equal(table["theta"], np.repeat(thetas, 3))
+        assert expand(table["theta"]) == np.repeat(thetas, 3).tolist()
         listed = fig1_table(list(thetas), (0.0, 1.0, 3), FIG_M, FIG_N)
         assert _written(table_to_csv, table) == _written(table_to_csv, listed)
         assert len(table_rows(table)) == 3 * len(thetas)
